@@ -238,6 +238,27 @@ def design_matrix(model: BasisModel, x) -> np.ndarray:
     return out
 
 
+def piecewise_legendre(pieces: int, degree: int, x: np.ndarray):
+    """Piece index and orthonormal Legendre values of points ``x`` in [0, 1].
+
+    Returns ``(piece, values)``: ``piece[i]`` is the subinterval of
+    ``[0, 1]`` cut into ``pieces`` equal parts that holds ``x[i]`` (the
+    right endpoint belongs to the last piece), and ``values[i, a]`` is
+    the degree-``a`` basis function of that piece at ``x[i]``, for
+    ``a = 0..degree``. These are the entries of row i of
+    ``design_matrix`` that can be nonzero, at columns
+    ``a * pieces + piece[i]``.
+    """
+    m = pieces
+    piece = np.minimum((x * m).astype(int), m - 1)
+    # map each piece [j/m, (j+1)/m] onto [-1, 1]
+    u = 2.0 * m * x - 2.0 * piece - 1.0
+    # columns are Legendre values Q_0..Q_r at u; each is contiguous in memory
+    values = legvander(u, degree)
+    values *= np.sqrt(m * (2.0 * np.arange(degree + 1) + 1.0))
+    return piece, values
+
+
 def evaluate_basis(model: BasisModel, x: float) -> np.ndarray:
     """Basis values at a single point, as a length-``dim`` vector."""
     return design_matrix(model, [x])[0]

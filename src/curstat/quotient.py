@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bases import CAP_DENSITY, BasisFamily
+from .bases import CAP_DENSITY, BasisFamily, build_collection, dyadic_family
 from .data import ObservationSample
 from .estimates import CdfEstimate
 from .projection import (
+    TARGET_DENSITY,
+    TARGET_SUBDENSITY,
     PenaltyConfig,
     ProjectionEstimate,
     density_penalty,
-    fit_examination_density,
-    fit_status_subdensity,
+    _select_models,
 )
 
 
@@ -62,11 +63,15 @@ def fit_quotient_cdf(
     cfg: PenaltyConfig | None = None,
     cap=CAP_DENSITY,
 ) -> CdfEstimate:
-    """Run both adaptive density fits and combine them."""
+    """Run both adaptive density fits in one scan and combine them."""
     if cfg is None:
         cfg = PenaltyConfig()
-    sub = fit_status_subdensity(sample, family, cfg, cap)
-    den = fit_examination_density(sample, family, cfg, cap)
+    if family is None:
+        family = dyadic_family()
+    collection = build_collection(family, sample.n, cap)
+    sub, den = _select_models(
+        sample, collection, cfg, (TARGET_SUBDENSITY, TARGET_DENSITY)
+    )
     estimate = quotient_cdf(sub, den)
     estimate.metadata["numerator_penalty"] = density_penalty(
         sub.model, sample.n, cfg, float(sample.delta.mean())

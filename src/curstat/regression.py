@@ -10,6 +10,13 @@ empirical risk with penalty ``kappa0 * dim / n``.
 Rank-deficient designs (empty histogram bins, more columns than
 observations) are resolved by the minimum-norm solution of the normal
 equations, which zeroes the coefficients of unsupported functions.
+
+``fit_cdf_regression`` fits the whole collection from per-piece
+sufficient statistics gathered in one pass over the sorted sample,
+instead of one dense design matrix per model: a piecewise basis
+function is nonzero on one piece only, and on a fixed subdivision a
+lower degree is a column prefix of a higher one. ``fit_least_squares``
+is the dense single-model fit that the scan reproduces.
 """
 
 from __future__ import annotations
@@ -20,13 +27,14 @@ import numpy as np
 
 from .bases import (
     CAP_REGRESSION,
+    TRIG,
     BasisFamily,
     BasisModel,
     build_collection,
     corrected_dim,
     design_matrix,
     dyadic_family,
-    model_sort_key,
+    piecewise_legendre,
     _DYADIC_TAGS,
 )
 from .data import ObservationSample
@@ -101,6 +109,87 @@ def estimate_noise_variance(sample: ObservationSample, fit: LeastSquaresFit) -> 
     return float(np.mean(residuals**2))
 
 
+def _solve_blocks(gram: np.ndarray, moment: np.ndarray):
+    """Minimum-norm solutions of a stack of normal-equation blocks.
+
+    ``gram`` has shape ``(k, d, d)`` and ``moment`` ``(k, d)``. Returns
+    the ``(k, d)`` solutions and the total rank. The rank rule is that of
+    ``np.linalg.lstsq`` on the block-diagonal matrix the stack forms:
+    singular values at or below ``_RANK_TOL`` times the largest singular
+    value of any block count as zero.
+    """
+    u, s, vt = np.linalg.svd(gram)
+    keep = s > _RANK_TOL * s.max()
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    rotated = inverse * np.einsum("kij,ki->kj", u, moment)
+    return np.einsum("kji,kj->ki", vt, rotated), int(np.count_nonzero(keep))
+
+
+def _subdivision_values(pieces: int, models: list[BasisModel], x: np.ndarray):
+    """Piece index and richest-model basis values of the points ``x``.
+
+    All ``models`` share the subdivision into ``pieces``; every one of
+    them uses a column prefix of the returned values on each piece.
+    """
+    richest = max(models, key=lambda model: model.dim)
+    if richest.family.tag == TRIG:
+        return np.zeros(x.size, dtype=int), design_matrix(richest, x)
+    return piecewise_legendre(pieces, richest.degree, x)
+
+
+def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
+    """Least-squares fit of every model from per-piece sufficient statistics.
+
+    Returns the fits in the order of ``models`` and the mean squared
+    residual of the last (richest) model over the observations inside
+    [0, 1], the noise pilot of ``estimate_noise_variance``.
+    """
+    n = sample.n
+    inside = (sample.u >= 0.0) & (sample.u <= 1.0)
+    order = np.argsort(sample.u[inside], kind="stable")
+    x = sample.u[inside][order]
+    delta = sample.delta[inside][order]
+    # every basis vanishes outside [0, 1], so the statuses there are residuals
+    outside_rss = float(np.sum(sample.delta[~inside] ** 2))
+
+    by_pieces: dict[int, list[BasisModel]] = {}
+    for model in models:
+        by_pieces.setdefault(model.pieces, []).append(model)
+    fits: dict[BasisModel, LeastSquaresFit] = {}
+    inside_rss: dict[BasisModel, float] = {}
+    for pieces, group in by_pieces.items():
+        piece, values = _subdivision_values(pieces, group, x)
+        # one basis function at a time, so temporaries hold one value per point
+        columns = values.T
+        counts = np.bincount(piece, minlength=pieces)
+        occupied = counts > 0
+        # x is sorted, so each occupied piece is one contiguous segment
+        starts = (np.cumsum(counts) - counts)[occupied]
+        width = columns.shape[0]
+        gram = np.zeros((pieces, width, width))
+        moment = np.zeros((pieces, width))
+        if starts.size:
+            for a in range(width):
+                moment[occupied, a] = np.add.reduceat(columns[a] * delta, starts) / n
+                for b in range(a, width):
+                    sums = np.add.reduceat(columns[a] * columns[b], starts) / n
+                    gram[occupied, a, b] = gram[occupied, b, a] = sums
+        for model in group:
+            k = model.dim // pieces
+            coeffs, rank = _solve_blocks(gram[:, :k, :k], moment[:, :k])
+            fitted = np.zeros(x.size)
+            for a in range(k):
+                fitted += columns[a] * coeffs[piece, a]
+            rss = float(np.sum((delta - fitted) ** 2))
+            # piecewise coefficients are stored degree-major
+            fits[model] = LeastSquaresFit(
+                model, coeffs.T.ravel(), (rss + outside_rss) / n, rank
+            )
+            inside_rss[model] = rss
+    noise = inside_rss[models[-1]] / x.size if x.size else 0.0
+    return [fits[model] for model in models], noise
+
+
 def fit_cdf_regression(
     sample: ObservationSample,
     family: BasisFamily | None = None,
@@ -111,6 +200,18 @@ def fit_cdf_regression(
     noise_scale: float | None = 1.0,
 ) -> CdfEstimate:
     """Fit every model in the capped collection and keep the penalized best.
+
+    All models are fitted in one scan over the sample. For each
+    subdivision of [0, 1] (a dyadic level, a regular piece count, or
+    the single trigonometric block) the scan gathers per-piece Gram
+    blocks and moment vectors; each model solves the leading blocks of
+    its subdivision, with singular values at or below 1e-10 times the
+    largest over all its blocks treated as zero (the ``lstsq`` rule of
+    ``fit_least_squares``, so ``gram_rank`` agrees). Contrasts, and the
+    noise pilot, are means of per-point squared residuals; the closed
+    form ``||delta||^2 - 2c'b + b'Gb`` is avoided because cancellation
+    makes it wrong by far more than the score differences of near-exact
+    fits.
 
     ``noise_scale`` multiplies the penalty; the default 1.0 gives the
     plain ``kappa0 * dim / n`` criterion. Pass None to estimate the
@@ -125,18 +226,15 @@ def fit_cdf_regression(
     """
     if family is None:
         family = dyadic_family()
-    collection = build_collection(family, sample.n, cap)
-    models = sorted(collection, key=model_sort_key)
+    models = build_collection(family, sample.n, cap)
+    fits, pilot_noise = _fit_collection(sample, models)
     if noise_scale is None:
-        noise_scale = estimate_noise_variance(
-            sample, fit_least_squares(sample, models[-1])
-        )
+        noise_scale = pilot_noise
     best_fit = None
     best_score = np.inf
-    for model in models:
-        fit = fit_least_squares(sample, model)
+    for fit in fits:
         score = fit.contrast + noise_scale * regression_penalty(
-            model, sample.n, kappa0, practical_correction
+            fit.model, sample.n, kappa0, practical_correction
         )
         if score < best_score:
             best_score = score

@@ -22,7 +22,7 @@ from curstat import (
     trig_family,
     trig_model,
 )
-from curstat.bases import model_sort_key
+from curstat.bases import model_sort_key, piecewise_legendre
 
 
 class TestEvaluation:
@@ -56,6 +56,15 @@ class TestEvaluation:
             design = design_matrix(model, xs)
             for i in range(0, 40, 7):
                 np.testing.assert_array_equal(design[i], evaluate_basis(model, xs[i]))
+
+    def test_piecewise_legendre_is_design_nonzeros(self, rng):
+        xs = np.concatenate([rng.random(40), [0.0, 0.5, 1.0]])
+        for model in (dyadic_model(2, 3), poly_model(3, 2), haar_model(3)):
+            piece, values = piecewise_legendre(model.pieces, model.degree, xs)
+            design = design_matrix(model, xs)
+            cols = np.arange(model.degree + 1)[None, :] * model.pieces + piece[:, None]
+            np.testing.assert_array_equal(values, np.take_along_axis(design, cols, 1))
+            assert np.count_nonzero(design) == np.count_nonzero(values)
 
 
 class TestPhi0:

@@ -4,13 +4,20 @@ import pytest
 from curstat import (
     PenaltyConfig,
     ProjectionEstimate,
+    build_collection,
+    dyadic_family,
     fit_quotient_cdf,
     generate,
+    haar_family,
     haar_model,
+    poly_family,
     quotient_cdf,
+    select_projection_model,
+    trig_family,
     trig_model,
     SimModel,
 )
+from curstat.projection import TARGET_DENSITY, TARGET_SUBDENSITY, _select_models
 
 from conftest import random_sample
 
@@ -86,6 +93,23 @@ class TestInvariants:
         est2 = fit_quotient_cdf(sample)
         xs = np.linspace(0, 1, 64)
         np.testing.assert_array_equal(est1(xs), est2(xs))
+
+
+class TestJointScan:
+    def test_joint_scan_equals_per_target_selection(self, rng):
+        cfg = PenaltyConfig()
+        families = [dyadic_family(), haar_family(), poly_family(1), trig_family()]
+        for family in families:
+            for n in (60, 200, 1000):
+                sample = random_sample(rng, n, p_outside=0.1)
+                coll = build_collection(family, n)
+                joint = _select_models(
+                    sample, coll, cfg, (TARGET_SUBDENSITY, TARGET_DENSITY)
+                )
+                for est, target in zip(joint, (TARGET_SUBDENSITY, TARGET_DENSITY)):
+                    model, alone = select_projection_model(sample, coll, cfg, target)
+                    assert est.model == model and est.target == target
+                    assert est.coeffs.tobytes() == alone.coeffs.tobytes()
 
 
 class TestMetadata:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from curstat import (
+    EmptyCollectionError,
     ObservationSample,
     birge_histogram,
     build_collection,
@@ -15,10 +16,13 @@ from curstat import (
     generate,
     haar_family,
     haar_model,
+    poly_family,
     regression_penalty,
+    trig_family,
     trig_model,
     SimModel,
 )
+from curstat.regression import _fit_collection, estimate_noise_variance
 
 from conftest import random_sample
 
@@ -159,3 +163,76 @@ class TestAdaptiveRegression:
         sample = generate(SimModel(1), 200, 4)
         est = fit_cdf_regression(sample, noise_scale=None)
         assert 0.0 < est.metadata["noise_scale"] < 0.5
+
+
+def dense_selection(sample, family, noise_scale=None):
+    """The penalized search done with one dense least-squares fit per model."""
+    models = build_collection(family, sample.n, "regression")
+    if noise_scale is None:
+        noise_scale = estimate_noise_variance(
+            sample, fit_least_squares(sample, models[-1])
+        )
+    fits = [fit_least_squares(sample, model) for model in models]
+    scores = [
+        fit.contrast + noise_scale * regression_penalty(fit.model, sample.n)
+        for fit in fits
+    ]
+    return fits, noise_scale, fits[int(np.argmin(scores))]
+
+
+class TestCollectionScan:
+    """The one-pass scan of fit_cdf_regression against dense fits."""
+
+    @pytest.mark.parametrize(
+        "family",
+        [dyadic_family(), haar_family(), poly_family(2), trig_family()],
+        ids=["dyadic", "haar", "poly2", "trig"],
+    )
+    def test_matches_dense_oracle(self, family):
+        for seed in range(3):
+            for model_id in range(1, 6):
+                for n in (60, 200, 1000, 5000):
+                    sample = generate(SimModel(model_id), n, seed)
+                    try:
+                        dense, noise, best = dense_selection(sample, family)
+                    except EmptyCollectionError:
+                        with pytest.raises(EmptyCollectionError):
+                            fit_cdf_regression(sample, family, noise_scale=None)
+                        continue
+                    fits, pilot = _fit_collection(
+                        sample, [fit.model for fit in dense]
+                    )
+                    assert [f.model for f in fits] == [f.model for f in dense]
+                    for fast, slow in zip(fits, dense):
+                        assert fast.gram_rank == slow.gram_rank
+                        assert abs(fast.contrast - slow.contrast) <= 1e-12
+                    assert abs(pilot - noise) <= 1e-12
+                    est = fit_cdf_regression(sample, family, noise_scale=None)
+                    assert est.evaluator.model == best.model
+                    assert est.metadata["gram_rank"] == best.gram_rank
+                    np.testing.assert_allclose(
+                        est.evaluator.coeffs, best.coeffs, rtol=0, atol=1e-12
+                    )
+
+    def test_degenerate_inputs_match_dense(self):
+        # Near-exact fits make every contrast a rounding residue. The closed
+        # form ||delta||^2 - 2c'b + b'Gb loses it to cancellation: on all
+        # ones at n = 1000 it picked dyadic(level=1, degree=3, dim=8) with a
+        # contrast of -6.7e-16, where the dense path keeps dim 1.
+        rng = np.random.default_rng(7)
+        samples = []
+        for n in (60, 200, 1000):
+            u = rng.random(n)
+            samples += [ObservationSample(u, np.zeros(n)), ObservationSample(u, np.ones(n))]
+        u = np.concatenate([rng.random(150), 1.0 + rng.random(50), -rng.random(10)])
+        samples.append(ObservationSample(u, (rng.random(u.size) < 0.5).astype(float)))
+        # points only near 0 and 1 leave the middle pieces empty
+        u = np.concatenate([0.1 * rng.random(100), 0.9 + 0.1 * rng.random(5)])
+        samples.append(ObservationSample(u, (rng.random(u.size) < u).astype(float)))
+        for sample in samples:
+            for family in (dyadic_family(), haar_family()):
+                _, _, best = dense_selection(sample, family)
+                est = fit_cdf_regression(sample, family, noise_scale=None)
+                assert est.metadata["model"] == best.model.describe()
+                assert est.metadata["gram_rank"] == best.gram_rank
+                assert est.metadata["noise_scale"] >= 0.0
