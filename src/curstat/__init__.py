@@ -42,7 +42,6 @@ from .data import ObservationSample, SampleFormatError, read_sample, write_sampl
 from .estimates import CdfEstimate, StepCdf
 from .isotonic import birge_histogram, npmle_maxmin, npmle_pava
 from .projection import (
-    PenaltyConfig,
     ProjectionEstimate,
     density_contrast,
     density_penalty,
@@ -73,12 +72,6 @@ from .simulate import (
     replication_rng,
     true_cdf,
     truncated_mse,
-)
-from .special import (
-    beta_sampler,
-    erf,
-    exponential_sampler,
-    regularized_incomplete_beta,
 )
 
 __version__ = "0.1.0"

@@ -58,10 +58,17 @@ def _method_list(text: str) -> list[str]:
     return methods
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_estimator_flags(parser):
-    parser.add_argument(
-        "--method", choices=METHODS, default="regression", help="estimation method"
-    )
     parser.add_argument(
         "--family",
         choices=(TRIG, POLY, DYADIC, HAAR),
@@ -82,16 +89,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate a cdf from an observation file")
     est.add_argument("input", help="observation file, one 'u,delta' pair per line")
+    est.add_argument("--method", choices=METHODS, default="regression", help="estimation method")
     _add_estimator_flags(est)
-    est.add_argument("--grid", type=int, default=512, help="evaluation grid size")
+    est.add_argument("--grid", type=_positive_int, default=512, help="evaluation grid size")
     est.add_argument("--out", default=None, help="output file (default stdout)")
 
     sim = sub.add_parser("simulate", help="draw a sample from a built-in model")
     sim.add_argument("--model", type=int, choices=MODEL_IDS, required=True)
-    sim.add_argument("--n", type=int, required=True, help="sample size")
+    sim.add_argument("--n", type=_positive_int, required=True, help="sample size")
     sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--method", choices=METHODS, default="regression", help="estimation method")
     _add_estimator_flags(sim)
-    sim.add_argument("--grid", type=int, default=512)
+    sim.add_argument("--grid", type=_positive_int, default=512)
     sim.add_argument("--out", default="simulate", help="output file prefix")
 
     bench = sub.add_parser("bench", help="run the Monte Carlo benchmark")
@@ -106,17 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--reps",
-        type=int,
+        type=_positive_int,
         default=None,
         help="replications per cell (default: 500 up to n=200, 200 beyond)",
     )
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--jobs", type=int, default=1, help="worker processes")
-    bench.add_argument("--kappa", type=float, default=4.0)
-    bench.add_argument("--kappa0", type=float, default=4.0)
-    bench.add_argument("--rmax", type=int, default=9)
-    bench.add_argument("--clamp", action="store_true")
-    bench.add_argument("--family", choices=(TRIG, POLY, DYADIC, HAAR), default=DYADIC)
+    bench.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
+    _add_estimator_flags(bench)
     bench.add_argument("--bins", type=int, default=None, help="fixed histogram bin count")
     bench.add_argument("--out", default="bench", help="output file prefix")
 
@@ -128,7 +133,6 @@ def _config_from_args(args) -> BenchConfig:
         kappa=args.kappa,
         kappa0=args.kappa0,
         max_degree=args.rmax,
-        practical_correction=True,
         clamp_regression=args.clamp,
         birge_bins=getattr(args, "bins", None),
         family_tag=args.family,

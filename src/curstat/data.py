@@ -9,6 +9,7 @@ header line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,10 @@ def read_sample(path) -> ObservationSample:
                 raise SampleFormatError(
                     f"line {lineno}: could not parse {line!r}"
                 ) from None
+            if not math.isfinite(u):
+                raise SampleFormatError(
+                    f"line {lineno}: examination time must be finite, got {fields[0]!r}"
+                )
             if u < 0:
                 raise SampleFormatError(
                     f"line {lineno}: examination time must be >= 0, got {u!r}"

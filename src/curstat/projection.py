@@ -31,27 +31,10 @@ from .bases import (
     _DYADIC_TAGS,
 )
 from .data import ObservationSample
+from .estimates import _vectorised
 
 TARGET_DENSITY = "density"
 TARGET_SUBDENSITY = "subdensity"
-
-
-@dataclass(frozen=True)
-class PenaltyConfig:
-    """Penalty calibration for the density contrasts.
-
-    ``kappa`` multiplies the whole penalty. With ``practical_correction``
-    the dyadic families swap the raw dimension for the degree-corrected
-    one (see ``bases.corrected_dim``); other families always use
-    ``kappa * phi0^2 * dim / n``.
-    """
-
-    kappa: float = 4.0
-    practical_correction: bool = True
-
-    def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
 
 
 @dataclass(frozen=True)
@@ -60,7 +43,6 @@ class ProjectionEstimate:
 
     model: BasisModel
     coeffs: np.ndarray
-    target: str = TARGET_DENSITY
 
     def __post_init__(self):
         coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
@@ -73,12 +55,11 @@ class ProjectionEstimate:
         """Squared L2 norm; equals the coefficient sum of squares."""
         return float(self.coeffs @ self.coeffs)
 
+    def _eval(self, x: np.ndarray) -> np.ndarray:
+        return design_matrix(self.model, x) @ self.coeffs
+
     def __call__(self, x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        values = design_matrix(self.model, arr) @ self.coeffs
-        if np.ndim(x) == 0:
-            return float(values[0])
-        return np.reshape(values, np.shape(x))
+        return _vectorised(self._eval, x)
 
 
 def empirical_coefficients(
@@ -112,24 +93,29 @@ def density_contrast(
 
 
 def density_penalty(
-    model: BasisModel, n: int, cfg: PenaltyConfig, delta_mean: float = 1.0
+    model: BasisModel, n: int, kappa: float = 4.0, delta_mean: float = 1.0
 ) -> float:
     """Dimension penalty for the density contrast.
 
-    ``delta_mean`` is 1 for the examination-time density and the
-    observed status frequency for the sub-density target.
+    ``kappa`` multiplies the whole penalty. The dyadic families use the
+    degree-corrected dimension (see ``bases.corrected_dim``), the others
+    ``phi0^2 * dim``. ``delta_mean`` is 1 for the examination-time
+    density and the observed status frequency for the sub-density
+    target.
     """
+    if not 0.0 < kappa < np.inf:
+        raise ValueError("kappa must be positive and finite")
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= delta_mean <= 1.0:
         raise ValueError("delta_mean must lie in [0, 1]")
-    if cfg.practical_correction and model.family.tag in _DYADIC_TAGS:
-        return cfg.kappa * delta_mean * corrected_dim(model) / n
-    return cfg.kappa * phi0(model) ** 2 * delta_mean * model.dim / n
+    if model.family.tag in _DYADIC_TAGS:
+        return kappa * delta_mean * corrected_dim(model) / n
+    return kappa * phi0(model) ** 2 * delta_mean * model.dim / n
 
 
 def _select_models(
-    sample: ObservationSample, collection, cfg: PenaltyConfig, targets
+    sample: ObservationSample, collection, kappa: float, targets
 ) -> list[ProjectionEstimate]:
     """One scan over the collection that selects a model for each target.
 
@@ -155,20 +141,20 @@ def _select_models(
         for target in targets:
             coeffs = design.T @ weights[target] / sample.n
             score = -float(coeffs @ coeffs) + density_penalty(
-                model, sample.n, cfg, delta_means[target]
+                model, sample.n, kappa, delta_means[target]
             )
             if score < best_score[target]:
                 best_score[target] = score
                 best[target] = (model, coeffs)
         # free this design before the next, larger one is built
         del design
-    return [ProjectionEstimate(*best[target], target) for target in targets]
+    return [ProjectionEstimate(*best[target]) for target in targets]
 
 
 def select_projection_model(
     sample: ObservationSample,
     collection,
-    cfg: PenaltyConfig | None = None,
+    kappa: float = 4.0,
     target: str = TARGET_DENSITY,
 ) -> tuple[BasisModel, ProjectionEstimate]:
     """Minimise penalized contrast over the collection.
@@ -185,33 +171,31 @@ def select_projection_model(
     and n = 200, dyadic levels 1 and 2 at degree 0 both score exactly
     -0.264, and level 2 wins.
     """
-    if cfg is None:
-        cfg = PenaltyConfig()
-    (estimate,) = _select_models(sample, collection, cfg, (target,))
+    (estimate,) = _select_models(sample, collection, kappa, (target,))
     return estimate.model, estimate
 
 
 def fit_examination_density(
     sample: ObservationSample,
     family: BasisFamily | None = None,
-    cfg: PenaltyConfig | None = None,
+    kappa: float = 4.0,
     cap=CAP_DENSITY,
 ) -> ProjectionEstimate:
     """Adaptive estimate of the examination-time density on [0, 1]."""
     if family is None:
         family = dyadic_family()
     collection = build_collection(family, sample.n, cap)
-    return select_projection_model(sample, collection, cfg, TARGET_DENSITY)[1]
+    return select_projection_model(sample, collection, kappa, TARGET_DENSITY)[1]
 
 
 def fit_status_subdensity(
     sample: ObservationSample,
     family: BasisFamily | None = None,
-    cfg: PenaltyConfig | None = None,
+    kappa: float = 4.0,
     cap=CAP_DENSITY,
 ) -> ProjectionEstimate:
     """Adaptive estimate of the sub-density of status-1 examination times."""
     if family is None:
         family = dyadic_family()
     collection = build_collection(family, sample.n, cap)
-    return select_projection_model(sample, collection, cfg, TARGET_SUBDENSITY)[1]
+    return select_projection_model(sample, collection, kappa, TARGET_SUBDENSITY)[1]

@@ -20,7 +20,6 @@ from .estimates import CdfEstimate
 from .projection import (
     TARGET_DENSITY,
     TARGET_SUBDENSITY,
-    PenaltyConfig,
     ProjectionEstimate,
     density_penalty,
     _select_models,
@@ -60,23 +59,21 @@ def quotient_cdf(
 def fit_quotient_cdf(
     sample: ObservationSample,
     family: BasisFamily | None = None,
-    cfg: PenaltyConfig | None = None,
+    kappa: float = 4.0,
     cap=CAP_DENSITY,
 ) -> CdfEstimate:
     """Run both adaptive density fits in one scan and combine them."""
-    if cfg is None:
-        cfg = PenaltyConfig()
     if family is None:
         family = dyadic_family()
     collection = build_collection(family, sample.n, cap)
     sub, den = _select_models(
-        sample, collection, cfg, (TARGET_SUBDENSITY, TARGET_DENSITY)
+        sample, collection, kappa, (TARGET_SUBDENSITY, TARGET_DENSITY)
     )
     estimate = quotient_cdf(sub, den)
     estimate.metadata["numerator_penalty"] = density_penalty(
-        sub.model, sample.n, cfg, float(sample.delta.mean())
+        sub.model, sample.n, kappa, float(sample.delta.mean())
     )
     estimate.metadata["denominator_penalty"] = density_penalty(
-        den.model, sample.n, cfg, 1.0
+        den.model, sample.n, kappa, 1.0
     )
     return estimate

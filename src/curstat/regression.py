@@ -5,7 +5,10 @@ Bernoulli with success probability F(u), so F is the regression
 function of delta on u. Each model is fitted by least squares on the
 design points (the orthogonal projection of the indicator vector onto
 the span of the basis columns), and the model is chosen by penalized
-empirical risk with penalty ``kappa0 * dim / n``.
+empirical risk with penalty ``noise_scale * kappa0 * dim / n``. The
+noise scale is the mean squared residual of the richest model over the
+observations inside [0, 1], and the dyadic families charge the
+degree-corrected dimension.
 
 Rank-deficient designs (empty histogram bins, more columns than
 observations) are resolved by the minimum-norm solution of the normal
@@ -39,25 +42,17 @@ from .bases import (
 )
 from .data import ObservationSample
 from .estimates import CdfEstimate
+from .projection import ProjectionEstimate
 
 _RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class LeastSquaresFit:
+class LeastSquaresFit(ProjectionEstimate):
     """Least-squares fit of the status indicators on one model."""
 
-    model: BasisModel
-    coeffs: np.ndarray
     contrast: float
     gram_rank: int
-
-    def __call__(self, x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        values = design_matrix(self.model, arr) @ self.coeffs
-        if np.ndim(x) == 0:
-            return float(values[0])
-        return np.reshape(values, np.shape(x))
 
 
 def fit_least_squares(sample: ObservationSample, model: BasisModel) -> LeastSquaresFit:
@@ -78,16 +73,13 @@ def fit_least_squares(sample: ObservationSample, model: BasisModel) -> LeastSqua
     return LeastSquaresFit(model, coeffs, contrast, int(rank))
 
 
-def regression_penalty(
-    model: BasisModel,
-    n: int,
-    kappa0: float = 4.0,
-    practical_correction: bool = True,
-) -> float:
+def regression_penalty(model: BasisModel, n: int, kappa0: float = 4.0) -> float:
     """Penalty ``kappa0 * dim / n`` (degree-corrected for dyadic families)."""
+    if not 0.0 < kappa0 < np.inf:
+        raise ValueError("kappa0 must be positive and finite")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if practical_correction and model.family.tag in _DYADIC_TAGS:
+    if model.family.tag in _DYADIC_TAGS:
         return kappa0 * corrected_dim(model) / n
     return kappa0 * model.dim / n
 
@@ -194,10 +186,8 @@ def fit_cdf_regression(
     sample: ObservationSample,
     family: BasisFamily | None = None,
     kappa0: float = 4.0,
-    practical_correction: bool = True,
     clamp: bool = False,
     cap=CAP_REGRESSION,
-    noise_scale: float | None = 1.0,
 ) -> CdfEstimate:
     """Fit every model in the capped collection and keep the penalized best.
 
@@ -213,12 +203,13 @@ def fit_cdf_regression(
     makes it wrong by far more than the score differences of near-exact
     fits.
 
-    ``noise_scale`` multiplies the penalty; the default 1.0 gives the
-    plain ``kappa0 * dim / n`` criterion. Pass None to estimate the
-    indicator noise variance from the richest model's residuals, which
-    is how the benchmark runs (an indicator regression has noise
-    variance well below 1, and an unscaled penalty of this size
-    systematically blocks the bias-reducing model upgrades).
+    The score is contrast plus ``noise_scale * regression_penalty``,
+    where ``noise_scale`` is the indicator noise variance estimated from
+    the richest model's residuals (``estimate_noise_variance``): an
+    indicator regression has noise variance well below 1, and an
+    unscaled penalty of this size systematically blocks the
+    bias-reducing model upgrades. The first model in collection order
+    with the lowest score wins.
 
     The estimate is the raw projection by default; values may leave
     [0, 1] near the boundary. Pass ``clamp=True`` to truncate at
@@ -227,18 +218,12 @@ def fit_cdf_regression(
     if family is None:
         family = dyadic_family()
     models = build_collection(family, sample.n, cap)
-    fits, pilot_noise = _fit_collection(sample, models)
-    if noise_scale is None:
-        noise_scale = pilot_noise
-    best_fit = None
-    best_score = np.inf
-    for fit in fits:
-        score = fit.contrast + noise_scale * regression_penalty(
-            fit.model, sample.n, kappa0, practical_correction
-        )
-        if score < best_score:
-            best_score = score
-            best_fit = fit
+    fits, noise_scale = _fit_collection(sample, models)
+    best_fit = min(
+        fits,
+        key=lambda fit: fit.contrast
+        + noise_scale * regression_penalty(fit.model, sample.n, kappa0),
+    )
     estimate = CdfEstimate(
         "regression",
         best_fit,
@@ -246,9 +231,7 @@ def fit_cdf_regression(
             "model": best_fit.model.describe(),
             "contrast": best_fit.contrast,
             "penalty": noise_scale
-            * regression_penalty(
-                best_fit.model, sample.n, kappa0, practical_correction
-            ),
+            * regression_penalty(best_fit.model, sample.n, kappa0),
             "noise_scale": float(noise_scale),
             "gram_rank": best_fit.gram_rank,
         },

@@ -27,15 +27,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from .bases import DYADIC, HAAR, POLY, TRIG, BasisFamily
 from .data import ObservationSample
 from .estimates import CdfEstimate
 from .isotonic import birge_histogram, npmle_pava
-from .projection import PenaltyConfig
 from .quotient import fit_quotient_cdf
 from .regression import fit_cdf_regression
-from .special import erf, regularized_incomplete_beta
 
 MODEL_IDS = (1, 2, 3, 4, 5)
 METHODS = ("quotient", "regression", "npmle", "birge")
@@ -79,13 +78,13 @@ def true_cdf(model: SimModel, u):
     if model.id == 1:
         out = np.clip(x, 0.0, 1.0)
     elif model.id == 2:
-        out = erf(np.sqrt(np.clip(x, 0.0, None) / 2.0))
+        out = special.erf(np.sqrt(np.clip(x, 0.0, None) / 2.0))
     elif model.id == 3:
         out = np.clip(x, 0.0, 1.0) ** 2
     elif model.id == 4:
         out = 1.0 - np.exp(-model.model4_rate * np.clip(x, 0.0, None))
     else:
-        out = regularized_incomplete_beta(4.0, 8.0, np.clip(x, 0.0, 1.0))
+        out = special.betainc(4.0, 8.0, np.clip(x, 0.0, 1.0))
     return float(out) if np.ndim(u) == 0 else out
 
 
@@ -135,8 +134,6 @@ class BenchConfig:
     kappa: float = 4.0
     kappa0: float = 4.0
     max_degree: int = 9
-    practical_correction: bool = True
-    regression_noise_scaling: bool = True
     clamp_regression: bool = False
     birge_bins: int | None = None  # None -> default_birge_bins(n)
     family_tag: str = DYADIC
@@ -158,16 +155,10 @@ def estimate_sample(
     if config is None:
         config = BenchConfig()
     if method == "quotient":
-        cfg = PenaltyConfig(config.kappa, config.practical_correction)
-        return fit_quotient_cdf(sample, config.family(), cfg)
+        return fit_quotient_cdf(sample, config.family(), config.kappa)
     if method == "regression":
         return fit_cdf_regression(
-            sample,
-            config.family(),
-            config.kappa0,
-            config.practical_correction,
-            config.clamp_regression,
-            noise_scale=None if config.regression_noise_scaling else 1.0,
+            sample, config.family(), config.kappa0, config.clamp_regression
         )
     if method == "npmle":
         return npmle_pava(sample).as_cdf("npmle", knots=sample.n)

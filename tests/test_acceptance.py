@@ -13,7 +13,6 @@ import pytest
 
 import curstat as cs
 from curstat.bases import model_sort_key
-from curstat.projection import TARGET_SUBDENSITY
 
 SEED = 20260809
 
@@ -143,7 +142,7 @@ def test_criterion_4_contrast_identity():
         sample = cs.ObservationSample(u, delta)
         model = families[int(rng.integers(len(families)))]()
         coeffs = cs.empirical_coefficients(sample, model, sample.delta)
-        est = cs.ProjectionEstimate(model, coeffs, TARGET_SUBDENSITY)
+        est = cs.ProjectionEstimate(model, coeffs)
         gap = abs(
             cs.density_contrast(sample, est, sample.delta) + coeffs @ coeffs
         )

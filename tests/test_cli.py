@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from curstat import ObservationSample, npmle_maxmin, read_sample, write_sample
-from curstat.cli import main
+from curstat import (
+    ObservationSample,
+    SampleFormatError,
+    npmle_maxmin,
+    read_sample,
+    write_sample,
+)
+from curstat.cli import build_parser, main
 
 
 def run(args):
@@ -76,6 +82,21 @@ class TestEstimateCommand:
         assert run(["estimate"]) == 1  # missing input
         assert run(["frobnicate"]) == 1
 
+    def test_grid_must_be_positive(self, tmp_path):
+        data = tmp_path / "obs.csv"
+        write_lines(data, ["0.1,0", "0.9,1"])
+        for grid in (0, -5, "x"):
+            assert run(["estimate", data, "--method", "npmle", "--grid", grid]) == 1
+            assert run(["simulate", "--model", 1, "--n", 10, "--grid", grid,
+                        "--out", tmp_path / "g"]) == 1
+        assert not (tmp_path / "g.estimate.csv").exists()
+
+    def test_non_finite_time_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "obs.csv"
+        write_lines(data, ["0.1,0", "0.2,1", "nan,0"])
+        assert run(["estimate", data]) == 2
+        assert "line 3" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_byte_identical_reruns(self, tmp_path):
@@ -102,6 +123,11 @@ class TestSimulateCommand:
 
     def test_unknown_model_is_usage_error(self, tmp_path):
         assert run(["simulate", "--model", 9, "--n", 10, "--out", tmp_path / "d"]) == 1
+
+    def test_n_must_be_positive(self, tmp_path):
+        for n in (0, -1):
+            assert run(["simulate", "--model", 1, "--n", n, "--out", tmp_path / "z"]) == 1
+        assert not (tmp_path / "z.sample.csv").exists()
 
     def test_round_trip_matches_in_memory(self, tmp_path):
         from curstat import estimate_sample, generate, replication_rng, SimModel
@@ -133,6 +159,31 @@ class TestBenchCommand:
         data_rows = [l for l in lines[1:] if not l.startswith("#")]
         assert len(data_rows) == 5 * 4 * 4  # models x sizes x methods
 
+    def test_reps_must_be_positive(self, tmp_path):
+        for reps in (0, -2):
+            assert run(["bench", "--reps", reps, "--out", tmp_path / "r"]) == 1
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_jobs_must_be_positive(self, tmp_path):
+        for jobs in (0, -3):
+            assert run(["bench", "--reps", 1, "--jobs", jobs, "--out", tmp_path / "j"]) == 1
+        assert not (tmp_path / "j.csv").exists()
+
+    def test_estimator_flags(self):
+        args = build_parser().parse_args(
+            ["bench", "--family", "poly", "--kappa", "2.5", "--kappa0", "6",
+             "--rmax", "3", "--clamp", "--method", "quotient,birge", "--bins", "7"]
+        )
+        assert (args.family, args.kappa, args.kappa0, args.rmax, args.clamp) == (
+            "poly", 2.5, 6.0, 3, True
+        )
+        assert (args.method, args.bins) == (["quotient", "birge"], 7)
+        defaults = build_parser().parse_args(["bench"])
+        assert (defaults.family, defaults.kappa, defaults.kappa0, defaults.rmax) == (
+            "dyadic", 4.0, 4.0, 9
+        )
+        assert not defaults.clamp and defaults.jobs == 1 and defaults.reps is None
+
     def test_fixed_seed_reports_identical(self, tmp_path):
         args = ["bench", "--model", "1", "--n", "60,200", "--reps", 2,
                 "--seed", 12, "--out", tmp_path / "s"]
@@ -161,4 +212,11 @@ class TestSampleFiles:
         path = tmp_path / "sample.csv"
         path.write_text("u,delta\n-0.5,1\n")
         with pytest.raises(Exception, match="line 2"):
+            read_sample(path)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "Infinity"])
+    def test_non_finite_time_rejected(self, tmp_path, text):
+        path = tmp_path / "sample.csv"
+        path.write_text(f"u,delta\n0.5,1\n{text},0\n")
+        with pytest.raises(SampleFormatError, match="line 3"):
             read_sample(path)

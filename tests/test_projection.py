@@ -5,7 +5,6 @@ import pytest
 
 from curstat import (
     ObservationSample,
-    PenaltyConfig,
     ProjectionEstimate,
     build_collection,
     density_contrast,
@@ -85,17 +84,14 @@ class TestDensityContrast:
 
 class TestDensityPenalty:
     def test_theoretical_trig(self):
-        cfg = PenaltyConfig(kappa=4.0, practical_correction=False)
-        assert density_penalty(trig_model(1), 100, cfg) == pytest.approx(0.24)
+        assert density_penalty(trig_model(1), 100, 4.0) == pytest.approx(0.24)
 
     def test_practical_degree_zero(self):
-        cfg = PenaltyConfig(kappa=4.0, practical_correction=True)
-        assert density_penalty(dyadic_model(2, 0), 500, cfg) == pytest.approx(0.032)
+        assert density_penalty(dyadic_model(2, 0), 500, 4.0) == pytest.approx(0.032)
 
     def test_practical_with_degree_correction(self):
-        cfg = PenaltyConfig(kappa=4.0, practical_correction=True)
         expected = 2.0 * (2.0 + math.log(2.0) ** 2.5) / 100.0
-        value = density_penalty(dyadic_model(0, 1), 100, cfg, delta_mean=0.5)
+        value = density_penalty(dyadic_model(0, 1), 100, 4.0, delta_mean=0.5)
         assert value == pytest.approx(expected, rel=1e-12)
         assert value == pytest.approx(0.048, abs=1e-6)
 
@@ -103,31 +99,35 @@ class TestDensityPenalty:
         # within any fixed-degree ladder the penalty grows with dimension;
         # across degrees the correction deliberately charges smoothness, so
         # dimension alone does not order the dyadic penalties
-        cfg = PenaltyConfig()
         for models in (
             [trig_model(m) for m in range(1, 8)],
             [haar_model(p) for p in range(6)],
             [dyadic_model(p, 3) for p in range(5)],
         ):
-            pens = [density_penalty(m, 500, cfg) for m in models]
+            pens = [density_penalty(m, 500) for m in models]
             assert all(a < b for a, b in zip(pens, pens[1:]))
             assert pens[0] > 0
 
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, float("nan"), float("inf")])
+    def test_kappa_must_be_positive(self, kappa):
+        with pytest.raises(ValueError, match="kappa"):
+            density_penalty(haar_model(0), 10, kappa)
+
     def test_delta_mean_validated(self):
         with pytest.raises(ValueError):
-            density_penalty(haar_model(0), 10, PenaltyConfig(), delta_mean=1.5)
+            density_penalty(haar_model(0), 10, delta_mean=1.5)
 
 
-def exhaustive_rescan(sample, collection, cfg, target):
+def exhaustive_rescan(sample, collection, kappa, target):
     """Independent selection oracle via the general contrast path."""
     weights = sample.delta if target == TARGET_SUBDENSITY else None
     delta_mean = float(sample.delta.mean()) if target == TARGET_SUBDENSITY else 1.0
     scored = []
     for model in collection:
         coeffs = empirical_coefficients(sample, model, weights)
-        est = ProjectionEstimate(model, coeffs, target)
+        est = ProjectionEstimate(model, coeffs)
         score = density_contrast(sample, est, weights) + density_penalty(
-            model, sample.n, cfg, delta_mean
+            model, sample.n, kappa, delta_mean
         )
         scored.append((score, model))
     return min(s for s, _ in scored), scored
@@ -138,32 +138,32 @@ class TestSelection:
         sample = ObservationSample([0.1, 0.4, 0.8], [0.0, 0.0, 0.0])
         coll = build_collection(haar_family(), 3, "classic")
         model, est = select_projection_model(
-            sample, coll, PenaltyConfig(), TARGET_SUBDENSITY
+            sample, coll, 4.0, TARGET_SUBDENSITY
         )
         assert model.dim == min(m.dim for m in coll)
         assert np.all(est.coeffs == 0.0)
 
     def test_single_model_collection(self):
         model, _ = select_projection_model(
-            TWO_POINT, [haar_model(1)], PenaltyConfig(), TARGET_DENSITY
+            TWO_POINT, [haar_model(1)], 4.0, TARGET_DENSITY
         )
         assert model == haar_model(1)
 
     @pytest.mark.parametrize("target", [TARGET_DENSITY, TARGET_SUBDENSITY])
     def test_matches_exhaustive_rescan(self, rng, target):
-        cfg = PenaltyConfig()
+        kappa = 4.0
         for _ in range(25):
             sample = generate(SimModel(1), 200, rng)
             coll = build_collection(haar_family(), sample.n, "density")
-            model, est = select_projection_model(sample, coll, cfg, target)
+            model, est = select_projection_model(sample, coll, kappa, target)
             weights = sample.delta if target == TARGET_SUBDENSITY else None
             delta_mean = (
                 float(sample.delta.mean()) if target == TARGET_SUBDENSITY else 1.0
             )
             achieved = density_contrast(sample, est, weights) + density_penalty(
-                model, sample.n, cfg, delta_mean
+                model, sample.n, kappa, delta_mean
             )
-            best, scored = exhaustive_rescan(sample, coll, cfg, target)
+            best, scored = exhaustive_rescan(sample, coll, kappa, target)
             assert achieved == pytest.approx(best, abs=1e-12)
             # tie-break: no strictly smaller-dimension model achieves the optimum
             for score, other in scored:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from curstat import (
-    PenaltyConfig,
     ProjectionEstimate,
     build_collection,
     dyadic_family,
@@ -97,25 +96,24 @@ class TestInvariants:
 
 class TestJointScan:
     def test_joint_scan_equals_per_target_selection(self, rng):
-        cfg = PenaltyConfig()
         families = [dyadic_family(), haar_family(), poly_family(1), trig_family()]
         for family in families:
             for n in (60, 200, 1000):
                 sample = random_sample(rng, n, p_outside=0.1)
                 coll = build_collection(family, n)
                 joint = _select_models(
-                    sample, coll, cfg, (TARGET_SUBDENSITY, TARGET_DENSITY)
+                    sample, coll, 4.0, (TARGET_SUBDENSITY, TARGET_DENSITY)
                 )
                 for est, target in zip(joint, (TARGET_SUBDENSITY, TARGET_DENSITY)):
-                    model, alone = select_projection_model(sample, coll, cfg, target)
-                    assert est.model == model and est.target == target
+                    model, alone = select_projection_model(sample, coll, 4.0, target)
+                    assert est.model == model
                     assert est.coeffs.tobytes() == alone.coeffs.tobytes()
 
 
 class TestMetadata:
     def test_models_and_penalties_recorded(self):
         sample = generate(SimModel(1), 200, 3)
-        est = fit_quotient_cdf(sample, cfg=PenaltyConfig(kappa=4.0))
+        est = fit_quotient_cdf(sample, kappa=4.0)
         for key in (
             "numerator_model",
             "denominator_model",

@@ -104,21 +104,22 @@ class TestFitLeastSquares:
 
 class TestRegressionPenalty:
     def test_plain_dimension_penalty(self):
-        assert regression_penalty(trig_model(1), 100, 4.0, False) == pytest.approx(0.12)
+        assert regression_penalty(trig_model(1), 100, 4.0) == pytest.approx(0.12)
 
     def test_degree_zero_correction_is_plain(self):
-        assert regression_penalty(dyadic_model(3, 0), 1000, 4.0, True) == pytest.approx(
-            0.032
-        )
+        assert regression_penalty(dyadic_model(3, 0), 1000, 4.0) == pytest.approx(0.032)
 
     def test_boundary_arithmetic(self):
-        assert regression_penalty(haar_model(0), 1, 4.0, False) == pytest.approx(4.0)
+        assert regression_penalty(haar_model(0), 1, 4.0) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("kappa0", [0.0, -1.0, float("nan"), float("inf")])
+    def test_kappa0_must_be_positive(self, kappa0):
+        with pytest.raises(ValueError, match="kappa0"):
+            regression_penalty(haar_model(0), 10, kappa0)
 
     def test_degree_correction_value(self):
         expected = 4.0 * (2.0 + math.log(2.0) ** 2.5) / 100.0
-        assert regression_penalty(dyadic_model(0, 1), 100, 4.0, True) == pytest.approx(
-            expected
-        )
+        assert regression_penalty(dyadic_model(0, 1), 100, 4.0) == pytest.approx(expected)
 
 
 class TestAdaptiveRegression:
@@ -130,14 +131,14 @@ class TestAdaptiveRegression:
     def test_selection_matches_exhaustive_rescan(self, rng):
         for _ in range(10):
             sample = generate(SimModel(3), 300, rng)
-            est = fit_cdf_regression(sample, noise_scale=1.0)
+            est = fit_cdf_regression(sample)
+            noise_scale = est.metadata["noise_scale"]
             coll = build_collection(dyadic_family(9), sample.n, "regression")
             scores = []
             for model in coll:
                 fit = fit_least_squares(sample, model)
-                scores.append(
-                    (fit.contrast + regression_penalty(model, sample.n), model)
-                )
+                penalty = noise_scale * regression_penalty(model, sample.n)
+                scores.append((fit.contrast + penalty, model))
             best = min(s for s, _ in scores)
             achieved = est.metadata["contrast"] + est.metadata["penalty"]
             assert achieved == pytest.approx(best, abs=1e-12)
@@ -146,7 +147,7 @@ class TestAdaptiveRegression:
 
     def test_uniform_model_grid_error_shrinks(self):
         sample = generate(SimModel(1), 1000, 13)
-        est = fit_cdf_regression(sample, noise_scale=None)
+        est = fit_cdf_regression(sample)
         xs = np.linspace(0, 1, 512)
         mse = float(np.mean((est(xs) - xs) ** 2))
         assert mse < 0.002  # published benchmark value is ~0.0003
@@ -161,17 +162,14 @@ class TestAdaptiveRegression:
 
     def test_noise_scale_recorded(self):
         sample = generate(SimModel(1), 200, 4)
-        est = fit_cdf_regression(sample, noise_scale=None)
+        est = fit_cdf_regression(sample)
         assert 0.0 < est.metadata["noise_scale"] < 0.5
 
 
-def dense_selection(sample, family, noise_scale=None):
+def dense_selection(sample, family):
     """The penalized search done with one dense least-squares fit per model."""
     models = build_collection(family, sample.n, "regression")
-    if noise_scale is None:
-        noise_scale = estimate_noise_variance(
-            sample, fit_least_squares(sample, models[-1])
-        )
+    noise_scale = estimate_noise_variance(sample, fit_least_squares(sample, models[-1]))
     fits = [fit_least_squares(sample, model) for model in models]
     scores = [
         fit.contrast + noise_scale * regression_penalty(fit.model, sample.n)
@@ -197,7 +195,7 @@ class TestCollectionScan:
                         dense, noise, best = dense_selection(sample, family)
                     except EmptyCollectionError:
                         with pytest.raises(EmptyCollectionError):
-                            fit_cdf_regression(sample, family, noise_scale=None)
+                            fit_cdf_regression(sample, family)
                         continue
                     fits, pilot = _fit_collection(
                         sample, [fit.model for fit in dense]
@@ -207,7 +205,7 @@ class TestCollectionScan:
                         assert fast.gram_rank == slow.gram_rank
                         assert abs(fast.contrast - slow.contrast) <= 1e-12
                     assert abs(pilot - noise) <= 1e-12
-                    est = fit_cdf_regression(sample, family, noise_scale=None)
+                    est = fit_cdf_regression(sample, family)
                     assert est.evaluator.model == best.model
                     assert est.metadata["gram_rank"] == best.gram_rank
                     np.testing.assert_allclose(
@@ -232,7 +230,7 @@ class TestCollectionScan:
         for sample in samples:
             for family in (dyadic_family(), haar_family()):
                 _, _, best = dense_selection(sample, family)
-                est = fit_cdf_regression(sample, family, noise_scale=None)
+                est = fit_cdf_regression(sample, family)
                 assert est.metadata["model"] == best.model.describe()
                 assert est.metadata["gram_rank"] == best.gram_rank
                 assert est.metadata["noise_scale"] >= 0.0
