@@ -10,10 +10,8 @@ harness compares them on five built-in data models.
 """
 
 from .bases import (
-    CAP_CLASSIC,
     CAP_DENSITY,
     CAP_REGRESSION,
-    CAP_SQRT,
     DYADIC,
     HAAR,
     POLY,

@@ -29,17 +29,14 @@ DYADIC = "dyadic"
 HAAR = "haar"
 
 _FAMILY_TAGS = (TRIG, POLY, DYADIC, HAAR)
-_PIECEWISE_TAGS = (POLY, DYADIC, HAAR)
 _DYADIC_TAGS = (DYADIC, HAAR)
 
 DEFAULT_MAX_DEGREE = 9
 
-# Dimension cap rules understood by build_collection. A positive number
-# may be passed instead to bound the dimension directly.
+# Dimension cap rules understood by build_collection: the projection
+# densities use the first, the regression the second.
 CAP_DENSITY = "density"        # dim <= n / ln(n)^2
 CAP_REGRESSION = "regression"  # trig: dim <= sqrt(n)/ln(n); otherwise n / ln(n)^2
-CAP_SQRT = "sqrt"              # dim <= sqrt(n)
-CAP_CLASSIC = "classic"        # dim <= n, family index range only
 
 
 class EmptyCollectionError(ValueError):
@@ -269,21 +266,10 @@ def evaluate_basis(model: BasisModel, x: float) -> np.ndarray:
 
 
 def _cap_dimension(family: BasisFamily, n: int, cap) -> int:
-    if isinstance(cap, (int, float)) and not isinstance(cap, bool):
-        if cap < 1:
-            raise ValueError("numeric dimension cap must be >= 1")
-        bound = float(cap)
-    elif cap == CAP_DENSITY:
+    if cap == CAP_REGRESSION and family.tag == TRIG:
+        bound = math.sqrt(n) / math.log(n)
+    elif cap in (CAP_DENSITY, CAP_REGRESSION):
         bound = n / math.log(n) ** 2
-    elif cap == CAP_REGRESSION:
-        if family.tag == TRIG:
-            bound = math.sqrt(n) / math.log(n)
-        else:
-            bound = n / math.log(n) ** 2
-    elif cap == CAP_SQRT:
-        bound = math.sqrt(n)
-    elif cap == CAP_CLASSIC:
-        bound = float(n)
     else:
         raise ValueError(f"unknown cap rule {cap!r}")
     return min(math.floor(bound), n)
@@ -292,11 +278,11 @@ def _cap_dimension(family: BasisFamily, n: int, cap) -> int:
 def build_collection(family: BasisFamily, n: int, cap=CAP_DENSITY) -> list[BasisModel]:
     """All models of ``family`` whose dimension fits the cap, for sample size n.
 
-    ``cap`` is one of the rule names above or an explicit dimension
-    bound. The family's own index range (e.g. at most ``n//2 - 1``
-    harmonics, at most ``n // (degree+1)`` pieces) always applies on top
-    of the cap. Models are returned in selection order (dimension
-    ascending, ties by coarser subdivision first).
+    ``cap`` is ``CAP_DENSITY`` or ``CAP_REGRESSION``. The capped
+    dimension is at most n, which keeps poly models within
+    ``n // (degree+1)`` pieces; both rules also keep trig models within
+    ``n//2 - 1`` harmonics. Models are returned in selection order
+    (dimension ascending, ties by coarser subdivision first).
 
     Raises EmptyCollectionError when nothing fits.
     """
@@ -304,33 +290,18 @@ def build_collection(family: BasisFamily, n: int, cap=CAP_DENSITY) -> list[Basis
         raise ValueError("need a sample size of at least 2")
     dim_cap = _cap_dimension(family, n, cap)
 
-    models: list[BasisModel] = []
-    if family.tag == TRIG:
-        m_max = n // 2 - 1
-        for m in range(1, m_max + 1):
-            if 2 * m + 1 > dim_cap:
-                break
-            models.append(BasisModel(family, harmonics=m))
-    elif family.tag == POLY:
+    if family.tag == TRIG:  # dim 2m + 1
+        models = [BasisModel(family, harmonics=m) for m in range(1, (dim_cap + 1) // 2)]
+    elif family.tag == POLY:  # dim m (r + 1)
         r = family.max_degree
-        pieces_max = n // (r + 1)
-        for m in range(1, pieces_max + 1):
-            if (r + 1) * m > dim_cap:
-                break
-            models.append(BasisModel(family, pieces=m, degree=r))
-    elif family.tag == HAAR:
-        p = 0
-        while 2**p <= dim_cap:
-            models.append(BasisModel(family, pieces=2**p))
-            p += 1
-    else:  # DYADIC: every (level, degree) pair under the cap
-        p = 0
-        while 2**p <= dim_cap:
-            for r in range(family.max_degree + 1):
-                if 2**p * (r + 1) > dim_cap:
-                    break
-                models.append(BasisModel(family, pieces=2**p, degree=r))
-            p += 1
+        pieces = range(1, dim_cap // (r + 1) + 1)
+        models = [BasisModel(family, pieces=m, degree=r) for m in pieces]
+    else:  # DYADIC and HAAR: every (level p, degree r) pair with 2**p (r + 1) <= cap
+        models = [
+            BasisModel(family, pieces=2**p, degree=r)
+            for p in range(dim_cap.bit_length())
+            for r in range(min(family.max_degree + 1, dim_cap >> p))
+        ]
 
     if not models:
         raise EmptyCollectionError(

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .bases import DYADIC, HAAR, POLY, TRIG, EmptyCollectionError
+from .bases import DYADIC, HAAR, POLY, TRIG, BasisFamily, EmptyCollectionError
 from .data import SampleFormatError, read_sample, write_sample
 from .simulate import (
     METHODS,
@@ -43,11 +43,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+def _int_in(low: int, high: float = float("inf")):
+    """Argument type: an integer in ``[low, high]``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if not low <= value <= high:
+            bound = f"at least {low}" if value < low else f"at most {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
+
+
+def _list_of(item):
+    """Argument type: a comma-separated list of ``item`` values."""
+    return lambda text: [item(part) for part in text.split(",") if part.strip()]
+
+
+_positive_int = _int_in(1)
+_model_ids = _list_of(_int_in(min(MODEL_IDS), max(MODEL_IDS)))
+_sizes = _list_of(_positive_int)
 
 
 def _method_list(text: str) -> list[str]:
@@ -56,16 +75,6 @@ def _method_list(text: str) -> list[str]:
         if m not in METHODS:
             raise argparse.ArgumentTypeError(f"unknown method {m!r}")
     return methods
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def _add_estimator_flags(parser):
@@ -77,7 +86,7 @@ def _add_estimator_flags(parser):
     )
     parser.add_argument("--kappa", type=float, default=4.0, help="density penalty constant")
     parser.add_argument("--kappa0", type=float, default=4.0, help="regression penalty constant")
-    parser.add_argument("--rmax", type=int, default=9, help="largest polynomial degree")
+    parser.add_argument("--rmax", type=_int_in(0), default=9, help="largest polynomial degree")
     parser.add_argument(
         "--clamp", action="store_true", help="truncate regression output to [0, 1]"
     )
@@ -105,10 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run the Monte Carlo benchmark")
     bench.add_argument(
-        "--model", type=_int_list, default=list(MODEL_IDS), help="comma-separated model ids"
+        "--model", type=_model_ids, default=list(MODEL_IDS), help="comma-separated model ids"
     )
     bench.add_argument(
-        "--n", type=_int_list, default=[60, 200, 500, 1000], help="comma-separated sizes"
+        "--n", type=_sizes, default=[60, 200, 500, 1000], help="comma-separated sizes"
     )
     bench.add_argument(
         "--method", type=_method_list, default=list(METHODS), help="comma-separated methods"
@@ -122,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
     _add_estimator_flags(bench)
-    bench.add_argument("--bins", type=int, default=None, help="fixed histogram bin count")
+    bench.add_argument("--bins", type=_positive_int, help="fixed histogram bin count")
     bench.add_argument("--out", default="bench", help="output file prefix")
 
     return parser
@@ -132,10 +141,9 @@ def _config_from_args(args) -> BenchConfig:
     return BenchConfig(
         kappa=args.kappa,
         kappa0=args.kappa0,
-        max_degree=args.rmax,
         clamp_regression=args.clamp,
         birge_bins=getattr(args, "bins", None),
-        family_tag=args.family,
+        family=BasisFamily(args.family, args.rmax if args.family in (DYADIC, POLY) else 0),
     )
 
 
@@ -157,9 +165,15 @@ def _write_estimate_document(fh, estimate, n: int, grid: int) -> None:
         fh.write(f"{x:.17g},{v:.17g}\n")
 
 
+def _estimate(args, sample):
+    if not np.any((sample.u >= 0.0) & (sample.u <= 1.0)):
+        raise ValueError("no examination time in [0, 1], so every estimate would be 0")
+    return estimate_sample(args.method, sample, _config_from_args(args))
+
+
 def _cmd_estimate(args) -> int:
     sample = read_sample(args.input)
-    estimate = estimate_sample(args.method, sample, _config_from_args(args))
+    estimate = _estimate(args, sample)
     if args.out is None:
         _write_estimate_document(sys.stdout, estimate, sample.n, args.grid)
     else:
@@ -172,7 +186,7 @@ def _cmd_simulate(args) -> int:
     model = SimModel(args.model)
     sample = generate(model, args.n, replication_rng(args.seed, model.id, args.n, 0))
     write_sample(sample, f"{args.out}.sample.csv")
-    estimate = estimate_sample(args.method, sample, _config_from_args(args))
+    estimate = _estimate(args, sample)
     with open(f"{args.out}.estimate.csv", "w", encoding="utf-8") as fh:
         _write_estimate_document(fh, estimate, sample.n, args.grid)
     return EXIT_OK

@@ -26,7 +26,6 @@ from .bases import (
     corrected_dim,
     design_matrix,
     dyadic_family,
-    model_sort_key,
     phi0,
     _DYADIC_TAGS,
 )
@@ -128,15 +127,14 @@ def _select_models(
     for target in targets:
         if target not in (TARGET_DENSITY, TARGET_SUBDENSITY):
             raise ValueError(f"unknown target {target!r}")
-    models = sorted(collection, key=model_sort_key)
-    if not models:
+    if not collection:
         raise ValueError("empty model collection")
 
     weights = {TARGET_DENSITY: np.ones(sample.n), TARGET_SUBDENSITY: sample.delta}
     delta_means = {TARGET_DENSITY: 1.0, TARGET_SUBDENSITY: float(sample.delta.mean())}
     best = {target: None for target in targets}
     best_score = {target: np.inf for target in targets}
-    for model in models:
+    for model in collection:
         design = design_matrix(model, sample.u)
         for target in targets:
             coeffs = design.T @ weights[target] / sample.n
@@ -161,11 +159,13 @@ def select_projection_model(
 
     Returns the winning model and its estimate. The contrast of a
     projection estimate is minus its coefficient sum of squares, so the
-    scan only needs the coefficients. The first model in selection
-    order (smallest dimension, then coarser subdivision) with the
-    lowest computed score wins, so ties go to the smallest dimension
-    only up to rounding. Degree-0 candidates have rational scores that
-    can tie exactly, and the summation order of the coefficient
+    scan only needs the coefficients. The collection is scanned as
+    given, not re-sorted, so it must be in selection order (smallest
+    dimension, then coarser subdivision), which is how
+    ``build_collection`` returns it. The first model with the lowest
+    computed score wins, so ties go to the smallest dimension only up
+    to rounding. Degree-0 candidates have rational scores that can tie
+    exactly, and the summation order of the coefficient
     products then decides which one computes lower: for the sub-density
     of the reference sample with seed 20080317, model 2, replication 10
     and n = 200, dyadic levels 1 and 2 at degree 0 both score exactly
@@ -179,12 +179,11 @@ def fit_examination_density(
     sample: ObservationSample,
     family: BasisFamily | None = None,
     kappa: float = 4.0,
-    cap=CAP_DENSITY,
 ) -> ProjectionEstimate:
     """Adaptive estimate of the examination-time density on [0, 1]."""
     if family is None:
         family = dyadic_family()
-    collection = build_collection(family, sample.n, cap)
+    collection = build_collection(family, sample.n, CAP_DENSITY)
     return select_projection_model(sample, collection, kappa, TARGET_DENSITY)[1]
 
 
@@ -192,10 +191,9 @@ def fit_status_subdensity(
     sample: ObservationSample,
     family: BasisFamily | None = None,
     kappa: float = 4.0,
-    cap=CAP_DENSITY,
 ) -> ProjectionEstimate:
     """Adaptive estimate of the sub-density of status-1 examination times."""
     if family is None:
         family = dyadic_family()
-    collection = build_collection(family, sample.n, cap)
+    collection = build_collection(family, sample.n, CAP_DENSITY)
     return select_projection_model(sample, collection, kappa, TARGET_SUBDENSITY)[1]

@@ -60,12 +60,11 @@ def fit_quotient_cdf(
     sample: ObservationSample,
     family: BasisFamily | None = None,
     kappa: float = 4.0,
-    cap=CAP_DENSITY,
 ) -> CdfEstimate:
     """Run both adaptive density fits in one scan and combine them."""
     if family is None:
         family = dyadic_family()
-    collection = build_collection(family, sample.n, cap)
+    collection = build_collection(family, sample.n, CAP_DENSITY)
     sub, den = _select_models(
         sample, collection, kappa, (TARGET_SUBDENSITY, TARGET_DENSITY)
     )

@@ -187,7 +187,6 @@ def fit_cdf_regression(
     family: BasisFamily | None = None,
     kappa0: float = 4.0,
     clamp: bool = False,
-    cap=CAP_REGRESSION,
 ) -> CdfEstimate:
     """Fit every model in the capped collection and keep the penalized best.
 
@@ -217,7 +216,7 @@ def fit_cdf_regression(
     """
     if family is None:
         family = dyadic_family()
-    models = build_collection(family, sample.n, cap)
+    models = build_collection(family, sample.n, CAP_REGRESSION)
     fits, noise_scale = _fit_collection(sample, models)
     best_fit = min(
         fits,

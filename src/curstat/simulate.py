@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .bases import DYADIC, HAAR, POLY, TRIG, BasisFamily
+from .bases import BasisFamily, dyadic_family
 from .data import ObservationSample
 from .estimates import CdfEstimate
 from .isotonic import birge_histogram, npmle_pava
@@ -133,19 +133,9 @@ class BenchConfig:
 
     kappa: float = 4.0
     kappa0: float = 4.0
-    max_degree: int = 9
     clamp_regression: bool = False
     birge_bins: int | None = None  # None -> default_birge_bins(n)
-    family_tag: str = DYADIC
-
-    def family(self) -> BasisFamily:
-        if self.family_tag == TRIG:
-            return BasisFamily(TRIG)
-        if self.family_tag == HAAR:
-            return BasisFamily(HAAR)
-        if self.family_tag in (DYADIC, POLY):
-            return BasisFamily(self.family_tag, self.max_degree)
-        raise ValueError(f"unknown family tag {self.family_tag!r}")
+    family: BasisFamily = dyadic_family()
 
 
 def estimate_sample(
@@ -155,15 +145,16 @@ def estimate_sample(
     if config is None:
         config = BenchConfig()
     if method == "quotient":
-        return fit_quotient_cdf(sample, config.family(), config.kappa)
+        return fit_quotient_cdf(sample, config.family, config.kappa)
     if method == "regression":
         return fit_cdf_regression(
-            sample, config.family(), config.kappa0, config.clamp_regression
+            sample, config.family, config.kappa0, config.clamp_regression
         )
     if method == "npmle":
         return npmle_pava(sample).as_cdf("npmle", knots=sample.n)
     if method == "birge":
-        bins = config.birge_bins or default_birge_bins(sample.n)
+        bins = config.birge_bins
+        bins = default_birge_bins(sample.n) if bins is None else bins
         return birge_histogram(sample, bins).as_cdf("birge", bins=bins)
     raise ValueError(f"unknown method {method!r}")
 

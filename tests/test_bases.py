@@ -16,6 +16,7 @@ from curstat import (
     haar_family,
     haar_model,
     phi0,
+    poly_family,
     poly_model,
     project_function,
     quadrature_rule,
@@ -83,6 +84,20 @@ class TestPhi0:
         assert total.max() <= phi0(model) ** 2 * model.dim * (1 + 1e-10)
 
 
+def _index_space(family, dim_cap):
+    """``model_sort_key`` of every model of ``family`` with index at most ``dim_cap``."""
+    r_max = family.max_degree
+    if family.tag == "trig":
+        return [(2 * m + 1, 1, 0, m) for m in range(1, dim_cap + 1)]
+    if family.tag == "poly":
+        return [(m * (r_max + 1), m, r_max, 0) for m in range(1, dim_cap + 1)]
+    return [
+        (2**p * (r + 1), 2**p, r, 0)
+        for p in range(dim_cap.bit_length())
+        for r in range(r_max + 1)
+    ]
+
+
 class TestCollections:
     def test_dyadic_cap_matches_enumeration(self):
         coll = build_collection(dyadic_family(9), 500, "density")
@@ -96,14 +111,6 @@ class TestCollections:
         assert {(m.level, m.degree) for m in coll} == expected
         assert all(m.dim <= cap for m in coll)
 
-    def test_trig_classic_index_range(self):
-        coll = build_collection(trig_family(), 10, "classic")
-        assert [m.harmonics for m in coll] == [1, 2, 3, 4]
-
-    def test_explicit_numeric_cap(self):
-        coll = build_collection(haar_family(), 2, 1)
-        assert [(m.level,) for m in coll] == [(0,)]
-
     def test_empty_collection_raises(self):
         # trig needs dimension 3; sqrt(n)/ln(n) < 3 for n = 100
         with pytest.raises(EmptyCollectionError, match="collection empty for n"):
@@ -115,9 +122,38 @@ class TestCollections:
         dyad = build_collection(dyadic_family(9), 1000, "regression")
         assert max(m.dim for m in dyad) <= 1000 / math.log(1000) ** 2
 
-    def test_sqrt_cap(self):
-        coll = build_collection(haar_family(), 400, "sqrt")
-        assert max(m.dim for m in coll) == 16
+    def test_unknown_cap_rule_raises(self):
+        for cap in ("classic", "sqrt", 1):
+            with pytest.raises(ValueError, match="unknown cap rule"):
+                build_collection(haar_family(), 400, cap)
+
+    @pytest.mark.parametrize("cap", ["density", "regression"])
+    def test_exactly_the_models_under_the_cap(self, cap):
+        # For every n the collection is every model of dimension at most
+        # min(floor(bound), n), in selection order, and stays inside each
+        # family's index range: at most n//2 - 1 harmonics for trig and at
+        # most n // (degree + 1) pieces for poly.
+        families = [trig_family(), haar_family()] + [dyadic_family(r) for r in (0, 3, 9)]
+        families += [poly_family(r) for r in range(10)]
+        for n in range(2, 5001):
+            for family in families:
+                if cap == "regression" and family.tag == "trig":
+                    bound = math.sqrt(n) / math.log(n)
+                else:
+                    bound = n / math.log(n) ** 2
+                dim_cap = min(math.floor(bound), n)
+                expected = sorted(k for k in _index_space(family, dim_cap) if k[0] <= dim_cap)
+                if not expected:
+                    with pytest.raises(EmptyCollectionError):
+                        build_collection(family, n, cap)
+                    continue
+                coll = build_collection(family, n, cap)
+                assert all(m.family == family for m in coll)
+                assert [model_sort_key(m) for m in coll] == expected, (n, family)
+                if family.tag == "trig":
+                    assert coll[-1].harmonics <= n // 2 - 1
+                if family.tag == "poly":
+                    assert coll[-1].pieces <= n // (family.max_degree + 1)
 
     def test_sorted_by_dimension_then_coarseness(self):
         coll = build_collection(dyadic_family(9), 500, "density")

@@ -91,6 +91,24 @@ class TestEstimateCommand:
                         "--out", tmp_path / "g"]) == 1
         assert not (tmp_path / "g.estimate.csv").exists()
 
+    @pytest.mark.parametrize("method", ["quotient", "regression", "npmle", "birge"])
+    def test_no_time_in_unit_interval_is_numerical_error(self, tmp_path, capsys, method):
+        data = tmp_path / "obs.csv"
+        write_lines(data, ["2,1", "3,0", "4,1", "5,0"])
+        assert run(["estimate", data, "--method", method, "--out", tmp_path / "f"]) == 3
+        assert "no examination time in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
+
+    def test_rmax_must_be_non_negative(self, tmp_path):
+        data = tmp_path / "obs.csv"
+        write_lines(data, ["0.1,0", "0.9,1"])
+        assert run(["estimate", data, "--method", "npmle", "--rmax", -1]) == 1
+        assert run(["simulate", "--model", 1, "--n", 60, "--rmax", -1,
+                    "--out", tmp_path / "r"]) == 1
+        assert not (tmp_path / "r.sample.csv").exists()
+        assert run(["simulate", "--model", 1, "--n", 60, "--rmax", 0,
+                    "--out", tmp_path / "r"]) == 0
+
     def test_non_finite_time_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "obs.csv"
         write_lines(data, ["0.1,0", "0.2,1", "nan,0"])
@@ -128,6 +146,15 @@ class TestSimulateCommand:
         for n in (0, -1):
             assert run(["simulate", "--model", 1, "--n", n, "--out", tmp_path / "z"]) == 1
         assert not (tmp_path / "z.sample.csv").exists()
+
+    @pytest.mark.parametrize("method", ["quotient", "regression", "npmle", "birge"])
+    def test_no_time_in_unit_interval_is_numerical_error(self, tmp_path, capsys, method):
+        # model 4 at seed 17 and n = 2 draws the times 1.70 and 1.21
+        assert run(["simulate", "--model", 4, "--n", 2, "--seed", 17, "--method", method,
+                    "--out", tmp_path / "o"]) == 3
+        assert "no examination time in [0, 1]" in capsys.readouterr().err
+        assert read_sample(tmp_path / "o.sample.csv").u.min() > 1.0
+        assert not (tmp_path / "o.estimate.csv").exists()
 
     def test_round_trip_matches_in_memory(self, tmp_path):
         from curstat import estimate_sample, generate, replication_rng, SimModel
@@ -168,6 +195,30 @@ class TestBenchCommand:
         for jobs in (0, -3):
             assert run(["bench", "--reps", 1, "--jobs", jobs, "--out", tmp_path / "j"]) == 1
         assert not (tmp_path / "j.csv").exists()
+
+    def test_bins_must_be_positive(self, tmp_path):
+        for bins in (0, -3):
+            assert run(["bench", "--model", 1, "--n", 60, "--method", "birge", "--reps", 1,
+                        "--bins", bins, "--out", tmp_path / "b"]) == 1
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_rmax_must_be_non_negative(self, tmp_path):
+        assert run(["bench", "--model", 1, "--n", 60, "--method", "quotient", "--reps", 1,
+                    "--rmax", -1, "--out", tmp_path / "r"]) == 1
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_sizes_must_be_positive(self, tmp_path):
+        for sizes in ("0", "60,-1", "60,x"):
+            assert run(["bench", "--model", 1, "--n", sizes, "--method", "npmle",
+                        "--reps", 1, "--out", tmp_path / "n"]) == 1
+        assert not (tmp_path / "n.csv").exists()
+
+    def test_model_ids_must_be_known(self, tmp_path):
+        for models in ("0", "9", "1,6", "1,x"):
+            assert run(["bench", "--model", models, "--n", 60, "--method", "npmle",
+                        "--reps", 1, "--out", tmp_path / "m"]) == 1
+        assert not (tmp_path / "m.csv").exists()
+        assert build_parser().parse_args(["bench", "--model", "1,5"]).model == [1, 5]
 
     def test_estimator_flags(self):
         args = build_parser().parse_args(

@@ -11,6 +11,7 @@ import pytest
 from curstat import (
     ObservationSample,
     SimModel,
+    birge_histogram,
     dyadic_family,
     fit_cdf_regression,
     generate,
@@ -73,3 +74,28 @@ def test_npmle_permutation_invariance():
         again = npmle_pava(permuted)
         assert again.knots.tobytes() == fit.knots.tobytes()
         assert again.values.tobytes() == fit.values.tobytes()
+
+
+@pytest.mark.parametrize("bins", [1, 5, 10])
+def test_birge_permutation_invariance(bins):
+    # bin sums of 0/1 statuses are exact in any order, so the fit is bitwise equal
+    for seed, sample in samples():
+        order = np.random.default_rng(seed).permutation(sample.n)
+        permuted = ObservationSample(sample.u[order], sample.delta[order])
+        fit = birge_histogram(sample, bins)
+        again = birge_histogram(permuted, bins)
+        assert again.knots.tobytes() == fit.knots.tobytes()
+        assert again.values.tobytes() == fit.values.tobytes()
+
+
+def test_npmle_reflection():
+    # Reversing time and flipping the statuses turns the isotonic fit into
+    # one minus its mirror image: a block with s ones among c statuses
+    # becomes (c - s) / c, which is 1 - s / c up to rounding. Tied times
+    # keep their input order in both sorts, which breaks the mirror.
+    for _, sample in samples():
+        assert np.unique(sample.u).size == sample.n
+        fit = npmle_pava(sample)
+        mirror = npmle_pava(ObservationSample(-sample.u, 1.0 - sample.delta))
+        assert mirror.knots.tobytes() == (-fit.knots[::-1]).tobytes()
+        np.testing.assert_allclose(mirror.values[::-1], 1.0 - fit.values, rtol=0, atol=2.2e-16)

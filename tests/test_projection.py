@@ -136,7 +136,7 @@ def exhaustive_rescan(sample, collection, kappa, target):
 class TestSelection:
     def test_all_zero_status_selects_smallest(self):
         sample = ObservationSample([0.1, 0.4, 0.8], [0.0, 0.0, 0.0])
-        coll = build_collection(haar_family(), 3, "classic")
+        coll = build_collection(haar_family(), 3, "density")
         model, est = select_projection_model(
             sample, coll, 4.0, TARGET_SUBDENSITY
         )

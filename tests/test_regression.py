@@ -124,9 +124,11 @@ class TestRegressionPenalty:
 
 class TestAdaptiveRegression:
     def test_single_model_collection(self):
-        sample = ObservationSample([0.2, 0.8], [0.0, 1.0])
-        est = fit_cdf_regression(sample, haar_family(), cap=1)
-        assert est.metadata["model"] == "haar(level=0, dim=1)"
+        # sqrt(n)/ln(n) = 4.58 at n = 1000, so the trig collection is one model
+        assert build_collection(trig_family(), 1000, "regression") == [trig_model(1)]
+        sample = generate(SimModel(1), 1000, 0)
+        est = fit_cdf_regression(sample, trig_family())
+        assert est.metadata["model"] == "trig(m=1, dim=3)"
 
     def test_selection_matches_exhaustive_rescan(self, rng):
         for _ in range(10):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from curstat import (
+    BenchConfig,
     CdfEstimate,
     ObservationSample,
     SimModel,
@@ -118,6 +119,15 @@ class TestDefaults:
     def test_benchmark_schedules(self):
         assert [default_birge_bins(n) for n in (60, 200, 500, 1000)] == [5, 5, 10, 10]
         assert [default_reps(n) for n in (60, 200, 500, 1000)] == [500, 500, 200, 200]
+
+
+    def test_zero_birge_bins_rejected(self):
+        # zero bins is an error, not a request for the default bin count
+        sample = generate(SimModel(1), 60, 0)
+        with pytest.raises(ValueError, match="need at least one bin"):
+            estimate_sample("birge", sample, BenchConfig(birge_bins=0))
+        default = estimate_sample("birge", sample, BenchConfig(birge_bins=None))
+        assert default.metadata["bins"] == default_birge_bins(60)
 
 
 class TestMonteCarlo:
