@@ -24,7 +24,6 @@ from .bases import (
     design_matrix,
     dyadic_family,
     dyadic_model,
-    evaluate_basis,
     gram_matrix,
     haar_family,
     haar_model,
@@ -44,8 +43,6 @@ from .projection import (
     density_contrast,
     density_penalty,
     empirical_coefficients,
-    fit_examination_density,
-    fit_status_subdensity,
     select_projection_model,
 )
 from .quotient import fit_quotient_cdf, quotient_cdf

@@ -256,11 +256,6 @@ def piecewise_legendre(pieces: int, degree: int, x: np.ndarray):
     return piece, values
 
 
-def evaluate_basis(model: BasisModel, x: float) -> np.ndarray:
-    """Basis values at a single point, as a length-``dim`` vector."""
-    return design_matrix(model, [x])[0]
-
-
 # ---------------------------------------------------------------------------
 # Collections
 

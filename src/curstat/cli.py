@@ -59,22 +59,32 @@ def _int_in(low: int, high: float = float("inf")):
     return parse
 
 
+def _method(text: str) -> str:
+    """Argument type: one estimation method name."""
+    name = text.strip()
+    if name not in METHODS:
+        raise argparse.ArgumentTypeError(f"unknown method {name!r}")
+    return name
+
+
 def _list_of(item):
-    """Argument type: a comma-separated list of ``item`` values."""
-    return lambda text: [item(part) for part in text.split(",") if part.strip()]
+    """Argument type: a nonempty comma-separated list of distinct ``item`` values."""
+
+    def parse(text: str) -> list:
+        values = [item(part) for part in text.split(",") if part.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+        if len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(f"repeated item in {text!r}")
+        return values
+
+    return parse
 
 
 _positive_int = _int_in(1)
 _model_ids = _list_of(_int_in(min(MODEL_IDS), max(MODEL_IDS)))
 _sizes = _list_of(_positive_int)
-
-
-def _method_list(text: str) -> list[str]:
-    methods = [part.strip() for part in text.split(",") if part.strip()]
-    for m in methods:
-        if m not in METHODS:
-            raise argparse.ArgumentTypeError(f"unknown method {m!r}")
-    return methods
+_methods = _list_of(_method)
 
 
 def _add_estimator_flags(parser):
@@ -120,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=_sizes, default=[60, 200, 500, 1000], help="comma-separated sizes"
     )
     bench.add_argument(
-        "--method", type=_method_list, default=list(METHODS), help="comma-separated methods"
+        "--method", type=_methods, default=list(METHODS), help="comma-separated methods"
     )
     bench.add_argument(
         "--reps",

@@ -51,9 +51,6 @@ class StepCdf:
     def __call__(self, x):
         return _vectorised(self._eval, x)
 
-    def as_cdf(self, method: str, **metadata) -> "CdfEstimate":
-        return CdfEstimate(method, self, metadata)
-
 
 @dataclass(frozen=True)
 class CdfEstimate:

@@ -18,22 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import (
-    CAP_DENSITY,
-    BasisFamily,
-    BasisModel,
-    build_collection,
-    corrected_dim,
-    design_matrix,
-    dyadic_family,
-    phi0,
-    _DYADIC_TAGS,
-)
+from .bases import BasisModel, corrected_dim, design_matrix, phi0, _DYADIC_TAGS
 from .data import ObservationSample
 from .estimates import _vectorised
-
-TARGET_DENSITY = "density"
-TARGET_SUBDENSITY = "subdensity"
 
 
 @dataclass(frozen=True)
@@ -113,87 +100,42 @@ def density_penalty(
     return kappa * phi0(model) ** 2 * delta_mean * model.dim / n
 
 
-def _select_models(
-    sample: ObservationSample, collection, kappa: float, targets
-) -> list[ProjectionEstimate]:
-    """One scan over the collection that selects a model for each target.
+def select_projection_model(
+    sample: ObservationSample, collection, kappa: float = 4.0
+) -> tuple[ProjectionEstimate, ProjectionEstimate]:
+    """Minimise penalized contrast over the collection for both targets.
 
-    Each candidate's design matrix is built once and serves every
-    target: ``design.T @ delta / n`` for the sub-density and
+    Returns the ``(subdensity, density)`` pair of estimates. Each
+    candidate's design matrix is built once and serves both targets:
+    ``design.T @ delta / n`` for the sub-density and
     ``design.T @ ones / n`` for the density, the products
-    ``empirical_coefficients`` forms. Returns one estimate per target,
-    in the order of ``targets``.
+    ``empirical_coefficients`` forms. The contrast of a projection
+    estimate is minus its coefficient sum of squares, so the scan only
+    needs the coefficients. The collection is scanned as given, not
+    re-sorted, so it must be in selection order (smallest dimension,
+    then coarser subdivision), which is how ``build_collection`` returns
+    it. The first model with the lowest computed score wins, so ties go
+    to the smallest dimension only up to rounding. Degree-0 candidates
+    have rational scores that can tie exactly, and the summation order
+    of the coefficient products then decides which one computes lower:
+    for the sub-density of the reference sample with seed 20080317,
+    model 2, replication 10 and n = 200, dyadic levels 1 and 2 at
+    degree 0 both score exactly -0.264, and level 2 wins.
     """
-    for target in targets:
-        if target not in (TARGET_DENSITY, TARGET_SUBDENSITY):
-            raise ValueError(f"unknown target {target!r}")
     if not collection:
         raise ValueError("empty model collection")
-
-    weights = {TARGET_DENSITY: np.ones(sample.n), TARGET_SUBDENSITY: sample.delta}
-    delta_means = {TARGET_DENSITY: 1.0, TARGET_SUBDENSITY: float(sample.delta.mean())}
-    best = {target: None for target in targets}
-    best_score = {target: np.inf for target in targets}
+    ones = np.ones(sample.n)
+    delta_mean = float(sample.delta.mean())
+    fits = []
     for model in collection:
         design = design_matrix(model, sample.u)
-        for target in targets:
-            coeffs = design.T @ weights[target] / sample.n
-            score = -float(coeffs @ coeffs) + density_penalty(
-                model, sample.n, kappa, delta_means[target]
-            )
-            if score < best_score[target]:
-                best_score[target] = score
-                best[target] = (model, coeffs)
+        fits.append((model, design.T @ sample.delta / sample.n, design.T @ ones / sample.n))
         # free this design before the next, larger one is built
         del design
-    return [ProjectionEstimate(*best[target]) for target in targets]
 
+    def score(model: BasisModel, coeffs: np.ndarray, weight_mean: float) -> float:
+        return -float(coeffs @ coeffs) + density_penalty(model, sample.n, kappa, weight_mean)
 
-def select_projection_model(
-    sample: ObservationSample,
-    collection,
-    kappa: float = 4.0,
-    target: str = TARGET_DENSITY,
-) -> tuple[BasisModel, ProjectionEstimate]:
-    """Minimise penalized contrast over the collection.
-
-    Returns the winning model and its estimate. The contrast of a
-    projection estimate is minus its coefficient sum of squares, so the
-    scan only needs the coefficients. The collection is scanned as
-    given, not re-sorted, so it must be in selection order (smallest
-    dimension, then coarser subdivision), which is how
-    ``build_collection`` returns it. The first model with the lowest
-    computed score wins, so ties go to the smallest dimension only up
-    to rounding. Degree-0 candidates have rational scores that can tie
-    exactly, and the summation order of the coefficient
-    products then decides which one computes lower: for the sub-density
-    of the reference sample with seed 20080317, model 2, replication 10
-    and n = 200, dyadic levels 1 and 2 at degree 0 both score exactly
-    -0.264, and level 2 wins.
-    """
-    (estimate,) = _select_models(sample, collection, kappa, (target,))
-    return estimate.model, estimate
-
-
-def fit_examination_density(
-    sample: ObservationSample,
-    family: BasisFamily | None = None,
-    kappa: float = 4.0,
-) -> ProjectionEstimate:
-    """Adaptive estimate of the examination-time density on [0, 1]."""
-    if family is None:
-        family = dyadic_family()
-    collection = build_collection(family, sample.n, CAP_DENSITY)
-    return select_projection_model(sample, collection, kappa, TARGET_DENSITY)[1]
-
-
-def fit_status_subdensity(
-    sample: ObservationSample,
-    family: BasisFamily | None = None,
-    kappa: float = 4.0,
-) -> ProjectionEstimate:
-    """Adaptive estimate of the sub-density of status-1 examination times."""
-    if family is None:
-        family = dyadic_family()
-    collection = build_collection(family, sample.n, CAP_DENSITY)
-    return select_projection_model(sample, collection, kappa, TARGET_SUBDENSITY)[1]
+    sub_model, sub, _ = min(fits, key=lambda fit: score(fit[0], fit[1], delta_mean))
+    den_model, _, den = min(fits, key=lambda fit: score(fit[0], fit[2], 1.0))
+    return ProjectionEstimate(sub_model, sub), ProjectionEstimate(den_model, den)

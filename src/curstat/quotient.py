@@ -17,13 +17,7 @@ import numpy as np
 from .bases import CAP_DENSITY, BasisFamily, build_collection, dyadic_family
 from .data import ObservationSample
 from .estimates import CdfEstimate
-from .projection import (
-    TARGET_DENSITY,
-    TARGET_SUBDENSITY,
-    ProjectionEstimate,
-    density_penalty,
-    _select_models,
-)
+from .projection import ProjectionEstimate, density_penalty, select_projection_model
 
 
 def _clamped_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -65,9 +59,7 @@ def fit_quotient_cdf(
     if family is None:
         family = dyadic_family()
     collection = build_collection(family, sample.n, CAP_DENSITY)
-    sub, den = _select_models(
-        sample, collection, kappa, (TARGET_SUBDENSITY, TARGET_DENSITY)
-    )
+    sub, den = select_projection_model(sample, collection, kappa)
     estimate = quotient_cdf(sub, den)
     estimate.metadata["numerator_penalty"] = density_penalty(
         sub.model, sample.n, kappa, float(sample.delta.mean())

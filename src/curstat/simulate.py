@@ -24,7 +24,7 @@ how replications are scheduled across workers.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -44,20 +44,16 @@ METHODS = ("quotient", "regression", "npmle", "birge")
 class SimModel:
     """One of the five benchmark data models.
 
-    ``model4_rate`` selects the exponential-lifetime rate for model 4.
-    The default 2.0 treats the documented 0.5 as the mean lifetime and
-    matches the quantile P(X <= 1) ~= 0.86 used for MSE truncation; pass
-    0.5 to treat it as the rate instead.
+    Model 4's exponential lifetime has rate 2.0: the documented 0.5 is
+    its mean, which matches the quantile P(X <= 1) ~= 0.86 used for MSE
+    truncation.
     """
 
     id: int
-    model4_rate: float = 2.0
 
     def __post_init__(self):
         if self.id not in MODEL_IDS:
             raise ValueError(f"unknown model id {self.id}")
-        if self.model4_rate <= 0:
-            raise ValueError("model4_rate must be positive")
 
     @property
     def a(self) -> float:
@@ -82,7 +78,7 @@ def true_cdf(model: SimModel, u):
     elif model.id == 3:
         out = np.clip(x, 0.0, 1.0) ** 2
     elif model.id == 4:
-        out = 1.0 - np.exp(-model.model4_rate * np.clip(x, 0.0, None))
+        out = 1.0 - np.exp(-2.0 * np.clip(x, 0.0, None))
     else:
         out = special.betainc(4.0, 8.0, np.clip(x, 0.0, 1.0))
     return float(out) if np.ndim(u) == 0 else out
@@ -151,11 +147,11 @@ def estimate_sample(
             sample, config.family, config.kappa0, config.clamp_regression
         )
     if method == "npmle":
-        return npmle_pava(sample).as_cdf("npmle", knots=sample.n)
+        return CdfEstimate("npmle", npmle_pava(sample), {"knots": sample.n})
     if method == "birge":
         bins = config.birge_bins
         bins = default_birge_bins(sample.n) if bins is None else bins
-        return birge_histogram(sample, bins).as_cdf("birge", bins=bins)
+        return CdfEstimate("birge", birge_histogram(sample, bins), {"bins": bins})
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -190,7 +186,6 @@ class MseReport:
 
     cells: tuple
     seed: int
-    config: BenchConfig = field(default_factory=BenchConfig)
 
     def cell(self, model_id: int, n: int, method: str) -> MseCell:
         for c in self.cells:
@@ -306,4 +301,4 @@ def monte_carlo(
                 cells.append(
                     MseCell(model.id, n, method, tuple(values), tuple(failures))
                 )
-    return MseReport(tuple(cells), seed, config)
+    return MseReport(tuple(cells), seed)

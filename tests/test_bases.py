@@ -11,7 +11,6 @@ from curstat import (
     design_matrix,
     dyadic_family,
     dyadic_model,
-    evaluate_basis,
     gram_matrix,
     haar_family,
     haar_model,
@@ -29,17 +28,17 @@ from curstat.bases import model_sort_key, piecewise_legendre
 class TestEvaluation:
     def test_trig_endpoint(self):
         np.testing.assert_allclose(
-            evaluate_basis(trig_model(1), 0.0), [1.0, math.sqrt(2.0), 0.0]
+            design_matrix(trig_model(1), [0.0])[0], [1.0, math.sqrt(2.0), 0.0]
         )
 
     def test_haar_level1_is_scaled_indicator(self):
         np.testing.assert_allclose(
-            evaluate_basis(haar_model(1), 0.25), [math.sqrt(2.0), 0.0]
+            design_matrix(haar_model(1), [0.25])[0], [math.sqrt(2.0), 0.0]
         )
 
     def test_single_piece_linear(self):
         np.testing.assert_allclose(
-            evaluate_basis(poly_model(1, 1), 0.5), [1.0, 0.0], atol=1e-15
+            design_matrix(poly_model(1, 1), [0.5])[0], [1.0, 0.0], atol=1e-15
         )
         # and its unit norm, by quadrature
         gram = gram_matrix(poly_model(1, 1))
@@ -47,16 +46,18 @@ class TestEvaluation:
 
     def test_zero_outside_support(self):
         for model in (trig_model(2), haar_model(2), dyadic_model(1, 3)):
-            assert np.all(evaluate_basis(model, -0.01) == 0.0)
-            assert np.all(evaluate_basis(model, 1.01) == 0.0)
-            assert np.any(evaluate_basis(model, 1.0) != 0.0)
+            assert np.all(design_matrix(model, [-0.01])[0] == 0.0)
+            assert np.all(design_matrix(model, [1.01])[0] == 0.0)
+            assert np.any(design_matrix(model, [1.0])[0] != 0.0)
 
     def test_design_matrix_rows_match_pointwise(self, rng):
         xs = rng.random(40)
         for model in (trig_model(3), dyadic_model(2, 2), haar_model(3)):
             design = design_matrix(model, xs)
             for i in range(0, 40, 7):
-                np.testing.assert_array_equal(design[i], evaluate_basis(model, xs[i]))
+                np.testing.assert_array_equal(
+                    design[i], design_matrix(model, [xs[i]])[0]
+                )
 
     def test_piecewise_legendre_is_design_nonzeros(self, rng):
         xs = np.concatenate([rng.random(40), [0.0, 0.5, 1.0]])

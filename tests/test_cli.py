@@ -220,6 +220,26 @@ class TestBenchCommand:
         assert not (tmp_path / "m.csv").exists()
         assert build_parser().parse_args(["bench", "--model", "1,5"]).model == [1, 5]
 
+    @pytest.mark.parametrize(
+        "flag, bad",
+        [
+            ("--n", (",", " , ", "60,60", "60,200,60")),
+            ("--model", (",", "1,1", "1,2,1")),
+            ("--method", (",", "npmle,npmle", "birge, birge")),
+        ],
+        ids=["n", "model", "method"],
+    )
+    def test_list_flags_need_distinct_items(self, tmp_path, capsys, flag, bad):
+        base = {"--model": "1", "--n": "60", "--method": "npmle"}
+        for text in bad:
+            argv = ["bench", "--reps", 1, "--out", tmp_path / "l"]
+            for name, value in base.items():
+                argv += [name, text if name == flag else value]
+            assert run(argv) == 1
+            err = capsys.readouterr().err
+            assert ("empty list" if text.strip() == "," else "repeated item") in err
+        assert not (tmp_path / "l.csv").exists()
+
     def test_estimator_flags(self):
         args = build_parser().parse_args(
             ["bench", "--family", "poly", "--kappa", "2.5", "--kappa0", "6",

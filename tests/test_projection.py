@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from curstat import (
+    CAP_DENSITY,
     ObservationSample,
     ProjectionEstimate,
     build_collection,
@@ -12,8 +13,6 @@ from curstat import (
     dyadic_family,
     dyadic_model,
     empirical_coefficients,
-    fit_examination_density,
-    fit_status_subdensity,
     generate,
     haar_family,
     haar_model,
@@ -24,7 +23,6 @@ from curstat import (
     trig_model,
     SimModel,
 )
-from curstat.projection import TARGET_DENSITY, TARGET_SUBDENSITY
 
 from conftest import random_sample
 
@@ -118,10 +116,23 @@ class TestDensityPenalty:
             density_penalty(haar_model(0), 10, delta_mean=1.5)
 
 
+def target_weights(sample, target):
+    """Contrast weights and penalty scale of the named target."""
+    if target == "subdensity":
+        return sample.delta, float(sample.delta.mean())
+    return None, 1.0
+
+
+def fit_pair(sample, family=None):
+    """The ``(subdensity, density)`` estimates over the route's collection."""
+    family = dyadic_family() if family is None else family
+    collection = build_collection(family, sample.n, CAP_DENSITY)
+    return select_projection_model(sample, collection)
+
+
 def exhaustive_rescan(sample, collection, kappa, target):
     """Independent selection oracle via the general contrast path."""
-    weights = sample.delta if target == TARGET_SUBDENSITY else None
-    delta_mean = float(sample.delta.mean()) if target == TARGET_SUBDENSITY else 1.0
+    weights, delta_mean = target_weights(sample, target)
     scored = []
     for model in collection:
         coeffs = empirical_coefficients(sample, model, weights)
@@ -137,29 +148,28 @@ class TestSelection:
     def test_all_zero_status_selects_smallest(self):
         sample = ObservationSample([0.1, 0.4, 0.8], [0.0, 0.0, 0.0])
         coll = build_collection(haar_family(), 3, "density")
-        model, est = select_projection_model(
-            sample, coll, 4.0, TARGET_SUBDENSITY
-        )
-        assert model.dim == min(m.dim for m in coll)
+        est, _ = select_projection_model(sample, coll, 4.0)
+        assert est.model.dim == min(m.dim for m in coll)
         assert np.all(est.coeffs == 0.0)
 
     def test_single_model_collection(self):
-        model, _ = select_projection_model(
-            TWO_POINT, [haar_model(1)], 4.0, TARGET_DENSITY
-        )
-        assert model == haar_model(1)
+        _, est = select_projection_model(TWO_POINT, [haar_model(1)], 4.0)
+        assert est.model == haar_model(1)
 
-    @pytest.mark.parametrize("target", [TARGET_DENSITY, TARGET_SUBDENSITY])
+    def test_empty_collection_rejected(self):
+        with pytest.raises(ValueError, match="empty model collection"):
+            select_projection_model(TWO_POINT, [], 4.0)
+
+    @pytest.mark.parametrize("target", ["density", "subdensity"])
     def test_matches_exhaustive_rescan(self, rng, target):
         kappa = 4.0
         for _ in range(25):
             sample = generate(SimModel(1), 200, rng)
             coll = build_collection(haar_family(), sample.n, "density")
-            model, est = select_projection_model(sample, coll, kappa, target)
-            weights = sample.delta if target == TARGET_SUBDENSITY else None
-            delta_mean = (
-                float(sample.delta.mean()) if target == TARGET_SUBDENSITY else 1.0
-            )
+            pair = select_projection_model(sample, coll, kappa)
+            est = pair[0] if target == "subdensity" else pair[1]
+            model = est.model
+            weights, delta_mean = target_weights(sample, target)
             achieved = density_contrast(sample, est, weights) + density_penalty(
                 model, sample.n, kappa, delta_mean
             )
@@ -216,7 +226,7 @@ class TestRiskDecomposition:
 class TestAdaptiveFits:
     def test_uniform_density_recovered(self):
         sample = generate(SimModel(1), 10_000, 7)
-        est = fit_examination_density(sample)
+        _, est = fit_pair(sample)
         assert est(0.5) == pytest.approx(1.0, abs=0.1)
 
     def test_subdensity_mass_for_uniform_model(self):
@@ -224,14 +234,14 @@ class TestAdaptiveFits:
         from curstat import quadrature_rule
 
         sample = generate(SimModel(1), 10_000, 19)
-        est = fit_status_subdensity(sample)
+        est, _ = fit_pair(sample)
         nodes, weights = quadrature_rule(np.linspace(0, 1, 17), 4096)
         integral = float(weights @ est(nodes))
         assert integral == pytest.approx(0.5, abs=0.02)
 
     def test_degenerate_two_point_sample(self):
         sample = ObservationSample([0.3, 0.7], [1.0, 0.0])
-        est = fit_examination_density(sample, haar_family())
+        _, est = fit_pair(sample, haar_family())
         coll = build_collection(haar_family(), 2, "density")
         assert est.model in coll
         expected = empirical_coefficients(sample, est.model)
@@ -239,7 +249,7 @@ class TestAdaptiveFits:
 
     def test_norm_sq_equals_coefficient_sum(self, rng):
         sample = random_sample(rng, 50)
-        est = fit_status_subdensity(sample, haar_family())
+        est, _ = fit_pair(sample, haar_family())
         gram = gram_matrix(est.model)
         quad_norm = float(est.coeffs @ gram @ est.coeffs)
         assert est.norm_sq == pytest.approx(quad_norm, abs=1e-9)

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from curstat import (
+    CAP_DENSITY,
     ProjectionEstimate,
     build_collection,
+    density_penalty,
+    design_matrix,
     dyadic_family,
     fit_quotient_cdf,
     generate,
@@ -11,12 +14,12 @@ from curstat import (
     haar_model,
     poly_family,
     quotient_cdf,
+    replication_rng,
     select_projection_model,
     trig_family,
     trig_model,
     SimModel,
 )
-from curstat.projection import TARGET_DENSITY, TARGET_SUBDENSITY, _select_models
 
 from conftest import random_sample
 
@@ -74,10 +77,8 @@ class TestInvariants:
         xs = np.linspace(0, 1, 257)
         for _ in range(10):
             sample = random_sample(rng, 100)
-            from curstat import fit_examination_density, fit_status_subdensity
-
-            num = fit_status_subdensity(sample)
-            den = fit_examination_density(sample)
+            coll = build_collection(dyadic_family(), sample.n, CAP_DENSITY)
+            num, den = select_projection_model(sample, coll)
             est = quotient_cdf(num, den)
             den_vals = den(xs)
             keep = den_vals != 0.0
@@ -94,20 +95,46 @@ class TestInvariants:
         np.testing.assert_array_equal(est1(xs), est2(xs))
 
 
-class TestJointScan:
-    def test_joint_scan_equals_per_target_selection(self, rng):
+def per_target_oracle(sample, collection, kappa, weights, delta_mean):
+    """One target's selection, one dense design per candidate, first strict minimum."""
+    best, best_score = None, np.inf
+    for model in collection:
+        coeffs = design_matrix(model, sample.u).T @ weights / sample.n
+        score = -float(coeffs @ coeffs) + density_penalty(
+            model, sample.n, kappa, delta_mean
+        )
+        if score < best_score:
+            best, best_score = (model, coeffs), score
+    return best
+
+
+def assert_matches_oracle(sample, family):
+    coll = build_collection(family, sample.n, CAP_DENSITY)
+    pair = select_projection_model(sample, coll, 4.0)
+    targets = (
+        (sample.delta, float(sample.delta.mean())),
+        (np.ones(sample.n), 1.0),
+    )
+    for est, (weights, delta_mean) in zip(pair, targets):
+        model, coeffs = per_target_oracle(sample, coll, 4.0, weights, delta_mean)
+        assert est.model == model
+        assert est.coeffs.tobytes() == coeffs.tobytes()
+    return pair
+
+
+class TestOneScan:
+    def test_matches_per_target_oracle(self, rng):
         families = [dyadic_family(), haar_family(), poly_family(1), trig_family()]
         for family in families:
             for n in (60, 200, 1000):
-                sample = random_sample(rng, n, p_outside=0.1)
-                coll = build_collection(family, n)
-                joint = _select_models(
-                    sample, coll, 4.0, (TARGET_SUBDENSITY, TARGET_DENSITY)
-                )
-                for est, target in zip(joint, (TARGET_SUBDENSITY, TARGET_DENSITY)):
-                    model, alone = select_projection_model(sample, coll, 4.0, target)
-                    assert est.model == model
-                    assert est.coeffs.tobytes() == alone.coeffs.tobytes()
+                assert_matches_oracle(random_sample(rng, n, p_outside=0.1), family)
+
+    def test_exact_tie_sample(self):
+        # dyadic levels 1 and 2 at degree 0 both score exactly -0.264 for
+        # the sub-density; the computed scores put level 2 first
+        sample = generate(SimModel(2), 200, replication_rng(20080317, 2, 200, 10))
+        sub, _ = assert_matches_oracle(sample, dyadic_family())
+        assert sub.model.describe() == "dyadic(level=2, degree=0, dim=4)"
 
 
 class TestMetadata:

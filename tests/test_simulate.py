@@ -30,11 +30,8 @@ class TestTrueCdf:
         assert true_cdf(SimModel(5), 0.5) == pytest.approx(1816 / 2048, abs=1e-12)
 
     def test_exponential_model_parameterisations(self):
-        # default treats 0.5 as the mean (rate 2); the alternative reads it
-        # as the rate; the default matches the truncation mass ~0.86 at u=1
+        # 0.5 is the mean (rate 2), which matches the truncation mass ~0.86 at u=1
         assert true_cdf(SimModel(4), 1.0) == pytest.approx(1 - math.exp(-2.0))
-        alt = SimModel(4, model4_rate=0.5)
-        assert true_cdf(alt, 1.0) == pytest.approx(1 - math.exp(-0.5))
 
     @pytest.mark.parametrize("mid", [1, 2, 3, 4, 5])
     def test_nondecreasing_and_in_range(self, mid):
