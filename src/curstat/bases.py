@@ -213,25 +213,15 @@ def design_matrix(model: BasisModel, x) -> np.ndarray:
     xi = x[inside]
 
     if model.family.tag == TRIG:
+        args = xi[:, None] * (2.0 * np.pi * np.arange(1, model.harmonics + 1))[None, :]
         out[inside, 0] = 1.0
-        if model.harmonics:
-            freqs = 2.0 * np.pi * np.arange(1, model.harmonics + 1)
-            args = xi[:, None] * freqs[None, :]
-            block = np.empty((xi.size, model.dim - 1))
-            block[:, 0::2] = math.sqrt(2.0) * np.cos(args)
-            block[:, 1::2] = math.sqrt(2.0) * np.sin(args)
-            out[inside, 1:] = block
+        out[inside, 1::2] = math.sqrt(2.0) * np.cos(args)
+        out[inside, 2::2] = math.sqrt(2.0) * np.sin(args)
         return out
 
-    m, r = model.pieces, model.degree
-    piece = np.minimum((xi * m).astype(int), m - 1)
-    # map each piece [j/m, (j+1)/m] onto [-1, 1]
-    u = 2.0 * m * xi - 2.0 * piece - 1.0
-    vander = legvander(u, r)  # columns are Legendre values Q_0..Q_r at u
-    scale = np.sqrt(m * (2.0 * np.arange(r + 1) + 1.0))
-    cols = np.arange(r + 1)[None, :] * m + piece[:, None]
-    rows = np.nonzero(inside)[0][:, None]
-    out[rows, cols] = vander * scale[None, :]
+    piece, values = piecewise_legendre(model.pieces, model.degree, xi)
+    cols = np.arange(model.degree + 1)[None, :] * model.pieces + piece[:, None]
+    out[np.nonzero(inside)[0][:, None], cols] = values
     return out
 
 
@@ -254,6 +244,31 @@ def piecewise_legendre(pieces: int, degree: int, x: np.ndarray):
     values = legvander(u, degree)
     values *= np.sqrt(m * (2.0 * np.arange(degree + 1) + 1.0))
     return piece, values
+
+
+def subdivisions(models, u: np.ndarray, delta: np.ndarray):
+    """Group ``models`` by piece count and evaluate each group's richest model.
+
+    Sorts the points ``u`` in [0, 1] and their ``delta`` once (stable), so
+    each occupied piece is one contiguous run, and yields ``(group, piece,
+    columns, delta)``: the piece of each sorted point, one row per basis
+    function of the richest model (trig: its dense design), and the sorted
+    statuses. A model of the group uses the first ``dim // pieces`` rows.
+    """
+    inside = (u >= 0.0) & (u <= 1.0)
+    order = np.argsort(u[inside], kind="stable")
+    x = u[inside][order]
+    delta = delta[inside][order]
+    groups: dict[int, list[BasisModel]] = {}
+    for model in models:
+        groups.setdefault(model.pieces, []).append(model)
+    for pieces, group in groups.items():
+        richest = max(group, key=lambda model: model.dim)
+        if richest.family.tag == TRIG:
+            yield group, np.zeros(x.size, dtype=int), design_matrix(richest, x).T, delta
+        else:
+            piece, values = piecewise_legendre(pieces, richest.degree, x)
+            yield group, piece, values.T, delta
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,17 @@ def _int_in(low: int, high: float = float("inf")):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """Argument type: a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def _method(text: str) -> str:
     """Argument type: one estimation method name."""
     name = text.strip()
@@ -71,9 +82,12 @@ def _list_of(item):
     """Argument type: a nonempty comma-separated list of distinct ``item`` values."""
 
     def parse(text: str) -> list:
-        values = [item(part) for part in text.split(",") if part.strip()]
-        if not values:
+        parts = [part.strip() for part in text.split(",")]
+        if not any(parts):
             raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+        if not all(parts):
+            raise argparse.ArgumentTypeError(f"empty item in {text!r}")
+        values = [item(part) for part in parts]
         if len(set(values)) < len(values):
             raise argparse.ArgumentTypeError(f"repeated item in {text!r}")
         return values
@@ -94,8 +108,12 @@ def _add_estimator_flags(parser):
         default=DYADIC,
         help="basis family for quotient/regression",
     )
-    parser.add_argument("--kappa", type=float, default=4.0, help="density penalty constant")
-    parser.add_argument("--kappa0", type=float, default=4.0, help="regression penalty constant")
+    parser.add_argument(
+        "--kappa", type=_positive_float, default=4.0, help="density penalty constant"
+    )
+    parser.add_argument(
+        "--kappa0", type=_positive_float, default=4.0, help="regression penalty constant"
+    )
     parser.add_argument("--rmax", type=_int_in(0), default=9, help="largest polynomial degree")
     parser.add_argument(
         "--clamp", action="store_true", help="truncate regression output to [0, 1]"
@@ -232,10 +250,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except SampleFormatError as exc:
-        print(f"curstat: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (SampleFormatError, OSError) as exc:
         print(f"curstat: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (EmptyCollectionError, ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:

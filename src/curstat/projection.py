@@ -10,6 +10,11 @@ model minimising contrast plus penalty over a capped collection wins.
 For the sub-density target the penalty is rescaled by the observed
 status frequency ``mean(delta)``, the data-driven stand-in for the
 unknown integral of the sub-density.
+
+``select_projection_model`` takes every candidate's coefficients from
+per-piece sums over one ``bases.subdivisions`` pass, the pass the
+regression route also reads; ``empirical_coefficients`` is the dense
+single-model product it reproduces to rounding.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BasisModel, corrected_dim, design_matrix, phi0, _DYADIC_TAGS
+from .bases import BasisModel, corrected_dim, design_matrix, phi0, subdivisions, _DYADIC_TAGS
 from .data import ObservationSample
 from .estimates import _vectorised
 
@@ -105,37 +110,39 @@ def select_projection_model(
 ) -> tuple[ProjectionEstimate, ProjectionEstimate]:
     """Minimise penalized contrast over the collection for both targets.
 
-    Returns the ``(subdensity, density)`` pair of estimates. Each
-    candidate's design matrix is built once and serves both targets:
-    ``design.T @ delta / n`` for the sub-density and
-    ``design.T @ ones / n`` for the density, the products
-    ``empirical_coefficients`` forms. The contrast of a projection
-    estimate is minus its coefficient sum of squares, so the scan only
-    needs the coefficients. The collection is scanned as given, not
-    re-sorted, so it must be in selection order (smallest dimension,
-    then coarser subdivision), which is how ``build_collection`` returns
-    it. The first model with the lowest computed score wins, so ties go
-    to the smallest dimension only up to rounding. Degree-0 candidates
-    have rational scores that can tie exactly, and the summation order
-    of the coefficient products then decides which one computes lower:
-    for the sub-density of the reference sample with seed 20080317,
-    model 2, replication 10 and n = 200, dyadic levels 1 and 2 at
-    degree 0 both score exactly -0.264, and level 2 wins.
+    Returns the ``(subdensity, density)`` pair of estimates. Per
+    subdivision of ``bases.subdivisions``, the richest model's basis
+    functions are summed per piece with ``np.bincount`` over the points
+    in sorted time order, weighted by ``delta`` and by ones, and divided
+    by n; each candidate's coefficients are a degree-major prefix of
+    those sums, and its contrast is minus their sum of squares. So the
+    estimates do not depend on the input order, and they may differ in
+    the last bits from ``empirical_coefficients``' BLAS products.
+
+    The collection must be in selection order, as ``build_collection``
+    returns it, and the first model with the lowest computed score wins:
+    ties go to the smallest dimension only up to rounding. Degree-0
+    scores can tie exactly: for the sub-density of the reference sample
+    with seed 20080317, model 2, replication 10 and n = 200, dyadic
+    levels 1 and 2 at degree 0 both score -0.264, and level 2 wins.
     """
     if not collection:
         raise ValueError("empty model collection")
-    ones = np.ones(sample.n)
+    n = sample.n
+    coeffs = {}
+    for group, piece, columns, delta in subdivisions(collection, sample.u, sample.delta):
+        pieces = group[0].pieces
+        sub = np.array([np.bincount(piece, row * delta, pieces) for row in columns]) / n
+        den = np.array([np.bincount(piece, row, pieces) for row in columns]) / n
+        for model in group:
+            k = model.dim // pieces
+            coeffs[model] = sub[:k].ravel(), den[:k].ravel()
+
+    def score(model: BasisModel, c: np.ndarray, weight_mean: float) -> float:
+        return -float(c @ c) + density_penalty(model, n, kappa, weight_mean)
+
     delta_mean = float(sample.delta.mean())
-    fits = []
-    for model in collection:
-        design = design_matrix(model, sample.u)
-        fits.append((model, design.T @ sample.delta / sample.n, design.T @ ones / sample.n))
-        # free this design before the next, larger one is built
-        del design
-
-    def score(model: BasisModel, coeffs: np.ndarray, weight_mean: float) -> float:
-        return -float(coeffs @ coeffs) + density_penalty(model, sample.n, kappa, weight_mean)
-
+    fits = [(model, *coeffs[model]) for model in collection]
     sub_model, sub, _ = min(fits, key=lambda fit: score(fit[0], fit[1], delta_mean))
     den_model, _, den = min(fits, key=lambda fit: score(fit[0], fit[2], 1.0))
     return ProjectionEstimate(sub_model, sub), ProjectionEstimate(den_model, den)

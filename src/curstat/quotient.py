@@ -24,12 +24,9 @@ def _clamped_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     out = np.empty_like(num)
     nonzero = den != 0.0
     out[nonzero] = num[nonzero] / den[nonzero]
-    # Where the density estimate vanishes exactly, carry the sign of the
-    # numerator into the clamp; a vanishing numerator maps to 0.
-    zero = ~nonzero
-    out[zero & (num > 0.0)] = np.inf
-    out[zero & (num < 0.0)] = -np.inf
-    out[zero & (num == 0.0)] = 0.0
+    # Where the density estimate vanishes exactly, a positive numerator
+    # maps to 1; a negative or vanishing one maps to 0.
+    out[~nonzero] = num[~nonzero] > 0.0
     return np.clip(out, 0.0, 1.0)
 
 

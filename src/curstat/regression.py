@@ -3,23 +3,19 @@
 Conditionally on an examination time u, the status indicator is
 Bernoulli with success probability F(u), so F is the regression
 function of delta on u. Each model is fitted by least squares on the
-design points (the orthogonal projection of the indicator vector onto
-the span of the basis columns), and the model is chosen by penalized
-empirical risk with penalty ``noise_scale * kappa0 * dim / n``. The
-noise scale is the mean squared residual of the richest model over the
-observations inside [0, 1], and the dyadic families charge the
-degree-corrected dimension.
-
+design points, and the model is chosen by penalized empirical risk with
+penalty ``noise_scale * kappa0 * dim / n``. The noise scale is the mean
+squared residual of the richest model over the observations inside
+[0, 1], and the dyadic families charge the degree-corrected dimension.
 Rank-deficient designs (empty histogram bins, more columns than
-observations) are resolved by the minimum-norm solution of the normal
-equations, which zeroes the coefficients of unsupported functions.
+observations) get the minimum-norm solution of the normal equations.
 
-``fit_cdf_regression`` fits the whole collection from per-piece
-sufficient statistics gathered in one pass over the sorted sample,
-instead of one dense design matrix per model: a piecewise basis
-function is nonzero on one piece only, and on a fixed subdivision a
-lower degree is a column prefix of a higher one. ``fit_least_squares``
-is the dense single-model fit that the scan reproduces.
+``fit_cdf_regression`` fits the whole collection from the per-piece
+Gram blocks and moments of one ``bases.subdivisions`` pass, the pass
+the density scan of ``projection`` also reads; the moments
+``sum delta * Q_a / n`` are the sub-density coefficients.
+``fit_least_squares`` is the dense single-model fit that the scan
+reproduces.
 """
 
 from __future__ import annotations
@@ -30,14 +26,13 @@ import numpy as np
 
 from .bases import (
     CAP_REGRESSION,
-    TRIG,
     BasisFamily,
     BasisModel,
     build_collection,
     corrected_dim,
     design_matrix,
     dyadic_family,
-    piecewise_legendre,
+    subdivisions,
     _DYADIC_TAGS,
 )
 from .data import ObservationSample
@@ -85,14 +80,11 @@ def regression_penalty(model: BasisModel, n: int, kappa0: float = 4.0) -> float:
 
 
 def estimate_noise_variance(sample: ObservationSample, fit: LeastSquaresFit) -> float:
-    """Mean squared residual over the observations inside [0, 1].
+    """Mean squared residual of ``fit`` over the observations inside [0, 1].
 
-    Used as the scale of the regression penalty: for regression data the
-    penalty is proportional to the noise variance, here the conditional
-    Bernoulli variance F(u)(1 - F(u)) averaged over the design. The
-    richest model of the collection serves as the pilot fit.
-    Observations outside [0, 1] cannot be explained by any model (the
-    basis vanishes there) and are excluded.
+    With the richest model as the fit, this estimates the Bernoulli noise
+    variance F(u)(1 - F(u)) that scales the regression penalty. Points
+    outside [0, 1] are excluded: no basis function reaches them.
     """
     inside = (sample.u >= 0.0) & (sample.u <= 1.0)
     if not inside.any():
@@ -117,18 +109,6 @@ def _solve_blocks(gram: np.ndarray, moment: np.ndarray):
     return np.einsum("kji,kj->ki", vt, rotated), int(np.count_nonzero(keep))
 
 
-def _subdivision_values(pieces: int, models: list[BasisModel], x: np.ndarray):
-    """Piece index and richest-model basis values of the points ``x``.
-
-    All ``models`` share the subdivision into ``pieces``; every one of
-    them uses a column prefix of the returned values on each piece.
-    """
-    richest = max(models, key=lambda model: model.dim)
-    if richest.family.tag == TRIG:
-        return np.zeros(x.size, dtype=int), design_matrix(richest, x)
-    return piecewise_legendre(pieces, richest.degree, x)
-
-
 def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
     """Least-squares fit of every model from per-piece sufficient statistics.
 
@@ -137,30 +117,21 @@ def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
     [0, 1], the noise pilot of ``estimate_noise_variance``.
     """
     n = sample.n
-    inside = (sample.u >= 0.0) & (sample.u <= 1.0)
-    order = np.argsort(sample.u[inside], kind="stable")
-    x = sample.u[inside][order]
-    delta = sample.delta[inside][order]
     # every basis vanishes outside [0, 1], so the statuses there are residuals
-    outside_rss = float(np.sum(sample.delta[~inside] ** 2))
-
-    by_pieces: dict[int, list[BasisModel]] = {}
-    for model in models:
-        by_pieces.setdefault(model.pieces, []).append(model)
+    outside = (sample.u < 0.0) | (sample.u > 1.0)
+    outside_rss = float(np.sum(sample.delta[outside] ** 2))
     fits: dict[BasisModel, LeastSquaresFit] = {}
-    inside_rss: dict[BasisModel, float] = {}
-    for pieces, group in by_pieces.items():
-        piece, values = _subdivision_values(pieces, group, x)
-        # one basis function at a time, so temporaries hold one value per point
-        columns = values.T
+    for group, piece, columns, delta in subdivisions(models, sample.u, sample.delta):
+        pieces = group[0].pieces
         counts = np.bincount(piece, minlength=pieces)
         occupied = counts > 0
-        # x is sorted, so each occupied piece is one contiguous segment
+        # the points are sorted, so each occupied piece is one contiguous segment
         starts = (np.cumsum(counts) - counts)[occupied]
         width = columns.shape[0]
         gram = np.zeros((pieces, width, width))
         moment = np.zeros((pieces, width))
         if starts.size:
+            # one basis function at a time, so temporaries hold one value per point
             for a in range(width):
                 moment[occupied, a] = np.add.reduceat(columns[a] * delta, starts) / n
                 for b in range(a, width):
@@ -169,7 +140,7 @@ def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
         for model in group:
             k = model.dim // pieces
             coeffs, rank = _solve_blocks(gram[:, :k, :k], moment[:, :k])
-            fitted = np.zeros(x.size)
+            fitted = np.zeros(delta.size)
             for a in range(k):
                 fitted += columns[a] * coeffs[piece, a]
             rss = float(np.sum((delta - fitted) ** 2))
@@ -177,8 +148,8 @@ def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
             fits[model] = LeastSquaresFit(
                 model, coeffs.T.ravel(), (rss + outside_rss) / n, rank
             )
-            inside_rss[model] = rss
-    noise = inside_rss[models[-1]] / x.size if x.size else 0.0
+            if model == models[-1]:
+                noise = rss / max(delta.size, 1)
     return [fits[model] for model in models], noise
 
 
@@ -190,17 +161,16 @@ def fit_cdf_regression(
 ) -> CdfEstimate:
     """Fit every model in the capped collection and keep the penalized best.
 
-    All models are fitted in one scan over the sample. For each
-    subdivision of [0, 1] (a dyadic level, a regular piece count, or
-    the single trigonometric block) the scan gathers per-piece Gram
-    blocks and moment vectors; each model solves the leading blocks of
-    its subdivision, with singular values at or below 1e-10 times the
+    All models are fitted in one scan: per subdivision (a dyadic level,
+    a regular piece count, or the single trigonometric block), Gram
+    blocks and moments are summed per piece over the sorted points with
+    ``np.add.reduceat``, and each model solves the leading blocks of its
+    subdivision, with singular values at or below 1e-10 times the
     largest over all its blocks treated as zero (the ``lstsq`` rule of
     ``fit_least_squares``, so ``gram_rank`` agrees). Contrasts, and the
     noise pilot, are means of per-point squared residuals; the closed
-    form ``||delta||^2 - 2c'b + b'Gb`` is avoided because cancellation
-    makes it wrong by far more than the score differences of near-exact
-    fits.
+    form ``||delta||^2 - 2c'b + b'Gb`` loses the score differences of
+    near-exact fits to cancellation.
 
     The score is contrast plus ``noise_scale * regression_penalty``,
     where ``noise_scale`` is the indicator noise variance estimated from
@@ -218,19 +188,18 @@ def fit_cdf_regression(
         family = dyadic_family()
     models = build_collection(family, sample.n, CAP_REGRESSION)
     fits, noise_scale = _fit_collection(sample, models)
-    best_fit = min(
-        fits,
-        key=lambda fit: fit.contrast
-        + noise_scale * regression_penalty(fit.model, sample.n, kappa0),
-    )
+
+    def penalty(fit: LeastSquaresFit) -> float:
+        return noise_scale * regression_penalty(fit.model, sample.n, kappa0)
+
+    best_fit = min(fits, key=lambda fit: fit.contrast + penalty(fit))
     estimate = CdfEstimate(
         "regression",
         best_fit,
         {
             "model": best_fit.model.describe(),
             "contrast": best_fit.contrast,
-            "penalty": noise_scale
-            * regression_penalty(best_fit.model, sample.n, kappa0),
+            "penalty": penalty(best_fit),
             "noise_scale": float(noise_scale),
             "gram_rank": best_fit.gram_rank,
         },

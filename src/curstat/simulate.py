@@ -211,10 +211,7 @@ class MseReport:
         """Human-readable grid: MSE x 1e-2, one block per method."""
         n_values = sorted({c.n for c in self.cells})
         model_ids = sorted({c.model_id for c in self.cells})
-        methods = []
-        for c in self.cells:
-            if c.method not in methods:
-                methods.append(c.method)
+        methods = dict.fromkeys(c.method for c in self.cells)
         lines = [f"mean truncated MSE (x 1e-2), seed {self.seed}"]
         for method in methods:
             lines.append("")

@@ -109,6 +109,20 @@ class TestEstimateCommand:
         assert run(["simulate", "--model", 1, "--n", 60, "--rmax", 0,
                     "--out", tmp_path / "r"]) == 0
 
+    @pytest.mark.parametrize("method", ["quotient", "regression", "npmle", "birge"])
+    @pytest.mark.parametrize("flag", ["--kappa", "--kappa0"])
+    def test_penalty_constants_must_be_positive_and_finite(
+        self, tmp_path, capsys, flag, method
+    ):
+        data = tmp_path / "obs.csv"
+        write_lines(data, ["0.1,0", "0.9,1"])
+        for value in ("0", "-1", "nan", "inf"):
+            assert run(["estimate", data, "--method", method, flag, value]) == 1
+            assert run(["simulate", "--model", 1, "--n", 60, "--method", method,
+                        flag, value, "--out", tmp_path / "k"]) == 1
+            assert f"argument {flag}: must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "k.sample.csv").exists()
+
     def test_non_finite_time_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "obs.csv"
         write_lines(data, ["0.1,0", "0.2,1", "nan,0"])
@@ -207,6 +221,13 @@ class TestBenchCommand:
                     "--rmax", -1, "--out", tmp_path / "r"]) == 1
         assert not (tmp_path / "r.csv").exists()
 
+    def test_penalty_constants_must_be_positive_and_finite(self, tmp_path):
+        for flag in ("--kappa", "--kappa0"):
+            for value in ("0", "-1", "nan", "inf"):
+                assert run(["bench", "--model", 1, "--n", 60, "--method", "birge",
+                            "--reps", 1, flag, value, "--out", tmp_path / "k"]) == 1
+        assert not (tmp_path / "k.csv").exists()
+
     def test_sizes_must_be_positive(self, tmp_path):
         for sizes in ("0", "60,-1", "60,x"):
             assert run(["bench", "--model", 1, "--n", sizes, "--method", "npmle",
@@ -223,21 +244,23 @@ class TestBenchCommand:
     @pytest.mark.parametrize(
         "flag, bad",
         [
-            ("--n", (",", " , ", "60,60", "60,200,60")),
-            ("--model", (",", "1,1", "1,2,1")),
-            ("--method", (",", "npmle,npmle", "birge, birge")),
+            ("--n", [(",", "empty list"), (" , ", "empty list"), ("60,,200", "empty item"),
+                     ("60,60", "repeated item"), ("60,200,60", "repeated item")]),
+            ("--model", [(",", "empty list"), (",1", "empty item"), ("1,1", "repeated item"),
+                         ("1,2,1", "repeated item")]),
+            ("--method", [(",", "empty list"), ("birge,", "empty item"),
+                          ("npmle,npmle", "repeated item"), ("birge, birge", "repeated item")]),
         ],
         ids=["n", "model", "method"],
     )
     def test_list_flags_need_distinct_items(self, tmp_path, capsys, flag, bad):
         base = {"--model": "1", "--n": "60", "--method": "npmle"}
-        for text in bad:
+        for text, message in bad:
             argv = ["bench", "--reps", 1, "--out", tmp_path / "l"]
             for name, value in base.items():
                 argv += [name, text if name == flag else value]
             assert run(argv) == 1
-            err = capsys.readouterr().err
-            assert ("empty list" if text.strip() == "," else "repeated item") in err
+            assert message in capsys.readouterr().err
         assert not (tmp_path / "l.csv").exists()
 
     def test_estimator_flags(self):

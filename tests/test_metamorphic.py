@@ -1,9 +1,4 @@
-"""Metamorphic relations: transformed inputs whose estimates are known exactly.
-
-The quotient route is left out on purpose: its degree-0 candidates can
-tie exactly, and the BLAS summation order of the coefficient products,
-which a permutation changes, then decides the pick.
-"""
+"""Metamorphic relations: transformed inputs whose estimates are known exactly."""
 
 import numpy as np
 import pytest
@@ -14,6 +9,7 @@ from curstat import (
     birge_histogram,
     dyadic_family,
     fit_cdf_regression,
+    fit_quotient_cdf,
     generate,
     haar_family,
     npmle_pava,
@@ -62,6 +58,19 @@ def test_regression_permutation_invariance(family):
         permuted = ObservationSample(sample.u[order], sample.delta[order])
         fit = fit_cdf_regression(sample, family)
         again = fit_cdf_regression(permuted, family)
+        assert again.metadata == fit.metadata
+        assert again(GRID).tobytes() == fit(GRID).tobytes()
+
+
+@FAMILIES
+def test_quotient_permutation_invariance(family):
+    # the per-piece sums run over the points sorted by time, so the input
+    # order cannot reach the rounding of the scores or coefficients
+    for seed, sample in samples():
+        order = np.random.default_rng(seed).permutation(sample.n)
+        permuted = ObservationSample(sample.u[order], sample.delta[order])
+        fit = fit_quotient_cdf(sample, family)
+        again = fit_quotient_cdf(permuted, family)
         assert again.metadata == fit.metadata
         assert again(GRID).tobytes() == fit(GRID).tobytes()
 
