@@ -246,14 +246,30 @@ def piecewise_legendre(pieces: int, degree: int, x: np.ndarray):
     return piece, values
 
 
+def trig_rows(harmonics: int, x: np.ndarray) -> np.ndarray:
+    """Trigonometric basis at points ``x`` in [0, 1], one row per function.
+
+    Returns the ``(2 * harmonics + 1, len(x))`` transpose of
+    ``design_matrix`` for points inside [0, 1], built one harmonic at a
+    time so no temporary holds more than one value per point.
+    """
+    rows = np.empty((2 * harmonics + 1, x.size))
+    rows[0] = 1.0
+    for k in range(1, harmonics + 1):
+        arg = x * (2.0 * np.pi * k)
+        rows[2 * k - 1] = math.sqrt(2.0) * np.cos(arg)
+        rows[2 * k] = math.sqrt(2.0) * np.sin(arg)
+    return rows
+
+
 def subdivisions(models, u: np.ndarray, delta: np.ndarray):
     """Group ``models`` by piece count and evaluate each group's richest model.
 
     Sorts the points ``u`` in [0, 1] and their ``delta`` once (stable), so
     each occupied piece is one contiguous run, and yields ``(group, piece,
     columns, delta)``: the piece of each sorted point, one row per basis
-    function of the richest model (trig: its dense design), and the sorted
-    statuses. A model of the group uses the first ``dim // pieces`` rows.
+    function of the richest model, and the sorted statuses. A model of the
+    group uses the first ``dim // pieces`` rows.
     """
     inside = (u >= 0.0) & (u <= 1.0)
     order = np.argsort(u[inside], kind="stable")
@@ -265,7 +281,7 @@ def subdivisions(models, u: np.ndarray, delta: np.ndarray):
     for pieces, group in groups.items():
         richest = max(group, key=lambda model: model.dim)
         if richest.family.tag == TRIG:
-            yield group, np.zeros(x.size, dtype=int), design_matrix(richest, x).T, delta
+            yield group, np.zeros(x.size, dtype=int), trig_rows(richest.harmonics, x), delta
         else:
             piece, values = piecewise_legendre(pieces, richest.degree, x)
             yield group, piece, values.T, delta

@@ -37,7 +37,7 @@ class ObservationSample:
             raise ValueError("empty sample")
         if not np.isfinite(u).all():
             raise ValueError("examination times must be finite")
-        if not np.isin(delta, (0.0, 1.0)).all():
+        if not ((delta == 0.0) | (delta == 1.0)).all():
             raise ValueError("status indicators must be 0 or 1")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "delta", delta)
@@ -49,7 +49,15 @@ class ObservationSample:
     def sorted_by_time(self) -> "ObservationSample":
         """Stable sort by examination time (ties keep input order)."""
         order = np.argsort(self.u, kind="stable")
-        return ObservationSample(self.u[order], self.delta[order])
+        return self._checked(self.u[order], self.delta[order])
+
+    @classmethod
+    def _checked(cls, u: np.ndarray, delta: np.ndarray) -> "ObservationSample":
+        """Wrap arrays that already passed validation, skipping the checks."""
+        sample = object.__new__(cls)
+        object.__setattr__(sample, "u", u)
+        object.__setattr__(sample, "delta", delta)
+        return sample
 
 
 def _split_fields(line: str) -> list[str]:

@@ -5,9 +5,23 @@ function from current-status data is piecewise constant with jumps at
 the sorted examination times; its value at the i-th sorted point is
 ``max over j <= i of min over k >= i of mean(delta[j..k])``. The same
 function is the isotonic least-squares regression of the sorted status
-indicators, computed here independently by pool-adjacent-violators.
-Both routes produce bitwise-identical values: every output value is a
-single IEEE division of the exact integer block sum by the block count.
+indicators (Groeneboom & Wellner, 1992), computed here independently by
+pool-adjacent-violators.
+
+The pooling runs in numpy rounds rather than one point at a time (the
+parallel view of PAVA in Best & Chakravarti, 1990). Blocks start as the
+runs of equal status and carry exact integer (sum, count) pairs. Each
+round compares every pair of neighbours by integer cross-products and
+merges every maximal chain of neighbours whose means do not increase,
+ties included, with one ``np.add.reduceat``. Rounds stop when the block
+means increase strictly. A long increasing staircase of means ahead of
+a low run needs one round per step, so after ``MAX_POOLING_ROUNDS``
+rounds the classic stack loop finishes the job over the remaining
+blocks.
+
+Both routes produce bitwise-identical values: the isotonic solution is
+unique, and every output value is a single IEEE division of the exact
+integer block sum by the block count.
 
 The fixed-bin histogram estimator averages the status indicators over a
 regular partition of [0, 1] (zero on empty bins). It is not monotone in
@@ -45,28 +59,72 @@ def npmle_maxmin(sample: ObservationSample) -> StepCdf:
     return StepCdf(srt.u, values)
 
 
+# Rounds of chain pooling before the stack loop takes over; samples of
+# models 1-5 need at most 14 rounds up to n = 1e5.
+MAX_POOLING_ROUNDS = 64
+
+
 def npmle_pava(sample: ObservationSample) -> StepCdf:
     """NPMLE by pool-adjacent-violators on the sorted status indicators.
 
-    Blocks carry integer (sum, count) pairs; a block is pooled into its
-    predecessor while the predecessor's mean is not smaller. Comparisons
-    use integer cross-products, so pooling decisions are exact.
+    Blocks carry integer (sum, count) pairs, starting from the runs of
+    equal status. Each round merges every maximal chain of neighbouring
+    blocks whose means do not increase (``_pool_rounds``); after
+    ``MAX_POOLING_ROUNDS`` rounds the stack loop ``_pool_stack`` pools
+    the remaining blocks. Comparisons use integer cross-products, so
+    pooling decisions are exact.
     """
     srt = sample.sorted_by_time()
-    d = srt.delta.astype(int)
-    sums: list[int] = []
-    counts: list[int] = []
-    for di in d:
-        sums.append(int(di))
-        counts.append(1)
-        while len(sums) > 1 and sums[-2] * counts[-1] >= sums[-1] * counts[-2]:
-            s, c = sums.pop(), counts.pop()
-            sums[-1] += s
-            counts[-1] += c
-    values = np.concatenate(
-        [np.full(c, s / c) for s, c in zip(sums, counts)]
-    )
-    return StepCdf(srt.u, values)
+    sums, counts = _status_runs(srt.delta)
+    sums, counts, rounds = _pool_rounds(sums, counts, MAX_POOLING_ROUNDS)
+    if rounds == MAX_POOLING_ROUNDS:
+        sums, counts = _pool_stack(sums, counts)
+    return StepCdf(srt.u, np.repeat(sums / counts, counts))
+
+
+def _status_runs(delta: np.ndarray):
+    """Integer (sums, counts) of the runs of equal status in ``delta``."""
+    d = delta.astype(np.int64)
+    changes = np.flatnonzero(d[1:] != d[:-1]) + 1
+    starts = np.concatenate(([0], changes))
+    counts = np.concatenate((changes, [d.size])) - starts
+    return d[starts] * counts, counts
+
+
+def _pool_rounds(sums: np.ndarray, counts: np.ndarray, limit: int):
+    """Pool every chain of adjacent violators per round, for at most ``limit`` rounds.
+
+    A block pools into its predecessor when the predecessor's mean is not
+    smaller. Returns the pooled ``(sums, counts)`` and the number of
+    rounds that merged something; when that number is ``limit`` the
+    blocks may still violate. The int64 cross-products are at most n**2,
+    so they are exact for n below 3e9.
+    """
+    for rounds in range(limit):
+        pool = sums[:-1] * counts[1:] >= sums[1:] * counts[:-1]
+        if not pool.any():
+            return sums, counts, rounds
+        starts = np.flatnonzero(np.concatenate(([True], ~pool)))
+        sums = np.add.reduceat(sums, starts)
+        counts = np.add.reduceat(counts, starts)
+    return sums, counts, limit
+
+
+def _pool_stack(sums: np.ndarray, counts: np.ndarray):
+    """Classic stack PAVA over blocks: pool into the predecessor while it violates."""
+    pooled_sums: list[int] = []
+    pooled_counts: list[int] = []
+    for s, c in zip(sums.tolist(), counts.tolist()):
+        pooled_sums.append(s)
+        pooled_counts.append(c)
+        while (
+            len(pooled_sums) > 1
+            and pooled_sums[-2] * pooled_counts[-1] >= pooled_sums[-1] * pooled_counts[-2]
+        ):
+            s, c = pooled_sums.pop(), pooled_counts.pop()
+            pooled_sums[-1] += s
+            pooled_counts[-1] += c
+    return np.array(pooled_sums, dtype=np.int64), np.array(pooled_counts, dtype=np.int64)
 
 
 def birge_histogram(sample: ObservationSample, n_bins: int) -> StepCdf:

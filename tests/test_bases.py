@@ -22,7 +22,7 @@ from curstat import (
     trig_family,
     trig_model,
 )
-from curstat.bases import model_sort_key, piecewise_legendre
+from curstat.bases import model_sort_key, piecewise_legendre, trig_rows
 
 
 class TestEvaluation:
@@ -67,6 +67,13 @@ class TestEvaluation:
             cols = np.arange(model.degree + 1)[None, :] * model.pieces + piece[:, None]
             np.testing.assert_array_equal(values, np.take_along_axis(design, cols, 1))
             assert np.count_nonzero(design) == np.count_nonzero(values)
+
+    def test_trig_rows_are_design_transpose(self, rng):
+        xs = np.concatenate([rng.random(300), [0.0, 0.25, 0.5, 1.0]])
+        for harmonics in range(31):
+            rows = trig_rows(harmonics, xs)
+            assert rows.flags.c_contiguous
+            np.testing.assert_array_equal(rows, design_matrix(trig_model(harmonics), xs).T)
 
 
 class TestPhi0:

@@ -2,12 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curstat import (
     ObservationSample,
+    SimModel,
     birge_histogram,
     fit_least_squares,
+    generate,
     haar_model,
+    isotonic,
     npmle_maxmin,
     npmle_pava,
 )
@@ -28,6 +33,33 @@ def brute_force_maxmin(delta_sorted):
             best = max(best, inner)
         out[i] = best
     return out
+
+
+def point_loop_pava(delta_sorted):
+    """Stack PAVA one point at a time, with exact integer block sums."""
+    sums, counts = [], []
+    for d in delta_sorted:
+        sums.append(int(d))
+        counts.append(1)
+        while len(sums) > 1 and sums[-2] * counts[-1] >= sums[-1] * counts[-2]:
+            s, c = sums.pop(), counts.pop()
+            sums[-1] += s
+            counts[-1] += c
+    return np.concatenate([np.full(c, s / c) for s, c in zip(sums, counts)])
+
+
+def staircase(steps):
+    """Statuses whose pooling rounds merge one block each: ``steps`` rounds.
+
+    After the first round the blocks are ``1^i 0`` with increasing means
+    i / (i + 1), followed by a run of zeros long enough that the tail
+    block stays below each of them as it absorbs them one by one.
+    """
+    delta = [0]
+    for i in range(1, steps + 1):
+        delta += [1] * i + [0]
+    delta += [0] * (steps * steps // 2)
+    return np.array(delta, dtype=float)
 
 
 def sample_with_sorted_delta(delta):
@@ -127,6 +159,52 @@ class TestRouteEquivalence:
             np.testing.assert_array_equal(
                 npmle_maxmin(sample).values, brute_force_maxmin(pattern)
             )
+
+
+class TestPoolingRounds:
+    times = st.one_of(
+        st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5]),
+        st.floats(-1.0, 2.0, allow_nan=False),
+    )
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.tuples(times, st.integers(0, 1)), min_size=1, max_size=40))
+    def test_matches_maxmin_on_tied_and_outside_times(self, pairs):
+        u, delta = zip(*pairs)
+        sample = ObservationSample(np.array(u), np.array(delta, dtype=float))
+        mm = npmle_maxmin(sample)
+        pv = npmle_pava(sample)
+        assert np.array_equal(pv.values, mm.values)
+        assert np.array_equal(pv.knots, mm.knots)
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_stack_fallback_matches_maxmin(self, cap, monkeypatch):
+        monkeypatch.setattr(isotonic, "MAX_POOLING_ROUNDS", cap)
+        for model in range(1, 6):
+            for n in (1, 2, 60, 200, 1000):
+                sample = generate(SimModel(model), n, model * 7 + n)
+                mm = npmle_maxmin(sample)
+                pv = npmle_pava(sample)
+                assert np.array_equal(pv.values, mm.values)
+                assert np.array_equal(pv.knots, mm.knots)
+
+    def test_staircase_reaches_stack_fallback(self, monkeypatch):
+        delta = staircase(80)
+        sums, counts = isotonic._status_runs(delta)
+        *_, rounds = isotonic._pool_rounds(sums, counts, 10**6)
+        assert rounds == 80 > isotonic.MAX_POOLING_ROUNDS
+        fallbacks = []
+        pool_stack = isotonic._pool_stack
+
+        def counted_stack(sums, counts):
+            fallbacks.append(sums.size)
+            return pool_stack(sums, counts)
+
+        monkeypatch.setattr(isotonic, "_pool_stack", counted_stack)
+        values = npmle_pava(sample_with_sorted_delta(delta)).values
+        # left for the loop: the leading zero block, the unabsorbed steps and the tail
+        assert fallbacks == [80 - isotonic.MAX_POOLING_ROUNDS + 2]
+        np.testing.assert_array_equal(values, point_loop_pava(delta))
 
 
 class TestStepConvention:
