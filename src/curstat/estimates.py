@@ -39,7 +39,7 @@ class StepCdf:
         values = np.atleast_1d(np.asarray(self.values, dtype=float))
         if knots.size != values.size or knots.size == 0:
             raise ValueError("knots and values must be equal-length and nonempty")
-        if np.any(np.diff(knots) < 0):
+        if (knots[1:] < knots[:-1]).any():
             raise ValueError("knots must be sorted")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)

@@ -125,7 +125,7 @@ def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
         pieces = group[0].pieces
         counts = np.bincount(piece, minlength=pieces)
         occupied = counts > 0
-        # the points are sorted, so each occupied piece is one contiguous segment
+        # the points are sorted, so each piece is one contiguous run of counts[j]
         starts = (np.cumsum(counts) - counts)[occupied]
         width = columns.shape[0]
         gram = np.zeros((pieces, width, width))
@@ -142,7 +142,8 @@ def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
             coeffs, rank = _solve_blocks(gram[:, :k, :k], moment[:, :k])
             fitted = np.zeros(delta.size)
             for a in range(k):
-                fitted += columns[a] * coeffs[piece, a]
+                # spread each piece's coefficient over its run; empty pieces repeat 0 times
+                fitted += columns[a] * np.repeat(coeffs[:, a], counts)
             rss = float(np.sum((delta - fitted) ** 2))
             # piecewise coefficients are stored degree-major
             fits[model] = LeastSquaresFit(
@@ -168,9 +169,11 @@ def fit_cdf_regression(
     subdivision, with singular values at or below 1e-10 times the
     largest over all its blocks treated as zero (the ``lstsq`` rule of
     ``fit_least_squares``, so ``gram_rank`` agrees). Contrasts, and the
-    noise pilot, are means of per-point squared residuals; the closed
-    form ``||delta||^2 - 2c'b + b'Gb`` loses the score differences of
-    near-exact fits to cancellation.
+    noise pilot, are means of per-point squared residuals, the fitted
+    values spreading each piece's coefficients over its run of sorted
+    points with ``np.repeat``; the closed form ``||delta||^2 - 2c'b +
+    b'Gb`` loses the score differences of near-exact fits to
+    cancellation.
 
     The score is contrast plus ``noise_scale * regression_penalty``,
     where ``noise_scale`` is the indicator noise variance estimated from

@@ -180,6 +180,29 @@ def dense_selection(sample, family):
     return fits, noise_scale, fits[int(np.argmin(scores))]
 
 
+def sparse_samples():
+    """Samples with empty pieces, points outside [0, 1] or constant statuses."""
+    rng = np.random.default_rng(7)
+    samples = []
+    for n in (60, 200, 1000):
+        u = rng.random(n)
+        samples += [ObservationSample(u, np.zeros(n)), ObservationSample(u, np.ones(n))]
+    u = np.concatenate([rng.random(150), 1.0 + rng.random(50), -rng.random(10)])
+    samples.append(ObservationSample(u, (rng.random(u.size) < 0.5).astype(float)))
+    # points only near 0 and 1 leave the middle pieces empty
+    u = np.concatenate([0.1 * rng.random(100), 0.9 + 0.1 * rng.random(5)])
+    samples.append(ObservationSample(u, (rng.random(u.size) < u).astype(float)))
+    # a gap of whole pieces at the rich subdivisions, with points on both sides
+    for n in (200, 1000, 5000):
+        for lo, hi in ((0.25, 0.5), (0.5, 0.75), (0.125, 0.875)):
+            inside = rng.random(n)
+            inside = inside[(inside < lo) | (inside >= hi)]
+            u = np.concatenate([inside, 1.0 + rng.random(n // 10), -rng.random(n // 10)])
+            delta = (rng.random(u.size) < np.clip(u, 0.0, 1.0)).astype(float)
+            samples.append(ObservationSample(u, delta))
+    return samples
+
+
 class TestCollectionScan:
     """The one-pass scan of fit_cdf_regression against dense fits."""
 
@@ -219,20 +242,43 @@ class TestCollectionScan:
         # form ||delta||^2 - 2c'b + b'Gb loses it to cancellation: on all
         # ones at n = 1000 it picked dyadic(level=1, degree=3, dim=8) with a
         # contrast of -6.7e-16, where the dense path keeps dim 1.
-        rng = np.random.default_rng(7)
-        samples = []
-        for n in (60, 200, 1000):
-            u = rng.random(n)
-            samples += [ObservationSample(u, np.zeros(n)), ObservationSample(u, np.ones(n))]
-        u = np.concatenate([rng.random(150), 1.0 + rng.random(50), -rng.random(10)])
-        samples.append(ObservationSample(u, (rng.random(u.size) < 0.5).astype(float)))
-        # points only near 0 and 1 leave the middle pieces empty
-        u = np.concatenate([0.1 * rng.random(100), 0.9 + 0.1 * rng.random(5)])
-        samples.append(ObservationSample(u, (rng.random(u.size) < u).astype(float)))
-        for sample in samples:
+        for sample in sparse_samples():
             for family in (dyadic_family(), haar_family()):
                 _, _, best = dense_selection(sample, family)
                 est = fit_cdf_regression(sample, family)
                 assert est.metadata["model"] == best.model.describe()
                 assert est.metadata["gram_rank"] == best.gram_rank
                 assert est.metadata["noise_scale"] >= 0.0
+
+    # Higher-degree columns on half-empty pieces make the Gram matrices so
+    # ill-conditioned that the scan's and the dense coefficients of some
+    # candidates differ by up to 1.6e-4 (dyadic, degree up to 9), 2.9e-10
+    # (poly degree 2) and 3.1e-11 (trig), while every contrast still agrees
+    # to 2.1e-14. The coefficient gate runs on the families whose Gram
+    # blocks stay well conditioned.
+    @pytest.mark.parametrize(
+        "family, gate_coeffs",
+        [
+            (dyadic_family(), False),
+            (dyadic_family(1), True),
+            (haar_family(), True),
+            (poly_family(1), True),
+            (poly_family(2), False),
+            (trig_family(), False),
+        ],
+        ids=["dyadic", "dyadic1", "haar", "poly1", "poly2", "trig"],
+    )
+    def test_every_candidate_matches_dense_on_sparse_samples(self, family, gate_coeffs):
+        for sample in sparse_samples():
+            try:
+                dense, noise, _ = dense_selection(sample, family)
+            except EmptyCollectionError:
+                continue
+            fits, pilot = _fit_collection(sample, [fit.model for fit in dense])
+            assert [f.model for f in fits] == [f.model for f in dense]
+            assert abs(pilot - noise) <= 1e-12
+            for fast, slow in zip(fits, dense):
+                assert fast.gram_rank == slow.gram_rank
+                assert abs(fast.contrast - slow.contrast) <= 1e-12
+                if gate_coeffs:
+                    np.testing.assert_allclose(fast.coeffs, slow.coeffs, rtol=0, atol=1e-12)
