@@ -9,6 +9,7 @@ by the max-min and fixed-bin estimators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +28,8 @@ class StepCdf:
     """Right-continuous step function, 0 to the left of the first knot.
 
     ``values[i]`` is carried on ``[knots[i], knots[i+1])``; the last
-    value extends to the right. Knots must be sorted; tied knots resolve
-    to the last value at the tie.
+    value extends to the right. Knots must be sorted and not nan; tied
+    knots resolve to the last value at the tie.
     """
 
     knots: np.ndarray
@@ -39,8 +40,9 @@ class StepCdf:
         values = np.atleast_1d(np.asarray(self.values, dtype=float))
         if knots.size != values.size or knots.size == 0:
             raise ValueError("knots and values must be equal-length and nonempty")
-        if (knots[1:] < knots[:-1]).any():
-            raise ValueError("knots must be sorted")
+        # a nan knot fails an order comparison unless it is the only knot
+        if not (knots[:-1] <= knots[1:]).all() or math.isnan(knots[0]):
+            raise ValueError("knots must be sorted and not nan")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
 

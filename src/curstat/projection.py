@@ -13,8 +13,8 @@ unknown integral of the sub-density.
 
 ``select_projection_model`` takes every candidate's coefficients from
 per-piece sums over one ``bases.subdivisions`` pass, the pass the
-regression route also reads; ``empirical_coefficients`` is the dense
-single-model product it reproduces to rounding.
+regression route also reads, and ``empirical_coefficients`` reads it for
+one model. The dense ``design.T @ weights`` oracle is ``tests/dense_oracle.py``.
 """
 
 from __future__ import annotations
@@ -60,15 +60,19 @@ def empirical_coefficients(
 
     ``weights=None`` means all ones. Observations outside [0, 1]
     contribute zero (the basis vanishes there) but still count in the
-    divisor n.
+    divisor n. The sums are those of ``select_projection_model``.
     """
-    if weights is None:
-        weights = np.ones(sample.n)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (sample.n,):
-            raise ValueError("weights must have one entry per observation")
-    return design_matrix(model, sample.u).T @ weights / sample.n
+    weights = np.ones(sample.n) if weights is None else np.asarray(weights, dtype=float)
+    if weights.shape != (sample.n,):
+        raise ValueError("weights must have one entry per observation")
+    ((_, piece, columns, weights),) = subdivisions([model], sample.u, weights)
+    return _piece_moments(piece, columns, weights, model.pieces, sample.n).ravel()
+
+
+def _piece_moments(piece, columns, weights, pieces: int, n: int) -> np.ndarray:
+    """Per-piece sums of each basis row times ``weights`` (None: ones), over n."""
+    rows = columns if weights is None else (row * weights for row in columns)
+    return np.array([np.bincount(piece, row, pieces) for row in rows]) / n
 
 
 def density_contrast(
@@ -117,7 +121,7 @@ def select_projection_model(
     by n; each candidate's coefficients are a degree-major prefix of
     those sums, and its contrast is minus their sum of squares. So the
     estimates do not depend on the input order, and they may differ in
-    the last bits from ``empirical_coefficients``' BLAS products.
+    the last bits from dense ``design.T @ weights`` products.
 
     The collection must be in selection order, as ``build_collection``
     returns it, and the first model with the lowest computed score wins:
@@ -132,8 +136,8 @@ def select_projection_model(
     coeffs = {}
     for group, piece, columns, delta in subdivisions(collection, sample.u, sample.delta):
         pieces = group[0].pieces
-        sub = np.array([np.bincount(piece, row * delta, pieces) for row in columns]) / n
-        den = np.array([np.bincount(piece, row, pieces) for row in columns]) / n
+        sub = _piece_moments(piece, columns, delta, pieces, n)
+        den = _piece_moments(piece, columns, None, pieces, n)
         for model in group:
             k = model.dim // pieces
             coeffs[model] = sub[:k].ravel(), den[:k].ravel()

@@ -14,8 +14,8 @@ observations) get the minimum-norm solution of the normal equations.
 Gram blocks and moments of one ``bases.subdivisions`` pass, the pass
 the density scan of ``projection`` also reads; the moments
 ``sum delta * Q_a / n`` are the sub-density coefficients.
-``fit_least_squares`` is the dense single-model fit that the scan
-reproduces.
+``fit_least_squares`` runs that scan on one model; the dense normal
+equations it is checked against are in ``tests/dense_oracle.py``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .bases import (
     BasisModel,
     build_collection,
     corrected_dim,
-    design_matrix,
     dyadic_family,
     subdivisions,
     _DYADIC_TAGS,
@@ -51,21 +50,14 @@ class LeastSquaresFit(ProjectionEstimate):
 
 
 def fit_least_squares(sample: ObservationSample, model: BasisModel) -> LeastSquaresFit:
-    """Solve the normal equations for one model.
+    """Solve the normal equations for one model by ``fit_cdf_regression``'s scan.
 
     The Gram matrix ``G = X'X / n`` and moment vector ``c = X'delta / n``
     always admit a solution (c lies in the range of G); when G is
     singular the minimum-norm solution is taken, with relative rank
     tolerance 1e-10.
     """
-    design = design_matrix(model, sample.u)
-    n = sample.n
-    gram = design.T @ design / n
-    moment = design.T @ sample.delta / n
-    coeffs, _, rank, _ = np.linalg.lstsq(gram, moment, rcond=_RANK_TOL)
-    fitted = design @ coeffs
-    contrast = float(np.mean((sample.delta - fitted) ** 2))
-    return LeastSquaresFit(model, coeffs, contrast, int(rank))
+    return _fit_collection(sample, [model])[0][0]
 
 
 def regression_penalty(model: BasisModel, n: int, kappa0: float = 4.0) -> float:
@@ -114,7 +106,7 @@ def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
 
     Returns the fits in the order of ``models`` and the mean squared
     residual of the last (richest) model over the observations inside
-    [0, 1], the noise pilot of ``estimate_noise_variance``.
+    [0, 1], the noise pilot that scales the penalty.
     """
     n = sample.n
     # every basis vanishes outside [0, 1], so the statuses there are residuals
@@ -167,9 +159,10 @@ def fit_cdf_regression(
     blocks and moments are summed per piece over the sorted points with
     ``np.add.reduceat``, and each model solves the leading blocks of its
     subdivision, with singular values at or below 1e-10 times the
-    largest over all its blocks treated as zero (the ``lstsq`` rule of
-    ``fit_least_squares``, so ``gram_rank`` agrees). Contrasts, and the
-    noise pilot, are means of per-point squared residuals, the fitted
+    largest over all its blocks treated as zero (the rule of
+    ``np.linalg.lstsq`` on the block-diagonal Gram matrix, so
+    ``gram_rank`` is that of the dense normal equations). Contrasts, and
+    the noise pilot, are means of per-point squared residuals, the fitted
     values spreading each piece's coefficients over its run of sorted
     points with ``np.repeat``; the closed form ``||delta||^2 - 2c'b +
     b'Gb`` loses the score differences of near-exact fits to
@@ -177,7 +170,7 @@ def fit_cdf_regression(
 
     The score is contrast plus ``noise_scale * regression_penalty``,
     where ``noise_scale`` is the indicator noise variance estimated from
-    the richest model's residuals (``estimate_noise_variance``): an
+    the richest model's residuals over the points inside [0, 1]: an
     indicator regression has noise variance well below 1, and an
     unscaled penalty of this size systematically blocks the
     bias-reducing model upgrades. The first model in collection order

@@ -265,14 +265,14 @@ def monte_carlo(
     models = [as_sim_model(m) for m in models]
     methods = tuple(methods)
     n_list = tuple(int(n) for n in n_list)
+    cell_reps = {n: int(reps) if reps is not None else default_reps(n) for n in n_list}
+    if any(count < 1 for count in cell_reps.values()):
+        raise ValueError("need at least one replication")
 
     tasks = []
     for model in models:
         for n in n_list:
-            cell_reps = int(reps) if reps is not None else default_reps(n)
-            if cell_reps < 1:
-                raise ValueError("need at least one replication")
-            for rep in range(cell_reps):
+            for rep in range(cell_reps[n]):
                 tasks.append((model, n, rep, methods, seed, config))
 
     if n_jobs > 1:
@@ -286,11 +286,10 @@ def monte_carlo(
     cells = []
     for model in models:
         for n in n_list:
-            cell_reps = int(reps) if reps is not None else default_reps(n)
             for method in methods:
                 values = []
                 failures = []
-                for rep in range(cell_reps):
+                for rep in range(cell_reps[n]):
                     value, err = by_key[(model.id, n, rep)][method]
                     values.append(value)
                     if err is not None:

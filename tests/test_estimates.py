@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curstat import StepCdf
@@ -48,11 +48,13 @@ class TestStepCdf:
         assert np.array_equal(step(left), [0.0, 0.0, 0.0])
 
     @settings(max_examples=300, deadline=None, database=None)
-    @given(st.lists(knot, min_size=2, max_size=30))
+    @given(st.lists(st.one_of(knot, st.just(np.nan)), min_size=1, max_size=30))
+    @example([1.0, np.nan, 0.0])
+    @example([np.nan])
     def test_unsorted_knots_rejected(self, knots):
         knots = np.array(knots)
         values = np.zeros(knots.size)
-        if np.all(knots[:-1] <= knots[1:]):
+        if not np.isnan(knots).any() and np.all(knots[:-1] <= knots[1:]):
             StepCdf(knots, values)
         else:
             with pytest.raises(ValueError, match="sorted"):

@@ -17,7 +17,7 @@ from curstat import (
     npmle_pava,
 )
 
-from conftest import random_sample
+from conftest import random_sample, tied_samples
 
 
 def brute_force_maxmin(delta_sorted):
@@ -162,16 +162,9 @@ class TestRouteEquivalence:
 
 
 class TestPoolingRounds:
-    times = st.one_of(
-        st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5]),
-        st.floats(-1.0, 2.0, allow_nan=False),
-    )
-
     @settings(max_examples=300, deadline=None, database=None)
-    @given(st.lists(st.tuples(times, st.integers(0, 1)), min_size=1, max_size=40))
-    def test_matches_maxmin_on_tied_and_outside_times(self, pairs):
-        u, delta = zip(*pairs)
-        sample = ObservationSample(np.array(u), np.array(delta, dtype=float))
+    @given(tied_samples())
+    def test_matches_maxmin_on_tied_and_outside_times(self, sample):
         mm = npmle_maxmin(sample)
         pv = npmle_pava(sample)
         assert np.array_equal(pv.values, mm.values)
@@ -241,6 +234,12 @@ class TestBirgeHistogram:
         sample = ObservationSample([0.25, 1.5], [0.0, 1.0])
         step = birge_histogram(sample, 2)
         np.testing.assert_array_equal(step.values, [0.0, 0.0])
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(tied_samples(), st.integers(1, 20))
+    def test_range_on_tied_and_outside_times(self, sample, bins):
+        values = birge_histogram(sample, bins)(np.linspace(0.0, 1.0, 512))
+        assert np.all((values >= 0.0) & (values <= 1.0))
 
     def test_matches_histogram_least_squares(self, rng):
         for _ in range(20):

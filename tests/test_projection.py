@@ -17,6 +17,7 @@ from curstat import (
     haar_family,
     haar_model,
     gram_matrix,
+    poly_model,
     project_function,
     select_projection_model,
     trig_family,
@@ -25,6 +26,7 @@ from curstat import (
 )
 
 from conftest import random_sample
+from dense_oracle import dense_coefficients, dense_contrast
 
 TWO_POINT = ObservationSample([0.2, 0.6], [1.0, 0.0])
 
@@ -52,6 +54,19 @@ class TestEmpiricalCoefficients:
     def test_weight_length_checked(self):
         with pytest.raises(ValueError):
             empirical_coefficients(TWO_POINT, trig_model(1), np.ones(3))
+
+    def test_matches_dense_oracle(self, rng):
+        models = [trig_model(5), haar_model(3), dyadic_model(2, 4), poly_model(3, 2)]
+        for _ in range(40):
+            sample = random_sample(rng, int(rng.integers(2, 300)), p_outside=0.1)
+            for model in models:
+                for weights in (None, sample.delta):
+                    np.testing.assert_allclose(
+                        empirical_coefficients(sample, model, weights),
+                        dense_coefficients(sample, model, weights),
+                        rtol=0,
+                        atol=1e-12,
+                    )
 
 
 class TestDensityContrast:
@@ -131,13 +146,12 @@ def fit_pair(sample, family=None):
 
 
 def exhaustive_rescan(sample, collection, kappa, target):
-    """Independent selection oracle via the general contrast path."""
+    """Independent selection oracle via the general contrast on dense designs."""
     weights, delta_mean = target_weights(sample, target)
     scored = []
     for model in collection:
-        coeffs = empirical_coefficients(sample, model, weights)
-        est = ProjectionEstimate(model, coeffs)
-        score = density_contrast(sample, est, weights) + density_penalty(
+        coeffs = dense_coefficients(sample, model, weights)
+        score = dense_contrast(sample, model, coeffs, weights) + density_penalty(
             model, sample.n, kappa, delta_mean
         )
         scored.append((score, model))

@@ -5,8 +5,6 @@ from curstat import (
     CAP_DENSITY,
     ProjectionEstimate,
     build_collection,
-    density_penalty,
-    design_matrix,
     dyadic_family,
     fit_quotient_cdf,
     generate,
@@ -22,6 +20,7 @@ from curstat import (
 )
 
 from conftest import random_sample
+from dense_oracle import dense_density_selection
 
 CONST = haar_model(0)
 
@@ -95,19 +94,6 @@ class TestInvariants:
         np.testing.assert_array_equal(est1(xs), est2(xs))
 
 
-def per_target_oracle(sample, collection, kappa, weights, delta_mean):
-    """One target's selection, one dense design per candidate, first strict minimum."""
-    best, best_score = None, np.inf
-    for model in collection:
-        coeffs = design_matrix(model, sample.u).T @ weights / sample.n
-        score = -float(coeffs @ coeffs) + density_penalty(
-            model, sample.n, kappa, delta_mean
-        )
-        if score < best_score:
-            best, best_score = (model, coeffs), score
-    return best
-
-
 def assert_matches_oracle(sample, family):
     """Same model as the dense oracle per target, coefficients within 1e-12."""
     coll = build_collection(family, sample.n, CAP_DENSITY)
@@ -117,7 +103,7 @@ def assert_matches_oracle(sample, family):
         (np.ones(sample.n), 1.0),
     )
     for est, (weights, delta_mean) in zip(pair, targets):
-        model, coeffs = per_target_oracle(sample, coll, 4.0, weights, delta_mean)
+        model, coeffs = dense_density_selection(sample, coll, 4.0, weights, delta_mean)
         assert est.model == model
         np.testing.assert_allclose(est.coeffs, coeffs, rtol=0, atol=1e-12)
     return pair

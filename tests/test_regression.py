@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from curstat import (
     EmptyCollectionError,
@@ -17,14 +18,16 @@ from curstat import (
     haar_family,
     haar_model,
     poly_family,
+    poly_model,
     regression_penalty,
     trig_family,
     trig_model,
     SimModel,
 )
-from curstat.regression import _fit_collection, estimate_noise_variance
+from curstat.regression import _fit_collection
 
-from conftest import random_sample
+from conftest import random_sample, tied_samples
+from dense_oracle import dense_least_squares, dense_selection
 
 
 class TestFitLeastSquares:
@@ -101,6 +104,19 @@ class TestFitLeastSquares:
                 c_large = fit_least_squares(sample, large).contrast
                 assert c_large <= c_small + 1e-12
 
+    def test_matches_dense_oracle(self, rng):
+        # well-conditioned models; ill-conditioned ones are gated on their
+        # contrast and rank by TestCollectionScan
+        models = [haar_model(3), dyadic_model(2, 1), poly_model(3, 1), trig_model(2)]
+        for _ in range(40):
+            sample = random_sample(rng, int(rng.integers(2, 300)), p_outside=0.1)
+            for model in models:
+                fit = fit_least_squares(sample, model)
+                dense = dense_least_squares(sample, model)
+                assert fit.gram_rank == dense.gram_rank
+                assert abs(fit.contrast - dense.contrast) <= 1e-12
+                np.testing.assert_allclose(fit.coeffs, dense.coeffs, rtol=0, atol=1e-12)
+
 
 class TestRegressionPenalty:
     def test_plain_dimension_penalty(self):
@@ -138,7 +154,7 @@ class TestAdaptiveRegression:
             coll = build_collection(dyadic_family(9), sample.n, "regression")
             scores = []
             for model in coll:
-                fit = fit_least_squares(sample, model)
+                fit = dense_least_squares(sample, model)
                 penalty = noise_scale * regression_penalty(model, sample.n)
                 scores.append((fit.contrast + penalty, model))
             best = min(s for s, _ in scores)
@@ -162,22 +178,17 @@ class TestAdaptiveRegression:
         assert np.all(clamped(xs) >= 0.0) and np.all(clamped(xs) <= 1.0)
         np.testing.assert_allclose(np.clip(raw(xs), 0, 1), clamped(xs))
 
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(tied_samples(min_size=2))
+    def test_clamped_range_on_tied_and_outside_times(self, sample):
+        est = fit_cdf_regression(sample, clamp=True)
+        values = est(np.linspace(0.0, 1.0, 512))
+        assert np.all((values >= 0.0) & (values <= 1.0))
+
     def test_noise_scale_recorded(self):
         sample = generate(SimModel(1), 200, 4)
         est = fit_cdf_regression(sample)
         assert 0.0 < est.metadata["noise_scale"] < 0.5
-
-
-def dense_selection(sample, family):
-    """The penalized search done with one dense least-squares fit per model."""
-    models = build_collection(family, sample.n, "regression")
-    noise_scale = estimate_noise_variance(sample, fit_least_squares(sample, models[-1]))
-    fits = [fit_least_squares(sample, model) for model in models]
-    scores = [
-        fit.contrast + noise_scale * regression_penalty(fit.model, sample.n)
-        for fit in fits
-    ]
-    return fits, noise_scale, fits[int(np.argmin(scores))]
 
 
 def sparse_samples():

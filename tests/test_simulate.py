@@ -136,6 +136,11 @@ class TestMonteCarlo:
             assert np.isfinite(cell.mean)
             assert not cell.failures
 
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_replication_count_must_be_positive(self, reps):
+        with pytest.raises(ValueError, match="at least one replication"):
+            monte_carlo([1], n_list=(60, 200), reps=reps, seed=3)
+
     def test_determinism_across_parallelism(self):
         kwargs = dict(
             models=[1, 3], methods=("npmle", "regression"), n_list=(60, 200),
