@@ -47,8 +47,9 @@ class StepCdf:
         object.__setattr__(self, "values", values)
 
     def _eval(self, x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.knots, x, side="right") - 1
-        return np.where(idx >= 0, self.values[np.maximum(idx, 0)], 0.0)
+        # the number of knots at or left of x indexes the values behind a 0
+        lookup = np.concatenate(([0.0], self.values))
+        return lookup[np.searchsorted(self.knots, x, side="right")]
 
     def __call__(self, x):
         return _vectorised(self._eval, x)

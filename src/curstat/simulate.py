@@ -19,6 +19,11 @@ right tail of the examination range gets too sparse to evaluate).
 Replication RNG streams are derived from ``(seed, model id, n,
 replication index)``, so reports are bitwise reproducible regardless of
 how replications are scheduled across workers.
+
+``scipy.special`` is imported only by ``true_cdf`` for models 2 (``erf``)
+and 5 (``betainc``); no estimator needs it. ``monte_carlo`` evaluates
+``true_cdf`` once per model before it starts a process pool, so the
+workers inherit the loaded module instead of each importing it.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .bases import BasisFamily, dyadic_family
 from .data import ObservationSample
@@ -74,12 +78,16 @@ def true_cdf(model: SimModel, u):
     if model.id == 1:
         out = np.clip(x, 0.0, 1.0)
     elif model.id == 2:
+        from scipy import special
+
         out = special.erf(np.sqrt(np.clip(x, 0.0, None) / 2.0))
     elif model.id == 3:
         out = np.clip(x, 0.0, 1.0) ** 2
     elif model.id == 4:
         out = 1.0 - np.exp(-2.0 * np.clip(x, 0.0, None))
     else:
+        from scipy import special
+
         out = special.betainc(4.0, 8.0, np.clip(x, 0.0, 1.0))
     return float(out) if np.ndim(u) == 0 else out
 
@@ -276,6 +284,8 @@ def monte_carlo(
                 tasks.append((model, n, rep, methods, seed, config))
 
     if n_jobs > 1:
+        for model in models:  # import what true_cdf needs before the workers fork
+            true_cdf(model, 0.5)
         chunk = max(1, len(tasks) // (8 * n_jobs))
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             results = list(pool.map(_replication_task, tasks, chunksize=chunk))

@@ -36,6 +36,8 @@ class TestStepCdf:
         mid = np.minimum(mid, np.nextafter(distinct[1:], -np.inf))
         right = np.append(mid, distinct[-1] + 1.0)
         assert np.array_equal(step(right), at_knots)
+        # inf and nan sort after every knot and read the last value
+        assert np.array_equal(step([np.inf, np.nan, -np.inf]), [at_knots[-1], at_knots[-1], 0.0])
         for k in distinct:
             assert step(float(k)) == last[k]
 

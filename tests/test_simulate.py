@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curstat
 from curstat import (
     BenchConfig,
     CdfEstimate,
@@ -201,3 +206,57 @@ class TestMonteCarlo:
             estimate_sample("npmle", sample), SimModel(2), sample
         )
         assert report.cell(2, 60, "npmle").values[0] == pytest.approx(direct, abs=0)
+
+
+def run_fresh(script: str) -> None:
+    """Run a script in a fresh interpreter that imports this curstat."""
+    src = str(Path(curstat.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestScipyImport:
+    def test_cold_start_without_scipy(self):
+        run_fresh(
+            """
+import os, sys, tempfile
+import curstat as cs
+import curstat.cli
+
+sample = cs.generate(cs.SimModel(3), 300, 1)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "sample.csv")
+    cs.write_sample(sample, path)
+    sample = cs.read_sample(path)
+for method in cs.METHODS:
+    cs.truncated_mse(cs.estimate_sample(method, sample), cs.SimModel(3), sample)
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+cs.true_cdf(cs.SimModel(2), 0.5)
+assert "scipy.special" in sys.modules
+"""
+        )
+
+    def test_pool_starts_with_scipy_loaded(self):
+        # workers forked without it would each import scipy on their first task
+        run_fresh(
+            """
+import sys
+import curstat.simulate as sim
+
+seen = []
+
+class Recording(sim.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        seen.append("scipy.special" in sys.modules)
+        super().__init__(*args, **kwargs)
+
+sim.ProcessPoolExecutor = Recording
+sim.monte_carlo([2], ("birge",), (60,), reps=2, seed=1, n_jobs=2)
+assert seen == [True], seen
+"""
+        )
