@@ -10,7 +10,6 @@ header line.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,89 +66,48 @@ def _split_fields(line: str) -> list[str]:
     return line.split()
 
 
-# A blank line or a line of two fields, comma- or whitespace-separated,
-# holding only the characters of decimal numbers: nothing that the line
-# loop skips or rejects on sight (comments, empty fields, headers, three
-# fields, whitespace other than spaces and tabs).
-_FIELD = r"[0-9.eE+-]+"
-_PLAIN_LINE = rf"[ \t]*(?:{_FIELD}[ \t]*,[ \t]*{_FIELD}|{_FIELD}[ \t]+{_FIELD})?[ \t]*"
-_PLAIN_LINES = re.compile(rf"(?:{_PLAIN_LINE}\n)*{_PLAIN_LINE}")
-
-
-def _parse_line(lineno: int, raw: str) -> tuple[float, float] | None:
-    """One line's observation, or None for a blank, comment or line-1 header."""
-    line = raw.strip()
-    if not line or line.startswith("#"):
-        return None
-    fields = _split_fields(line)
-    if len(fields) != 2:
-        if lineno == 1:
-            return None  # tolerate a free-form header
-        raise SampleFormatError(f"line {lineno}: expected two fields, got {len(fields)}")
-    try:
-        u = float(fields[0])
-        d = float(fields[1])
-    except ValueError:
-        if lineno == 1:
-            return None  # header row such as "u,delta"
-        raise SampleFormatError(f"line {lineno}: could not parse {line!r}") from None
-    if not math.isfinite(u):
-        raise SampleFormatError(
-            f"line {lineno}: examination time must be finite, got {fields[0]!r}"
-        )
-    if u < 0:
-        raise SampleFormatError(f"line {lineno}: examination time must be >= 0, got {u!r}")
-    if d not in (0.0, 1.0):
-        raise SampleFormatError(f"line {lineno}: status must be 0 or 1, got {fields[1]!r}")
-    return u, d
-
-
-def _parse_plain(text: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """The line loop's arrays when lines 2 onwards are all plain and every
-    value passes its checks; None when the loop has to decide."""
-    first, _, rest = text.partition("\n")
-    if not _PLAIN_LINES.fullmatch(rest):
-        return None
-    head = _parse_line(1, first)  # raises as the loop would, on line 1 first
-    try:
-        # numpy converts each str with Python's float, as _parse_line does
-        values = np.array(rest.replace(",", " ").split(), dtype=float)
-    except ValueError:
-        return None
-    if head is not None:
-        values = np.concatenate((head, values))
-    u, d = values.reshape(-1, 2).T.copy()
-    if u.size == 0 or not (np.isfinite(u).all() and (u >= 0).all()):
-        return None
-    if not ((d == 0.0) | (d == 1.0)).all():
-        return None
-    return u, d
-
-
-def _parse_lines(text: str) -> tuple[np.ndarray, np.ndarray]:
-    pairs = [
-        pair
-        for lineno, raw in enumerate(text.split("\n"), start=1)
-        if (pair := _parse_line(lineno, raw)) is not None
-    ]
-    if not pairs:
-        raise SampleFormatError("no observations found in file")
-    u, d = np.array(pairs).reshape(-1, 2).T.copy()
-    return u, d
-
-
 def read_sample(path) -> ObservationSample:
-    """Parse an observation file, raising SampleFormatError on bad rows.
-
-    A file whose lines after the first are all blank or plain numeric
-    pairs is parsed in one numpy call; any other file, and every error,
-    goes through the line loop.
-    """
+    """Parse an observation file, raising SampleFormatError on bad rows."""
+    u_vals: list[float] = []
+    d_vals: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    parsed = _parse_plain(text)
-    u, d = parsed if parsed is not None else _parse_lines(text)
-    return ObservationSample(u, d)
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = _split_fields(line)
+            if len(fields) != 2:
+                if lineno == 1:
+                    continue  # tolerate a free-form header
+                raise SampleFormatError(
+                    f"line {lineno}: expected two fields, got {len(fields)}"
+                )
+            try:
+                u = float(fields[0])
+                d = float(fields[1])
+            except ValueError:
+                if lineno == 1:
+                    continue  # header row such as "u,delta"
+                raise SampleFormatError(
+                    f"line {lineno}: could not parse {line!r}"
+                ) from None
+            if not math.isfinite(u):
+                raise SampleFormatError(
+                    f"line {lineno}: examination time must be finite, got {fields[0]!r}"
+                )
+            if u < 0:
+                raise SampleFormatError(
+                    f"line {lineno}: examination time must be >= 0, got {u!r}"
+                )
+            if d not in (0.0, 1.0):
+                raise SampleFormatError(
+                    f"line {lineno}: status must be 0 or 1, got {fields[1]!r}"
+                )
+            u_vals.append(u)
+            d_vals.append(d)
+    if not u_vals:
+        raise SampleFormatError("no observations found in file")
+    return ObservationSample(np.array(u_vals), np.array(d_vals))
 
 
 def write_sample(sample: ObservationSample, path) -> None:

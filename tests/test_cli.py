@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -298,9 +300,11 @@ class TestSampleFiles:
 
     def test_whitespace_delimited_accepted(self, tmp_path):
         path = tmp_path / "sample.txt"
-        path.write_text("0.25 1\n0.5 0\n")
-        sample = read_sample(path)
-        assert sample.n == 2
+        for text in ["0.25 1\n0.5 0\n", "  0.25 \t1\r\n\r\n0.5\t0", "u delta\n0.25 1\n \n0.5 0\n"]:
+            path.write_bytes(text.encode())
+            sample = read_sample(path)
+            np.testing.assert_array_equal(sample.u, [0.25, 0.5])
+            np.testing.assert_array_equal(sample.delta, [1.0, 0.0])
 
     def test_negative_time_rejected(self, tmp_path):
         path = tmp_path / "sample.csv"
@@ -314,3 +318,35 @@ class TestSampleFiles:
         path.write_text(f"u,delta\n0.5,1\n{text},0\n")
         with pytest.raises(SampleFormatError, match="line 3"):
             read_sample(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("u,delta\n0.5,1 # x\n", "line 2: could not parse"),
+            ("u,delta\n0.5,,1\n", "line 2: expected two fields, got 3"),
+            ("u,delta\n0.5 1,0\n", "line 2: could not parse"),
+            ("u,delta\n0.5,1\n0.25,2\n", "line 3: status must be 0 or 1"),
+            ("u,delta\n\n# only comments\n", "no observations found in file"),
+        ],
+    )
+    def test_bad_rows_name_the_line(self, tmp_path, text, message):
+        path = tmp_path / "sample.csv"
+        path.write_text(text)
+        with pytest.raises(SampleFormatError, match=message):
+            read_sample(path)
+
+    @pytest.mark.parametrize(
+        "tail, error", [("# x\n0.5,1\n", None), ("0.5,1 # x\n", "line 62: could not parse")]
+    )
+    def test_blank_lines_of_spaces_and_tabs_read_in_linear_time(self, tmp_path, tail, error):
+        # a parser that lets a blank line match in several ways (say, one
+        # backtracking regex over the whole text) takes exponential time here
+        path = tmp_path / "sample.csv"
+        path.write_text("u,delta\n" + " \n\t\n" * 30 + tail)
+        start = time.perf_counter()
+        if error is None:
+            assert read_sample(path).n == 1
+        else:
+            with pytest.raises(SampleFormatError, match=error):
+                read_sample(path)
+        assert time.perf_counter() - start < 0.5
