@@ -24,14 +24,11 @@ from .bases import (
     design_matrix,
     dyadic_family,
     dyadic_model,
-    gram_matrix,
     haar_family,
     haar_model,
     phi0,
     poly_family,
     poly_model,
-    project_function,
-    quadrature_rule,
     trig_family,
     trig_model,
 )
@@ -40,7 +37,6 @@ from .estimates import CdfEstimate, StepCdf
 from .isotonic import birge_histogram, npmle_maxmin, npmle_pava
 from .projection import (
     ProjectionEstimate,
-    density_contrast,
     density_penalty,
     empirical_coefficients,
     select_projection_model,

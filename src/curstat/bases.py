@@ -11,17 +11,17 @@ what the penalty calibration relies on.
 
 Basis functions vanish identically outside [0, 1]: observations outside
 the estimation interval contribute zero rows to design matrices while
-still counting toward the sample size.
+still counting toward the sample size. The quadrature that certifies the
+bases (Gram matrices, projections) is test code, in ``tests/quadrature.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legvander
+from numpy.polynomial.legendre import legvander
 
 TRIG = "trig"
 POLY = "poly"
@@ -213,10 +213,7 @@ def design_matrix(model: BasisModel, x) -> np.ndarray:
     xi = x[inside]
 
     if model.family.tag == TRIG:
-        args = xi[:, None] * (2.0 * np.pi * np.arange(1, model.harmonics + 1))[None, :]
-        out[inside, 0] = 1.0
-        out[inside, 1::2] = math.sqrt(2.0) * np.cos(args)
-        out[inside, 2::2] = math.sqrt(2.0) * np.sin(args)
+        out[inside] = trig_rows(model.harmonics, xi).T
         return out
 
     piece, values = piecewise_legendre(model.pieces, model.degree, xi)
@@ -249,9 +246,9 @@ def piecewise_legendre(pieces: int, degree: int, x: np.ndarray):
 def trig_rows(harmonics: int, x: np.ndarray) -> np.ndarray:
     """Trigonometric basis at points ``x`` in [0, 1], one row per function.
 
-    Returns the ``(2 * harmonics + 1, len(x))`` transpose of
-    ``design_matrix`` for points inside [0, 1], built one harmonic at a
-    time so no temporary holds more than one value per point.
+    Returns a ``(2 * harmonics + 1, len(x))`` array, built one harmonic
+    at a time so no temporary holds more than one value per point; its
+    transpose is the trig block of ``design_matrix``.
     """
     rows = np.empty((2 * harmonics + 1, x.size))
     rows[0] = 1.0
@@ -335,48 +332,3 @@ def build_collection(family: BasisFamily, n: int, cap=CAP_DENSITY) -> list[Basis
         )
     models.sort(key=model_sort_key)
     return models
-
-
-# ---------------------------------------------------------------------------
-# Quadrature helpers (used for certification tests and population
-# projections; piecewise-polynomial integrals are exact because panels
-# align with the breakpoints).
-
-
-@lru_cache(maxsize=None)
-def _gauss_nodes(order: int):
-    return leggauss(order)
-
-
-def quadrature_rule(breakpoints, min_nodes: int = 2048):
-    """Composite Gauss-Legendre rule with panels between ``breakpoints``."""
-    edges = np.asarray(breakpoints, dtype=float)
-    panels = edges.size - 1
-    order = max(2, -(-min_nodes // panels))
-    base_x, base_w = _gauss_nodes(order)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    weights = (half[:, None] * base_w[None, :]).ravel()
-    return nodes, weights
-
-
-def model_breakpoints(model: BasisModel) -> np.ndarray:
-    if model.family.tag == TRIG:
-        return np.array([0.0, 1.0])
-    return np.linspace(0.0, 1.0, model.pieces + 1)
-
-
-def gram_matrix(model: BasisModel, min_nodes: int = 2048) -> np.ndarray:
-    """Gram matrix of the basis under the Lebesgue inner product on [0, 1]."""
-    nodes, weights = quadrature_rule(model_breakpoints(model), min_nodes)
-    design = design_matrix(model, nodes)
-    return design.T @ (weights[:, None] * design)
-
-
-def project_function(model: BasisModel, fn, min_nodes: int = 2048) -> np.ndarray:
-    """Coefficients of the L2 projection of ``fn`` onto the model."""
-    nodes, weights = quadrature_rule(model_breakpoints(model), min_nodes)
-    design = design_matrix(model, nodes)
-    values = np.asarray(fn(nodes), dtype=float)
-    return design.T @ (weights * values)

@@ -21,7 +21,11 @@ class SampleFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ObservationSample:
-    """Paired examination times and status indicators."""
+    """Paired examination times and status indicators, in input order.
+
+    Any finite time is accepted, negative ones too (``read_sample`` is
+    stricter): points outside [0, 1] count only toward the sample size.
+    """
 
     u: np.ndarray
     delta: np.ndarray
@@ -46,19 +50,6 @@ class ObservationSample:
     def n(self) -> int:
         return self.u.size
 
-    def sorted_by_time(self) -> "ObservationSample":
-        """Stable sort by examination time (ties keep input order)."""
-        order = np.argsort(self.u, kind="stable")
-        return self._checked(self.u[order], self.delta[order])
-
-    @classmethod
-    def _checked(cls, u: np.ndarray, delta: np.ndarray) -> "ObservationSample":
-        """Wrap arrays that already passed validation, skipping the checks."""
-        sample = object.__new__(cls)
-        object.__setattr__(sample, "u", u)
-        object.__setattr__(sample, "delta", delta)
-        return sample
-
 
 def _split_fields(line: str) -> list[str]:
     if "," in line:
@@ -67,7 +58,7 @@ def _split_fields(line: str) -> list[str]:
 
 
 def read_sample(path) -> ObservationSample:
-    """Parse an observation file, raising SampleFormatError on bad rows."""
+    """Parse an observation file; SampleFormatError on bad rows or on times below 0."""
     u_vals: list[float] = []
     d_vals: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:

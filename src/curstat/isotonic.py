@@ -41,11 +41,11 @@ def npmle_maxmin(sample: ObservationSample) -> StepCdf:
 
     Quadratic in time and memory; fine up to a few thousand
     observations. ``npmle_pava`` computes the same function in linear
-    time after sorting.
+    time after the same stable sort by time.
     """
-    srt = sample.sorted_by_time()
-    d = srt.delta
-    n = srt.n
+    order = np.argsort(sample.u, kind="stable")
+    d = sample.delta[order]
+    n = sample.n
     csum = np.concatenate([[0.0], np.cumsum(d)])  # exact small integers
     start = np.arange(n)
     # means[j, k] = mean of d[j..k]; entries with k < j are never consulted
@@ -56,7 +56,7 @@ def npmle_maxmin(sample: ObservationSample) -> StepCdf:
     suffix_min = np.minimum.accumulate(means[:, ::-1], axis=1)[:, ::-1]
     prefix_max = np.maximum.accumulate(suffix_min, axis=0)
     values = np.diagonal(prefix_max).copy()
-    return StepCdf(srt.u, values)
+    return StepCdf(sample.u[order], values)
 
 
 # Rounds of chain pooling before the stack loop takes over; samples of
@@ -67,19 +67,19 @@ MAX_POOLING_ROUNDS = 64
 def npmle_pava(sample: ObservationSample) -> StepCdf:
     """NPMLE by pool-adjacent-violators on the sorted status indicators.
 
-    Blocks carry integer (sum, count) pairs, starting from the runs of
-    equal status. Each round merges every maximal chain of neighbouring
-    blocks whose means do not increase (``_pool_rounds``); after
-    ``MAX_POOLING_ROUNDS`` rounds the stack loop ``_pool_stack`` pools
-    the remaining blocks. Comparisons use integer cross-products, so
-    pooling decisions are exact.
+    Tied times keep their input order (stable sort). Blocks carry integer
+    (sum, count) pairs, starting from the runs of equal status. Each round
+    merges every maximal chain of neighbouring blocks whose means do not
+    increase (``_pool_rounds``); after ``MAX_POOLING_ROUNDS`` rounds the
+    stack loop ``_pool_stack`` pools the remaining blocks. Comparisons use
+    integer cross-products, so pooling decisions are exact.
     """
-    srt = sample.sorted_by_time()
-    sums, counts = _status_runs(srt.delta)
+    order = np.argsort(sample.u, kind="stable")
+    sums, counts = _status_runs(sample.delta[order])
     sums, counts, rounds = _pool_rounds(sums, counts, MAX_POOLING_ROUNDS)
     if rounds == MAX_POOLING_ROUNDS:
         sums, counts = _pool_stack(sums, counts)
-    return StepCdf(srt.u, np.repeat(sums / counts, counts))
+    return StepCdf(sample.u[order], np.repeat(sums / counts, counts))
 
 
 def _status_runs(delta: np.ndarray):

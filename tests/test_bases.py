@@ -11,18 +11,16 @@ from curstat import (
     design_matrix,
     dyadic_family,
     dyadic_model,
-    gram_matrix,
     haar_family,
     haar_model,
     phi0,
     poly_family,
     poly_model,
-    project_function,
-    quadrature_rule,
     trig_family,
     trig_model,
 )
 from curstat.bases import model_sort_key, piecewise_legendre, trig_rows
+from quadrature import gram_matrix, project_function, quadrature_rule
 
 
 class TestEvaluation:

@@ -6,19 +6,16 @@ import pytest
 from curstat import (
     CAP_DENSITY,
     ObservationSample,
-    ProjectionEstimate,
     build_collection,
-    density_contrast,
     density_penalty,
+    design_matrix,
     dyadic_family,
     dyadic_model,
     empirical_coefficients,
     generate,
     haar_family,
     haar_model,
-    gram_matrix,
     poly_model,
-    project_function,
     select_projection_model,
     trig_family,
     trig_model,
@@ -27,6 +24,7 @@ from curstat import (
 
 from conftest import random_sample
 from dense_oracle import dense_coefficients, dense_contrast
+from quadrature import gram_matrix, project_function, quadrature_rule
 
 TWO_POINT = ObservationSample([0.2, 0.6], [1.0, 0.0])
 
@@ -71,13 +69,11 @@ class TestEmpiricalCoefficients:
 
 class TestDensityContrast:
     def test_zero_estimate(self):
-        est = ProjectionEstimate(trig_model(1), np.zeros(3))
-        assert density_contrast(TWO_POINT, est) == 0.0
+        assert dense_contrast(TWO_POINT, trig_model(1), np.zeros(3)) == 0.0
 
     def test_identity_on_own_coefficients(self):
         coeffs = empirical_coefficients(TWO_POINT, haar_model(0), TWO_POINT.delta)
-        est = ProjectionEstimate(haar_model(0), coeffs)
-        value = density_contrast(TWO_POINT, est, TWO_POINT.delta)
+        value = dense_contrast(TWO_POINT, haar_model(0), coeffs, TWO_POINT.delta)
         assert value == pytest.approx(-coeffs @ coeffs, abs=1e-15)
         assert value == pytest.approx(-0.25)
 
@@ -89,8 +85,7 @@ class TestDensityContrast:
             ]
             weights = sample.delta if rng.random() < 0.5 else None
             coeffs = empirical_coefficients(sample, model, weights)
-            est = ProjectionEstimate(model, coeffs)
-            assert density_contrast(sample, est, weights) == pytest.approx(
+            assert dense_contrast(sample, model, coeffs, weights) == pytest.approx(
                 -coeffs @ coeffs, abs=1e-10
             )
 
@@ -184,7 +179,7 @@ class TestSelection:
             est = pair[0] if target == "subdensity" else pair[1]
             model = est.model
             weights, delta_mean = target_weights(sample, target)
-            achieved = density_contrast(sample, est, weights) + density_penalty(
+            achieved = dense_contrast(sample, model, est.coeffs, weights) + density_penalty(
                 model, sample.n, kappa, delta_mean
             )
             best, scored = exhaustive_rescan(sample, coll, kappa, target)
@@ -222,8 +217,6 @@ class TestCoefficientNesting:
 class TestRiskDecomposition:
     def test_pythagoras_for_known_subdensity(self, rng):
         # data from the uniform model, where the sub-density is x itself
-        from curstat import design_matrix, quadrature_rule
-
         model = haar_model(3)
         target = project_function(model, lambda x: x)
         nodes, weights = quadrature_rule(np.linspace(0, 1, 9), 2048)
@@ -245,8 +238,6 @@ class TestAdaptiveFits:
 
     def test_subdensity_mass_for_uniform_model(self):
         # the uniform model's sub-density is x, whose mass is 1/2
-        from curstat import quadrature_rule
-
         sample = generate(SimModel(1), 10_000, 19)
         est, _ = fit_pair(sample)
         nodes, weights = quadrature_rule(np.linspace(0, 1, 17), 4096)

@@ -27,7 +27,7 @@ from curstat import (
 from curstat.regression import _fit_collection
 
 from conftest import random_sample, tied_samples
-from dense_oracle import dense_least_squares, dense_selection
+from dense_oracle import dense_least_squares, dense_selection, exact_least_squares
 
 
 class TestFitLeastSquares:
@@ -293,3 +293,71 @@ class TestCollectionScan:
                 assert abs(fast.contrast - slow.contrast) <= 1e-12
                 if gate_coeffs:
                     np.testing.assert_allclose(fast.coeffs, slow.coeffs, rtol=0, atol=1e-12)
+
+
+def small_sparse_samples():
+    """The n <= 60 samples of ``sparse_samples`` plus gapped ones at n = 60.
+
+    Small enough for exact rational least squares. The gapped samples
+    leave part of a piece empty, so its high-degree Gram blocks run from
+    well conditioned up to numerically singular.
+    """
+    samples = [sample for sample in sparse_samples() if sample.n <= 60]
+    rng = np.random.default_rng(5)
+    for lo, hi in ((0.25, 0.5), (0.5, 0.75), (0.125, 0.875)):
+        u = rng.random(400)
+        u = u[(u < lo) | (u >= hi)][:60]
+        samples.append(ObservationSample(u, (rng.random(u.size) < u).astype(float)))
+    return samples
+
+
+class TestExactLeastSquares:
+    """The scan and the dense normal equations against an exact rational solve.
+
+    For a candidate with Gram condition number cond(G) <= 1e8 (below the
+    1e-10 rank cut, so no direction is dropped) each float path must lie
+    within ``ERROR_FACTOR * cond(G) * 2**-52 * max(1, |b|_inf)`` of the
+    exact solution b, in the largest coefficient error. Above that
+    condition number neither path is gated; the test only reports which
+    one is nearer, since near the rank cut both can be off by 1e3 or more.
+    """
+
+    ERROR_FACTOR = 64.0
+    MAX_COND = 1e8
+
+    def test_well_conditioned_candidates_within_bound(self):
+        models = [dyadic_model(level, degree) for level in (0, 1) for degree in range(10)]
+        nearer = {"scan": 0, "dense": 0, "tie": 0}
+        gated, worst = 0, 0.0
+        for sample in small_sparse_samples():
+            fits, _ = _fit_collection(sample, models)
+            for model, fit in zip(models, fits):
+                exact = exact_least_squares(sample, model)
+                assert exact is not None  # every Gram matrix here is nonsingular
+                design = design_matrix(model, sample.u)
+                cond = np.linalg.cond(design.T @ design / sample.n)
+                scan_err = np.max(np.abs(fit.coeffs - exact))
+                dense_err = np.max(np.abs(dense_least_squares(sample, model).coeffs - exact))
+                key = "tie" if scan_err == dense_err else "scan" if scan_err < dense_err else "dense"
+                nearer[key] += 1
+                if cond <= self.MAX_COND:
+                    scale = cond * 2.0**-52 * max(1.0, np.max(np.abs(exact)))
+                    assert scan_err <= self.ERROR_FACTOR * scale, (model, cond, scan_err)
+                    assert dense_err <= self.ERROR_FACTOR * scale, (model, cond, dense_err)
+                    gated += 1
+                    worst = max(worst, scan_err / scale, dense_err / scale)
+        assert gated >= 50
+        print(
+            f"exact least squares: {gated} candidates gated, worst error "
+            f"{worst:.2f} x cond * eps * max(1, |b|), nearer path {nearer}"
+        )
+
+    def test_oracle_on_known_solutions(self):
+        # two points per bin: the fit is the bin means, and the basis
+        # functions are sqrt(2) on their bin, so b = mean / sqrt(2) rounded once
+        sample = ObservationSample([0.1, 0.2, 0.6, 0.7], [1.0, 0.0, 1.0, 1.0])
+        exact = exact_least_squares(sample, haar_model(1))
+        np.testing.assert_array_equal(exact, np.array([0.5, 1.0]) / math.sqrt(2.0))
+        # three points cannot determine a degree-5 polynomial
+        sample = ObservationSample([0.1, 0.5, 0.9], [0.0, 1.0, 1.0])
+        assert exact_least_squares(sample, dyadic_model(0, 5)) is None
