@@ -58,6 +58,8 @@ class BasisFamily:
     def __post_init__(self):
         if self.tag not in _FAMILY_TAGS:
             raise ValueError(f"unknown basis family tag {self.tag!r}")
+        if not isinstance(self.max_degree, (int, np.integer)):
+            raise ValueError("max_degree must be an integer")
         if self.max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         if self.tag == HAAR and self.max_degree != 0:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -54,40 +55,31 @@ class SimModel:
     """
 
     id: int
+    a = 0.0  # the MSE window [a, b] starts at 0 for every model
 
     def __post_init__(self):
         if self.id not in MODEL_IDS:
             raise ValueError(f"unknown model id {self.id}")
 
     @property
-    def a(self) -> float:
-        return 0.0
-
-    @property
     def b(self) -> float:
         return 0.5 if self.id == 5 else 1.0
-
-
-def as_sim_model(model) -> SimModel:
-    return model if isinstance(model, SimModel) else SimModel(int(model))
 
 
 def true_cdf(model: SimModel, u):
     """True lifetime distribution function of the model, elementwise."""
     x = np.asarray(u, dtype=float)
+    if model.id in (2, 5):
+        from scipy import special
     if model.id == 1:
         out = np.clip(x, 0.0, 1.0)
     elif model.id == 2:
-        from scipy import special
-
         out = special.erf(np.sqrt(np.clip(x, 0.0, None) / 2.0))
     elif model.id == 3:
         out = np.clip(x, 0.0, 1.0) ** 2
     elif model.id == 4:
         out = 1.0 - np.exp(-2.0 * np.clip(x, 0.0, None))
     else:
-        from scipy import special
-
         out = special.betainc(4.0, 8.0, np.clip(x, 0.0, 1.0))
     return float(out) if np.ndim(u) == 0 else out
 
@@ -141,6 +133,15 @@ class BenchConfig:
     birge_bins: int | None = None  # None -> default_birge_bins(n)
     family: BasisFamily = dyadic_family()
 
+    def __post_init__(self):
+        for name in ("kappa", "kappa0"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if self.birge_bins is not None and self.birge_bins < 1:
+            raise ValueError("need at least one bin")
+        if not isinstance(self.family, BasisFamily):
+            raise ValueError("family must be a BasisFamily")
+
 
 def estimate_sample(
     method: str, sample: ObservationSample, config: BenchConfig | None = None
@@ -151,14 +152,11 @@ def estimate_sample(
     if method == "quotient":
         return fit_quotient_cdf(sample, config.family, config.kappa)
     if method == "regression":
-        return fit_cdf_regression(
-            sample, config.family, config.kappa0, config.clamp_regression
-        )
+        return fit_cdf_regression(sample, config.family, config.kappa0, config.clamp_regression)
     if method == "npmle":
         return CdfEstimate("npmle", npmle_pava(sample), {"knots": sample.n})
     if method == "birge":
-        bins = config.birge_bins
-        bins = default_birge_bins(sample.n) if bins is None else bins
+        bins = config.birge_bins or default_birge_bins(sample.n)
         return CdfEstimate("birge", birge_histogram(sample, bins), {"bins": bins})
     raise ValueError(f"unknown method {method!r}")
 
@@ -217,38 +215,31 @@ class MseReport:
 
     def to_table(self) -> str:
         """Human-readable grid: MSE x 1e-2, one block per method."""
+        means = {(c.method, c.model_id, c.n): f"{c.mean * 100.0:10.2f}" for c in self.cells}
         n_values = sorted({c.n for c in self.cells})
         model_ids = sorted({c.model_id for c in self.cells})
-        methods = dict.fromkeys(c.method for c in self.cells)
+        header = "model".ljust(8) + "".join(f"n={n}".rjust(10) for n in n_values)
         lines = [f"mean truncated MSE (x 1e-2), seed {self.seed}"]
-        for method in methods:
-            lines.append("")
-            lines.append(f"[{method}]")
-            header = "model".ljust(8) + "".join(f"n={n}".rjust(10) for n in n_values)
-            lines.append(header)
+        for method in dict.fromkeys(c.method for c in self.cells):
+            lines += ["", f"[{method}]", header]
             for mid in model_ids:
-                row = str(mid).ljust(8)
-                for n in n_values:
-                    try:
-                        value = self.cell(mid, n, method).mean * 100.0
-                        row += f"{value:10.2f}"
-                    except KeyError:
-                        row += " " * 10
-                lines.append(row)
+                row = (means.get((method, mid, n), " " * 10) for n in n_values)
+                lines.append(str(mid).ljust(8) + "".join(row))
         return "\n".join(lines) + "\n"
 
 
-def _replication_task(args):
-    model, n, rep, methods, seed, config = args
+def _replication_task(methods, seed, config, task):
+    """One ``(mse, error)`` pair per method, in ``methods`` order."""
+    model, n, rep = task
     sample = generate(model, n, replication_rng(seed, model.id, n, rep))
-    out = {}
+    row = []
     for method in methods:
         try:
             estimate = estimate_sample(method, sample, config)
-            out[method] = (truncated_mse(estimate, model, sample), None)
+            row.append((truncated_mse(estimate, model, sample), None))
         except Exception as exc:  # recorded, never silently dropped
-            out[method] = (float("nan"), f"rep {rep}: {exc}")
-    return model.id, n, rep, out
+            row.append((float("nan"), f"rep {rep}: {exc}"))
+    return row
 
 
 def monte_carlo(
@@ -266,45 +257,34 @@ def monte_carlo(
     schedule (``default_reps``). Each replication draws one sample that
     all methods share. Output is a pure function of the arguments;
     ``n_jobs > 1`` distributes replications over processes without
-    changing the result.
+    changing the result. The pool and the serial ``map`` both return rows
+    in task order, so each ``(model, n)`` cell is the next reps rows.
     """
-    if config is None:
-        config = BenchConfig()
-    models = [as_sim_model(m) for m in models]
+    models = [m if isinstance(m, SimModel) else SimModel(int(m)) for m in models]
     methods = tuple(methods)
     n_list = tuple(int(n) for n in n_list)
     cell_reps = {n: int(reps) if reps is not None else default_reps(n) for n in n_list}
     if any(count < 1 for count in cell_reps.values()):
         raise ValueError("need at least one replication")
 
-    tasks = []
-    for model in models:
-        for n in n_list:
-            for rep in range(cell_reps[n]):
-                tasks.append((model, n, rep, methods, seed, config))
-
+    tasks = [(model, n, rep) for model in models for n in n_list for rep in range(cell_reps[n])]
+    run = partial(_replication_task, methods, seed, config)
     if n_jobs > 1:
         for model in models:  # import what true_cdf needs before the workers fork
             true_cdf(model, 0.5)
         chunk = max(1, len(tasks) // (8 * n_jobs))
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_replication_task, tasks, chunksize=chunk))
+            rows = list(pool.map(run, tasks, chunksize=chunk))
     else:
-        results = [_replication_task(t) for t in tasks]
+        rows = map(run, tasks)
 
-    by_key = {(mid, n, rep): out for mid, n, rep, out in results}
+    rows = iter(rows)
     cells = []
     for model in models:
         for n in n_list:
-            for method in methods:
-                values = []
-                failures = []
-                for rep in range(cell_reps[n]):
-                    value, err = by_key[(model.id, n, rep)][method]
-                    values.append(value)
-                    if err is not None:
-                        failures.append(err)
-                cells.append(
-                    MseCell(model.id, n, method, tuple(values), tuple(failures))
-                )
+            block = [next(rows) for _ in range(cell_reps[n])]
+            for method, pairs in zip(methods, zip(*block)):
+                values, errors = zip(*pairs)
+                failures = tuple(err for err in errors if err is not None)
+                cells.append(MseCell(model.id, n, method, values, failures))
     return MseReport(tuple(cells), seed)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from curstat import (
+    BasisFamily,
     BasisModel,
     EmptyCollectionError,
     build_collection,
@@ -233,6 +234,12 @@ class TestModelValidation:
             BasisModel(dyadic_family(2), pieces=2, degree=5)
         with pytest.raises(ValueError):
             BasisModel(trig_family(), pieces=2)
+
+    @pytest.mark.parametrize("degree", [2.5, 2.0, "2", None])
+    def test_family_degree_must_be_an_integer(self, degree):
+        with pytest.raises(ValueError, match="max_degree must be an integer"):
+            BasisFamily("dyadic", degree)
+        assert BasisFamily("dyadic", np.int64(2)).max_degree == 2
 
     def test_corrected_dim(self):
         assert corrected_dim(haar_model(2)) == pytest.approx(4.0)

@@ -161,6 +161,53 @@ class TestRouteEquivalence:
             )
 
 
+def grouped_maxmin(sample):
+    """Max-min over the distinct times, each weighted by its count, per observation.
+
+    Exact integer sums and counts, one division per (j, k) pair, so the
+    values are bitwise comparable with both NPMLE routes.
+    """
+    times, group = np.unique(sample.u, return_inverse=True)
+    sums = np.bincount(group, weights=sample.delta, minlength=times.size).astype(int)
+    counts = np.bincount(group, minlength=times.size)
+    m = times.size
+    by_time = [
+        max(
+            min(int(sums[j : k + 1].sum()) / int(counts[j : k + 1].sum()) for k in range(i, m))
+            for j in range(i + 1)
+        )
+        for i in range(m)
+    ]
+    return np.repeat(by_time, counts)
+
+
+class TestTiedTimes:
+    @pytest.mark.parametrize("route", [npmle_maxmin, npmle_pava])
+    def test_two_tied_observations_pool(self, route):
+        # listed (1, 0) or (0, 1), the tied pair gets its mean, not its last status
+        for delta in ([1.0, 0.0], [0.0, 1.0]):
+            step = route(ObservationSample([0.5, 0.5], delta))
+            np.testing.assert_array_equal(step.values, [0.5, 0.5])
+            assert step(0.5) == 0.5
+
+    @pytest.mark.parametrize("route", [npmle_maxmin, npmle_pava])
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(sample=tied_samples(), data=st.data())
+    def test_invariant_under_permutation(self, route, sample, data):
+        order = np.array(data.draw(st.permutations(range(sample.n))), dtype=int)
+        fit = route(sample)
+        again = route(ObservationSample(sample.u[order], sample.delta[order]))
+        assert again.values.tobytes() == fit.values.tobytes()
+        # knots compare by value: 0.0 and -0.0 are one tied time
+        assert np.array_equal(again.knots, fit.knots)
+
+    @pytest.mark.parametrize("route", [npmle_maxmin, npmle_pava])
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(tied_samples())
+    def test_equals_grouped_maxmin(self, route, sample):
+        assert route(sample).values.tobytes() == grouped_maxmin(sample).tobytes()
+
+
 class TestPoolingRounds:
     @settings(max_examples=300, deadline=None, database=None)
     @given(tied_samples())

@@ -100,8 +100,9 @@ def test_birge_permutation_invariance(bins):
 def test_npmle_reflection():
     # Reversing time and flipping the statuses turns the isotonic fit into
     # one minus its mirror image: a block with s ones among c statuses
-    # becomes (c - s) / c, which is 1 - s / c up to rounding. Tied times
-    # keep their input order in both sorts, which breaks the mirror.
+    # becomes (c - s) / c, which is 1 - s / c up to rounding. These times
+    # are distinct; tied ones would keep the mirror too, since each tie
+    # group gets one value.
     for _, sample in samples():
         assert np.unique(sample.u).size == sample.n
         fit = npmle_pava(sample)

@@ -11,6 +11,8 @@ import curstat
 from curstat import (
     BenchConfig,
     CdfEstimate,
+    MseCell,
+    MseReport,
     ObservationSample,
     SimModel,
     default_birge_bins,
@@ -20,6 +22,7 @@ from curstat import (
     monte_carlo,
     replication_rng,
     true_cdf,
+    trig_family,
     truncated_mse,
 )
 
@@ -131,6 +134,21 @@ class TestDefaults:
         default = estimate_sample("birge", sample, BenchConfig(birge_bins=None))
         assert default.metadata["bins"] == default_birge_bins(60)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("kappa", -1.0, "kappa must be positive and finite"),
+            ("kappa", math.inf, "kappa must be positive and finite"),
+            ("kappa0", 0.0, "kappa0 must be positive and finite"),
+            ("kappa0", math.nan, "kappa0 must be positive and finite"),
+            ("birge_bins", 0, "need at least one bin"),
+            ("family", "dyadic", "family must be a BasisFamily"),
+        ],
+    )
+    def test_config_rejected_at_construction(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            BenchConfig(**{field: value})
+
 
 class TestMonteCarlo:
     def test_single_rep_runs_all_methods(self):
@@ -197,6 +215,30 @@ class TestMonteCarlo:
         assert float(fields[4]) >= 0.0
         table = report.to_table()
         assert "[birge]" in table and "n=60" in table
+
+    def test_table_with_missing_cell_and_nan_mean(self):
+        nan = float("nan")
+        cells = (
+            MseCell(1, 60, "npmle", (0.01, 0.03)),
+            MseCell(1, 200, "npmle", (0.02,)),
+            MseCell(2, 60, "npmle", (nan,)),
+        )
+        assert MseReport(cells, 7).to_table() == (
+            "mean truncated MSE (x 1e-2), seed 7\n\n[npmle]\n"
+            "model         n=60     n=200\n"
+            "1             2.00      2.00\n"
+            "2              nan          \n"
+        )
+
+    def test_failing_replications_identical_across_parallelism(self):
+        # the trig regression collection is empty at n = 60, so every such fit fails
+        kwargs = dict(
+            models=[1, 4], methods=("regression", "npmle"), n_list=(60,), reps=3, seed=5,
+            config=BenchConfig(family=trig_family()),
+        )
+        serial = monte_carlo(**kwargs).to_delimited()
+        assert serial.count("# failure") == 6
+        assert monte_carlo(**kwargs, n_jobs=2).to_delimited() == serial
 
     def test_shared_sample_across_methods(self):
         # the estimator-independent truth: npmle via both cell seeds agrees
