@@ -25,6 +25,8 @@ class ObservationSample:
 
     Any finite time is accepted, negative ones too (``read_sample`` is
     stricter): points outside [0, 1] count only toward the sample size.
+    A time of -0.0 is stored as 0.0, so the two zeros are one time bit
+    for bit; the caller's array is copied only then.
     """
 
     u: np.ndarray
@@ -41,6 +43,9 @@ class ObservationSample:
             raise ValueError("empty sample")
         if not np.isfinite(u).all():
             raise ValueError("examination times must be finite")
+        zero = u == 0.0
+        if zero.any() and np.signbit(u[zero]).any():
+            u = u + 0.0  # a new array in which -0.0 + 0.0 is 0.0
         if not ((delta == 0.0) | (delta == 1.0)).all():
             raise ValueError("status indicators must be 0 or 1")
         object.__setattr__(self, "u", u)

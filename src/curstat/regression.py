@@ -13,7 +13,10 @@ observations) get the minimum-norm solution of the normal equations.
 ``fit_cdf_regression`` fits the whole collection from the per-piece
 Gram blocks and moments of one ``bases.subdivisions`` pass, the pass
 the density scan of ``projection`` also reads; the moments
-``sum delta * Q_a / n`` are the sub-density coefficients.
+``sum delta * Q_a / n`` are the sub-density coefficients. At the
+least-squares solution b'Gb = b'c, so most contrasts come in closed form
+from those statistics; a pass over the residuals of the points is made
+only for the noise pilot and where rounding could decide the pick.
 ``fit_least_squares`` runs that scan on one model; the dense normal
 equations it is checked against are in ``tests/dense_oracle.py``.
 """
@@ -39,6 +42,11 @@ from .estimates import CdfEstimate
 from .projection import ProjectionEstimate
 
 _RANK_TOL = 1e-10
+# closed-form contrasts lose digits to cancellation above this kept
+# condition number, or when the noise pilot is this small a share of the
+# mean squared status; such contrasts come from a residual pass instead
+_COND_CUT = 1e6
+_PILOT_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -47,6 +55,7 @@ class LeastSquaresFit(ProjectionEstimate):
 
     contrast: float
     gram_rank: int
+    gram_cond: float
 
 
 def fit_least_squares(sample: ObservationSample, model: BasisModel) -> LeastSquaresFit:
@@ -89,16 +98,20 @@ def _solve_blocks(gram: np.ndarray, moment: np.ndarray):
     """Minimum-norm solutions of a stack of normal-equation blocks.
 
     ``gram`` has shape ``(k, d, d)`` and ``moment`` ``(k, d)``. Returns
-    the ``(k, d)`` solutions and the total rank. The rank rule is that of
-    ``np.linalg.lstsq`` on the block-diagonal matrix the stack forms:
-    singular values at or below ``_RANK_TOL`` times the largest singular
-    value of any block count as zero.
+    the ``(k, d)`` solutions, the total rank and the kept condition
+    number. The rank rule is that of ``np.linalg.lstsq`` on the
+    block-diagonal matrix the stack forms: singular values at or below
+    ``_RANK_TOL`` times the largest singular value of any block count as
+    zero. The kept condition number is the largest singular value over
+    the smallest kept one (1 when none is kept).
     """
     u, s, vt = np.linalg.svd(gram)
     keep = s > _RANK_TOL * s.max()
     inverse = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     rotated = inverse * np.einsum("kij,ki->kj", u, moment)
-    return np.einsum("kji,kj->ki", vt, rotated), int(np.count_nonzero(keep))
+    rank = int(np.count_nonzero(keep))
+    cond = float(s.max() / s[keep].min()) if rank else 1.0
+    return np.einsum("kji,kj->ki", vt, rotated), rank, cond
 
 
 def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
@@ -106,14 +119,21 @@ def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
 
     Returns the fits in the order of ``models`` and the mean squared
     residual of the last (richest) model over the observations inside
-    [0, 1], the noise pilot that scales the penalty.
+    [0, 1], the noise pilot that scales the penalty. A contrast is
+    ``sum(delta**2) / n - sum b'c`` over the pieces, except where
+    ``fit_cdf_regression`` says a residual pass decides it.
     """
     n = sample.n
+    richest = models[-1]
+    total = float(sample.delta @ sample.delta) / n
     # every basis vanishes outside [0, 1], so the statuses there are residuals
     outside = (sample.u < 0.0) | (sample.u > 1.0)
     outside_rss = float(np.sum(sample.delta[outside] ** 2))
+    # the richest model's subdivision comes first, so the pilot is known
+    # before any other contrast
+    ordered = sorted(models, key=lambda model: model.pieces != richest.pieces)
     fits: dict[BasisModel, LeastSquaresFit] = {}
-    for group, piece, columns, delta in subdivisions(models, sample.u, sample.delta):
+    for group, piece, columns, delta in subdivisions(ordered, sample.u, sample.delta):
         pieces = group[0].pieces
         counts = np.bincount(piece, minlength=pieces)
         occupied = counts > 0
@@ -129,20 +149,22 @@ def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
                 for b in range(a, width):
                     sums = np.add.reduceat(columns[a] * columns[b], starts) / n
                     gram[occupied, a, b] = gram[occupied, b, a] = sums
-        for model in group:
+        for model in sorted(group, key=lambda model: model != richest):
             k = model.dim // pieces
-            coeffs, rank = _solve_blocks(gram[:, :k, :k], moment[:, :k])
-            fitted = np.zeros(delta.size)
-            for a in range(k):
-                # spread each piece's coefficient over its run; empty pieces repeat 0 times
-                fitted += columns[a] * np.repeat(coeffs[:, a], counts)
-            rss = float(np.sum((delta - fitted) ** 2))
+            coeffs, rank, cond = _solve_blocks(gram[:, :k, :k], moment[:, :k])
+            if model == richest or cond > _COND_CUT or noise <= _PILOT_FLOOR * total:
+                fitted = np.zeros(delta.size)
+                for a in range(k):
+                    # spread each piece's coefficient over its run; empty pieces repeat 0 times
+                    fitted += columns[a] * np.repeat(coeffs[:, a], counts)
+                rss = float(np.sum((delta - fitted) ** 2))
+                contrast = (rss + outside_rss) / n
+                if model == richest:
+                    noise = rss / max(delta.size, 1)
+            else:
+                contrast = total - float(np.sum(coeffs * moment[:, :k]))
             # piecewise coefficients are stored degree-major
-            fits[model] = LeastSquaresFit(
-                model, coeffs.T.ravel(), (rss + outside_rss) / n, rank
-            )
-            if model == models[-1]:
-                noise = rss / max(delta.size, 1)
+            fits[model] = LeastSquaresFit(model, coeffs.T.ravel(), contrast, rank, cond)
     return [fits[model] for model in models], noise
 
 
@@ -161,12 +183,20 @@ def fit_cdf_regression(
     subdivision, with singular values at or below 1e-10 times the
     largest over all its blocks treated as zero (the rule of
     ``np.linalg.lstsq`` on the block-diagonal Gram matrix, so
-    ``gram_rank`` is that of the dense normal equations). Contrasts, and
-    the noise pilot, are means of per-point squared residuals, the fitted
-    values spreading each piece's coefficients over its run of sorted
-    points with ``np.repeat``; the closed form ``||delta||^2 - 2c'b +
-    b'Gb`` loses the score differences of near-exact fits to
-    cancellation.
+    ``gram_rank`` is that of the dense normal equations).
+
+    A contrast is ``sum(delta**2) / n - sum b'c`` over the pieces, since
+    b'Gb = b'c at the solution. It is the mean of per-point squared
+    residuals instead, the fitted values spreading each piece's
+    coefficients over its run of sorted points with ``np.repeat``, in
+    three cases: (a) for the richest model, whose residuals over the
+    points inside [0, 1] give the noise pilot; (b) for a model whose
+    kept condition number (largest over smallest kept singular value)
+    is above 1e6, where the closed form loses digits to cancellation;
+    (c) for every model when the pilot is at most 1e-10 of
+    ``sum(delta**2) / n``, as for constant statuses, where every penalty
+    is near 0 and rounding residue would decide the pick. The selected
+    model's kept condition number is reported as ``gram_cond``.
 
     The score is contrast plus ``noise_scale * regression_penalty``,
     where ``noise_scale`` is the indicator noise variance estimated from
@@ -198,6 +228,7 @@ def fit_cdf_regression(
             "penalty": penalty(best_fit),
             "noise_scale": float(noise_scale),
             "gram_rank": best_fit.gram_rank,
+            "gram_cond": best_fit.gram_cond,
         },
     )
     if clamp:

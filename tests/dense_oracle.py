@@ -61,9 +61,10 @@ def dense_least_squares(sample, model):
     design = design_matrix(model, sample.u)
     gram = design.T @ design / sample.n
     moment = design.T @ sample.delta / sample.n
-    coeffs, _, rank, _ = np.linalg.lstsq(gram, moment, rcond=RANK_TOL)
+    coeffs, _, rank, singular = np.linalg.lstsq(gram, moment, rcond=RANK_TOL)
     contrast = float(np.mean((sample.delta - design @ coeffs) ** 2))
-    return LeastSquaresFit(model, coeffs, contrast, int(rank))
+    cond = float(singular[0] / singular[rank - 1]) if rank else 1.0
+    return LeastSquaresFit(model, coeffs, contrast, int(rank), cond)
 
 
 def dense_selection(sample, family):

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curstat
 from curstat import (
     ObservationSample,
     SampleFormatError,
@@ -350,3 +355,14 @@ class TestSampleFiles:
             with pytest.raises(SampleFormatError, match=error):
                 read_sample(path)
         assert time.perf_counter() - start < 0.5
+
+
+def test_module_entry_point_runs():
+    # `python -m curstat` from a checkout, with only the source on the path
+    env = dict(os.environ, PYTHONPATH=str(Path(curstat.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "curstat", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: curstat")

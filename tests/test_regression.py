@@ -24,6 +24,7 @@ from curstat import (
     trig_model,
     SimModel,
 )
+from curstat import regression
 from curstat.regression import _fit_collection
 
 from conftest import random_sample, tied_samples
@@ -249,10 +250,13 @@ class TestCollectionScan:
                     )
 
     def test_degenerate_inputs_match_dense(self):
-        # Near-exact fits make every contrast a rounding residue. The closed
-        # form ||delta||^2 - 2c'b + b'Gb loses it to cancellation: on all
-        # ones at n = 1000 it picked dyadic(level=1, degree=3, dim=8) with a
-        # contrast of -6.7e-16, where the dense path keeps dim 1.
+        # Near-exact fits make every contrast a rounding residue, and the
+        # noise pilot, hence every penalty, is near 0. The closed forms lose
+        # that residue to cancellation: on all ones at n = 1000,
+        # ||delta||^2 - 2c'b + b'Gb picked dim 8 (contrast -6.7e-16) and
+        # ||delta||^2 - b'c dim 7 (-8.9e-16), where the dense path keeps
+        # dim 1. So a near-zero pilot sends every candidate through the
+        # residual pass.
         for sample in sparse_samples():
             for family in (dyadic_family(), haar_family()):
                 _, _, best = dense_selection(sample, family)
@@ -293,6 +297,70 @@ class TestCollectionScan:
                 assert abs(fast.contrast - slow.contrast) <= 1e-12
                 if gate_coeffs:
                     np.testing.assert_allclose(fast.coeffs, slow.coeffs, rtol=0, atol=1e-12)
+
+
+class TestClosedFormContrasts:
+    """Closed-form contrasts against the residual pass on the same coefficients.
+
+    Setting the condition cut below 1 sends every candidate through the
+    residual pass, which is the contrast the closed form replaces.
+    """
+
+    @staticmethod
+    def residual_pass(monkeypatch, fit, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(regression, "_COND_CUT", -1.0)
+            return fit(*args)
+
+    def test_matches_residual_pass_at_large_n(self, monkeypatch):
+        sample = generate(SimModel(3), 20000, 2)
+        models = build_collection(dyadic_family(), sample.n, "regression")
+        fits, pilot = _fit_collection(sample, models)
+        slow, slow_pilot = self.residual_pass(monkeypatch, _fit_collection, sample, models)
+        assert pilot == slow_pilot
+        closed = 0
+        for fast, ref in zip(fits, slow):
+            assert fast.coeffs.tobytes() == ref.coeffs.tobytes()
+            assert abs(fast.contrast - ref.contrast) <= 1e-12
+            closed += fast.gram_cond <= regression._COND_CUT
+        assert closed > len(models) // 2  # the closed form is the common case
+        est = fit_cdf_regression(sample)
+        ref = self.residual_pass(monkeypatch, fit_cdf_regression, sample)
+        assert est.evaluator.model == ref.evaluator.model
+        assert est.metadata["penalty"] == ref.metadata["penalty"]
+
+    @pytest.mark.parametrize("status", [0.0, 1.0], ids=["zeros", "ones"])
+    @pytest.mark.parametrize("outside", [False, True], ids=["inside", "outside"])
+    def test_constant_status_takes_residual_pass(self, monkeypatch, status, outside):
+        rng = np.random.default_rng(11)
+        u = rng.random(1000)
+        if outside:
+            u[::10] += 1.0
+        sample = ObservationSample(u, np.full(u.size, status))
+        models = build_collection(dyadic_family(), sample.n, "regression")
+        fits, pilot = _fit_collection(sample, models)
+        assert pilot <= regression._PILOT_FLOOR * status
+        slow, _ = self.residual_pass(monkeypatch, _fit_collection, sample, models)
+        assert [f.contrast for f in fits] == [f.contrast for f in slow]
+        est = fit_cdf_regression(sample)
+        assert est.evaluator.model.dim == 1
+
+    def test_gram_cond_at_least_one(self):
+        for sample in sparse_samples():
+            for family in (dyadic_family(), haar_family(), poly_family(2)):
+                est = fit_cdf_regression(sample, family)
+                assert est.metadata["gram_cond"] >= 1.0
+        outside = ObservationSample([1.5, 2.5], [1.0, 0.0])
+        assert fit_least_squares(outside, haar_model(1)).gram_cond == 1.0
+
+    @pytest.mark.parametrize("model_id", [1, 3, 4])
+    def test_gram_cond_matches_dense_gram(self, model_id):
+        sample = generate(SimModel(model_id), 1000, 0)
+        est = fit_cdf_regression(sample)
+        assert est.metadata["gram_cond"] <= regression._COND_CUT
+        design = design_matrix(est.evaluator.model, sample.u)
+        dense = np.linalg.cond(design.T @ design / sample.n)
+        assert est.metadata["gram_cond"] == pytest.approx(dense, rel=1e-6)
 
 
 def small_sparse_samples():
