@@ -17,6 +17,7 @@ bases (Gram matrices, projections) is test code, in ``tests/quadrature.py``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -243,6 +244,36 @@ def piecewise_legendre(pieces: int, degree: int, x: np.ndarray):
     values = legvander(u, degree)
     values *= np.sqrt(m * (2.0 * np.arange(degree + 1) + 1.0))
     return piece, values
+
+
+@functools.lru_cache(maxsize=None)
+def two_scale(degree: int):
+    """Two-scale matrices ``(h0, h1)`` of the orthonormal piecewise Legendre basis.
+
+    On the left half of a dyadic piece, the piece's degree-``a`` basis
+    function equals ``sum_b h0[a, b]`` times the half's degree-``b``
+    function, and on the right half the same with ``h1`` (Alpert, 1993).
+    So the per-piece sums of a subdivision are ``h0 @ left + h1 @ right``
+    over the sums of its two halves. Both matrices are lower-triangular,
+    ``(degree + 1) x (degree + 1)`` and read-only, and ``h1[a, b]`` is
+    ``(-1)**(a + b) * h0[a, b]``.
+    """
+    r = degree
+    b = np.arange(r + 1.0)
+    # Legendre coefficients of s * c(s): s P_b = ((b + 1) P_{b+1} + b P_{b-1}) / (2b + 1)
+    times_s = np.diag((b[:-1] + 1.0) / (2.0 * b[:-1] + 1.0), -1)
+    times_s += np.diag(b[1:] / (2.0 * b[1:] + 1.0), 1)
+    # row a: coefficients of P_a((s - 1) / 2) over P_0(s)..P_r(s), by Bonnet's
+    # recurrence (row -1 is still zero when a = 0 reads it)
+    coef = np.zeros((r + 1, r + 1))
+    coef[0, 0] = 1.0
+    for a in range(r):
+        t_coef = (times_s @ coef[a] - coef[a]) / 2.0
+        coef[a + 1] = t_coef * (2 * a + 1) / (a + 1) - coef[a - 1] * a / (a + 1)
+    h0 = np.tril(coef * np.sqrt((2.0 * b[:, None] + 1.0) / (2.0 * b[None, :] + 1.0) / 2.0))
+    h1 = h0 * (-1.0) ** np.add.outer(b, b)
+    h0.flags.writeable = h1.flags.writeable = False
+    return h0, h1
 
 
 def trig_rows(harmonics: int, x: np.ndarray) -> np.ndarray:

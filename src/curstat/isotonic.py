@@ -35,6 +35,8 @@ general and needs the bin count chosen by the caller.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .data import ObservationSample
@@ -146,6 +148,8 @@ def birge_histogram(sample: ObservationSample, n_bins: int) -> StepCdf:
     """Status means over a regular partition of [0, 1], zero on empty bins.
 
     Observations outside [0, 1] are ignored. The last bin is closed at 1.
+    A point ``u`` falls in bin ``floor(u * n_bins)``, and the estimate
+    reads the same bin at ``u``: its knots are ``_bin_edges(n_bins)``.
     """
     if n_bins < 1:
         raise ValueError("need at least one bin")
@@ -156,5 +160,27 @@ def birge_histogram(sample: ObservationSample, n_bins: int) -> StepCdf:
     counts = np.bincount(idx, minlength=n_bins)
     sums = np.bincount(idx, weights=d, minlength=n_bins)
     values = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-    knots = np.arange(n_bins) / n_bins
-    return StepCdf(knots, values)
+    return StepCdf(_bin_edges(int(n_bins)), values)
+
+
+@functools.lru_cache(maxsize=128)
+def _bin_edges(n_bins: int) -> np.ndarray:
+    """Left edges of ``birge_histogram``'s bins, as a read-only array.
+
+    Edge k is the smallest float ``u`` with ``floor(u * n_bins) >= k``.
+    The rounded product can put a point within an ulp below ``k / n_bins``
+    in bin k, or one at ``k / n_bins`` in bin k - 1, so each edge starts
+    at ``k / n_bins`` and moves by single ulps until it is the smallest
+    float of its bin.
+    """
+    k = np.arange(n_bins)
+    edges = k / n_bins
+    while True:
+        lower = np.nextafter(edges, -np.inf)
+        down = np.floor(lower * n_bins) >= k
+        up = np.floor(edges * n_bins) < k
+        if not (down.any() or up.any()):
+            break
+        edges = np.where(down, lower, np.where(up, np.nextafter(edges, np.inf), edges))
+    edges.flags.writeable = False
+    return edges

@@ -11,9 +11,11 @@ Rank-deficient designs (empty histogram bins, more columns than
 observations) get the minimum-norm solution of the normal equations.
 
 ``fit_cdf_regression`` fits the whole collection from the per-piece
-Gram blocks and moments of one ``bases.subdivisions`` pass, the pass
-the density scan of ``projection`` also reads; the moments
-``sum delta * Q_a / n`` are the sub-density coefficients. At the
+Gram blocks and moments of one ``bases.subdivisions`` pass, which
+evaluates the basis at every subdivision; the moments
+``sum delta * Q_a / n`` are the sub-density coefficients, up to the
+last bits where the density scan of ``projection`` refines them from a
+finer subdivision. At the
 least-squares solution b'Gb = b'c, so most contrasts come in closed form
 from those statistics; a pass over the residuals of the points is made
 only for the noise pilot and where rounding could decide the pick.
@@ -65,6 +67,15 @@ def fit_least_squares(sample: ObservationSample, model: BasisModel) -> LeastSqua
     always admit a solution (c lies in the range of G); when G is
     singular the minimum-norm solution is taken, with relative rank
     tolerance 1e-10.
+
+    Accuracy, measured against an exact rational solve of the same
+    normal equations on gapped samples of up to 60 points
+    (``tests/test_regression.py::TestExactLeastSquares``): for
+    cond(G) <= 1e8 every coefficient lies within
+    ``64 * cond(G) * 2**-52 * max(1, max |b|)`` of the exact solution b.
+    Above about cond(G) = 1e10 the rank cut can drop a direction, and
+    the coefficients can then be off by far more. The fit's
+    ``gram_cond`` is the kept condition number to read.
     """
     return _fit_collection(sample, [model])[0][0]
 
@@ -205,6 +216,12 @@ def fit_cdf_regression(
     unscaled penalty of this size systematically blocks the
     bias-reducing model upgrades. The first model in collection order
     with the lowest score wins.
+
+    The coefficients carry ``fit_least_squares``'s error bound: within
+    ``64 * cond * 2**-52 * max(1, max |b|)`` of the exact least-squares
+    solution b for a kept condition number cond <= 1e8, with no bound
+    above about 1e10, where the rank cut can drop a direction. The
+    selected model's cond is ``metadata["gram_cond"]``.
 
     The estimate is the raw projection by default; values may leave
     [0, 1] near the boundary. Pass ``clamp=True`` to truncate at

@@ -20,7 +20,7 @@ from curstat import (
     trig_family,
     trig_model,
 )
-from curstat.bases import model_sort_key, piecewise_legendre, trig_rows
+from curstat.bases import model_sort_key, piecewise_legendre, trig_rows, two_scale
 from quadrature import gram_matrix, project_function, quadrature_rule
 
 
@@ -218,6 +218,31 @@ class TestNesting:
             fn = lambda x: design_matrix(coarse, x)[:, i]
             proj = project_function(fine, fn)
             assert proj @ proj == pytest.approx(1.0, abs=1e-10)
+
+
+class TestTwoScale:
+    @pytest.mark.parametrize("degree", range(10))
+    def test_lower_triangular_and_orthogonal(self, degree):
+        h0, h1 = two_scale(degree)
+        for h in (h0, h1):
+            assert h.shape == (degree + 1, degree + 1)
+            assert not h.flags.writeable
+            assert np.all(np.triu(h, 1) == 0.0)
+        np.testing.assert_allclose(
+            h0 @ h0.T + h1 @ h1.T, np.eye(degree + 1), rtol=0, atol=1e-15
+        )
+
+    @pytest.mark.parametrize("degree", [0, 1, 4, 9])
+    def test_inner_products_of_parent_and_halves(self, degree):
+        # h0[a, b] (h1[a, b]) is the inner product of the one-piece degree-a
+        # function with the two-piece degree-b function of the left (right) half
+        nodes, weights = quadrature_rule([0.0, 0.5, 1.0], 64)
+        parent = design_matrix(dyadic_model(0, degree), nodes)
+        halves = design_matrix(dyadic_model(1, degree), nodes)
+        inner = parent.T @ (weights[:, None] * halves)
+        h0, h1 = two_scale(degree)
+        np.testing.assert_allclose(inner[:, 0::2], h0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(inner[:, 1::2], h1, rtol=0, atol=1e-14)
 
 
 class TestModelValidation:

@@ -297,6 +297,48 @@ class TestBirgeHistogram:
         values = birge_histogram(sample, bins)(np.linspace(0.0, 1.0, 512))
         assert np.all((values >= 0.0) & (values <= 1.0))
 
+    @pytest.mark.parametrize(
+        "bins, u, other, expected",
+        [
+            # one ulp below the float 5 / 6, and times 6 it rounds to 5.0
+            (6, 0.8333333333333333, 0.9, 0.5),
+            # 0.6818181818181818 is the float 15 / 22, and times 22 it gives 14.999999999999998
+            (22, 0.6818181818181818, 0.7, 1.0),
+        ],
+    )
+    def test_point_an_ulp_from_a_knot_reads_its_own_bin(self, bins, u, other, expected):
+        # ``other`` shares the bin of u for 6 bins and sits in the next bin for 22
+        sample = ObservationSample([u, other], [1.0, 0.0])
+        assert birge_histogram(sample, bins)(u) == expected
+
+    def test_edges_are_the_smallest_floats_of_their_bins(self):
+        for bins in range(1, 1001):
+            edges = isotonic._bin_edges(bins)
+            k = np.arange(bins)
+            assert not edges.flags.writeable
+            assert np.all(np.floor(edges * bins) >= k)
+            assert np.all(np.floor(np.nextafter(edges, -np.inf) * bins) < k)
+            np.testing.assert_allclose(edges, k / bins, rtol=0, atol=np.spacing(1.0))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_each_point_reads_the_mean_of_its_bin(self, data):
+        bins = data.draw(st.integers(1, 40))
+        near_knot = st.builds(
+            lambda k, steps: float(np.clip(k / bins + steps * np.spacing(k / bins), 0.0, 1.0)),
+            st.integers(0, bins),
+            st.integers(-2, 2),
+        )
+        times = data.draw(st.lists(st.one_of(st.floats(-0.5, 1.5), near_knot), min_size=1, max_size=30))
+        status = data.draw(st.lists(st.integers(0, 1), min_size=len(times), max_size=len(times)))
+        sample = ObservationSample(times, status)
+        est = birge_histogram(sample, bins)
+        inside = (sample.u >= 0.0) & (sample.u <= 1.0)
+        u, d = sample.u[inside], sample.delta[inside]
+        idx = np.minimum(np.floor(u * bins), bins - 1)
+        for ui, i in zip(u, idx):
+            assert est(ui) == d[idx == i].mean()
+
     def test_matches_histogram_least_squares(self, rng):
         for _ in range(20):
             sample = random_sample(rng, int(rng.integers(5, 100)), p_outside=0.1)

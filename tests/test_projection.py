@@ -5,6 +5,7 @@ import pytest
 
 from curstat import (
     CAP_DENSITY,
+    BasisModel,
     ObservationSample,
     build_collection,
     density_penalty,
@@ -21,6 +22,8 @@ from curstat import (
     trig_model,
     SimModel,
 )
+from curstat.bases import subdivisions
+from curstat.projection import _piece_moments
 
 from conftest import random_sample
 from dense_oracle import dense_coefficients, dense_contrast
@@ -212,6 +215,56 @@ class TestCoefficientNesting:
         np.testing.assert_allclose(
             coarse, (fine[0::2] + fine[1::2]) / math.sqrt(2.0), atol=1e-12
         )
+
+
+def bincount_sums(sample, family, pieces, degree, weights):
+    """Per-piece sums at one subdivision, one ``np.bincount`` per basis row, over n."""
+    model = BasisModel(family, pieces=pieces, degree=degree)
+    ((_, piece, columns, w),) = subdivisions([model], sample.u, weights)
+    return np.array([np.bincount(piece, row * w, pieces) for row in columns]) / sample.n
+
+
+def assert_refined_sums_match(sample, family, atol):
+    """Every subdivision's sums against its own bincount; degree-0 rows bitwise."""
+    collection = build_collection(family, sample.n, CAP_DENSITY)
+    levels = 0
+    for group, sub, den in _piece_moments(collection, sample.u, sample.delta, sample.n):
+        pieces, degree = group[0].pieces, sub.shape[0] - 1
+        for sums, weights in ((sub, sample.delta), (den, np.ones(sample.n))):
+            expected = bincount_sums(sample, family, pieces, degree, weights)
+            assert sums[0].tobytes() == expected[0].tobytes()
+            np.testing.assert_allclose(sums, expected, rtol=0, atol=atol)
+        levels += 1
+    assert levels == len({model.pieces for model in collection})
+
+
+class TestTwoScaleRefinement:
+    @pytest.mark.parametrize("family", [dyadic_family(), dyadic_family(0), haar_family()])
+    @pytest.mark.parametrize("n", [60, 1000, 50_000])
+    @pytest.mark.parametrize("model_id", [3, 5])
+    def test_matches_per_subdivision_sums(self, family, n, model_id):
+        assert_refined_sums_match(generate(SimModel(model_id), n, 23), family, 1e-13)
+
+    @pytest.mark.parametrize("family", [dyadic_family(), haar_family()])
+    def test_degree_zero_bitwise_on_boundaries_and_outside(self, rng, family):
+        # every dyadic boundary k / 64 twice (0 and 1 among them), more points
+        # at exactly 1.0, points outside [0, 1], and uniform points
+        boundaries = np.arange(65) / 64
+        u = np.concatenate([boundaries, boundaries, [1.0] * 5, [-0.25, 1.5, 2.0], rng.random(400)])
+        sample = ObservationSample(u, rng.integers(0, 2, u.size))
+        assert_refined_sums_match(sample, family, 1e-13)
+        collection = build_collection(family, sample.n, CAP_DENSITY)
+        for est, weights in zip(select_projection_model(sample, collection), (sample.delta, None)):
+            expected = empirical_coefficients(sample, est.model, weights)
+            pieces = est.model.pieces
+            assert est.coeffs[:pieces].tobytes() == expected[:pieces].tobytes()
+
+    @pytest.mark.parametrize("family", [dyadic_family(), haar_family()])
+    def test_no_point_inside(self, family):
+        sample = ObservationSample(np.linspace(1.5, 3.0, 200), np.tile([0.0, 1.0], 100))
+        assert_refined_sums_match(sample, family, 0.0)
+        sub, den = fit_pair(sample, family)
+        assert np.all(sub.coeffs == 0.0) and np.all(den.coeffs == 0.0)
 
 
 class TestRiskDecomposition:
