@@ -292,29 +292,127 @@ def trig_rows(harmonics: int, x: np.ndarray) -> np.ndarray:
     return rows
 
 
-def subdivisions(models, u: np.ndarray, delta: np.ndarray):
-    """Group ``models`` by piece count and evaluate each group's richest model.
+def sorted_inside(u: np.ndarray, *rows: np.ndarray):
+    """The points of ``u`` in [0, 1] in stable sorted order, and ``rows`` alike.
 
-    Sorts the points ``u`` in [0, 1] and their ``delta`` once (stable), so
-    each occupied piece is one contiguous run, and yields ``(group, piece,
-    columns, delta)``: the piece of each sorted point, one row per basis
-    function of the richest model, and the sorted statuses. A model of the
-    group uses the first ``dim // pieces`` rows.
+    Returns ``(x, *rows)``, each row cut to the entries of the points in
+    [0, 1] and put in the order of ``x``. On sorted points each piece of
+    a subdivision is one contiguous run.
     """
-    inside = (u >= 0.0) & (u <= 1.0)
-    order = np.argsort(u[inside], kind="stable")
-    x = u[inside][order]
-    delta = delta[inside][order]
+    inside = np.flatnonzero((u >= 0.0) & (u <= 1.0))
+    order = inside[np.argsort(u[inside], kind="stable")]
+    return (u[order], *(row[order] for row in rows))
+
+
+def _by_pieces(models) -> dict[int, list[BasisModel]]:
     groups: dict[int, list[BasisModel]] = {}
     for model in models:
         groups.setdefault(model.pieces, []).append(model)
-    for pieces, group in groups.items():
+    return groups
+
+
+def subdivisions(models, x: np.ndarray):
+    """Group ``models`` by piece count and evaluate each group's richest model.
+
+    ``x`` holds sorted points in [0, 1], as ``sorted_inside`` returns
+    them. Yields ``(group, piece, columns)`` in the order the piece
+    counts first appear in ``models``: the piece of each point, and one
+    row per basis function of the richest model. A model of the group
+    uses the first ``dim // pieces`` rows.
+    """
+    for pieces, group in _by_pieces(models).items():
         richest = max(group, key=lambda model: model.dim)
         if richest.family.tag == TRIG:
-            yield group, np.zeros(x.size, dtype=int), trig_rows(richest.harmonics, x), delta
+            yield group, np.zeros(x.size, dtype=int), trig_rows(richest.harmonics, x)
         else:
             piece, values = piecewise_legendre(pieces, richest.degree, x)
-            yield group, piece, values.T, delta
+            yield group, piece, values.T
+
+
+def row_sums(piece, columns, weights, pieces: int) -> list[np.ndarray]:
+    """Per-piece sums of each basis row times each weight row, by ``np.bincount``.
+
+    Returns one ``(len(columns), pieces)`` array per row of ``weights``.
+    """
+    return [np.array([np.bincount(piece, row * w, pieces) for row in columns]) for w in weights]
+
+
+def _piece_gram(columns, counts) -> np.ndarray:
+    """Per-piece sums of products of two rows of ``columns``, over sorted points.
+
+    Piece j is the run of ``counts[j]`` points after the runs before it.
+    Returns the ``(pieces, rows, rows)`` blocks ``run @ run.T``, one
+    matrix product per occupied piece; empty pieces get zero blocks.
+    """
+    gram = np.zeros((counts.size, columns.shape[0], columns.shape[0]))
+    stops = np.cumsum(counts)
+    for j in np.flatnonzero(counts):
+        run = columns[:, stops[j] - counts[j] : stops[j]]
+        gram[j] = run @ run.T
+    return gram
+
+
+def dyadic_sums(models, x: np.ndarray, weights, gram: bool = False):
+    """Per-piece sums of a dyadic collection at each of its subdivisions.
+
+    ``x`` holds sorted points in [0, 1] and ``weights`` rows of weights
+    in the same order, as ``sorted_inside`` returns them. Yields
+    ``(group, counts, sums, products)`` per subdivision of ``models``,
+    finest first: the number of points per piece; per weight row, a
+    ``(degree + 1, pieces)`` array whose row ``a`` holds the per-piece
+    sums of the degree-``a`` functions times the weights; and, with
+    ``gram``, the ``(pieces, degree + 1, degree + 1)`` per-piece sums of
+    products of two basis functions (else None). A model of the group
+    reads the leading ``dim // pieces`` rows.
+
+    The basis is evaluated once, at the finest subdivision and the
+    largest degree, where ``row_sums`` and ``_piece_gram`` sum it. Each
+    coarser subdivision follows from the next finer one by the two-scale
+    matrices: ``h0 @ left + h1 @ right`` for the sums and
+    ``h0 @ left @ h0.T + h1 @ right @ h1.T`` for the products. Degree-0
+    entries are rebuilt from integer point counts instead. The degree-0
+    product of every subdivision is the piece's point count times m,
+    exactly. A degree-0 sum is ``sqrt(m)`` added once per point of
+    weight 1 in the piece, in order; each coarser subdivision reads it
+    from a running sum of ``sqrt(m)`` at the counts, which is bitwise a
+    per-subdivision ``np.bincount`` of the constant. The finest
+    subdivision keeps its own sums, so a single subdivision takes any
+    weights; several need 0/1 weights. The refinement carries the
+    refined degree-0 sums, not the running ones: those drift from
+    ``count * sqrt(m)`` by up to ``count * 2**-53`` relative, which the
+    higher degrees would inherit.
+    """
+    groups = _by_pieces(models)
+    pieces, coarsest = max(groups), min(groups)
+    finest = BasisModel(models[0].family, pieces, max(model.degree for model in models))
+    ((_, piece, columns),) = subdivisions([finest], x)
+    # the points are sorted, so each piece is one run of their piece indices
+    counts = np.diff(np.searchsorted(piece, np.arange(pieces + 1)))
+    sums = level_sums = row_sums(piece, columns, weights, pieces)
+    products = _piece_gram(columns, counts) if gram else None
+    if pieces > coarsest:
+        h0, h1 = two_scale(finest.degree)
+        # sums of 0/1 weights are exact integers
+        weight_counts = [np.bincount(piece, w, pieces).astype(int) for w in weights]
+    while True:
+        if gram:
+            products[:, 0, 0] = counts * float(pieces)
+        if pieces in groups:
+            yield groups[pieces], counts, level_sums, products
+        if pieces == coarsest:
+            return
+        pieces //= 2
+        sums = [h0 @ s[:, 0::2] + h1 @ s[:, 1::2] for s in sums]
+        if gram:
+            products = h0 @ products[0::2] @ h0.T + h1 @ products[1::2] @ h1.T
+        counts = counts[0::2] + counts[1::2]
+        weight_counts = [c[0::2] + c[1::2] for c in weight_counts]
+        terms = np.full(counts.max() + 1, np.sqrt(float(pieces)))
+        terms[0] = 0.0
+        running = terms.cumsum()
+        level_sums = [s.copy() for s in sums]
+        for level, c in zip(level_sums, weight_counts):
+            level[0] = running[c]
 
 
 # ---------------------------------------------------------------------------

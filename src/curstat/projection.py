@@ -14,15 +14,15 @@ unknown integral of the sub-density.
 ``select_projection_model`` takes every candidate's coefficients from
 per-piece sums over the points in sorted time order, and
 ``empirical_coefficients`` takes one model's from the same helper. For
-the dyadic families the basis is evaluated once, at the finest
-subdivision of the collection; each coarser subdivision's sums follow
-from the next finer one's by the two-scale matrices of
-``bases.two_scale``, and its degree-0 sums are rebuilt from integer
-point counts so that they stay bitwise those of a per-subdivision
-``np.bincount``. The regular piecewise and trigonometric families, whose
-subdivisions do not nest, are summed per subdivision of
-``bases.subdivisions``. The dense coefficients and general contrast are
-in ``tests/dense_oracle.py``.
+the dyadic families that is ``bases.dyadic_sums``, which the regression
+scan reads too: the basis is evaluated once, at the finest subdivision
+of the collection; each coarser subdivision's sums follow from the next
+finer one's by the two-scale matrices of ``bases.two_scale``, and its
+degree-0 sums are rebuilt from integer point counts so that they stay
+bitwise those of a per-subdivision ``np.bincount``. The regular
+piecewise and trigonometric families, whose subdivisions do not nest,
+are summed per subdivision of ``bases.subdivisions``. The dense
+coefficients and general contrast are in ``tests/dense_oracle.py``.
 """
 
 from __future__ import annotations
@@ -35,9 +35,11 @@ from .bases import (
     BasisModel,
     corrected_dim,
     design_matrix,
+    dyadic_sums,
     phi0,
+    row_sums,
+    sorted_inside,
     subdivisions,
-    two_scale,
     _DYADIC_TAGS,
 )
 from .data import ObservationSample
@@ -86,72 +88,30 @@ def empirical_coefficients(
     weights = np.ones(sample.n) if weights is None else np.asarray(weights, dtype=float)
     if weights.shape != (sample.n,):
         raise ValueError("weights must have one entry per observation")
-    ((_, sums, _),) = _piece_moments([model], sample.u, weights, sample.n)
+    ((_, (sums,)),) = _piece_moments([model], sample.u, [weights], sample.n)
     return sums.ravel()
 
 
 def _piece_moments(models, u, weights, n: int):
-    """Per-piece sums of basis rows times ``weights`` and times ones, over n.
+    """Per-piece sums of basis rows times each row of ``weights``, over n.
 
-    Yields ``(group, weighted, plain)`` per subdivision of ``models``,
-    the groups of ``bases.subdivisions``: row ``a`` of each array holds
-    the per-piece sums of the degree-``a`` functions (for trig, of the
-    ``a``-th function, on one piece), and a model of the group reads its
-    first ``dim // pieces`` rows. Sums run with ``np.bincount`` over the
-    points in sorted time order.
-
-    Dyadic families evaluate the basis once, at the finest subdivision
-    and the largest degree, and get each coarser subdivision from the
-    next finer one by ``bases.two_scale``. A degree-0 sum is ``sqrt(m)``
-    added once per point of the piece, in order; so that coarser
-    subdivisions keep it bit for bit, their degree-0 rows are read from
-    a running sum of ``sqrt(m)`` at the integer point counts. This needs
-    0/1 ``weights`` whenever the models span more than one subdivision.
+    Yields ``(group, sums)`` per subdivision of ``models``, with one
+    array in ``sums`` per weight row: its row ``a`` holds the per-piece
+    sums of the degree-``a`` functions (for trig, of the ``a``-th
+    function, on one piece), and a model of the group reads its first
+    ``dim // pieces`` rows. Sums run with ``np.bincount`` over the points
+    in sorted time order. The dyadic families take them from
+    ``bases.dyadic_sums``, which sums the finest subdivision only and
+    refines the others from it; that needs 0/1 weights whenever the
+    models span more than one subdivision.
     """
-    if models[0].family.tag not in _DYADIC_TAGS:
-        for group, piece, columns, w in subdivisions(models, u, weights):
-            weighted, plain = _row_sums(piece, columns, w, group[0].pieces)
-            yield group, weighted / n, plain / n
+    x, *weights = sorted_inside(u, *weights)
+    if models[0].family.tag in _DYADIC_TAGS:
+        for group, _, sums, _ in dyadic_sums(models, x, weights):
+            yield group, [s / n for s in sums]
         return
-
-    groups: dict[int, list[BasisModel]] = {}
-    for model in models:
-        groups.setdefault(model.pieces, []).append(model)
-    pieces, coarsest = max(groups), min(groups)
-    finest = BasisModel(models[0].family, pieces, max(model.degree for model in models))
-    ((_, piece, columns, w),) = subdivisions([finest], u, weights)
-    weighted, plain = _row_sums(piece, columns, w, pieces)
-    if pieces > coarsest:
-        h0, h1 = two_scale(finest.degree)
-        weighted_count = np.bincount(piece[w == 1.0], minlength=pieces)
-        plain_count = np.bincount(piece, minlength=pieces)
-    level = weighted, plain
-    while True:
-        if pieces in groups:
-            yield groups[pieces], level[0] / n, level[1] / n
-        if pieces == coarsest:
-            return
-        pieces //= 2
-        weighted = h0 @ weighted[:, 0::2] + h1 @ weighted[:, 1::2]
-        plain = h0 @ plain[:, 0::2] + h1 @ plain[:, 1::2]
-        weighted_count = weighted_count[0::2] + weighted_count[1::2]
-        plain_count = plain_count[0::2] + plain_count[1::2]
-        # the refined degree-0 rows carry on to the coarser subdivisions:
-        # running sums of sqrt(m) drift from the exact count * sqrt(m) by
-        # up to count * 2**-53 relative, and the higher rows would inherit it
-        running = np.cumsum(np.full(plain_count.max(), np.sqrt(float(pieces))))
-        running = np.concatenate(([0.0], running))
-        level = (
-            np.vstack((running[weighted_count], weighted[1:])),
-            np.vstack((running[plain_count], plain[1:])),
-        )
-
-
-def _row_sums(piece, columns, w, pieces: int):
-    """Per-piece sums of each basis row times ``w`` and times ones."""
-    weighted = np.array([np.bincount(piece, row * w, pieces) for row in columns])
-    plain = np.array([np.bincount(piece, row, pieces) for row in columns])
-    return weighted, plain
+    for group, piece, columns in subdivisions(models, x):
+        yield group, [s / n for s in row_sums(piece, columns, weights, group[0].pieces)]
 
 
 def density_penalty(
@@ -208,7 +168,8 @@ def select_projection_model(
         raise ValueError("empty model collection")
     n = sample.n
     coeffs = {}
-    for group, sub, den in _piece_moments(collection, sample.u, sample.delta, n):
+    weights = sample.delta, np.ones(n)
+    for group, (sub, den) in _piece_moments(collection, sample.u, weights, n):
         pieces = group[0].pieces
         for model in group:
             k = model.dim // pieces

@@ -56,6 +56,26 @@ def dense_density_selection(sample, collection, kappa, weights, delta_mean):
     return best
 
 
+def dense_piece_statistics(sample, model, chunk=4096):
+    """Each piece's Gram block and moment from the dense design, over n.
+
+    Returns ``(gram, moment)`` of shapes ``(pieces, d, d)`` and
+    ``(pieces, d)`` with ``d = dim // pieces``: block j holds the
+    products of the degree-0..d-1 functions of piece j, the columns
+    ``a * pieces + j`` of ``design_matrix``, and moment j their products
+    with the statuses. The design is built ``chunk`` points at a time.
+    """
+    m, d = model.pieces, model.dim // model.pieces
+    gram, moment = np.zeros((m, d, d)), np.zeros((m, d))
+    for start in range(0, sample.n, chunk):
+        rows = slice(start, start + chunk)
+        # design columns a * m + j as (point, degree a, piece j)
+        design = design_matrix(model, sample.u[rows]).reshape(-1, d, m)
+        gram += np.einsum("iaj,ibj->jab", design, design)
+        moment += np.einsum("iaj,i->ja", design, sample.delta[rows])
+    return gram / sample.n, moment / sample.n
+
+
 def dense_least_squares(sample, model):
     """Normal equations ``X'X b = X'delta`` solved by ``lstsq`` with rcond 1e-10."""
     design = design_matrix(model, sample.u)

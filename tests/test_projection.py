@@ -22,7 +22,7 @@ from curstat import (
     trig_model,
     SimModel,
 )
-from curstat.bases import subdivisions
+from curstat.bases import sorted_inside, subdivisions
 from curstat.projection import _piece_moments
 
 from conftest import random_sample
@@ -220,7 +220,8 @@ class TestCoefficientNesting:
 def bincount_sums(sample, family, pieces, degree, weights):
     """Per-piece sums at one subdivision, one ``np.bincount`` per basis row, over n."""
     model = BasisModel(family, pieces=pieces, degree=degree)
-    ((_, piece, columns, w),) = subdivisions([model], sample.u, weights)
+    x, w = sorted_inside(sample.u, weights)
+    ((_, piece, columns),) = subdivisions([model], x)
     return np.array([np.bincount(piece, row * w, pieces) for row in columns]) / sample.n
 
 
@@ -228,7 +229,8 @@ def assert_refined_sums_match(sample, family, atol):
     """Every subdivision's sums against its own bincount; degree-0 rows bitwise."""
     collection = build_collection(family, sample.n, CAP_DENSITY)
     levels = 0
-    for group, sub, den in _piece_moments(collection, sample.u, sample.delta, sample.n):
+    weights = sample.delta, np.ones(sample.n)
+    for group, (sub, den) in _piece_moments(collection, sample.u, weights, sample.n):
         pieces, degree = group[0].pieces, sub.shape[0] - 1
         for sums, weights in ((sub, sample.delta), (den, np.ones(sample.n))):
             expected = bincount_sums(sample, family, pieces, degree, weights)

@@ -24,11 +24,18 @@ from curstat import (
     trig_model,
     SimModel,
 )
-from curstat import regression
+from curstat import bases, regression, select_projection_model
+from curstat.bases import sorted_inside
+from curstat.projection import _piece_moments
 from curstat.regression import _fit_collection
 
 from conftest import random_sample, tied_samples
-from dense_oracle import dense_least_squares, dense_selection, exact_least_squares
+from dense_oracle import (
+    dense_least_squares,
+    dense_piece_statistics,
+    dense_selection,
+    exact_least_squares,
+)
 
 
 class TestFitLeastSquares:
@@ -429,3 +436,129 @@ class TestExactLeastSquares:
         # three points cannot determine a degree-5 polynomial
         sample = ObservationSample([0.1, 0.5, 0.9], [0.0, 1.0, 1.0])
         assert exact_least_squares(sample, dyadic_model(0, 5)) is None
+
+
+class TestRefinedGramBlocks:
+    """The dyadic scan's refined per-piece statistics against dense products.
+
+    Every Gram entry and every moment above degree 0 lies within
+    ``TOL * 2**-52`` times the largest entry of its piece's dense block
+    (10.5 is the worst seen). The degree-0 entries are count-exact: the
+    Gram diagonal is the piece's point count times m, and the moment is
+    a per-subdivision ``np.bincount`` of the constant ``sqrt(m)`` over
+    the piece's status-1 points.
+    """
+
+    TOL = 64.0
+    FAMILIES = [dyadic_family(), dyadic_family(0), haar_family()]
+    FAMILY_IDS = ["dyadic", "dyadic0", "haar"]
+
+    def assert_matches_dense(self, sample, family):
+        n = sample.n
+        models = build_collection(family, n, "regression")
+        x, delta = sorted_inside(sample.u, sample.delta)
+        levels = set()
+        for group, counts, gram, moment, _ in regression._statistics(models, x, delta):
+            richest = max(group, key=lambda model: model.dim)
+            m, d = richest.pieces, richest.degree + 1
+            gram, moment = gram[:, :d, :d] / n, moment[:, :d] / n
+            dense_gram, dense_moment = dense_piece_statistics(sample, richest)
+            bound = self.TOL * 2.0**-52 * np.abs(dense_gram).max(axis=(1, 2))
+            assert np.all(np.abs(gram - dense_gram) <= bound[:, None, None])
+            assert np.all(np.abs(moment[:, 1:] - dense_moment[:, 1:]) <= bound[:, None])
+            piece = np.minimum((x * m).astype(int), m - 1)
+            assert counts.tolist() == np.bincount(piece, minlength=m).tolist()
+            assert gram[:, 0, 0].tobytes() == (counts * float(m) / n).tobytes()
+            status_sums = np.bincount(piece, np.sqrt(float(m)) * delta, m)
+            assert moment[:, 0].tobytes() == (status_sums / n).tobytes()
+            levels.add(m)
+        assert levels == {model.pieces for model in models}
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
+    @pytest.mark.parametrize("n", [60, 1000, 50_000])
+    def test_matches_dense_blocks(self, family, n):
+        for model_id in range(1, 6):
+            self.assert_matches_dense(generate(SimModel(model_id), n, model_id), family)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
+    def test_matches_dense_blocks_on_sparse_samples(self, family):
+        # empty finest pieces, points outside [0, 1] and constant statuses
+        for sample in sparse_samples():
+            self.assert_matches_dense(sample, family)
+
+
+class TestSharedSums:
+    """The regression scan reads the density scan's sums and sorts once."""
+
+    @pytest.mark.parametrize("family", [dyadic_family(), haar_family()])
+    @pytest.mark.parametrize("n", [200, 5000])
+    def test_moments_are_subdensity_coefficients(self, monkeypatch, family, n):
+        sample = generate(SimModel(3), n, 1)
+        models = build_collection(family, n, "regression")
+        assert models == build_collection(family, n, "density")
+        used = {}
+        solve = regression._solve_blocks
+
+        def recording_solve(gram, moment):
+            # a (pieces, k) moment belongs to the model with k functions per piece
+            used[moment.shape] = moment.T.ravel()
+            return solve(gram, moment)
+
+        monkeypatch.setattr(regression, "_solve_blocks", recording_solve)
+        _fit_collection(sample, models)
+        assert len(used) == len(models)
+        weights = sample.delta, np.ones(n)
+        for group, (sub, _) in _piece_moments(models, sample.u, weights, n):
+            for model in group:
+                k = model.dim // model.pieces
+                assert used[model.pieces, k].tobytes() == sub[:k].ravel().tobytes()
+        sub_estimate, _ = select_projection_model(sample, models)
+        model = sub_estimate.model
+        key = model.pieces, model.dim // model.pieces
+        assert used[key].tobytes() == sub_estimate.coeffs.tobytes()
+
+    @pytest.mark.parametrize(
+        "family, sample",
+        [
+            (dyadic_family(), generate(SimModel(3), 50_000, 2)),
+            (dyadic_family(), generate(SimModel(5), 1000, 0)),
+            (haar_family(), generate(SimModel(3), 5000, 2)),
+            (dyadic_family(), ObservationSample(np.linspace(0.0, 1.0, 1000), np.ones(1000))),
+        ],
+        ids=["dyadic-50000", "dyadic-1000", "haar-5000", "constant"],
+    )
+    def test_one_basis_evaluation_per_residual_level(self, monkeypatch, family, sample):
+        calls, sorts = [], []
+        legendre, argsort = bases.piecewise_legendre, np.argsort
+
+        def counted_legendre(pieces, degree, x):
+            calls.append((pieces, degree))
+            return legendre(pieces, degree, x)
+
+        def counted_argsort(*args, **kwargs):
+            sorts.append(args)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(bases, "piecewise_legendre", counted_legendre)
+        monkeypatch.setattr(regression, "piecewise_legendre", counted_legendre)
+        monkeypatch.setattr(np, "argsort", counted_argsort)
+        models = build_collection(family, sample.n, "regression")
+        fits, pilot = _fit_collection(sample, models)
+        monkeypatch.undo()
+
+        total = float(sample.delta @ sample.delta) / sample.n
+        residual = {
+            fit.model.pieces
+            for fit in fits
+            if fit.model == models[-1]
+            or fit.gram_cond > regression._COND_CUT
+            or pilot <= regression._PILOT_FLOOR * total
+        }
+
+        def top_degree(pieces):
+            return max(model.degree for model in models if model.pieces == pieces)
+
+        finest = max(model.pieces for model in models)
+        assert calls[0] == (finest, max(model.degree for model in models))
+        assert sorted(calls[1:]) == sorted((pieces, top_degree(pieces)) for pieces in residual)
+        assert len(sorts) == 1
