@@ -213,15 +213,9 @@ def design_matrix(model: BasisModel, x) -> np.ndarray:
     inside = (x >= 0.0) & (x <= 1.0)
     if not inside.any():
         return out
-    xi = x[inside]
-
-    if model.family.tag == TRIG:
-        out[inside] = trig_rows(model.harmonics, xi).T
-        return out
-
-    piece, values = piecewise_legendre(model.pieces, model.degree, xi)
-    cols = np.arange(model.degree + 1)[None, :] * model.pieces + piece[:, None]
-    out[np.nonzero(inside)[0][:, None], cols] = values
+    piece, rows = basis_rows(model, x[inside])
+    # column a * pieces + j of a row is entry (a, j) of its (dim // pieces, pieces) view
+    out.reshape(x.size, -1, model.pieces)[inside, :, piece] = rows.T
     return out
 
 
@@ -311,22 +305,18 @@ def _by_pieces(models) -> dict[int, list[BasisModel]]:
     return groups
 
 
-def subdivisions(models, x: np.ndarray):
-    """Group ``models`` by piece count and evaluate each group's richest model.
+def basis_rows(model: BasisModel, x: np.ndarray):
+    """Piece index and basis rows of ``model`` at points ``x`` in [0, 1].
 
-    ``x`` holds sorted points in [0, 1], as ``sorted_inside`` returns
-    them. Yields ``(group, piece, columns)`` in the order the piece
-    counts first appear in ``models``: the piece of each point, and one
-    row per basis function of the richest model. A model of the group
-    uses the first ``dim // pieces`` rows.
+    Returns ``(piece, rows)``: the piece of each point and one row per
+    basis function of a piece, ``dim // pieces`` rows (for trig, every
+    function, on its one piece). Row ``a`` at point i is the entry of
+    ``design_matrix`` at column ``a * pieces + piece[i]``.
     """
-    for pieces, group in _by_pieces(models).items():
-        richest = max(group, key=lambda model: model.dim)
-        if richest.family.tag == TRIG:
-            yield group, np.zeros(x.size, dtype=int), trig_rows(richest.harmonics, x)
-        else:
-            piece, values = piecewise_legendre(pieces, richest.degree, x)
-            yield group, piece, values.T
+    if model.family.tag == TRIG:
+        return np.zeros(x.size, dtype=int), trig_rows(model.harmonics, x)
+    piece, values = piecewise_legendre(model.pieces, model.degree, x)
+    return piece, values.T
 
 
 def row_sums(piece, columns, weights, pieces: int) -> list[np.ndarray]:
@@ -352,55 +342,83 @@ def _piece_gram(columns, counts) -> np.ndarray:
     return gram
 
 
-def dyadic_sums(models, x: np.ndarray, weights, gram: bool = False):
-    """Per-piece sums of a dyadic collection at each of its subdivisions.
+def piece_sums(models, x: np.ndarray, weights, gram: bool = False):
+    """Per-piece sums of a collection at each of its subdivisions.
 
     ``x`` holds sorted points in [0, 1] and ``weights`` rows of weights
     in the same order, as ``sorted_inside`` returns them. Yields
-    ``(group, counts, sums, products)`` per subdivision of ``models``,
-    finest first: the number of points per piece; per weight row, a
-    ``(degree + 1, pieces)`` array whose row ``a`` holds the per-piece
-    sums of the degree-``a`` functions times the weights; and, with
-    ``gram``, the ``(pieces, degree + 1, degree + 1)`` per-piece sums of
-    products of two basis functions (else None). A model of the group
-    reads the leading ``dim // pieces`` rows.
+    ``(group, counts, sums, products, rows)`` per subdivision of
+    ``models`` (the models of one piece count), in the order the
+    subdivisions first appear in ``models``: the number of points per
+    piece; per weight row, a ``(d, pieces)`` array whose row ``a`` holds
+    the per-piece sums of the ``a``-th function of a piece (the
+    degree-``a`` one for piecewise families) times the weights; with
+    ``gram``, the ``(pieces, d, d)`` per-piece sums of products of two
+    basis functions (else None); and the ``d`` rows of ``basis_rows`` at
+    ``x`` where the subdivision was evaluated (else None). A model of the
+    group reads the leading ``dim // pieces`` rows. The degree-0 product
+    of every subdivision is the piece's point count times m, exactly.
 
-    The basis is evaluated once, at the finest subdivision and the
-    largest degree, where ``row_sums`` and ``_piece_gram`` sum it. Each
-    coarser subdivision follows from the next finer one by the two-scale
-    matrices: ``h0 @ left + h1 @ right`` for the sums and
-    ``h0 @ left @ h0.T + h1 @ right @ h1.T`` for the products. Degree-0
-    entries are rebuilt from integer point counts instead. The degree-0
-    product of every subdivision is the piece's point count times m,
-    exactly. A degree-0 sum is ``sqrt(m)`` added once per point of
+    The regular piecewise and trigonometric families, whose subdivisions
+    do not nest, evaluate each subdivision's richest model once, sum it
+    with ``row_sums`` and ``_piece_gram`` and hand its rows back, one
+    subdivision at a time. The dyadic families evaluate the basis once,
+    at the finest subdivision and the largest degree, where ``row_sums``
+    and ``_piece_gram`` sum it. Each coarser subdivision follows from the
+    next finer one by the two-scale matrices: ``h0 @ left + h1 @ right``
+    for the sums and ``h0 @ left @ h0.T + h1 @ right @ h1.T`` for the
+    products. Degree-0 entries are rebuilt from integer point counts
+    instead. A degree-0 sum is ``sqrt(m)`` added once per point of
     weight 1 in the piece, in order; each coarser subdivision reads it
     from a running sum of ``sqrt(m)`` at the counts, which is bitwise a
     per-subdivision ``np.bincount`` of the constant. The finest
     subdivision keeps its own sums, so a single subdivision takes any
-    weights; several need 0/1 weights. The refinement carries the
-    refined degree-0 sums, not the running ones: those drift from
-    ``count * sqrt(m)`` by up to ``count * 2**-53`` relative, which the
-    higher degrees would inherit.
+    weights; several dyadic ones need 0/1 weights. The refinement
+    carries the refined degree-0 sums, not the running ones: those drift
+    from ``count * sqrt(m)`` by up to ``count * 2**-53`` relative, which
+    the higher degrees would inherit. The dyadic subdivisions are all
+    summed before the first is yielded, and yield no rows.
     """
     groups = _by_pieces(models)
-    pieces, coarsest = max(groups), min(groups)
-    finest = BasisModel(models[0].family, pieces, max(model.degree for model in models))
-    ((_, piece, columns),) = subdivisions([finest], x)
+    if models[0].family.tag not in _DYADIC_TAGS:
+        for group in groups.values():
+            richest = max(group, key=lambda model: model.dim)
+            ((counts, sums, products, rows),) = _refined(richest, richest.pieces, x, weights, gram)
+            yield group, counts, sums, products, rows
+        return
+    finest = BasisModel(models[0].family, max(groups), max(model.degree for model in models))
+    levels = {
+        counts.size: (counts, sums, products)
+        for counts, sums, products, _ in _refined(finest, min(groups), x, weights, gram)
+    }
+    for pieces, group in groups.items():
+        yield group, *levels[pieces], None
+
+
+def _refined(model: BasisModel, coarsest: int, x: np.ndarray, weights, gram: bool):
+    """``piece_sums`` of ``model``'s subdivision and of each coarser one down to ``coarsest``.
+
+    Yields ``(counts, sums, products, rows)``, halving the piece count at
+    each step, so only a dyadic model has more than one subdivision. The
+    rows of ``basis_rows`` come with the first subdivision only.
+    """
+    pieces = model.pieces
+    piece, rows = basis_rows(model, x)
     # the points are sorted, so each piece is one run of their piece indices
     counts = np.diff(np.searchsorted(piece, np.arange(pieces + 1)))
-    sums = level_sums = row_sums(piece, columns, weights, pieces)
-    products = _piece_gram(columns, counts) if gram else None
+    sums = level_sums = row_sums(piece, rows, weights, pieces)
+    products = _piece_gram(rows, counts) if gram else None
     if pieces > coarsest:
-        h0, h1 = two_scale(finest.degree)
+        h0, h1 = two_scale(model.degree)
         # sums of 0/1 weights are exact integers
         weight_counts = [np.bincount(piece, w, pieces).astype(int) for w in weights]
     while True:
         if gram:
             products[:, 0, 0] = counts * float(pieces)
-        if pieces in groups:
-            yield groups[pieces], counts, level_sums, products
+        yield counts, level_sums, products, rows
         if pieces == coarsest:
             return
+        rows = None
         pieces //= 2
         sums = [h0 @ s[:, 0::2] + h1 @ s[:, 1::2] for s in sums]
         if gram:

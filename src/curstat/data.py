@@ -4,7 +4,8 @@ An observation is a pair ``(u, delta)``: an examination time and the
 0/1 indicator of whether the event of interest had already occurred at
 that time. Sample files are plain text, one observation per line as
 ``u,delta`` (whitespace-delimited also accepted), with an optional
-header line.
+header line before the first observation; blank lines and ``#`` comment
+lines may come anywhere.
 """
 
 from __future__ import annotations
@@ -63,9 +64,16 @@ def _split_fields(line: str) -> list[str]:
 
 
 def read_sample(path) -> ObservationSample:
-    """Parse an observation file; SampleFormatError on bad rows or on times below 0."""
+    """Parse an observation file; SampleFormatError on bad rows or on times below 0.
+
+    Blank lines and lines starting with ``#`` are skipped. The first
+    other line may be a header, such as ``u,delta``: it is skipped when
+    it does not parse as an observation.
+    """
     u_vals: list[float] = []
     d_vals: list[float] = []
+    # a line that fails to parse is the header when no row came before it
+    header = False
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -73,7 +81,8 @@ def read_sample(path) -> ObservationSample:
                 continue
             fields = _split_fields(line)
             if len(fields) != 2:
-                if lineno == 1:
+                if not (u_vals or header):
+                    header = True
                     continue  # tolerate a free-form header
                 raise SampleFormatError(
                     f"line {lineno}: expected two fields, got {len(fields)}"
@@ -82,7 +91,8 @@ def read_sample(path) -> ObservationSample:
                 u = float(fields[0])
                 d = float(fields[1])
             except ValueError:
-                if lineno == 1:
+                if not (u_vals or header):
+                    header = True
                     continue  # header row such as "u,delta"
                 raise SampleFormatError(
                     f"line {lineno}: could not parse {line!r}"

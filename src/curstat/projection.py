@@ -13,16 +13,17 @@ unknown integral of the sub-density.
 
 ``select_projection_model`` takes every candidate's coefficients from
 per-piece sums over the points in sorted time order, and
-``empirical_coefficients`` takes one model's from the same helper. For
-the dyadic families that is ``bases.dyadic_sums``, which the regression
-scan reads too: the basis is evaluated once, at the finest subdivision
-of the collection; each coarser subdivision's sums follow from the next
-finer one's by the two-scale matrices of ``bases.two_scale``, and its
-degree-0 sums are rebuilt from integer point counts so that they stay
-bitwise those of a per-subdivision ``np.bincount``. The regular
-piecewise and trigonometric families, whose subdivisions do not nest,
-are summed per subdivision of ``bases.subdivisions``. The dense
-coefficients and general contrast are in ``tests/dense_oracle.py``.
+``empirical_coefficients`` takes one model's from the same helper. The
+sums come from ``bases.piece_sums``, which the regression scan reads
+too, for every family. For the dyadic families the basis is evaluated
+once, at the finest subdivision of the collection; each coarser
+subdivision's sums follow from the next finer one's by the two-scale
+matrices of ``bases.two_scale``, and its degree-0 sums are rebuilt from
+integer point counts so that they stay bitwise those of a
+per-subdivision ``np.bincount``. The regular piecewise and
+trigonometric families, whose subdivisions do not nest, evaluate and
+sum each subdivision on its own. The dense coefficients and general
+contrast are in ``tests/dense_oracle.py``.
 """
 
 from __future__ import annotations
@@ -35,11 +36,9 @@ from .bases import (
     BasisModel,
     corrected_dim,
     design_matrix,
-    dyadic_sums,
     phi0,
-    row_sums,
+    piece_sums,
     sorted_inside,
-    subdivisions,
     _DYADIC_TAGS,
 )
 from .data import ObservationSample
@@ -100,18 +99,14 @@ def _piece_moments(models, u, weights, n: int):
     sums of the degree-``a`` functions (for trig, of the ``a``-th
     function, on one piece), and a model of the group reads its first
     ``dim // pieces`` rows. Sums run with ``np.bincount`` over the points
-    in sorted time order. The dyadic families take them from
-    ``bases.dyadic_sums``, which sums the finest subdivision only and
-    refines the others from it; that needs 0/1 weights whenever the
-    models span more than one subdivision.
+    in sorted time order, in ``bases.piece_sums``. For the dyadic
+    families it sums the finest subdivision only and refines the others
+    from it; that needs 0/1 weights whenever the models span more than
+    one subdivision.
     """
     x, *weights = sorted_inside(u, *weights)
-    if models[0].family.tag in _DYADIC_TAGS:
-        for group, _, sums, _ in dyadic_sums(models, x, weights):
-            yield group, [s / n for s in sums]
-        return
-    for group, piece, columns in subdivisions(models, x):
-        yield group, [s / n for s in row_sums(piece, columns, weights, group[0].pieces)]
+    for group, _, sums, _, _ in piece_sums(models, x, weights):
+        yield group, [s / n for s in sums]
 
 
 def density_penalty(

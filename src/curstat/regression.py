@@ -11,15 +11,15 @@ Rank-deficient designs (empty histogram bins, more columns than
 observations) get the minimum-norm solution of the normal equations.
 
 ``fit_cdf_regression`` fits the whole collection from per-piece Gram
-blocks and moments over the points sorted once. For the dyadic families
-they come from ``bases.dyadic_sums``, the refinement that the density
-scan of ``projection`` also reads: the basis is evaluated once, at the
-finest subdivision and largest degree, and every coarser subdivision's
-sums and Gram blocks follow by the two-scale matrices, so the moments
-``sum delta * Q_a / n`` are the sub-density coefficients bit for bit.
-The regular piecewise and trigonometric families evaluate and sum each
-subdivision of ``bases.subdivisions``. At the least-squares solution
-b'Gb = b'c, so most contrasts come in closed form from those
+blocks and moments over the points sorted once. They come from
+``bases.piece_sums``, the pass that the density scan of ``projection``
+also reads, so for every family the moments ``sum delta * Q_a / n`` are
+the sub-density coefficients bit for bit. For the dyadic families the
+basis is evaluated once, at the finest subdivision and largest degree,
+and every coarser subdivision's sums and Gram blocks follow by the
+two-scale matrices; the regular piecewise and trigonometric families
+evaluate and sum each subdivision on its own. At the least-squares
+solution b'Gb = b'c, so most contrasts come in closed form from those
 statistics; a pass over the residuals of the points is made only for
 the noise pilot and where rounding could decide the pick.
 ``fit_least_squares`` runs that scan on one model; the dense normal
@@ -36,13 +36,12 @@ from .bases import (
     CAP_REGRESSION,
     BasisFamily,
     BasisModel,
+    basis_rows,
     build_collection,
     corrected_dim,
     dyadic_family,
-    dyadic_sums,
-    piecewise_legendre,
+    piece_sums,
     sorted_inside,
-    subdivisions,
     _DYADIC_TAGS,
 )
 from .data import ObservationSample
@@ -131,53 +130,6 @@ def _solve_blocks(gram: np.ndarray, moment: np.ndarray):
     return np.einsum("kji,kj->ki", vt, rotated), rank, cond
 
 
-def _statistics(models: list[BasisModel], x: np.ndarray, delta: np.ndarray):
-    """Per-piece Gram blocks and moments of each subdivision, unnormalised.
-
-    ``x`` and ``delta`` are the sorted points in [0, 1] and their
-    statuses. Yields ``(group, counts, gram, moment, columns)`` with the
-    richest model's subdivision first: the points per piece, the
-    ``(pieces, d, d)`` sums of ``Q_a Q_b`` and the ``(pieces, d)`` sums of
-    ``Q_a delta`` per piece, and the ``d`` basis rows at ``x``. The
-    dyadic families take the sums from ``bases.dyadic_sums`` and yield
-    None for the rows, which the residual pass evaluates if it needs
-    them; the others evaluate each subdivision and sum it with
-    ``_run_sums``.
-    """
-    richest = models[-1]
-    if richest.family.tag in _DYADIC_TAGS:
-        levels = list(dyadic_sums(models, x, [delta], gram=True))
-        levels.sort(key=lambda level: level[0][0].pieces != richest.pieces)
-        for group, counts, (moment,), gram in levels:
-            yield group, counts, gram, moment.T, None
-        return
-    ordered = sorted(models, key=lambda model: model.pieces != richest.pieces)
-    for group, piece, columns in subdivisions(ordered, x):
-        counts = np.bincount(piece, minlength=group[0].pieces)
-        yield group, counts, *_run_sums(columns, delta, counts), columns
-
-
-def _run_sums(columns, delta, counts):
-    """Per-piece Gram blocks and moments summed with ``np.add.reduceat``.
-
-    The points are sorted, so piece j is one contiguous run of
-    ``counts[j]`` points. One product at a time, so temporaries hold one
-    value per point.
-    """
-    occupied = counts > 0
-    starts = (np.cumsum(counts) - counts)[occupied]
-    width = columns.shape[0]
-    gram = np.zeros((counts.size, width, width))
-    moment = np.zeros((counts.size, width))
-    if starts.size:
-        for a in range(width):
-            moment[occupied, a] = np.add.reduceat(columns[a] * delta, starts)
-            for b in range(a, width):
-                sums = np.add.reduceat(columns[a] * columns[b], starts)
-                gram[occupied, a, b] = gram[occupied, b, a] = sums
-    return gram, moment
-
-
 def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
     """Least-squares fit of every model from per-piece sufficient statistics.
 
@@ -197,21 +149,21 @@ def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
     fits: dict[BasisModel, LeastSquaresFit] = {}
     # the richest model's subdivision comes first, so the pilot is known
     # before any other contrast
-    for group, counts, gram, moment, columns in _statistics(models, x, delta):
+    ordered = sorted(models, key=lambda model: model.pieces != richest.pieces)
+    for group, counts, (moment,), gram, rows in piece_sums(ordered, x, [delta], gram=True):
         pieces = group[0].pieces
-        gram, moment = gram / n, moment / n
+        gram, moment = gram / n, moment.T / n
         for model in sorted(group, key=lambda model: model != richest):
             k = model.dim // pieces
             coeffs, rank, cond = _solve_blocks(gram[:, :k, :k], moment[:, :k])
             if model == richest or cond > _COND_CUT or noise <= _PILOT_FLOOR * total:
-                if columns is None:
-                    # once per subdivision, at the degree of its richest model
-                    degree = max(member.degree for member in group)
-                    columns = piecewise_legendre(pieces, degree, x)[1].T
+                if rows is None:
+                    # once per subdivision, at its richest model
+                    rows = basis_rows(max(group, key=lambda member: member.dim), x)[1]
                 fitted = np.zeros(delta.size)
                 for a in range(k):
                     # spread each piece's coefficient over its run; empty pieces repeat 0 times
-                    fitted += columns[a] * np.repeat(coeffs[:, a], counts)
+                    fitted += rows[a] * np.repeat(coeffs[:, a], counts)
                 rss = float(np.sum((delta - fitted) ** 2))
                 contrast = (rss + outside_rss) / n
                 if model == richest:
@@ -238,18 +190,19 @@ def fit_cdf_regression(
     subdivision, with singular values at or below 1e-10 times the
     largest over all its blocks treated as zero (the rule of
     ``np.linalg.lstsq`` on the block-diagonal Gram matrix, so
-    ``gram_rank`` is that of the dense normal equations). The dyadic
+    ``gram_rank`` is that of the dense normal equations). The
+    statistics come from ``bases.piece_sums``: the moments are summed
+    with ``np.bincount`` and the Gram blocks with one matrix product per
+    piece, and the degree-0 Gram diagonal of every subdivision is the
+    piece's point count times m (1 for trig). The regular piecewise and
+    trigonometric families evaluate and sum each subdivision. The dyadic
     families evaluate the basis once, at the finest level and largest
-    degree, sum the moments there with ``np.bincount`` and the Gram
-    blocks with one matrix product per piece, and refine every coarser
-    level by the two-scale matrices of ``bases.two_scale``:
+    degree, sum it there, and refine every coarser level by the
+    two-scale matrices of ``bases.two_scale``:
     ``h0 @ c_left + h1 @ c_right`` and
-    ``h0 @ G_left @ h0.T + h1 @ G_right @ h1.T``. The degree-0 entries
-    are rebuilt from integer point counts at every level: the Gram
-    diagonal is the count times m, and the moment the running sum of
-    ``sqrt(m)`` over the status-1 points, as in the density scan. The
-    regular piecewise and trigonometric families evaluate each
-    subdivision and sum it with ``np.add.reduceat``.
+    ``h0 @ G_left @ h0.T + h1 @ G_right @ h1.T``. Their degree-0 moments
+    are rebuilt from integer point counts at every level, as the running
+    sum of ``sqrt(m)`` over the status-1 points, as in the density scan.
 
     A contrast is ``sum(delta**2) / n - sum b'c`` over the pieces, since
     b'Gb = b'c at the solution. It is the mean of per-point squared
@@ -261,13 +214,14 @@ def fit_cdf_regression(
     is above 1e6, where the closed form loses digits to cancellation;
     (c) for every model when the pilot is at most 1e-10 of
     ``sum(delta**2) / n``, as for constant statuses, where every penalty
-    is near 0 and rounding residue would decide the pick. A dyadic level
-    evaluates its basis for these passes only when one of its models
-    needs it, once, at the degree of its richest model. The count-exact
-    degree-0 entries matter in case (c): with refined ones instead, the
-    all-ones samples of ``tests/test_regression.py`` picked level 2 or
-    level 4 instead of level 0. The selected model's kept condition
-    number is reported as ``gram_cond``.
+    is near 0 and rounding residue would decide the pick. These passes
+    reuse the rows a regular piecewise or trigonometric subdivision was
+    summed from; a dyadic level evaluates its basis only when one of its
+    models needs it, once, at the degree of its richest model. The
+    count-exact degree-0 entries matter in case (c): with refined ones
+    instead, the all-ones samples of ``tests/test_regression.py`` picked
+    level 2 or level 4 instead of level 0. The selected model's kept
+    condition number is reported as ``gram_cond``.
 
     The score is contrast plus ``noise_scale * regression_penalty``,
     where ``noise_scale`` is the indicator noise variance estimated from

@@ -1,7 +1,7 @@
 """Dense reference implementations that the library's statistics pass is gated against.
 
 The library computes empirical coefficients and least-squares fits from
-per-piece sums over the sorted points (``bases.subdivisions``). The
+per-piece sums over the sorted points (``bases.piece_sums``). The
 functions here build the full ``n x dim`` design of each model instead
 and use BLAS products and ``np.linalg.lstsq``, so the scan-versus-dense
 tests compare two independent computations of the same quantities.

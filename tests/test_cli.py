@@ -311,6 +311,16 @@ class TestSampleFiles:
             np.testing.assert_array_equal(sample.u, [0.25, 0.5])
             np.testing.assert_array_equal(sample.delta, [1.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "text", ["# exported by site A\nu,delta\n0.25,1\n", "\nu,delta\n0.25,1\n"]
+    )
+    def test_header_after_comments_and_blank_lines(self, tmp_path, text):
+        path = tmp_path / "sample.csv"
+        path.write_text(text)
+        sample = read_sample(path)
+        np.testing.assert_array_equal(sample.u, [0.25])
+        np.testing.assert_array_equal(sample.delta, [1.0])
+
     def test_negative_time_rejected(self, tmp_path):
         path = tmp_path / "sample.csv"
         path.write_text("u,delta\n-0.5,1\n")

@@ -22,7 +22,7 @@ from curstat import (
     trig_model,
     SimModel,
 )
-from curstat.bases import sorted_inside, subdivisions
+from curstat.bases import basis_rows, sorted_inside
 from curstat.projection import _piece_moments
 
 from conftest import random_sample
@@ -221,7 +221,7 @@ def bincount_sums(sample, family, pieces, degree, weights):
     """Per-piece sums at one subdivision, one ``np.bincount`` per basis row, over n."""
     model = BasisModel(family, pieces=pieces, degree=degree)
     x, w = sorted_inside(sample.u, weights)
-    ((_, piece, columns),) = subdivisions([model], x)
+    piece, columns = basis_rows(model, x)
     return np.array([np.bincount(piece, row * w, pieces) for row in columns]) / sample.n
 
 

@@ -439,29 +439,35 @@ class TestExactLeastSquares:
 
 
 class TestRefinedGramBlocks:
-    """The dyadic scan's refined per-piece statistics against dense products.
+    """The scan's per-piece statistics against dense products.
 
     Every Gram entry and every moment above degree 0 lies within
     ``TOL * 2**-52`` times the largest entry of its piece's dense block
-    (10.5 is the worst seen). The degree-0 entries are count-exact: the
-    Gram diagonal is the piece's point count times m, and the moment is
-    a per-subdivision ``np.bincount`` of the constant ``sqrt(m)`` over
-    the piece's status-1 points.
+    (10.5 is the worst seen on the refined dyadic levels). The degree-0
+    entries are count-exact: the Gram diagonal is the piece's point
+    count times m, and the moment is a per-subdivision ``np.bincount`` of
+    the constant ``sqrt(m)`` over the piece's status-1 points (for trig,
+    of the constant 1 on its one piece).
     """
 
     TOL = 64.0
-    FAMILIES = [dyadic_family(), dyadic_family(0), haar_family()]
-    FAMILY_IDS = ["dyadic", "dyadic0", "haar"]
+    FAMILIES = [dyadic_family(), dyadic_family(0), haar_family(), poly_family(2), trig_family()]
+    FAMILY_IDS = ["dyadic", "dyadic0", "haar", "poly2", "trig"]
 
     def assert_matches_dense(self, sample, family):
         n = sample.n
-        models = build_collection(family, n, "regression")
+        try:
+            models = build_collection(family, n, "regression")
+        except EmptyCollectionError:
+            # the trig regression cap, sqrt(n) / ln(n), leaves nothing below n = 1000
+            assert family == trig_family() and n < 1000
+            return
         x, delta = sorted_inside(sample.u, sample.delta)
         levels = set()
-        for group, counts, gram, moment, _ in regression._statistics(models, x, delta):
+        for group, counts, (moment,), gram, _ in bases.piece_sums(models, x, [delta], gram=True):
             richest = max(group, key=lambda model: model.dim)
-            m, d = richest.pieces, richest.degree + 1
-            gram, moment = gram[:, :d, :d] / n, moment[:, :d] / n
+            m, d = richest.pieces, richest.dim // richest.pieces
+            gram, moment = gram[:, :d, :d] / n, moment.T[:, :d] / n
             dense_gram, dense_moment = dense_piece_statistics(sample, richest)
             bound = self.TOL * 2.0**-52 * np.abs(dense_gram).max(axis=(1, 2))
             assert np.all(np.abs(gram - dense_gram) <= bound[:, None, None])
@@ -477,7 +483,11 @@ class TestRefinedGramBlocks:
     @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
     @pytest.mark.parametrize("n", [60, 1000, 50_000])
     def test_matches_dense_blocks(self, family, n):
-        for model_id in range(1, 6):
+        if family == trig_family() and n < 1000:
+            pytest.skip("the trig regression collection is empty below n = 1000")
+        # the dense blocks of poly(2)'s 142 subdivisions take about 9 s per sample here
+        model_ids = [3] if family == poly_family(2) and n == 50_000 else range(1, 6)
+        for model_id in model_ids:
             self.assert_matches_dense(generate(SimModel(model_id), n, model_id), family)
 
     @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
@@ -490,12 +500,21 @@ class TestRefinedGramBlocks:
 class TestSharedSums:
     """The regression scan reads the density scan's sums and sorts once."""
 
-    @pytest.mark.parametrize("family", [dyadic_family(), haar_family()])
+    @pytest.mark.parametrize("family", [dyadic_family(), haar_family(), poly_family(2)])
     @pytest.mark.parametrize("n", [200, 5000])
     def test_moments_are_subdensity_coefficients(self, monkeypatch, family, n):
+        assert build_collection(family, n, "regression") == build_collection(family, n, "density")
+        self.assert_moments_are_subdensity_coefficients(monkeypatch, family, n)
+
+    def test_trig_moments_are_subdensity_coefficients(self, monkeypatch):
+        # the density scan run over the trig regression collection, which is
+        # cut at sqrt(n) / ln(n) and empty below n = 1000
+        self.assert_moments_are_subdensity_coefficients(monkeypatch, trig_family(), 5000)
+
+    @staticmethod
+    def assert_moments_are_subdensity_coefficients(monkeypatch, family, n):
         sample = generate(SimModel(3), n, 1)
         models = build_collection(family, n, "regression")
-        assert models == build_collection(family, n, "density")
         used = {}
         solve = regression._solve_blocks
 
@@ -540,7 +559,6 @@ class TestSharedSums:
             return argsort(*args, **kwargs)
 
         monkeypatch.setattr(bases, "piecewise_legendre", counted_legendre)
-        monkeypatch.setattr(regression, "piecewise_legendre", counted_legendre)
         monkeypatch.setattr(np, "argsort", counted_argsort)
         models = build_collection(family, sample.n, "regression")
         fits, pilot = _fit_collection(sample, models)
@@ -562,3 +580,37 @@ class TestSharedSums:
         assert calls[0] == (finest, max(model.degree for model in models))
         assert sorted(calls[1:]) == sorted((pieces, top_degree(pieces)) for pieces in residual)
         assert len(sorts) == 1
+
+    @pytest.mark.parametrize("family", [poly_family(2), trig_family()], ids=["poly2", "trig"])
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            generate(SimModel(3), 5000, 2),
+            ObservationSample(np.linspace(0.0, 1.0, 1000), np.ones(1000)),
+        ],
+        ids=["5000", "constant"],
+    )
+    def test_one_basis_evaluation_per_subdivision(self, monkeypatch, family, sample):
+        # constant statuses send every candidate through the residual pass,
+        # which reuses the rows its subdivision's sums were taken from
+        calls = []
+        legendre, trig_rows = bases.piecewise_legendre, bases.trig_rows
+
+        def counted_legendre(pieces, degree, x):
+            calls.append((pieces, degree))
+            return legendre(pieces, degree, x)
+
+        def counted_trig_rows(harmonics, x):
+            calls.append(("trig", harmonics))
+            return trig_rows(harmonics, x)
+
+        monkeypatch.setattr(bases, "piecewise_legendre", counted_legendre)
+        monkeypatch.setattr(bases, "trig_rows", counted_trig_rows)
+        models = build_collection(family, sample.n, "regression")
+        _fit_collection(sample, models)
+        monkeypatch.undo()
+
+        if family == trig_family():
+            assert calls == [("trig", models[-1].harmonics)]
+        else:
+            assert sorted(calls) == sorted((model.pieces, model.degree) for model in models)
