@@ -286,18 +286,6 @@ def trig_rows(harmonics: int, x: np.ndarray) -> np.ndarray:
     return rows
 
 
-def sorted_inside(u: np.ndarray, *rows: np.ndarray):
-    """The points of ``u`` in [0, 1] in stable sorted order, and ``rows`` alike.
-
-    Returns ``(x, *rows)``, each row cut to the entries of the points in
-    [0, 1] and put in the order of ``x``. On sorted points each piece of
-    a subdivision is one contiguous run.
-    """
-    inside = np.flatnonzero((u >= 0.0) & (u <= 1.0))
-    order = inside[np.argsort(u[inside], kind="stable")]
-    return (u[order], *(row[order] for row in rows))
-
-
 def _by_pieces(models) -> dict[int, list[BasisModel]]:
     groups: dict[int, list[BasisModel]] = {}
     for model in models:
@@ -345,8 +333,9 @@ def _piece_gram(columns, counts) -> np.ndarray:
 def piece_sums(models, x: np.ndarray, weights, gram: bool = False):
     """Per-piece sums of a collection at each of its subdivisions.
 
-    ``x`` holds sorted points in [0, 1] and ``weights`` rows of weights
-    in the same order, as ``sorted_inside`` returns them. Yields
+    ``x`` holds the points in [0, 1] and ``weights`` rows of weights, in
+    the one time order of the ``data`` module, as
+    ``ObservationSample.sorted_inside`` returns them. Yields
     ``(group, counts, sums, products, rows)`` per subdivision of
     ``models`` (the models of one piece count), in the order the
     subdivisions first appear in ``models``: the number of points per

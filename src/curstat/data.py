@@ -4,8 +4,17 @@ An observation is a pair ``(u, delta)``: an examination time and the
 0/1 indicator of whether the event of interest had already occurred at
 that time. Sample files are plain text, one observation per line as
 ``u,delta`` (whitespace-delimited also accepted), with an optional
-header line before the first observation; blank lines and ``#`` comment
-lines may come anywhere.
+header line before the first observation that does not start like a
+number; blank lines and ``#`` comment lines may come anywhere.
+
+Every estimator that sorts reads a sample in the one time order that
+``ObservationSample.time_order`` decides: ascending time, status 1
+ahead of status 0 within a tied time, and input order among equal
+observations. So no estimate depends on the input order. Every basis
+function takes one value at a tied time, so the order within a tie group
+cannot move a per-piece sum of 0/1 weights; it gives the NPMLE one value
+per tie group, and fixes the order in which the regression sums its
+residuals.
 """
 
 from __future__ import annotations
@@ -56,6 +65,26 @@ class ObservationSample:
     def n(self) -> int:
         return self.u.size
 
+    def time_order(self) -> np.ndarray:
+        """Stable argsort of ``u`` with status 1 first within a tied time."""
+        order = np.argsort(self.u, kind="stable")
+        u = self.u[order]
+        if (u[1:] == u[:-1]).any():
+            order = order[np.lexsort((-self.delta[order], u))]
+        return order
+
+    def sorted_inside(self, *rows: np.ndarray):
+        """The times in [0, 1] in ``time_order``, and ``rows`` cut and ordered alike.
+
+        Returns ``(x, *rows)``. On sorted times [0, 1] is one contiguous
+        run, and on sorted points each piece of a subdivision is one too.
+        """
+        order = self.time_order()
+        u = self.u[order]
+        lo, hi = np.searchsorted(u, 0.0), np.searchsorted(u, 1.0, "right")
+        window = order[lo:hi]
+        return (u[lo:hi], *(row[window] for row in rows))
+
 
 def _split_fields(line: str) -> list[str]:
     if "," in line:
@@ -68,21 +97,25 @@ def read_sample(path) -> ObservationSample:
 
     Blank lines and lines starting with ``#`` are skipped. The first
     other line may be a header, such as ``u,delta``: it is skipped when
-    it does not parse as an observation.
+    it does not parse as an observation and does not start like a number
+    (with a digit, a sign or a ``.``), so a malformed first observation
+    is reported, not taken for a header.
     """
     u_vals: list[float] = []
     d_vals: list[float] = []
-    # a line that fails to parse is the header when no row came before it
-    header = False
+    first = True
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             fields = _split_fields(line)
+            # the first line is the header when it fails to parse and
+            # does not start like a number
+            header = first and line[0] not in "+-.0123456789"
+            first = False
             if len(fields) != 2:
-                if not (u_vals or header):
-                    header = True
+                if header:
                     continue  # tolerate a free-form header
                 raise SampleFormatError(
                     f"line {lineno}: expected two fields, got {len(fields)}"
@@ -91,8 +124,7 @@ def read_sample(path) -> ObservationSample:
                 u = float(fields[0])
                 d = float(fields[1])
             except ValueError:
-                if not (u_vals or header):
-                    header = True
+                if header:
                     continue  # header row such as "u,delta"
                 raise SampleFormatError(
                     f"line {lineno}: could not parse {line!r}"

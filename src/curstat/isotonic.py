@@ -8,10 +8,11 @@ function is the isotonic least-squares regression of the sorted status
 indicators (Groeneboom & Wellner, 1992), computed here independently by
 pool-adjacent-violators.
 
-Both routes sort by time and put status 1 ahead of status 0 within a
-tied time. Each tie group is then non-increasing, and an isotonic fit is
-constant across a non-increasing stretch, so each tie group gets one
-value: the NPMLE over the distinct times, whatever the input order.
+Both routes read the sample in ``ObservationSample.time_order``, which
+puts status 1 ahead of status 0 within a tied time (see ``data``). Each
+tie group is then non-increasing, and an isotonic fit is constant across
+a non-increasing stretch, so each tie group gets one value: the NPMLE
+over the distinct times, whatever the input order.
 
 The pooling runs in numpy rounds rather than one point at a time (the
 parallel view of PAVA in Best & Chakravarti, 1990). Blocks start as the
@@ -48,10 +49,10 @@ def npmle_maxmin(sample: ObservationSample) -> StepCdf:
 
     Quadratic in time and memory; fine up to a few thousand
     observations. ``npmle_pava`` computes the same function in linear
-    time after the same sort (``_time_order``).
+    time after the same sort (``ObservationSample.time_order``).
     """
-    order, knots = _time_order(sample)
-    d = sample.delta[order]
+    order = sample.time_order()
+    knots, d = sample.u[order], sample.delta[order]
     n = sample.n
     csum = np.concatenate([[0.0], np.cumsum(d)])  # exact small integers
     start = np.arange(n)
@@ -66,15 +67,6 @@ def npmle_maxmin(sample: ObservationSample) -> StepCdf:
     return StepCdf(knots, values)
 
 
-def _time_order(sample: ObservationSample):
-    """Time order with status 1 first at a tied time, and the sorted times."""
-    order = np.argsort(sample.u, kind="stable")
-    u = sample.u[order]
-    if (u[1:] == u[:-1]).any():
-        order = order[np.lexsort((-sample.delta[order], u))]
-    return order, u
-
-
 # Rounds of chain pooling before the stack loop takes over; samples of
 # models 1-5 need at most 14 rounds up to n = 1e5.
 MAX_POOLING_ROUNDS = 64
@@ -83,20 +75,21 @@ MAX_POOLING_ROUNDS = 64
 def npmle_pava(sample: ObservationSample) -> StepCdf:
     """NPMLE by pool-adjacent-violators on the sorted status indicators.
 
-    Tied times are ordered by ``_time_order`` (status 1 first), so each
-    tie group gets one value. Blocks carry integer (sum, count) pairs,
-    starting from the runs of equal status. Each round merges every
-    maximal chain of neighbouring blocks whose means do not increase
-    (``_pool_rounds``); after ``MAX_POOLING_ROUNDS`` rounds the stack loop
-    ``_pool_stack`` pools the remaining blocks. Comparisons use integer
-    cross-products, so pooling decisions are exact.
+    Tied times are ordered by ``ObservationSample.time_order`` (status 1
+    first), so each tie group gets one value. Blocks carry integer
+    (sum, count) pairs, starting from the runs of equal status. Each
+    round merges every maximal chain of neighbouring blocks whose means
+    do not increase (``_pool_rounds``); after ``MAX_POOLING_ROUNDS``
+    rounds the stack loop ``_pool_stack`` pools the remaining blocks.
+    Comparisons use integer cross-products, so pooling decisions are
+    exact.
     """
-    order, knots = _time_order(sample)
+    order = sample.time_order()
     sums, counts = _status_runs(sample.delta[order])
     sums, counts, rounds = _pool_rounds(sums, counts, MAX_POOLING_ROUNDS)
     if rounds == MAX_POOLING_ROUNDS:
         sums, counts = _pool_stack(sums, counts)
-    return StepCdf(knots, np.repeat(sums / counts, counts))
+    return StepCdf(sample.u[order], np.repeat(sums / counts, counts))
 
 
 def _status_runs(delta: np.ndarray):

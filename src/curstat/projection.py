@@ -12,14 +12,15 @@ status frequency ``mean(delta)``, the data-driven stand-in for the
 unknown integral of the sub-density.
 
 ``select_projection_model`` takes every candidate's coefficients from
-per-piece sums over the points in sorted time order, and
-``empirical_coefficients`` takes one model's from the same helper. The
-sums come from ``bases.piece_sums``, which the regression scan reads
-too, for every family. For the dyadic families the basis is evaluated
-once, at the finest subdivision of the collection; each coarser
-subdivision's sums follow from the next finer one's by the two-scale
-matrices of ``bases.two_scale``, and its degree-0 sums are rebuilt from
-integer point counts so that they stay bitwise those of a
+per-piece sums over the points in [0, 1] in the one time order that the
+``data`` module states and ``ObservationSample.sorted_inside`` gives,
+and ``empirical_coefficients`` takes one model's from the same helper.
+The sums come from ``bases.piece_sums``, which the regression scan
+reads too, for every family. For the dyadic families the basis is
+evaluated once, at the finest subdivision of the collection; each
+coarser subdivision's sums follow from the next finer one's by the
+two-scale matrices of ``bases.two_scale``, and its degree-0 sums are
+rebuilt from integer point counts so that they stay bitwise those of a
 per-subdivision ``np.bincount``. The regular piecewise and
 trigonometric families, whose subdivisions do not nest, evaluate and
 sum each subdivision on its own. The dense coefficients and general
@@ -38,7 +39,6 @@ from .bases import (
     design_matrix,
     phi0,
     piece_sums,
-    sorted_inside,
     _DYADIC_TAGS,
 )
 from .data import ObservationSample
@@ -87,26 +87,26 @@ def empirical_coefficients(
     weights = np.ones(sample.n) if weights is None else np.asarray(weights, dtype=float)
     if weights.shape != (sample.n,):
         raise ValueError("weights must have one entry per observation")
-    ((_, (sums,)),) = _piece_moments([model], sample.u, [weights], sample.n)
+    ((_, (sums,)),) = _piece_moments([model], sample, [weights])
     return sums.ravel()
 
 
-def _piece_moments(models, u, weights, n: int):
-    """Per-piece sums of basis rows times each row of ``weights``, over n.
+def _piece_moments(models, sample: ObservationSample, weights):
+    """Per-piece sums of basis rows times each row of ``weights``, over ``sample.n``.
 
     Yields ``(group, sums)`` per subdivision of ``models``, with one
     array in ``sums`` per weight row: its row ``a`` holds the per-piece
     sums of the degree-``a`` functions (for trig, of the ``a``-th
     function, on one piece), and a model of the group reads its first
     ``dim // pieces`` rows. Sums run with ``np.bincount`` over the points
-    in sorted time order, in ``bases.piece_sums``. For the dyadic
-    families it sums the finest subdivision only and refines the others
-    from it; that needs 0/1 weights whenever the models span more than
-    one subdivision.
+    in [0, 1] in the sample's time order, in ``bases.piece_sums``. For
+    the dyadic families it sums the finest subdivision only and refines
+    the others from it; that needs 0/1 weights whenever the models span
+    more than one subdivision.
     """
-    x, *weights = sorted_inside(u, *weights)
+    x, *weights = sample.sorted_inside(*weights)
     for group, _, sums, _, _ in piece_sums(models, x, weights):
-        yield group, [s / n for s in sums]
+        yield group, [s / sample.n for s in sums]
 
 
 def density_penalty(
@@ -164,7 +164,7 @@ def select_projection_model(
     n = sample.n
     coeffs = {}
     weights = sample.delta, np.ones(n)
-    for group, (sub, den) in _piece_moments(collection, sample.u, weights, n):
+    for group, (sub, den) in _piece_moments(collection, sample, weights):
         pieces = group[0].pieces
         for model in group:
             k = model.dim // pieces

@@ -11,17 +11,19 @@ Rank-deficient designs (empty histogram bins, more columns than
 observations) get the minimum-norm solution of the normal equations.
 
 ``fit_cdf_regression`` fits the whole collection from per-piece Gram
-blocks and moments over the points sorted once. They come from
-``bases.piece_sums``, the pass that the density scan of ``projection``
-also reads, so for every family the moments ``sum delta * Q_a / n`` are
-the sub-density coefficients bit for bit. For the dyadic families the
-basis is evaluated once, at the finest subdivision and largest degree,
-and every coarser subdivision's sums and Gram blocks follow by the
-two-scale matrices; the regular piecewise and trigonometric families
-evaluate and sum each subdivision on its own. At the least-squares
-solution b'Gb = b'c, so most contrasts come in closed form from those
-statistics; a pass over the residuals of the points is made only for
-the noise pilot and where rounding could decide the pick.
+blocks and moments over the points sorted once, in the time order of
+the ``data`` module, which also fixes the order of every residual sum.
+They come from ``bases.piece_sums``, the pass that the density scan of
+``projection`` also reads, so for every family the moments
+``sum delta * Q_a / n`` are the sub-density coefficients bit for bit.
+For the dyadic families the basis is evaluated once, at the finest
+subdivision and largest degree, and every coarser subdivision's sums
+and Gram blocks follow by the two-scale matrices; the regular piecewise
+and trigonometric families evaluate and sum each subdivision on its
+own. At the least-squares solution b'Gb = b'c, so most contrasts come
+in closed form from those statistics; a pass over the residuals of the
+points is made only for the noise pilot and where rounding could decide
+the pick.
 ``fit_least_squares`` runs that scan on one model; the dense normal
 equations it is checked against are in ``tests/dense_oracle.py``.
 """
@@ -41,7 +43,6 @@ from .bases import (
     corrected_dim,
     dyadic_family,
     piece_sums,
-    sorted_inside,
     _DYADIC_TAGS,
 )
 from .data import ObservationSample
@@ -142,10 +143,10 @@ def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
     n = sample.n
     richest = models[-1]
     total = float(sample.delta @ sample.delta) / n
-    # every basis vanishes outside [0, 1], so the statuses there are residuals
-    outside = (sample.u < 0.0) | (sample.u > 1.0)
-    outside_rss = float(np.sum(sample.delta[outside] ** 2))
-    x, delta = sorted_inside(sample.u, sample.delta)
+    x, delta = sample.sorted_inside(sample.delta)
+    # every basis vanishes outside [0, 1], so the statuses there are
+    # residuals; both sums of 0/1 statuses are exact
+    outside_rss = float(sample.delta.sum() - delta.sum())
     fits: dict[BasisModel, LeastSquaresFit] = {}
     # the richest model's subdivision comes first, so the pilot is known
     # before any other contrast

@@ -342,6 +342,9 @@ class TestSampleFiles:
             ("u,delta\n0.5 1,0\n", "line 2: could not parse"),
             ("u,delta\n0.5,1\n0.25,2\n", "line 3: status must be 0 or 1"),
             ("u,delta\n\n# only comments\n", "no observations found in file"),
+            # a malformed first observation is not a header
+            ("0.5,,1\n0.25,1\n0.75,0\n", "line 1: expected two fields, got 3"),
+            ("0.5;1\n0.25,1\n0.75,0\n", "line 1: expected two fields, got 1"),
         ],
     )
     def test_bad_rows_name_the_line(self, tmp_path, text, message):

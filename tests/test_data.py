@@ -1,0 +1,45 @@
+"""The one time order of a sample, and the guard that keeps it the only one."""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given, settings
+
+from curstat import ObservationSample
+
+from conftest import tied_samples
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "curstat"
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(tied_samples())
+@example(ObservationSample([-0.0, 1.0, 0.5, 1.0, -0.0, 0.0], [0, 0, 1, 1, 1, 0]))
+@example(ObservationSample([np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0), 1.5], [1, 0, 1]))
+@example(ObservationSample([-0.5, -0.5, 2.0], [0, 1, 1]))
+def test_time_order_and_window(sample):
+    # ascending time, status 1 first at a tied time, input order after that
+    order = sample.time_order()
+    assert np.array_equal(order, np.lexsort((-sample.delta, sample.u)))
+    x, delta, index = sample.sorted_inside(sample.delta, np.arange(sample.n))
+    inside = order[(sample.u[order] >= 0.0) & (sample.u[order] <= 1.0)]
+    assert index.tolist() == inside.tolist()
+    assert x.tobytes() == sample.u[inside].tobytes()
+    assert delta.tobytes() == sample.delta[inside].tobytes()
+
+
+def test_only_the_sample_sorts():
+    # every sorted route reads ObservationSample.time_order, so no other
+    # module may decide a time order of its own
+    sorts = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {
+            node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Attribute, ast.Name))
+        }
+        if names & {"argsort", "lexsort"}:
+            sorts[path.name] = sorted(names & {"argsort", "lexsort"})
+    assert sorts == {"data.py": ["argsort", "lexsort"]}

@@ -22,7 +22,7 @@ from curstat import (
     trig_model,
     SimModel,
 )
-from curstat.bases import basis_rows, sorted_inside
+from curstat.bases import basis_rows
 from curstat.projection import _piece_moments
 
 from conftest import random_sample
@@ -220,7 +220,7 @@ class TestCoefficientNesting:
 def bincount_sums(sample, family, pieces, degree, weights):
     """Per-piece sums at one subdivision, one ``np.bincount`` per basis row, over n."""
     model = BasisModel(family, pieces=pieces, degree=degree)
-    x, w = sorted_inside(sample.u, weights)
+    x, w = sample.sorted_inside(weights)
     piece, columns = basis_rows(model, x)
     return np.array([np.bincount(piece, row * w, pieces) for row in columns]) / sample.n
 
@@ -230,7 +230,7 @@ def assert_refined_sums_match(sample, family, atol):
     collection = build_collection(family, sample.n, CAP_DENSITY)
     levels = 0
     weights = sample.delta, np.ones(sample.n)
-    for group, (sub, den) in _piece_moments(collection, sample.u, weights, sample.n):
+    for group, (sub, den) in _piece_moments(collection, sample, weights):
         pieces, degree = group[0].pieces, sub.shape[0] - 1
         for sums, weights in ((sub, sample.delta), (den, np.ones(sample.n))):
             expected = bincount_sums(sample, family, pieces, degree, weights)

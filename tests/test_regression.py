@@ -25,7 +25,6 @@ from curstat import (
     SimModel,
 )
 from curstat import bases, regression, select_projection_model
-from curstat.bases import sorted_inside
 from curstat.projection import _piece_moments
 from curstat.regression import _fit_collection
 
@@ -462,7 +461,7 @@ class TestRefinedGramBlocks:
             # the trig regression cap, sqrt(n) / ln(n), leaves nothing below n = 1000
             assert family == trig_family() and n < 1000
             return
-        x, delta = sorted_inside(sample.u, sample.delta)
+        x, delta = sample.sorted_inside(sample.delta)
         levels = set()
         for group, counts, (moment,), gram, _ in bases.piece_sums(models, x, [delta], gram=True):
             richest = max(group, key=lambda model: model.dim)
@@ -527,7 +526,7 @@ class TestSharedSums:
         _fit_collection(sample, models)
         assert len(used) == len(models)
         weights = sample.delta, np.ones(n)
-        for group, (sub, _) in _piece_moments(models, sample.u, weights, n):
+        for group, (sub, _) in _piece_moments(models, sample, weights):
             for model in group:
                 k = model.dim // model.pieces
                 assert used[model.pieces, k].tobytes() == sub[:k].ravel().tobytes()
