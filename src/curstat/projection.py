@@ -120,15 +120,25 @@ def density_penalty(
     density and the observed status frequency for the sub-density
     target.
     """
+    return _density_penalty(*_density_factors(model), n, kappa, delta_mean)
+
+
+def _density_factors(model: BasisModel) -> tuple[float, float]:
+    """``(phi0**2, dim)``, or ``(1, corrected_dim)`` for the dyadic families."""
+    if model.family.tag in _DYADIC_TAGS:
+        return 1.0, corrected_dim(model)
+    return phi0(model) ** 2, float(model.dim)
+
+
+def _density_penalty(norm, dim, n: int, kappa: float, delta_mean: float):
+    """``kappa * norm * delta_mean * dim / n``, for one model's factors or arrays of them."""
     if not 0.0 < kappa < np.inf:
         raise ValueError("kappa must be positive and finite")
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= delta_mean <= 1.0:
         raise ValueError("delta_mean must lie in [0, 1]")
-    if model.family.tag in _DYADIC_TAGS:
-        return kappa * delta_mean * corrected_dim(model) / n
-    return kappa * phi0(model) ** 2 * delta_mean * model.dim / n
+    return kappa * norm * delta_mean * dim / n
 
 
 def select_projection_model(
@@ -151,8 +161,11 @@ def select_projection_model(
     bit. So the estimates do not depend on the input order, and they may
     differ in the last bits from dense ``design.T @ weights`` products.
 
-    The collection must be in selection order, as ``build_collection``
-    returns it, and the first model with the lowest computed score wins:
+    The scores of each target are one array: minus each candidate's sum
+    of squares plus its ``density_penalty``, from one array of penalty
+    factors and rounded as that function rounds it. The collection must
+    be in selection order, as ``build_collection`` returns it, and
+    ``argmin`` takes the first model with the lowest computed score:
     ties go to the smallest dimension only up to rounding. Degree-0
     scores can tie exactly: for the sub-density of the reference sample
     with seed 20080317, model 2, replication 10 and n = 200, dyadic
@@ -169,12 +182,12 @@ def select_projection_model(
         for model in group:
             k = model.dim // pieces
             coeffs[model] = sub[:k].ravel(), den[:k].ravel()
-
-    def score(model: BasisModel, c: np.ndarray, weight_mean: float) -> float:
-        return -float(c @ c) + density_penalty(model, n, kappa, weight_mean)
-
-    delta_mean = float(sample.delta.mean())
-    fits = [(model, *coeffs[model]) for model in collection]
-    sub_model, sub, _ = min(fits, key=lambda fit: score(fit[0], fit[1], delta_mean))
-    den_model, _, den = min(fits, key=lambda fit: score(fit[0], fit[2], 1.0))
-    return ProjectionEstimate(sub_model, sub), ProjectionEstimate(den_model, den)
+    targets = zip(*(coeffs[model] for model in collection))
+    norms, dims = np.array([_density_factors(model) for model in collection]).T
+    estimates = []
+    for target, weight_mean in zip(targets, (float(sample.delta.mean()), 1.0)):
+        penalties = _density_penalty(norms, dims, n, kappa, weight_mean)
+        # penalty - c'c rounds as -c'c + penalty does
+        best = int((penalties - np.array([c @ c for c in target])).argmin())
+        estimates.append(ProjectionEstimate(collection[best], target[best]))
+    return tuple(estimates)

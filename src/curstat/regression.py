@@ -21,9 +21,11 @@ subdivision and largest degree, and every coarser subdivision's sums
 and Gram blocks follow by the two-scale matrices; the regular piecewise
 and trigonometric families evaluate and sum each subdivision on its
 own. At the least-squares solution b'Gb = b'c, so most contrasts come
-in closed form from those statistics; a pass over the residuals of the
-points is made only for the noise pilot and where rounding could decide
-the pick.
+in closed form from those statistics: on a subdivision whose blocks are
+well conditioned, one Cholesky factor scores every degree at once, and
+an SVD solves only the richest, the selected and the gated-out
+candidates. A pass over the residuals of the points is made only for
+the noise pilot and where rounding could decide the pick.
 ``fit_least_squares`` runs that scan on one model; the dense normal
 equations it is checked against are in ``tests/dense_oracle.py``.
 """
@@ -83,18 +85,29 @@ def fit_least_squares(sample: ObservationSample, model: BasisModel) -> LeastSqua
     the coefficients can then be off by far more. The fit's
     ``gram_cond`` is the kept condition number to read.
     """
-    return _fit_collection(sample, [model])[0][0]
+    _, _, fit = _fit_collection(sample, [model])
+    return fit(model)
 
 
 def regression_penalty(model: BasisModel, n: int, kappa0: float = 4.0) -> float:
     """Penalty ``kappa0 * dim / n`` (degree-corrected for dyadic families)."""
+    return _regression_penalty(_penalty_dim(model), n, kappa0)
+
+
+def _penalty_dim(model: BasisModel) -> float:
+    """The dimension the penalty charges: degree-corrected for dyadic families."""
+    if model.family.tag in _DYADIC_TAGS:
+        return corrected_dim(model)
+    return float(model.dim)
+
+
+def _regression_penalty(dim, n: int, kappa0: float):
+    """``kappa0 * dim / n``, for one model's dimension or an array of them."""
     if not 0.0 < kappa0 < np.inf:
         raise ValueError("kappa0 must be positive and finite")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if model.family.tag in _DYADIC_TAGS:
-        return kappa0 * corrected_dim(model) / n
-    return kappa0 * model.dim / n
+    return kappa0 * dim / n
 
 
 def estimate_noise_variance(sample: ObservationSample, fit: LeastSquaresFit) -> float:
@@ -120,7 +133,10 @@ def _solve_blocks(gram: np.ndarray, moment: np.ndarray):
     block-diagonal matrix the stack forms: singular values at or below
     ``_RANK_TOL`` times the largest singular value of any block count as
     zero. The kept condition number is the largest singular value over
-    the smallest kept one (1 when none is kept).
+    the smallest kept one (1 when none is kept). One batched SVD per
+    call; ``_fit_collection`` calls it for the richest model, for the
+    models of subdivisions that ``_prefix_products`` turns away, and for
+    each model its ``fit`` is asked for, the selected one.
     """
     u, s, vt = np.linalg.svd(gram)
     keep = s > _RANK_TOL * s.max()
@@ -131,14 +147,40 @@ def _solve_blocks(gram: np.ndarray, moment: np.ndarray):
     return np.einsum("kji,kj->ki", vt, rotated), rank, cond
 
 
-def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
-    """Least-squares fit of every model from per-piece sufficient statistics.
+def _prefix_products(gram: np.ndarray, moment: np.ndarray):
+    """``sum b'c`` over the pieces of every prefix model of one subdivision, or None.
 
-    Returns the fits in the order of ``models`` and the mean squared
-    residual of the last (richest) model over the observations inside
-    [0, 1], the noise pilot that scales the penalty. A contrast is
-    ``sum(delta**2) / n - sum b'c`` over the pieces, except where
-    ``fit_cdf_regression`` says a residual pass decides it.
+    ``gram`` has shape ``(pieces, d, d)`` and ``moment`` ``(pieces, d)``,
+    the blocks of the subdivision's richest model. With ``L`` the
+    Cholesky factor of a block and ``y = L^-1 c``, the leading ``k x k``
+    block of ``L`` is the factor of the leading ``k x k`` Gram block, so
+    the model with the first ``k`` functions per piece has
+    ``b'c = ||y[:k]||^2``; entry ``k - 1`` of the result sums that over
+    the pieces. None unless every block is positive definite with
+    ``eigvalsh`` condition number (largest over smallest eigenvalue of
+    the stack) at most ``_COND_CUT``; by interlacing, every prefix's kept
+    condition number then is too.
+    """
+    eig = np.linalg.eigvalsh(gram)
+    if not 0.0 < eig[:, 0].min() or eig[:, -1].max() > _COND_CUT * eig[:, 0].min():
+        return None
+    y = np.linalg.solve(np.linalg.cholesky(gram), moment[..., None])[..., 0]
+    return np.cumsum(np.sum(y**2, axis=0))
+
+
+def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
+    """Contrast of every model from per-piece sufficient statistics.
+
+    Returns ``(contrasts, noise, fit)``: the contrasts as an array in the
+    order of ``models``, the mean squared residual of the last (richest)
+    model over the observations inside [0, 1], the noise pilot that
+    scales the penalty, and ``fit(model)``, the ``LeastSquaresFit`` of one
+    of the models. A subdivision whose blocks pass ``_prefix_products``'s
+    gate scores its models by one Cholesky factor, except the richest
+    model, and leaves their solve to ``fit``, which gives the closed-form
+    contrast ``sum(delta**2) / n - sum b'c`` over the pieces. Every other
+    model is solved during the scan, with a residual pass where
+    ``fit_cdf_regression`` says one decides its contrast.
     """
     n = sample.n
     richest = models[-1]
@@ -147,16 +189,30 @@ def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
     # every basis vanishes outside [0, 1], so the statuses there are
     # residuals; both sums of 0/1 statuses are exact
     outside_rss = float(sample.delta.sum() - delta.sum())
+    levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    contrasts: dict[BasisModel, float] = {}
     fits: dict[BasisModel, LeastSquaresFit] = {}
+
+    def solve(model: BasisModel):
+        gram, moment = levels[model.pieces]
+        k = model.dim // model.pieces
+        coeffs, rank, cond = _solve_blocks(gram[:, :k, :k], moment[:, :k])
+        return coeffs, rank, cond, total - float(np.sum(coeffs * moment[:, :k]))
+
     # the richest model's subdivision comes first, so the pilot is known
     # before any other contrast
     ordered = sorted(models, key=lambda model: model.pieces != richest.pieces)
     for group, counts, (moment,), gram, rows in piece_sums(ordered, x, [delta], gram=True):
         pieces = group[0].pieces
-        gram, moment = gram / n, moment.T / n
+        top = max(model.dim for model in group) // pieces
+        levels[pieces] = gram[:, :top, :top] / n, moment.T[:, :top] / n
+        products = _prefix_products(*levels[pieces])
         for model in sorted(group, key=lambda model: model != richest):
             k = model.dim // pieces
-            coeffs, rank, cond = _solve_blocks(gram[:, :k, :k], moment[:, :k])
+            if model != richest and products is not None and noise > _PILOT_FLOOR * total:
+                contrasts[model] = total - products[k - 1]
+                continue
+            coeffs, rank, cond, contrast = solve(model)
             if model == richest or cond > _COND_CUT or noise <= _PILOT_FLOOR * total:
                 if rows is None:
                     # once per subdivision, at its richest model
@@ -169,11 +225,17 @@ def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
                 contrast = (rss + outside_rss) / n
                 if model == richest:
                     noise = rss / max(delta.size, 1)
-            else:
-                contrast = total - float(np.sum(coeffs * moment[:, :k]))
             # piecewise coefficients are stored degree-major
             fits[model] = LeastSquaresFit(model, coeffs.T.ravel(), contrast, rank, cond)
-    return [fits[model] for model in models], noise
+            contrasts[model] = contrast
+
+    def fit(model: BasisModel) -> LeastSquaresFit:
+        if model not in fits:
+            coeffs, rank, cond, contrast = solve(model)
+            fits[model] = LeastSquaresFit(model, coeffs.T.ravel(), contrast, rank, cond)
+        return fits[model]
+
+    return np.array([contrasts[model] for model in models]), noise, fit
 
 
 def fit_cdf_regression(
@@ -187,7 +249,7 @@ def fit_cdf_regression(
     All models are fitted in one scan over the points in [0, 1], sorted
     once. Per subdivision (a dyadic level, a regular piece count, or the
     single trigonometric block) it holds per-piece Gram blocks and
-    moments, and each model solves the leading blocks of its
+    moments, and a model's solve reads the leading blocks of its
     subdivision, with singular values at or below 1e-10 times the
     largest over all its blocks treated as zero (the rule of
     ``np.linalg.lstsq`` on the block-diagonal Gram matrix, so
@@ -206,31 +268,51 @@ def fit_cdf_regression(
     sum of ``sqrt(m)`` over the status-1 points, as in the density scan.
 
     A contrast is ``sum(delta**2) / n - sum b'c`` over the pieces, since
-    b'Gb = b'c at the solution. It is the mean of per-point squared
-    residuals instead, the fitted values spreading each piece's
-    coefficients over its run of sorted points with ``np.repeat``, in
-    three cases: (a) for the richest model, whose residuals over the
-    points inside [0, 1] give the noise pilot; (b) for a model whose
-    kept condition number (largest over smallest kept singular value)
-    is above 1e6, where the closed form loses digits to cancellation;
-    (c) for every model when the pilot is at most 1e-10 of
-    ``sum(delta**2) / n``, as for constant statuses, where every penalty
-    is near 0 and rounding residue would decide the pick. These passes
-    reuse the rows a regular piecewise or trigonometric subdivision was
-    summed from; a dyadic level evaluates its basis only when one of its
-    models needs it, once, at the degree of its richest model. The
-    count-exact degree-0 entries matter in case (c): with refined ones
-    instead, the all-ones samples of ``tests/test_regression.py`` picked
-    level 2 or level 4 instead of level 0. The selected model's kept
-    condition number is reported as ``gram_cond``.
+    b'Gb = b'c at the solution. A subdivision whose top-degree Gram
+    blocks are all positive definite with ``eigvalsh`` condition number
+    (largest over smallest eigenvalue of the stack) at most 1e6 takes
+    the Cholesky route, once the pilot is above 1e-10 of
+    ``sum(delta**2) / n``: one batched ``np.linalg.cholesky`` of those
+    blocks and one forward solve ``y = L^-1 c`` give every model of the
+    subdivision, since the leading ``k x k`` block of ``L`` is the factor
+    of the leading Gram block, so the degree-``k`` prefix has
+    ``b'c = sum ||y[:k]||^2`` over the pieces. By interlacing, each
+    prefix's kept condition number is then at most 1e6 too. Every other
+    subdivision (an empty piece, a condition number above 1e6, a pilot
+    near 0) solves each of its models by ``_solve_blocks``, one batched
+    SVD per model. So SVDs run for the richest, the selected and the
+    gated-out candidates only: the selected model is solved again once
+    the pick is known, and its contrast is read in the closed form from
+    its own coefficients, so its coefficients, contrast, ``gram_rank``
+    and ``gram_cond`` are those a per-candidate solve gives.
+
+    A contrast is the mean of per-point squared residuals instead, the
+    fitted values spreading each piece's coefficients over its run of
+    sorted points with ``np.repeat``, in three cases: (a) for the richest
+    model, whose residuals over the points inside [0, 1] give the noise
+    pilot; (b) for an SVD-route model whose kept condition number
+    (largest over smallest kept singular value) is above 1e6, where the
+    closed form loses digits to cancellation; (c) for every model when
+    the pilot is at most 1e-10 of ``sum(delta**2) / n``, as for constant
+    statuses, where every penalty is near 0 and rounding residue would
+    decide the pick. These passes reuse the rows a regular piecewise or
+    trigonometric subdivision was summed from; a dyadic level evaluates
+    its basis only when one of its models needs it, once, at the degree
+    of its richest model. The count-exact degree-0 entries matter in case
+    (c): with refined ones instead, the all-ones samples of
+    ``tests/test_regression.py`` picked level 2 or level 4 instead of
+    level 0. The selected model's kept condition number is reported as
+    ``gram_cond``.
 
     The score is contrast plus ``noise_scale * regression_penalty``,
     where ``noise_scale`` is the indicator noise variance estimated from
     the richest model's residuals over the points inside [0, 1]: an
     indicator regression has noise variance well below 1, and an
     unscaled penalty of this size systematically blocks the
-    bias-reducing model upgrades. The first model in collection order
-    with the lowest score wins.
+    bias-reducing model upgrades. The scores are one array,
+    ``contrasts + noise_scale * (kappa0 * dim / n)`` with each penalty
+    rounded as ``regression_penalty`` rounds it, and ``argmin`` takes
+    the first model in collection order with the lowest score.
 
     The coefficients carry ``fit_least_squares``'s error bound: within
     ``64 * cond * 2**-52 * max(1, max |b|)`` of the exact least-squares
@@ -245,19 +327,19 @@ def fit_cdf_regression(
     if family is None:
         family = dyadic_family()
     models = build_collection(family, sample.n, CAP_REGRESSION)
-    fits, noise_scale = _fit_collection(sample, models)
-
-    def penalty(fit: LeastSquaresFit) -> float:
-        return noise_scale * regression_penalty(fit.model, sample.n, kappa0)
-
-    best_fit = min(fits, key=lambda fit: fit.contrast + penalty(fit))
+    dims = np.array([_penalty_dim(model) for model in models])
+    units = _regression_penalty(dims, sample.n, kappa0)
+    contrasts, noise_scale, fit = _fit_collection(sample, models)
+    penalties = noise_scale * units
+    best = int((contrasts + penalties).argmin())
+    best_fit = fit(models[best])
     estimate = CdfEstimate(
         "regression",
         best_fit,
         {
             "model": best_fit.model.describe(),
             "contrast": best_fit.contrast,
-            "penalty": penalty(best_fit),
+            "penalty": float(penalties[best]),
             "noise_scale": float(noise_scale),
             "gram_rank": best_fit.gram_rank,
             "gram_cond": best_fit.gram_cond,

@@ -37,6 +37,12 @@ from dense_oracle import (
 )
 
 
+def every_fit(sample, models):
+    """Every model's fit from the scan's per-model solve, and the noise pilot."""
+    _, pilot, fit = _fit_collection(sample, models)
+    return [fit(model) for model in models], pilot
+
+
 class TestFitLeastSquares:
     def test_two_bins_fit_bin_means(self):
         sample = ObservationSample([0.25, 0.75], [0.0, 1.0])
@@ -240,9 +246,7 @@ class TestCollectionScan:
                         with pytest.raises(EmptyCollectionError):
                             fit_cdf_regression(sample, family)
                         continue
-                    fits, pilot = _fit_collection(
-                        sample, [fit.model for fit in dense]
-                    )
+                    fits, pilot = every_fit(sample, [fit.model for fit in dense])
                     assert [f.model for f in fits] == [f.model for f in dense]
                     for fast, slow in zip(fits, dense):
                         assert fast.gram_rank == slow.gram_rank
@@ -295,7 +299,7 @@ class TestCollectionScan:
                 dense, noise, _ = dense_selection(sample, family)
             except EmptyCollectionError:
                 continue
-            fits, pilot = _fit_collection(sample, [fit.model for fit in dense])
+            fits, pilot = every_fit(sample, [fit.model for fit in dense])
             assert [f.model for f in fits] == [f.model for f in dense]
             assert abs(pilot - noise) <= 1e-12
             for fast, slow in zip(fits, dense):
@@ -321,8 +325,8 @@ class TestClosedFormContrasts:
     def test_matches_residual_pass_at_large_n(self, monkeypatch):
         sample = generate(SimModel(3), 20000, 2)
         models = build_collection(dyadic_family(), sample.n, "regression")
-        fits, pilot = _fit_collection(sample, models)
-        slow, slow_pilot = self.residual_pass(monkeypatch, _fit_collection, sample, models)
+        fits, pilot = every_fit(sample, models)
+        slow, slow_pilot = self.residual_pass(monkeypatch, every_fit, sample, models)
         assert pilot == slow_pilot
         closed = 0
         for fast, ref in zip(fits, slow):
@@ -344,9 +348,9 @@ class TestClosedFormContrasts:
             u[::10] += 1.0
         sample = ObservationSample(u, np.full(u.size, status))
         models = build_collection(dyadic_family(), sample.n, "regression")
-        fits, pilot = _fit_collection(sample, models)
+        fits, pilot = every_fit(sample, models)
         assert pilot <= regression._PILOT_FLOOR * status
-        slow, _ = self.residual_pass(monkeypatch, _fit_collection, sample, models)
+        slow, _ = self.residual_pass(monkeypatch, every_fit, sample, models)
         assert [f.contrast for f in fits] == [f.contrast for f in slow]
         est = fit_cdf_regression(sample)
         assert est.evaluator.model.dim == 1
@@ -404,7 +408,7 @@ class TestExactLeastSquares:
         nearer = {"scan": 0, "dense": 0, "tie": 0}
         gated, worst = 0, 0.0
         for sample in small_sparse_samples():
-            fits, _ = _fit_collection(sample, models)
+            fits, _ = every_fit(sample, models)
             for model, fit in zip(models, fits):
                 exact = exact_least_squares(sample, model)
                 assert exact is not None  # every Gram matrix here is nonsingular
@@ -514,26 +518,37 @@ class TestSharedSums:
     def assert_moments_are_subdensity_coefficients(monkeypatch, family, n):
         sample = generate(SimModel(3), n, 1)
         models = build_collection(family, n, "regression")
-        used = {}
-        solve = regression._solve_blocks
+        solved, scored = {}, {}
+        solve, prefix_products = regression._solve_blocks, regression._prefix_products
 
         def recording_solve(gram, moment):
             # a (pieces, k) moment belongs to the model with k functions per piece
-            used[moment.shape] = moment.T.ravel()
+            solved[moment.shape] = moment.T.ravel()
             return solve(gram, moment)
 
+        def recording_products(gram, moment):
+            # the moments of a subdivision's richest model, read by its Cholesky scores
+            products = prefix_products(gram, moment)
+            scored[moment.shape] = moment.T.ravel(), products is not None
+            return products
+
         monkeypatch.setattr(regression, "_solve_blocks", recording_solve)
-        _fit_collection(sample, models)
-        assert len(used) == len(models)
+        monkeypatch.setattr(regression, "_prefix_products", recording_products)
+        every_fit(sample, models)
+        assert len(solved) == len(models)
+        assert len(scored) == len({model.pieces for model in models})
+        assert any(taken for _, taken in scored.values())
         weights = sample.delta, np.ones(n)
         for group, (sub, _) in _piece_moments(models, sample, weights):
+            top = max(model.dim for model in group) // group[0].pieces
+            assert scored[group[0].pieces, top][0].tobytes() == sub[:top].ravel().tobytes()
             for model in group:
                 k = model.dim // model.pieces
-                assert used[model.pieces, k].tobytes() == sub[:k].ravel().tobytes()
+                assert solved[model.pieces, k].tobytes() == sub[:k].ravel().tobytes()
         sub_estimate, _ = select_projection_model(sample, models)
         model = sub_estimate.model
         key = model.pieces, model.dim // model.pieces
-        assert used[key].tobytes() == sub_estimate.coeffs.tobytes()
+        assert solved[key].tobytes() == sub_estimate.coeffs.tobytes()
 
     @pytest.mark.parametrize(
         "family, sample",
@@ -560,7 +575,7 @@ class TestSharedSums:
         monkeypatch.setattr(bases, "piecewise_legendre", counted_legendre)
         monkeypatch.setattr(np, "argsort", counted_argsort)
         models = build_collection(family, sample.n, "regression")
-        fits, pilot = _fit_collection(sample, models)
+        fits, pilot = every_fit(sample, models)
         monkeypatch.undo()
 
         total = float(sample.delta @ sample.delta) / sample.n
@@ -613,3 +628,114 @@ class TestSharedSums:
             assert calls == [("trig", models[-1].harmonics)]
         else:
             assert sorted(calls) == sorted((model.pieces, model.degree) for model in models)
+
+
+def cholesky_samples():
+    """Model samples at n = 60 to 5e4, the sparse ones and constant statuses outside [0, 1]."""
+    samples = [
+        generate(SimModel(model_id), n, model_id)
+        for model_id in range(1, 6)
+        for n in (60, 200, 1000, 5000, 50_000)
+    ]
+    rng = np.random.default_rng(11)
+    for status in (0.0, 1.0):
+        u = rng.random(1000)
+        u[::10] += 1.0
+        samples.append(ObservationSample(u, np.full(u.size, status)))
+    return samples + sparse_samples()
+
+
+class TestCholeskyScan:
+    """Contrasts from one Cholesky factor per subdivision against per-candidate solves.
+
+    A subdivision whose top-degree blocks are positive definite with
+    eigenvalue condition number at most ``_COND_CUT`` scores its models
+    by one factor; the others, and every subdivision when the noise
+    pilot is near 0, solve each candidate by SVD as ``fit`` does.
+    """
+
+    FAMILIES = [dyadic_family(9), dyadic_family(3), haar_family()]
+    FAMILY_IDS = ["dyadic9", "dyadic3", "haar"]
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
+    def test_candidate_contrasts_match_closed_form(self, family):
+        for sample in cholesky_samples():
+            models = build_collection(family, sample.n, "regression")
+            contrasts, _, fit = _fit_collection(sample, models)
+            closed = np.array([fit(model).contrast for model in models])
+            assert np.all(np.abs(contrasts - closed) <= 1e-12)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
+    def test_selected_model_matches_per_candidate_route(self, family):
+        for sample in cholesky_samples():
+            models = build_collection(family, sample.n, "regression")
+            fits, pilot = every_fit(sample, models)
+            penalties = [pilot * regression_penalty(fit.model, sample.n) for fit in fits]
+            scores = [fit.contrast + penalty for fit, penalty in zip(fits, penalties)]
+            best = scores.index(min(scores))
+            ref, est = fits[best], fit_cdf_regression(sample, family)
+            assert est.evaluator.model == ref.model
+            assert est.evaluator.coeffs.tobytes() == ref.coeffs.tobytes()
+            assert est.metadata["gram_rank"] == ref.gram_rank
+            expected = {
+                "contrast": ref.contrast,
+                "penalty": penalties[best],
+                "noise_scale": pilot,
+                "gram_cond": ref.gram_cond,
+            }
+            for key, value in expected.items():
+                assert np.float64(est.metadata[key]).tobytes() == np.float64(value).tobytes()
+
+    def test_solves_the_richest_and_the_selected_model(self, monkeypatch):
+        calls = []
+        solve = regression._solve_blocks
+
+        def counted_solve(gram, moment):
+            calls.append(moment.shape)
+            return solve(gram, moment)
+
+        monkeypatch.setattr(regression, "_solve_blocks", counted_solve)
+        sample = generate(SimModel(3), 50_000, 2)
+        est = fit_cdf_regression(sample)
+        richest = build_collection(dyadic_family(), sample.n, "regression")[-1]
+        selected = est.evaluator.model
+        assert selected != richest
+        assert calls == [
+            (model.pieces, model.dim // model.pieces) for model in (richest, selected)
+        ]
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
+    def test_empty_or_ill_conditioned_levels_take_svd_route(self, monkeypatch, family):
+        # the dense blocks decide which subdivisions must take the SVD route;
+        # those within a factor 10 of the cut are left unasserted
+        solved = set()
+        solve = regression._solve_blocks
+
+        def recording_solve(gram, moment):
+            solved.add(moment.shape)
+            return solve(gram, moment)
+
+        monkeypatch.setattr(regression, "_solve_blocks", recording_solve)
+        routes = {"svd": 0, "cholesky": 0}
+        for sample in sparse_samples():
+            models = build_collection(family, sample.n, "regression")
+            solved.clear()
+            _, pilot, _ = _fit_collection(sample, models)
+            near_zero = pilot <= regression._PILOT_FLOOR * float(sample.delta.mean())
+            for pieces in {model.pieces for model in models}:
+                group = [model for model in models if model.pieces == pieces]
+                gram, _ = dense_piece_statistics(sample, max(group, key=lambda m: m.dim))
+                eig = np.linalg.eigvalsh(gram)
+                lo, hi = eig[:, 0].min(), eig[:, -1].max()
+                if near_zero or lo <= 0.0 or hi > 10 * regression._COND_CUT * lo:
+                    route = "svd"
+                elif hi < regression._COND_CUT / 10 * lo:
+                    route = "cholesky"
+                else:
+                    continue
+                routes[route] += 1
+                for model in group:
+                    if model != models[-1]:
+                        shape = pieces, model.dim // pieces
+                        assert (shape in solved) == (route == "svd"), (model, route)
+        assert routes["svd"] >= 10 and routes["cholesky"] >= 10, routes
