@@ -311,8 +311,12 @@ def row_sums(piece, columns, weights, pieces: int) -> list[np.ndarray]:
     """Per-piece sums of each basis row times each weight row, by ``np.bincount``.
 
     Returns one ``(len(columns), pieces)`` array per row of ``weights``.
+    A weight row of None stands for ones and takes no product.
     """
-    return [np.array([np.bincount(piece, row * w, pieces) for row in columns]) for w in weights]
+    return [
+        np.array([np.bincount(piece, row if w is None else row * w, pieces) for row in columns])
+        for w in weights
+    ]
 
 
 def _piece_gram(columns, counts) -> np.ndarray:
@@ -333,8 +337,8 @@ def _piece_gram(columns, counts) -> np.ndarray:
 def piece_sums(models, x: np.ndarray, weights, gram: bool = False):
     """Per-piece sums of a collection at each of its subdivisions.
 
-    ``x`` holds the points in [0, 1] and ``weights`` rows of weights, in
-    the one time order of the ``data`` module, as
+    ``x`` holds the points in [0, 1] and ``weights`` rows of weights (None
+    for a row of ones), in the one time order of the ``data`` module, as
     ``ObservationSample.sorted_inside`` returns them. Yields
     ``(group, counts, sums, products, rows)`` per subdivision of
     ``models`` (the models of one piece count), in the order the
@@ -399,8 +403,10 @@ def _refined(model: BasisModel, coarsest: int, x: np.ndarray, weights, gram: boo
     products = _piece_gram(rows, counts) if gram else None
     if pieces > coarsest:
         h0, h1 = two_scale(model.degree)
-        # sums of 0/1 weights are exact integers
-        weight_counts = [np.bincount(piece, w, pieces).astype(int) for w in weights]
+        # sums of 0/1 weights are exact integers; those of ones are the counts
+        weight_counts = [
+            counts if w is None else np.bincount(piece, w, pieces).astype(int) for w in weights
+        ]
     while True:
         if gram:
             products[:, 0, 0] = counts * float(pieces)

@@ -10,7 +10,11 @@ number; blank lines and ``#`` comment lines may come anywhere.
 Every estimator that sorts reads a sample in the one time order that
 ``ObservationSample.time_order`` decides: ascending time, status 1
 ahead of status 0 within a tied time, and input order among equal
-observations. So no estimate depends on the input order. Every basis
+observations. So no estimate depends on the input order. The order is
+found by numpy's default ``argsort`` of the times, which on distinct
+times has only one permutation to find, and on tied times by one more
+``argsort`` of a unique integer key built from the dense time rank, the
+status and the input position, exact for n < 2**31. Every basis
 function takes one value at a tied time, so the order within a tie group
 cannot move a per-piece sum of 0/1 weights; it gives the NPMLE one value
 per tie group, and fixes the order in which the regression sums its
@@ -66,24 +70,39 @@ class ObservationSample:
         return self.u.size
 
     def time_order(self) -> np.ndarray:
-        """Stable argsort of ``u`` with status 1 first within a tied time."""
-        order = np.argsort(self.u, kind="stable")
+        """Ascending ``u``, status 1 first within a tied time, then input order.
+
+        This is ``np.lexsort((-delta, u))``, found by numpy's default
+        (unstable, vectorised) ``argsort``. When the times are distinct,
+        only one permutation sorts them, so that sort finds it. When a
+        time ties, one more ``argsort`` sorts the unique integer key
+        ``(2 * rank + (delta == 0)) * n + index``, with ``rank`` the dense
+        rank of the time from the first sort and ``index`` the input
+        position; the key is exact in int64 for n < 2**31.
+        """
+        order = np.argsort(self.u)
         u = self.u[order]
-        if (u[1:] == u[:-1]).any():
-            order = order[np.lexsort((-self.delta[order], u))]
+        distinct = u[1:] != u[:-1]
+        if not distinct.all():
+            n = self.n
+            rank = np.zeros(n, dtype=np.int64)
+            np.cumsum(distinct, out=rank[1:])
+            key = (2 * rank + (self.delta[order] == 0.0)) * n + order
+            order = order[np.argsort(key)]
         return order
 
     def sorted_inside(self, *rows: np.ndarray):
         """The times in [0, 1] in ``time_order``, and ``rows`` cut and ordered alike.
 
-        Returns ``(x, *rows)``. On sorted times [0, 1] is one contiguous
-        run, and on sorted points each piece of a subdivision is one too.
+        Returns ``(x, *rows)``, where a row of None stays None. On sorted
+        times [0, 1] is one contiguous run, and on sorted points each
+        piece of a subdivision is one too.
         """
         order = self.time_order()
         u = self.u[order]
         lo, hi = np.searchsorted(u, 0.0), np.searchsorted(u, 1.0, "right")
         window = order[lo:hi]
-        return (u[lo:hi], *(row[window] for row in rows))
+        return (u[lo:hi], *(None if row is None else row[window] for row in rows))
 
 
 def _split_fields(line: str) -> list[str]:

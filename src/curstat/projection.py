@@ -84,9 +84,10 @@ def empirical_coefficients(
     from them in the last bits when it derives them from a finer
     subdivision.
     """
-    weights = np.ones(sample.n) if weights is None else np.asarray(weights, dtype=float)
-    if weights.shape != (sample.n,):
-        raise ValueError("weights must have one entry per observation")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (sample.n,):
+            raise ValueError("weights must have one entry per observation")
     ((_, (sums,)),) = _piece_moments([model], sample, [weights])
     return sums.ravel()
 
@@ -98,11 +99,12 @@ def _piece_moments(models, sample: ObservationSample, weights):
     array in ``sums`` per weight row: its row ``a`` holds the per-piece
     sums of the degree-``a`` functions (for trig, of the ``a``-th
     function, on one piece), and a model of the group reads its first
-    ``dim // pieces`` rows. Sums run with ``np.bincount`` over the points
-    in [0, 1] in the sample's time order, in ``bases.piece_sums``. For
-    the dyadic families it sums the finest subdivision only and refines
-    the others from it; that needs 0/1 weights whenever the models span
-    more than one subdivision.
+    ``dim // pieces`` rows. A weight row of None stands for ones, which
+    are neither gathered nor multiplied. Sums run with ``np.bincount``
+    over the points in [0, 1] in the sample's time order, in
+    ``bases.piece_sums``. For the dyadic families it sums the finest
+    subdivision only and refines the others from it; that needs 0/1
+    weights whenever the models span more than one subdivision.
     """
     x, *weights = sample.sorted_inside(*weights)
     for group, _, sums, _, _ in piece_sums(models, x, weights):
@@ -149,7 +151,7 @@ def select_projection_model(
     Returns the ``(subdensity, density)`` pair of estimates. The basis
     functions of the richest model of each subdivision are summed per
     piece over the points in sorted time order, weighted by ``delta`` and
-    by ones, and divided by n; each candidate's coefficients are a
+    unweighted, and divided by n; each candidate's coefficients are a
     degree-major prefix of those sums, and its contrast is minus their
     sum of squares. For the dyadic families only the finest subdivision
     is summed with ``np.bincount``, at the largest degree; each coarser
@@ -176,8 +178,7 @@ def select_projection_model(
         raise ValueError("empty model collection")
     n = sample.n
     coeffs = {}
-    weights = sample.delta, np.ones(n)
-    for group, (sub, den) in _piece_moments(collection, sample, weights):
+    for group, (sub, den) in _piece_moments(collection, sample, [sample.delta, None]):
         pieces = group[0].pieces
         for model in group:
             k = model.dim // pieces

@@ -180,7 +180,9 @@ def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
     model, and leaves their solve to ``fit``, which gives the closed-form
     contrast ``sum(delta**2) / n - sum b'c`` over the pieces. Every other
     model is solved during the scan, with a residual pass where
-    ``fit_cdf_regression`` says one decides its contrast.
+    ``fit_cdf_regression`` says one decides its contrast. A subdivision
+    is put to the gate only once the pilot is known to be above
+    ``_PILOT_FLOOR``, and only for a model other than the richest.
     """
     n = sample.n
     richest = models[-1]
@@ -190,6 +192,7 @@ def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
     # residuals; both sums of 0/1 statuses are exact
     outside_rss = float(sample.delta.sum() - delta.sum())
     levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    products: dict[int, np.ndarray | None] = {}
     contrasts: dict[BasisModel, float] = {}
     fits: dict[BasisModel, LeastSquaresFit] = {}
 
@@ -206,12 +209,15 @@ def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
         pieces = group[0].pieces
         top = max(model.dim for model in group) // pieces
         levels[pieces] = gram[:, :top, :top] / n, moment.T[:, :top] / n
-        products = _prefix_products(*levels[pieces])
         for model in sorted(group, key=lambda model: model != richest):
             k = model.dim // pieces
-            if model != richest and products is not None and noise > _PILOT_FLOOR * total:
-                contrasts[model] = total - products[k - 1]
-                continue
+            if model != richest and noise > _PILOT_FLOOR * total:
+                if pieces not in products:
+                    # factored once per level, only when the pilot can use it
+                    products[pieces] = _prefix_products(*levels[pieces])
+                if products[pieces] is not None:
+                    contrasts[model] = total - products[pieces][k - 1]
+                    continue
             coeffs, rank, cond, contrast = solve(model)
             if model == richest or cond > _COND_CUT or noise <= _PILOT_FLOOR * total:
                 if rows is None:

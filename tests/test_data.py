@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import example, given, settings
 
-from curstat import ObservationSample
+from curstat import ObservationSample, SimModel, generate
 
 from conftest import tied_samples
 
@@ -29,6 +29,28 @@ def test_time_order_and_window(sample):
     assert delta.tobytes() == sample.delta[inside].tobytes()
 
 
+def test_time_order_on_large_samples():
+    # the unstable first sort and the integer tie key give the lexsort order
+    n = 50_000
+    rng = np.random.default_rng(19)
+    untied = generate(SimModel(3), n, 1)
+    zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    signed = np.where(rng.random(n) < 0.2, zeros, np.round(rng.random(n), 2))
+    samples = [
+        untied,
+        generate(SimModel(4), n, 1),
+        ObservationSample(np.round(untied.u, 3), untied.delta),
+        ObservationSample(signed, (rng.random(n) < 0.5).astype(float)),
+    ]
+    assert np.unique(untied.u).size == n
+    assert (samples[1].u > 1.0).any()
+    assert np.unique(samples[2].u).size < n
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    for sample in samples:
+        expected = np.lexsort((-sample.delta, sample.u))
+        assert sample.time_order().tobytes() == expected.tobytes()
+
+
 def test_only_the_sample_sorts():
     # every sorted route reads ObservationSample.time_order, so no other
     # module may decide a time order of its own
@@ -42,4 +64,4 @@ def test_only_the_sample_sorts():
         }
         if names & {"argsort", "lexsort"}:
             sorts[path.name] = sorted(names & {"argsort", "lexsort"})
-    assert sorts == {"data.py": ["argsort", "lexsort"]}
+    assert sorts == {"data.py": ["argsort"]}

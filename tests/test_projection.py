@@ -16,6 +16,7 @@ from curstat import (
     generate,
     haar_family,
     haar_model,
+    poly_family,
     poly_model,
     select_projection_model,
     trig_family,
@@ -267,6 +268,21 @@ class TestTwoScaleRefinement:
         assert_refined_sums_match(sample, family, 0.0)
         sub, den = fit_pair(sample, family)
         assert np.all(sub.coeffs == 0.0) and np.all(den.coeffs == 0.0)
+
+    @pytest.mark.parametrize(
+        "family",
+        [dyadic_family(), haar_family(), poly_family(2), trig_family()],
+        ids=["dyadic", "haar", "poly2", "trig"],
+    )
+    def test_ones_row_takes_no_product(self, family):
+        # a row of None sums the basis rows themselves, bit for bit a product with ones
+        sample = generate(SimModel(4), 5000, 23)
+        collection = build_collection(family, sample.n, CAP_DENSITY)
+        plain = _piece_moments(collection, sample, [sample.delta, None])
+        product = _piece_moments(collection, sample, [sample.delta, np.ones(sample.n)])
+        for (group, sums), (_, expected) in zip(plain, product, strict=True):
+            for got, want in zip(sums, expected, strict=True):
+                assert got.tobytes() == want.tobytes(), group[0]
 
 
 class TestRiskDecomposition:

@@ -536,12 +536,15 @@ class TestSharedSums:
         monkeypatch.setattr(regression, "_prefix_products", recording_products)
         every_fit(sample, models)
         assert len(solved) == len(models)
-        assert len(scored) == len({model.pieces for model in models})
+        # a subdivision is factored only when it holds a model other than the richest
+        factored = {model.pieces for model in models[:-1]}
+        assert {pieces for pieces, _ in scored} == factored
         assert any(taken for _, taken in scored.values())
         weights = sample.delta, np.ones(n)
         for group, (sub, _) in _piece_moments(models, sample, weights):
             top = max(model.dim for model in group) // group[0].pieces
-            assert scored[group[0].pieces, top][0].tobytes() == sub[:top].ravel().tobytes()
+            if group[0].pieces in factored:
+                assert scored[group[0].pieces, top][0].tobytes() == sub[:top].ravel().tobytes()
             for model in group:
                 k = model.dim // model.pieces
                 assert solved[model.pieces, k].tobytes() == sub[:k].ravel().tobytes()
@@ -703,6 +706,23 @@ class TestCholeskyScan:
         assert calls == [
             (model.pieces, model.dim // model.pieces) for model in (richest, selected)
         ]
+
+    def test_factors_only_levels_it_scores(self, monkeypatch):
+        # no factor before the pilot clears the floor, none for the richest model
+        calls = []
+        prefix_products = regression._prefix_products
+
+        def counted_products(gram, moment):
+            calls.append(gram.shape[0])
+            return prefix_products(gram, moment)
+
+        monkeypatch.setattr(regression, "_prefix_products", counted_products)
+        fit_cdf_regression(ObservationSample(np.linspace(0.0, 1.0, 1000), np.ones(1000)))
+        assert calls == []
+        sample = generate(SimModel(3), 50_000, 2)
+        fit_cdf_regression(sample)
+        models = build_collection(dyadic_family(), sample.n, "regression")
+        assert sorted(calls) == sorted({model.pieces for model in models[:-1]})
 
     @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
     def test_empty_or_ill_conditioned_levels_take_svd_route(self, monkeypatch, family):
