@@ -198,6 +198,18 @@ def corrected_dim(model: BasisModel) -> float:
     return model.pieces * (d + math.log(d) ** 2.5)
 
 
+def penalty_factors(model: BasisModel) -> tuple[float, float]:
+    """``(norm, dim)`` that the model selection penalties charge.
+
+    ``(1, corrected_dim)`` for the dyadic families, ``(phi0**2, dim)``
+    for the others. The density penalty charges ``norm * dim``, the
+    regression penalty ``dim``.
+    """
+    if model.family.tag in _DYADIC_TAGS:
+        return 1.0, corrected_dim(model)
+    return phi0(model) ** 2, float(model.dim)
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -374,6 +386,13 @@ def piece_sums(models, x: np.ndarray, weights, gram: bool = False):
     """
     groups = _by_pieces(models)
     if models[0].family.tag not in _DYADIC_TAGS:
+        # one subdivision at a time, rows handed back: the regression's
+        # residual pass reuses them (pinned by test_regression.py's
+        # test_one_basis_evaluation_per_subdivision); summing every
+        # subdivision first, without rows, evaluated trig twice per fit and
+        # freed each subdivision's temporaries with nothing above them, so
+        # glibc trimmed the heap and faulted it back in, which slowed the
+        # poly(2) quotient at n = 5e4
         for group in groups.values():
             richest = max(group, key=lambda model: model.dim)
             ((counts, sums, products, rows),) = _refined(richest, richest.pieces, x, weights, gram)

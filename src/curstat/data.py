@@ -118,50 +118,65 @@ def read_sample(path) -> ObservationSample:
     other line may be a header, such as ``u,delta``: it is skipped when
     it does not parse as an observation and does not start like a number
     (with a digit, a sign or a ``.``), so a malformed first observation
-    is reported, not taken for a header.
+    is reported, not taken for a header. The file is read as UTF-8,
+    after a byte order mark if it starts with one; a byte that is not
+    UTF-8 is a SampleFormatError naming its line.
     """
     u_vals: list[float] = []
     d_vals: list[float] = []
     first = True
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = _split_fields(line)
-            # the first line is the header when it fails to parse and
-            # does not start like a number
-            header = first and line[0] not in "+-.0123456789"
-            first = False
-            if len(fields) != 2:
-                if header:
-                    continue  # tolerate a free-form header
-                raise SampleFormatError(
-                    f"line {lineno}: expected two fields, got {len(fields)}"
-                )
-            try:
-                u = float(fields[0])
-                d = float(fields[1])
-            except ValueError:
-                if header:
-                    continue  # header row such as "u,delta"
-                raise SampleFormatError(
-                    f"line {lineno}: could not parse {line!r}"
-                ) from None
-            if not math.isfinite(u):
-                raise SampleFormatError(
-                    f"line {lineno}: examination time must be finite, got {fields[0]!r}"
-                )
-            if u < 0:
-                raise SampleFormatError(
-                    f"line {lineno}: examination time must be >= 0, got {u!r}"
-                )
-            if d not in (0.0, 1.0):
-                raise SampleFormatError(
-                    f"line {lineno}: status must be 0 or 1, got {fields[1]!r}"
-                )
-            u_vals.append(u)
-            d_vals.append(d)
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                fields = _split_fields(line)
+                # the first line is the header when it fails to parse and
+                # does not start like a number
+                header = first and line[0] not in "+-.0123456789"
+                first = False
+                if len(fields) != 2:
+                    if header:
+                        continue  # tolerate a free-form header
+                    raise SampleFormatError(
+                        f"line {lineno}: expected two fields, got {len(fields)}"
+                    )
+                try:
+                    u = float(fields[0])
+                    d = float(fields[1])
+                except ValueError:
+                    if header:
+                        continue  # header row such as "u,delta"
+                    raise SampleFormatError(
+                        f"line {lineno}: could not parse {line!r}"
+                    ) from None
+                if not math.isfinite(u):
+                    raise SampleFormatError(
+                        f"line {lineno}: examination time must be finite, got {fields[0]!r}"
+                    )
+                if u < 0:
+                    raise SampleFormatError(
+                        f"line {lineno}: examination time must be >= 0, got {u!r}"
+                    )
+                if d not in (0.0, 1.0):
+                    raise SampleFormatError(
+                        f"line {lineno}: status must be 0 or 1, got {fields[1]!r}"
+                    )
+                u_vals.append(u)
+                d_vals.append(d)
+    except UnicodeDecodeError:
+        # the reader decodes ahead in chunks, so the line is found afresh;
+        # line breaks are ASCII, never inside a UTF-8 sequence
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh.read().splitlines(), start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise SampleFormatError(
+                        f"line {lineno}: byte {line[exc.start]:#04x} is not UTF-8"
+                    ) from None
+        raise
     if not u_vals:
         raise SampleFormatError("no observations found in file")
     return ObservationSample(np.array(u_vals), np.array(d_vals))

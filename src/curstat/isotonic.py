@@ -144,6 +144,8 @@ def birge_histogram(sample: ObservationSample, n_bins: int) -> StepCdf:
     A point ``u`` falls in bin ``floor(u * n_bins)``, and the estimate
     reads the same bin at ``u``: its knots are ``_bin_edges(n_bins)``.
     """
+    if not isinstance(n_bins, (int, np.integer)):
+        raise ValueError("n_bins must be an integer")
     if n_bins < 1:
         raise ValueError("need at least one bin")
     inside = (sample.u >= 0.0) & (sample.u <= 1.0)

@@ -33,14 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import (
-    BasisModel,
-    corrected_dim,
-    design_matrix,
-    phi0,
-    piece_sums,
-    _DYADIC_TAGS,
-)
+from .bases import BasisModel, design_matrix, penalty_factors, piece_sums
 from .data import ObservationSample
 from .estimates import _vectorised
 
@@ -116,20 +109,13 @@ def density_penalty(
 ) -> float:
     """Dimension penalty for the density contrast.
 
-    ``kappa`` multiplies the whole penalty. The dyadic families use the
-    degree-corrected dimension (see ``bases.corrected_dim``), the others
-    ``phi0^2 * dim``. ``delta_mean`` is 1 for the examination-time
-    density and the observed status frequency for the sub-density
-    target.
+    ``kappa`` multiplies the whole penalty ``kappa * norm * delta_mean *
+    dim / n``, with ``(norm, dim)`` from ``bases.penalty_factors``: the
+    degree-corrected dimension for the dyadic families, ``phi0^2 * dim``
+    for the others. ``delta_mean`` is 1 for the examination-time density
+    and the observed status frequency for the sub-density target.
     """
-    return _density_penalty(*_density_factors(model), n, kappa, delta_mean)
-
-
-def _density_factors(model: BasisModel) -> tuple[float, float]:
-    """``(phi0**2, dim)``, or ``(1, corrected_dim)`` for the dyadic families."""
-    if model.family.tag in _DYADIC_TAGS:
-        return 1.0, corrected_dim(model)
-    return phi0(model) ** 2, float(model.dim)
+    return _density_penalty(*penalty_factors(model), n, kappa, delta_mean)
 
 
 def _density_penalty(norm, dim, n: int, kappa: float, delta_mean: float):
@@ -184,7 +170,7 @@ def select_projection_model(
             k = model.dim // pieces
             coeffs[model] = sub[:k].ravel(), den[:k].ravel()
     targets = zip(*(coeffs[model] for model in collection))
-    norms, dims = np.array([_density_factors(model) for model in collection]).T
+    norms, dims = np.array([penalty_factors(model) for model in collection]).T
     estimates = []
     for target, weight_mean in zip(targets, (float(sample.delta.mean()), 1.0)):
         penalties = _density_penalty(norms, dims, n, kappa, weight_mean)

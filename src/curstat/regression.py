@@ -42,10 +42,9 @@ from .bases import (
     BasisModel,
     basis_rows,
     build_collection,
-    corrected_dim,
     dyadic_family,
+    penalty_factors,
     piece_sums,
-    _DYADIC_TAGS,
 )
 from .data import ObservationSample
 from .estimates import CdfEstimate
@@ -90,15 +89,12 @@ def fit_least_squares(sample: ObservationSample, model: BasisModel) -> LeastSqua
 
 
 def regression_penalty(model: BasisModel, n: int, kappa0: float = 4.0) -> float:
-    """Penalty ``kappa0 * dim / n`` (degree-corrected for dyadic families)."""
-    return _regression_penalty(_penalty_dim(model), n, kappa0)
+    """Penalty ``kappa0 * dim / n``, ``dim`` from ``bases.penalty_factors``.
 
-
-def _penalty_dim(model: BasisModel) -> float:
-    """The dimension the penalty charges: degree-corrected for dyadic families."""
-    if model.family.tag in _DYADIC_TAGS:
-        return corrected_dim(model)
-    return float(model.dim)
+    The dyadic families charge the degree-corrected dimension, the
+    others the raw one.
+    """
+    return _regression_penalty(penalty_factors(model)[1], n, kappa0)
 
 
 def _regression_penalty(dim, n: int, kappa0: float):
@@ -220,8 +216,11 @@ def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
                     continue
             coeffs, rank, cond, contrast = solve(model)
             if model == richest or cond > _COND_CUT or noise <= _PILOT_FLOOR * total:
+                # reuse the rows piece_sums handed back for a regular piecewise
+                # or trig subdivision (pinned by
+                # test_one_basis_evaluation_per_subdivision); a dyadic level
+                # is evaluated here once, at its richest model
                 if rows is None:
-                    # once per subdivision, at its richest model
                     rows = basis_rows(max(group, key=lambda member: member.dim), x)[1]
                 fitted = np.zeros(delta.size)
                 for a in range(k):
@@ -333,7 +332,7 @@ def fit_cdf_regression(
     if family is None:
         family = dyadic_family()
     models = build_collection(family, sample.n, CAP_REGRESSION)
-    dims = np.array([_penalty_dim(model) for model in models])
+    dims = np.array([penalty_factors(model)[1] for model in models])
     units = _regression_penalty(dims, sample.n, kappa0)
     contrasts, noise_scale, fit = _fit_collection(sample, models)
     penalties = noise_scale * units

@@ -137,8 +137,11 @@ class BenchConfig:
         for name in ("kappa", "kappa0"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if self.birge_bins is not None and self.birge_bins < 1:
-            raise ValueError("need at least one bin")
+        if self.birge_bins is not None:
+            if not isinstance(self.birge_bins, (int, np.integer)):
+                raise ValueError("birge_bins must be an integer")
+            if self.birge_bins < 1:
+                raise ValueError("need at least one bin")
         if not isinstance(self.family, BasisFamily):
             raise ValueError("family must be a BasisFamily")
 

@@ -353,6 +353,28 @@ class TestSampleFiles:
         with pytest.raises(SampleFormatError, match=message):
             read_sample(path)
 
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        path = tmp_path / "sample.csv"
+        path.write_bytes(b"\xef\xbb\xbf0.5,1\n0.25,0\n0.75,1\n")
+        sample = read_sample(path)
+        assert sample.n == 3
+        np.testing.assert_array_equal(sample.u, [0.5, 0.25, 0.75])
+        out = tmp_path / "fit.csv"
+        assert run(["estimate", path, "--method", "npmle", "--grid", "9", "--out", out]) == 0
+        header, rows = read_document(out)
+        assert header["n"] == "3"
+        step = npmle_maxmin(ObservationSample([0.5, 0.25, 0.75], [1, 0, 1]))
+        assert rows == [(x, step(x)) for x, _ in rows]
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, capsys, newline):
+        path = tmp_path / "sample.csv"
+        path.write_bytes(newline.join([b"u,delta", b"0.5,1", b"0.25,0", b"\xe9,1", b""]))
+        with pytest.raises(SampleFormatError, match="^line 4: byte 0xe9 is not UTF-8$"):
+            read_sample(path)
+        assert run(["estimate", path]) == 2
+        assert capsys.readouterr().err == "curstat: data error: line 4: byte 0xe9 is not UTF-8\n"
+
     @pytest.mark.parametrize(
         "tail, error", [("# x\n0.5,1\n", None), ("0.5,1 # x\n", "line 62: could not parse")]
     )

@@ -65,3 +65,20 @@ def test_only_the_sample_sorts():
         if names & {"argsort", "lexsort"}:
             sorts[path.name] = sorted(names & {"argsort", "lexsort"})
     assert sorts == {"data.py": ["argsort"]}
+
+
+def test_only_the_bases_branch_on_the_family():
+    # both penalties take their family rule from bases.penalty_factors, so
+    # no other module may read a family tag or the dyadic tags
+    readers = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        if names & {"tag", "_DYADIC_TAGS"}:
+            readers[path.name] = sorted(names & {"tag", "_DYADIC_TAGS"})
+    assert readers == {"bases.py": ["tag"]}

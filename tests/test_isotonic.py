@@ -286,6 +286,13 @@ class TestBirgeHistogram:
         step = birge_histogram(sample, 1)
         assert step.values[0] == pytest.approx(sample.delta.mean(), abs=0)
 
+    @pytest.mark.parametrize("bins", [3.0, 2.5, None])
+    def test_bin_count_must_be_an_integer(self, bins):
+        sample = ObservationSample([0.1, 0.3, 0.6, 0.9], [0.0, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="n_bins must be an integer"):
+            birge_histogram(sample, bins)
+        assert birge_histogram(sample, np.int64(3)).values.tolist() == [0.5, 1.0, 1.0]
+
     def test_points_outside_interval_ignored(self):
         sample = ObservationSample([0.25, 1.5], [0.0, 1.0])
         step = birge_histogram(sample, 2)

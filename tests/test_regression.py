@@ -160,21 +160,27 @@ class TestAdaptiveRegression:
         assert est.metadata["model"] == "trig(m=1, dim=3)"
 
     def test_selection_matches_exhaustive_rescan(self, rng):
-        for _ in range(10):
-            sample = generate(SimModel(3), 300, rng)
-            est = fit_cdf_regression(sample)
-            noise_scale = est.metadata["noise_scale"]
-            coll = build_collection(dyadic_family(9), sample.n, "regression")
-            scores = []
-            for model in coll:
-                fit = dense_least_squares(sample, model)
-                penalty = noise_scale * regression_penalty(model, sample.n)
-                scores.append((fit.contrast + penalty, model))
-            best = min(s for s, _ in scores)
-            achieved = est.metadata["contrast"] + est.metadata["penalty"]
-            assert achieved == pytest.approx(best, abs=1e-12)
-            winners = [m for s, m in scores if s <= best + 1e-15]
-            assert min(m.dim for m in winners) >= est.evaluator.model.dim
+        families = [dyadic_family(9), haar_family(), poly_family(2), trig_family()]
+        for family in families:
+            for _ in range(10):
+                sample = generate(SimModel(3), 300, rng)
+                est = fit_cdf_regression(sample, family)
+                noise_scale = est.metadata["noise_scale"]
+                # the scan's penalty array charges regression_penalty's bits
+                selected = est.evaluator.model
+                expected = noise_scale * regression_penalty(selected, sample.n)
+                assert est.metadata["penalty"] == expected
+                coll = build_collection(family, sample.n, "regression")
+                scores = []
+                for model in coll:
+                    fit = dense_least_squares(sample, model)
+                    penalty = noise_scale * regression_penalty(model, sample.n)
+                    scores.append((fit.contrast + penalty, model))
+                best = min(s for s, _ in scores)
+                achieved = est.metadata["contrast"] + est.metadata["penalty"]
+                assert achieved == pytest.approx(best, abs=1e-12)
+                winners = [m for s, m in scores if s <= best + 1e-15]
+                assert min(m.dim for m in winners) >= selected.dim
 
     def test_uniform_model_grid_error_shrinks(self):
         sample = generate(SimModel(1), 1000, 13)

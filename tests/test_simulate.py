@@ -133,6 +133,8 @@ class TestDefaults:
             estimate_sample("birge", sample, BenchConfig(birge_bins=0))
         default = estimate_sample("birge", sample, BenchConfig(birge_bins=None))
         assert default.metadata["bins"] == default_birge_bins(60)
+        fixed = estimate_sample("birge", sample, BenchConfig(birge_bins=np.int64(3)))
+        assert fixed.metadata["bins"] == 3
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -142,6 +144,8 @@ class TestDefaults:
             ("kappa0", 0.0, "kappa0 must be positive and finite"),
             ("kappa0", math.nan, "kappa0 must be positive and finite"),
             ("birge_bins", 0, "need at least one bin"),
+            ("birge_bins", 2.5, "birge_bins must be an integer"),
+            ("birge_bins", 3.0, "birge_bins must be an integer"),
             ("family", "dyadic", "family must be a BasisFamily"),
         ],
     )
