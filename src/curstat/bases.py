@@ -319,132 +319,186 @@ def basis_rows(model: BasisModel, x: np.ndarray):
     return piece, values.T
 
 
-def row_sums(piece, columns, weights, pieces: int) -> list[np.ndarray]:
-    """Per-piece sums of each basis row times each weight row, by ``np.bincount``.
-
-    Returns one ``(len(columns), pieces)`` array per row of ``weights``.
-    A weight row of None stands for ones and takes no product.
-    """
-    return [
-        np.array([np.bincount(piece, row if w is None else row * w, pieces) for row in columns])
-        for w in weights
-    ]
-
-
-def _piece_gram(columns, counts) -> np.ndarray:
-    """Per-piece sums of products of two rows of ``columns``, over sorted points.
-
-    Piece j is the run of ``counts[j]`` points after the runs before it.
-    Returns the ``(pieces, rows, rows)`` blocks ``run @ run.T``, one
-    matrix product per occupied piece; empty pieces get zero blocks.
-    """
-    gram = np.zeros((counts.size, columns.shape[0], columns.shape[0]))
-    stops = np.cumsum(counts)
-    for j in np.flatnonzero(counts):
-        run = columns[:, stops[j] - counts[j] : stops[j]]
-        gram[j] = run @ run.T
-    return gram
-
-
-def piece_sums(models, x: np.ndarray, weights, gram: bool = False):
+def piece_sums(models, x: np.ndarray, weights):
     """Per-piece sums of a collection at each of its subdivisions.
 
     ``x`` holds the points in [0, 1] and ``weights`` rows of weights (None
     for a row of ones), in the one time order of the ``data`` module, as
     ``ObservationSample.sorted_inside`` returns them. Yields
-    ``(group, counts, sums, products, rows)`` per subdivision of
-    ``models`` (the models of one piece count), in the order the
-    subdivisions first appear in ``models``: the number of points per
-    piece; per weight row, a ``(d, pieces)`` array whose row ``a`` holds
-    the per-piece sums of the ``a``-th function of a piece (the
-    degree-``a`` one for piecewise families) times the weights; with
-    ``gram``, the ``(pieces, d, d)`` per-piece sums of products of two
-    basis functions (else None); and the ``d`` rows of ``basis_rows`` at
-    ``x`` where the subdivision was evaluated (else None). A model of the
-    group reads the leading ``dim // pieces`` rows. The degree-0 product
-    of every subdivision is the piece's point count times m, exactly.
+    ``(group, sums)`` per subdivision of ``models`` (the models of one
+    piece count), in the order the subdivisions first appear in
+    ``models``: per weight row, a ``(d, pieces)`` array whose row ``a``
+    holds the per-piece sums of the ``a``-th function of a piece (the
+    degree-``a`` one for piecewise families) times the weights. A model of
+    the group reads the leading ``dim // pieces`` rows.
 
     The regular piecewise and trigonometric families, whose subdivisions
-    do not nest, evaluate each subdivision's richest model once, sum it
-    with ``row_sums`` and ``_piece_gram`` and hand its rows back, one
-    subdivision at a time. The dyadic families evaluate the basis once,
-    at the finest subdivision and the largest degree, where ``row_sums``
-    and ``_piece_gram`` sum it. Each coarser subdivision follows from the
-    next finer one by the two-scale matrices: ``h0 @ left + h1 @ right``
-    for the sums and ``h0 @ left @ h0.T + h1 @ right @ h1.T`` for the
-    products. Degree-0 entries are rebuilt from integer point counts
-    instead. A degree-0 sum is ``sqrt(m)`` added once per point of
-    weight 1 in the piece, in order; each coarser subdivision reads it
-    from a running sum of ``sqrt(m)`` at the counts, which is bitwise a
-    per-subdivision ``np.bincount`` of the constant. The finest
-    subdivision keeps its own sums, so a single subdivision takes any
-    weights; several dyadic ones need 0/1 weights. The refinement
-    carries the refined degree-0 sums, not the running ones: those drift
-    from ``count * sqrt(m)`` by up to ``count * 2**-53`` relative, which
-    the higher degrees would inherit. The dyadic subdivisions are all
-    summed before the first is yielded, and yield no rows.
+    do not nest, evaluate each subdivision's richest model once and sum it
+    with one ``np.bincount`` per basis row, one subdivision at a time. The
+    dyadic families evaluate and sum the basis once, at the finest
+    subdivision and the largest degree. Each coarser subdivision follows
+    from the next finer one by the two-scale matrices,
+    ``h0 @ left + h1 @ right``, except its degree-0 sums, which are
+    rebuilt from integer point counts: a degree-0 sum is ``sqrt(m)`` added
+    once per point of weight 1 in the piece, in order, and each coarser
+    subdivision reads it from a running sum of ``sqrt(m)`` at the counts,
+    which is bitwise a per-subdivision ``np.bincount`` of the constant.
+    The finest subdivision keeps its own sums, so a single subdivision
+    takes any weights; several dyadic ones need 0/1 weights. The
+    refinement carries the refined degree-0 sums, not the running ones:
+    those drift from ``count * sqrt(m)`` by up to ``count * 2**-53``
+    relative, which the higher degrees would inherit. The dyadic
+    subdivisions are all summed before the first is yielded.
     """
     groups = _by_pieces(models)
     if models[0].family.tag not in _DYADIC_TAGS:
-        # one subdivision at a time, rows handed back: the regression's
-        # residual pass reuses them (pinned by test_regression.py's
-        # test_one_basis_evaluation_per_subdivision); summing every
-        # subdivision first, without rows, evaluated trig twice per fit and
-        # freed each subdivision's temporaries with nothing above them, so
-        # glibc trimmed the heap and faulted it back in, which slowed the
-        # poly(2) quotient at n = 5e4
+        # one subdivision at a time: summing every subdivision first freed
+        # each subdivision's temporaries with nothing above them, so glibc
+        # trimmed the heap and faulted it back in, which slowed the poly(2)
+        # quotient at n = 5e4
         for group in groups.values():
             richest = max(group, key=lambda model: model.dim)
-            ((counts, sums, products, rows),) = _refined(richest, richest.pieces, x, weights, gram)
-            yield group, counts, sums, products, rows
+            (sums,) = _refined(richest, richest.pieces, x, weights)
+            yield group, sums
         return
     finest = BasisModel(models[0].family, max(groups), max(model.degree for model in models))
-    levels = {
-        counts.size: (counts, sums, products)
-        for counts, sums, products, _ in _refined(finest, min(groups), x, weights, gram)
-    }
+    levels = {sums[0].shape[1]: sums for sums in _refined(finest, min(groups), x, weights)}
     for pieces, group in groups.items():
-        yield group, *levels[pieces], None
+        yield group, levels[pieces]
 
 
-def _refined(model: BasisModel, coarsest: int, x: np.ndarray, weights, gram: bool):
-    """``piece_sums`` of ``model``'s subdivision and of each coarser one down to ``coarsest``.
+def _refined(model: BasisModel, coarsest: int, x: np.ndarray, weights):
+    """``piece_sums``' sums of ``model``'s subdivision and of each coarser one down to ``coarsest``.
 
-    Yields ``(counts, sums, products, rows)``, halving the piece count at
-    each step, so only a dyadic model has more than one subdivision. The
-    rows of ``basis_rows`` come with the first subdivision only.
+    Yields one list of sums per subdivision, halving the piece count at
+    each step, so only a dyadic model has more than one subdivision.
     """
     pieces = model.pieces
     piece, rows = basis_rows(model, x)
-    # the points are sorted, so each piece is one run of their piece indices
-    counts = np.diff(np.searchsorted(piece, np.arange(pieces + 1)))
-    sums = level_sums = row_sums(piece, rows, weights, pieces)
-    products = _piece_gram(rows, counts) if gram else None
+    # one np.bincount per basis row and weight row; a weight row of None
+    # stands for ones and takes no product
+    sums = level_sums = [
+        np.array([np.bincount(piece, row if w is None else row * w, pieces) for row in rows])
+        for w in weights
+    ]
     if pieces > coarsest:
         h0, h1 = two_scale(model.degree)
+        # the points are sorted, so each piece is one run of their piece indices
+        counts = np.diff(np.searchsorted(piece, np.arange(pieces + 1)))
         # sums of 0/1 weights are exact integers; those of ones are the counts
         weight_counts = [
             counts if w is None else np.bincount(piece, w, pieces).astype(int) for w in weights
         ]
     while True:
-        if gram:
-            products[:, 0, 0] = counts * float(pieces)
-        yield counts, level_sums, products, rows
+        yield level_sums
         if pieces == coarsest:
             return
-        rows = None
         pieces //= 2
         sums = [h0 @ s[:, 0::2] + h1 @ s[:, 1::2] for s in sums]
-        if gram:
-            products = h0 @ products[0::2] @ h0.T + h1 @ products[1::2] @ h1.T
         counts = counts[0::2] + counts[1::2]
         weight_counts = [c[0::2] + c[1::2] for c in weight_counts]
-        terms = np.full(counts.max() + 1, np.sqrt(float(pieces)))
-        terms[0] = 0.0
-        running = terms.cumsum()
+        running = np.append(0.0, np.full(counts.max(), np.sqrt(float(pieces))).cumsum())
         level_sums = [s.copy() for s in sums]
         for level, c in zip(level_sums, weight_counts):
             level[0] = running[c]
+
+
+# the factors are taken over at most about this many padded rows at a time;
+# that bounds the memory of the padded copy and keeps it in cache (at
+# n = 5e4 the finest dyadic level took half the time of chunks of 2**16)
+_QR_ROWS = 2**13
+
+
+def piece_factors(models, x: np.ndarray, delta: np.ndarray):
+    """Triangular factors of every piece's basis rows and statuses, per subdivision.
+
+    ``x`` holds the points in [0, 1] and ``delta`` their statuses, in the
+    time order of ``ObservationSample.sorted_inside``. Yields
+    ``(group, r)`` per subdivision of ``models`` (the models of one piece
+    count). ``r`` has shape ``(pieces, d + 1, d + 1)``: ``r[j]`` is the
+    upper-triangular factor R of a QR factorization of piece j's block
+    ``[X_j | delta_j]``, where column ``a`` of X_j holds the ``a``-th basis
+    function of the piece (the degree-``a`` one for piecewise families)
+    at the piece's points. So ``r[j].T @ r[j]`` is the block's Gram
+    matrix, a model of the group reads the leading ``dim // pieces``
+    columns, and the last column holds ``Q' delta_j``, whose entries from
+    row k on have as sum of squares the residual sum of squares of the
+    statuses on the first k functions while those have full rank. An empty
+    piece has a zero factor. Signs are those LAPACK returns.
+
+    The trigonometric family has one piece, factored by one tall QR taken
+    ``_QR_ROWS`` points at a time, each chunk stacked under the factor so
+    far. The regular piecewise family evaluates and factors each
+    subdivision on its own. The dyadic families evaluate the basis once,
+    at the finest subdivision and the largest degree, and every coarser
+    subdivision keeps that degree: a coarse piece's block is
+    ``[X_left h0.T | delta_left]`` over ``[X_right h1.T | delta_right]``
+    (``two_scale``), so its factor is, in exact arithmetic, that of the
+    stacked ``[R_left @ g0; R_right @ g1]``, ``g = diag(h.T, 1)`` (the
+    stacked-R reduction of Demmel, Grigori, Hoemmen and Langou, 2012).
+    They are yielded finest first.
+    """
+    groups = _by_pieces(models)
+    if models[0].family.tag == TRIG:
+        harmonics = max(model.harmonics for model in models)
+        r = np.zeros((2 * harmonics + 2,) * 2)
+        for chunk in (slice(start, start + _QR_ROWS) for start in range(0, x.size, _QR_ROWS)):
+            rows = np.vstack([trig_rows(harmonics, x[chunk]), delta[chunk]])
+            r = _r_factor(np.concatenate([r, rows.T]))
+        yield models, r[None]
+        return
+    if models[0].family.tag == POLY:
+        # a regular piecewise subdivision holds one model, of the family degree
+        for pieces, group in groups.items():
+            yield group, _padded_factors(pieces, group[0].degree, x, delta)
+        return
+    degree = max(model.degree for model in models)
+    pieces = max(groups)
+    r = _padded_factors(pieces, degree, x, delta)
+    g0, g1 = np.eye(degree + 2), np.eye(degree + 2)
+    g0[:-1, :-1], g1[:-1, :-1] = (h.T for h in two_scale(degree))
+    while True:
+        if pieces in groups:
+            yield groups[pieces], r
+        if pieces == min(groups):
+            return
+        pieces //= 2
+        r = _r_factor(np.concatenate([r[0::2] @ g0, r[1::2] @ g1], axis=1))
+
+
+def _padded_factors(pieces: int, degree: int, x: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """``piece_factors`` of one piecewise Legendre subdivision, from its points.
+
+    Each piece's rows ``[values | delta]`` of ``piecewise_legendre`` are
+    zero-padded to a common count, at least ``degree + 2``, and the stack
+    is factored ``_QR_ROWS`` padded rows at a time (whole pieces, at least
+    one). Zero rows leave R unchanged up to rounding.
+    """
+    piece, values = piecewise_legendre(pieces, degree, x)
+    d = degree + 2
+    # the points are sorted, so each piece is one run of their piece indices
+    starts = np.searchsorted(piece, np.arange(pieces + 1))
+    rows = max(int(np.diff(starts).max()), d)
+    step = max(1, _QR_ROWS // rows)
+    # point i's entry of column a sits at (piece, a, i - start of its piece)
+    # of a (pieces, d, rows) block, so one 1-D scatter fills each column and
+    # the transposed block is column-major, as LAPACK reads it
+    slot = piece * (d * rows) + np.arange(x.size) - starts[piece]
+    r = np.empty((pieces, d, d))
+    for first in range(0, pieces, step):
+        last = min(first + step, pieces)
+        points = slice(starts[first], starts[last])
+        at = slot[points] - first * (d * rows)
+        block = np.zeros((last - first) * d * rows)
+        for a, column in enumerate([*values.T, delta]):
+            block[at + a * rows] = column[points]
+        r[first:last] = _r_factor(block.reshape(last - first, d, rows).transpose(0, 2, 1))
+    return r
+
+
+def _r_factor(blocks: np.ndarray) -> np.ndarray:
+    """The R of a Householder QR of each ``(rows, columns)`` block, ``rows >= columns``."""
+    return np.linalg.qr(blocks, mode="r")
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,9 @@ unknown integral of the sub-density.
 per-piece sums over the points in [0, 1] in the one time order that the
 ``data`` module states and ``ObservationSample.sorted_inside`` gives,
 and ``empirical_coefficients`` takes one model's from the same helper.
-The sums come from ``bases.piece_sums``, which the regression scan
-reads too, for every family. For the dyadic families the basis is
-evaluated once, at the finest subdivision of the collection; each
-coarser subdivision's sums follow from the next finer one's by the
+The sums come from ``bases.piece_sums``. For the dyadic families the
+basis is evaluated once, at the finest subdivision of the collection;
+each coarser subdivision's sums follow from the next finer one's by the
 two-scale matrices of ``bases.two_scale``, and its degree-0 sums are
 rebuilt from integer point counts so that they stay bitwise those of a
 per-subdivision ``np.bincount``. The regular piecewise and
@@ -100,7 +99,7 @@ def _piece_moments(models, sample: ObservationSample, weights):
     weights whenever the models span more than one subdivision.
     """
     x, *weights = sample.sorted_inside(*weights)
-    for group, _, sums, _, _ in piece_sums(models, x, weights):
+    for group, sums in piece_sums(models, x, weights):
         yield group, [s / sample.n for s in sums]
 
 

@@ -8,26 +8,24 @@ penalty ``noise_scale * kappa0 * dim / n``. The noise scale is the mean
 squared residual of the richest model over the observations inside
 [0, 1], and the dyadic families charge the degree-corrected dimension.
 Rank-deficient designs (empty histogram bins, more columns than
-observations) get the minimum-norm solution of the normal equations.
+observations, tied times) get the minimum-norm least-squares solution,
+with the rank rule of the normal equations.
 
-``fit_cdf_regression`` fits the whole collection from per-piece Gram
-blocks and moments over the points sorted once, in the time order of
-the ``data`` module, which also fixes the order of every residual sum.
-They come from ``bases.piece_sums``, the pass that the density scan of
-``projection`` also reads, so for every family the moments
-``sum delta * Q_a / n`` are the sub-density coefficients bit for bit.
-For the dyadic families the basis is evaluated once, at the finest
-subdivision and largest degree, and every coarser subdivision's sums
-and Gram blocks follow by the two-scale matrices; the regular piecewise
-and trigonometric families evaluate and sum each subdivision on its
-own. At the least-squares solution b'Gb = b'c, so most contrasts come
-in closed form from those statistics: on a subdivision whose blocks are
-well conditioned, one Cholesky factor scores every degree at once, and
-an SVD solves only the richest, the selected and the gated-out
-candidates. A pass over the residuals of the points is made only for
-the noise pilot and where rounding could decide the pick.
-``fit_least_squares`` runs that scan on one model; the dense normal
-equations it is checked against are in ``tests/dense_oracle.py``.
+``fit_cdf_regression`` fits the whole collection from per-piece
+triangular factors over the points sorted once, in the time order of
+the ``data`` module. They come from ``bases.piece_factors``: each
+piece's R of a Householder QR of its basis rows beside its statuses,
+never the Gram matrix ``X'X``, whose condition number is the square of
+the design's. For the dyadic families the basis is evaluated once, at
+the finest subdivision and largest degree, and every coarser
+subdivision's factors are a QR of its halves' stacked factors turned by
+the two-scale matrices; the regular piecewise and trigonometric
+families factor each subdivision on its own. Every model of a
+subdivision reads a leading block of the same factors, so a contrast is
+a sum of squares of the factors' last column, and neither the contrasts
+nor the noise pilot pass over the points again. ``fit_least_squares``
+runs that scan on one model; the dense normal equations it is checked
+against are in ``tests/dense_oracle.py``.
 """
 
 from __future__ import annotations
@@ -40,22 +38,18 @@ from .bases import (
     CAP_REGRESSION,
     BasisFamily,
     BasisModel,
-    basis_rows,
     build_collection,
     dyadic_family,
     penalty_factors,
-    piece_sums,
+    piece_factors,
 )
 from .data import ObservationSample
 from .estimates import CdfEstimate
 from .projection import ProjectionEstimate
 
+# the rank cut of the normal equations on the Gram's singular values; a
+# triangular factor R has R'R = X'X, so its own cut is the square root
 _RANK_TOL = 1e-10
-# closed-form contrasts lose digits to cancellation above this kept
-# condition number, or when the noise pilot is this small a share of the
-# mean squared status; such contrasts come from a residual pass instead
-_COND_CUT = 1e6
-_PILOT_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -73,16 +67,21 @@ def fit_least_squares(sample: ObservationSample, model: BasisModel) -> LeastSqua
     The Gram matrix ``G = X'X / n`` and moment vector ``c = X'delta / n``
     always admit a solution (c lies in the range of G); when G is
     singular the minimum-norm solution is taken, with relative rank
-    tolerance 1e-10.
+    tolerance 1e-10 on the singular values of G.
 
     Accuracy, measured against an exact rational solve of the same
     normal equations on gapped samples of up to 60 points
     (``tests/test_regression.py::TestExactLeastSquares``): for
     cond(G) <= 1e8 every coefficient lies within
     ``64 * cond(G) * 2**-52 * max(1, max |b|)`` of the exact solution b.
-    Above about cond(G) = 1e10 the rank cut can drop a direction, and
-    the coefficients can then be off by far more. The fit's
-    ``gram_cond`` is the kept condition number to read.
+    The solve never forms G: it takes an SVD of the per-piece triangular
+    factors, whose condition number is ``sqrt(cond(G))``, so the error
+    grows with that instead; the worst seen is
+    ``12.2 * sqrt(cond(G)) * 2**-52 * max(1, max |b|)``, where solving G
+    itself reached 1521 times that. Above about cond(G) = 1e10 the rank
+    cut can drop a direction, and the coefficients can then be off by far
+    more. The fit's ``gram_cond`` is the kept condition number of G to
+    read.
     """
     _, _, fit = _fit_collection(sample, [model])
     return fit(model)
@@ -120,127 +119,83 @@ def estimate_noise_variance(sample: ObservationSample, fit: LeastSquaresFit) -> 
     return float(np.mean(residuals**2))
 
 
-def _solve_blocks(gram: np.ndarray, moment: np.ndarray):
-    """Minimum-norm solutions of a stack of normal-equation blocks.
+def _solve_factors(r: np.ndarray, k: int):
+    """Minimum-norm least squares on the first ``k`` columns of a stack of factors.
 
-    ``gram`` has shape ``(k, d, d)`` and ``moment`` ``(k, d)``. Returns
-    the ``(k, d)`` solutions, the total rank and the kept condition
-    number. The rank rule is that of ``np.linalg.lstsq`` on the
-    block-diagonal matrix the stack forms: singular values at or below
-    ``_RANK_TOL`` times the largest singular value of any block count as
-    zero. The kept condition number is the largest singular value over
-    the smallest kept one (1 when none is kept). One batched SVD per
-    call; ``_fit_collection`` calls it for the richest model, for the
-    models of subdivisions that ``_prefix_products`` turns away, and for
-    each model its ``fit`` is asked for, the selected one.
+    ``r`` is a ``(pieces, d + 1, d + 1)`` stack of ``bases.piece_factors``.
+    With ``R = r[:, :k, :k]`` and ``y = r[:, :k, -1]``, returns the
+    ``(pieces, k)`` minimum-norm solutions of ``R b = y``, the total rank,
+    the kept condition number of the Gram matrix and the residual sum of
+    squares the rank cut adds: the part of y outside the kept left
+    singular vectors of R. Singular values at or below
+    ``sqrt(_RANK_TOL)`` times the largest of any block count as zero,
+    which is the rule of ``np.linalg.lstsq`` with rcond ``_RANK_TOL`` on
+    the block-diagonal Gram matrix ``R'R``. The kept condition number is
+    ``(s_max / s_min_kept)**2`` (1 when none is kept). One batched SVD
+    per call.
     """
-    u, s, vt = np.linalg.svd(gram)
-    keep = s > _RANK_TOL * s.max()
+    u, s, vt = np.linalg.svd(r[:, :k, :k])
+    keep = s > np.sqrt(_RANK_TOL) * s.max()
+    rotated = np.einsum("kji,kj->ki", u, r[:, :k, -1])
     inverse = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    rotated = inverse * np.einsum("kij,ki->kj", u, moment)
     rank = int(np.count_nonzero(keep))
-    cond = float(s.max() / s[keep].min()) if rank else 1.0
-    return np.einsum("kji,kj->ki", vt, rotated), rank, cond
-
-
-def _prefix_products(gram: np.ndarray, moment: np.ndarray):
-    """``sum b'c`` over the pieces of every prefix model of one subdivision, or None.
-
-    ``gram`` has shape ``(pieces, d, d)`` and ``moment`` ``(pieces, d)``,
-    the blocks of the subdivision's richest model. With ``L`` the
-    Cholesky factor of a block and ``y = L^-1 c``, the leading ``k x k``
-    block of ``L`` is the factor of the leading ``k x k`` Gram block, so
-    the model with the first ``k`` functions per piece has
-    ``b'c = ||y[:k]||^2``; entry ``k - 1`` of the result sums that over
-    the pieces. None unless every block is positive definite with
-    ``eigvalsh`` condition number (largest over smallest eigenvalue of
-    the stack) at most ``_COND_CUT``; by interlacing, every prefix's kept
-    condition number then is too.
-    """
-    eig = np.linalg.eigvalsh(gram)
-    if not 0.0 < eig[:, 0].min() or eig[:, -1].max() > _COND_CUT * eig[:, 0].min():
-        return None
-    y = np.linalg.solve(np.linalg.cholesky(gram), moment[..., None])[..., 0]
-    return np.cumsum(np.sum(y**2, axis=0))
+    cond = float(s.max() / s[keep].min()) ** 2 if rank else 1.0
+    return np.einsum("kji,kj->ki", vt, inverse * rotated), rank, cond, np.sum(rotated[~keep] ** 2)
 
 
 def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
-    """Contrast of every model from per-piece sufficient statistics.
+    """Contrast of every model from per-piece triangular factors.
 
     Returns ``(contrasts, noise, fit)``: the contrasts as an array in the
     order of ``models``, the mean squared residual of the last (richest)
     model over the observations inside [0, 1], the noise pilot that
     scales the penalty, and ``fit(model)``, the ``LeastSquaresFit`` of one
-    of the models. A subdivision whose blocks pass ``_prefix_products``'s
-    gate scores its models by one Cholesky factor, except the richest
-    model, and leaves their solve to ``fit``, which gives the closed-form
-    contrast ``sum(delta**2) / n - sum b'c`` over the pieces. Every other
-    model is solved during the scan, with a residual pass where
-    ``fit_cdf_regression`` says one decides its contrast. A subdivision
-    is put to the gate only once the pilot is known to be above
-    ``_PILOT_FLOOR``, and only for a model other than the richest.
+    of the models. A subdivision whose occupied pieces keep every
+    direction of their top-degree factors scores each model by the tail
+    of the factors' last column; every other one solves each of its
+    models by ``_solve_factors``, and ``fit`` solves the others it is
+    asked for.
     """
-    n = sample.n
-    richest = models[-1]
-    total = float(sample.delta @ sample.delta) / n
     x, delta = sample.sorted_inside(sample.delta)
     # every basis vanishes outside [0, 1], so the statuses there are
     # residuals; both sums of 0/1 statuses are exact
     outside_rss = float(sample.delta.sum() - delta.sum())
-    levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    products: dict[int, np.ndarray | None] = {}
-    contrasts: dict[BasisModel, float] = {}
-    fits: dict[BasisModel, LeastSquaresFit] = {}
-
-    def solve(model: BasisModel):
-        gram, moment = levels[model.pieces]
-        k = model.dim // model.pieces
-        coeffs, rank, cond = _solve_blocks(gram[:, :k, :k], moment[:, :k])
-        return coeffs, rank, cond, total - float(np.sum(coeffs * moment[:, :k]))
-
-    # the richest model's subdivision comes first, so the pilot is known
-    # before any other contrast
-    ordered = sorted(models, key=lambda model: model.pieces != richest.pieces)
-    for group, counts, (moment,), gram, rows in piece_sums(ordered, x, [delta], gram=True):
+    factors, solved, rss = {}, {}, {}
+    for group, r in piece_factors(models, x, delta):
         pieces = group[0].pieces
+        factors[pieces] = r
+        # tails[k]: the residual sum of squares of the first k functions per
+        # piece, while those keep full rank on every occupied piece
+        tails = np.cumsum((r[:, ::-1, -1] ** 2).sum(axis=0))[::-1]
         top = max(model.dim for model in group) // pieces
-        levels[pieces] = gram[:, :top, :top] / n, moment.T[:, :top] / n
-        for model in sorted(group, key=lambda model: model != richest):
+        blocks = r[r[:, 0, 0] != 0.0, :top, :top]
+        # a 1 x 1 block is its own singular value
+        s = abs(blocks[:, 0, 0]) if top == 1 else np.linalg.svd(blocks, compute_uv=False)
+        # by interlacing, no prefix of a stack that passes drops a direction
+        cut = s.size > 0 and s.min() <= np.sqrt(_RANK_TOL) * s.max()
+        for model in group:
             k = model.dim // pieces
-            if model != richest and noise > _PILOT_FLOOR * total:
-                if pieces not in products:
-                    # factored once per level, only when the pilot can use it
-                    products[pieces] = _prefix_products(*levels[pieces])
-                if products[pieces] is not None:
-                    contrasts[model] = total - products[pieces][k - 1]
-                    continue
-            coeffs, rank, cond, contrast = solve(model)
-            if model == richest or cond > _COND_CUT or noise <= _PILOT_FLOOR * total:
-                # reuse the rows piece_sums handed back for a regular piecewise
-                # or trig subdivision (pinned by
-                # test_one_basis_evaluation_per_subdivision); a dyadic level
-                # is evaluated here once, at its richest model
-                if rows is None:
-                    rows = basis_rows(max(group, key=lambda member: member.dim), x)[1]
-                fitted = np.zeros(delta.size)
-                for a in range(k):
-                    # spread each piece's coefficient over its run; empty pieces repeat 0 times
-                    fitted += rows[a] * np.repeat(coeffs[:, a], counts)
-                rss = float(np.sum((delta - fitted) ** 2))
-                contrast = (rss + outside_rss) / n
-                if model == richest:
-                    noise = rss / max(delta.size, 1)
-            # piecewise coefficients are stored degree-major
-            fits[model] = LeastSquaresFit(model, coeffs.T.ravel(), contrast, rank, cond)
-            contrasts[model] = contrast
+            rss[model] = tails[k]
+            if cut:
+                solved[model] = _solve_factors(r, k)
+                rss[model] += solved[model][3]
+    if not delta.any() or delta.all():
+        # constant statuses inside [0, 1] lie in every model's span, since
+        # every family holds the constant: each model fits them exactly, and
+        # rounding residue must not decide the pick
+        rss = dict.fromkeys(models, 0.0)
+    contrasts = (np.array([rss[model] for model in models]) + outside_rss) / sample.n
+    noise = rss[models[-1]] / max(delta.size, 1)
 
     def fit(model: BasisModel) -> LeastSquaresFit:
-        if model not in fits:
-            coeffs, rank, cond, contrast = solve(model)
-            fits[model] = LeastSquaresFit(model, coeffs.T.ravel(), contrast, rank, cond)
-        return fits[model]
+        if model not in solved:
+            solved[model] = _solve_factors(factors[model.pieces], model.dim // model.pieces)
+        coeffs, rank, cond, _ = solved[model]
+        contrast = float(contrasts[models.index(model)])
+        # piecewise coefficients are stored degree-major
+        return LeastSquaresFit(model, coeffs.T.ravel(), contrast, rank, cond)
 
-    return np.array([contrasts[model] for model in models]), noise, fit
+    return contrasts, noise, fit
 
 
 def fit_cdf_regression(
@@ -253,71 +208,53 @@ def fit_cdf_regression(
 
     All models are fitted in one scan over the points in [0, 1], sorted
     once. Per subdivision (a dyadic level, a regular piece count, or the
-    single trigonometric block) it holds per-piece Gram blocks and
-    moments, and a model's solve reads the leading blocks of its
-    subdivision, with singular values at or below 1e-10 times the
-    largest over all its blocks treated as zero (the rule of
-    ``np.linalg.lstsq`` on the block-diagonal Gram matrix, so
-    ``gram_rank`` is that of the dense normal equations). The
-    statistics come from ``bases.piece_sums``: the moments are summed
-    with ``np.bincount`` and the Gram blocks with one matrix product per
-    piece, and the degree-0 Gram diagonal of every subdivision is the
-    piece's point count times m (1 for trig). The regular piecewise and
-    trigonometric families evaluate and sum each subdivision. The dyadic
-    families evaluate the basis once, at the finest level and largest
-    degree, sum it there, and refine every coarser level by the
-    two-scale matrices of ``bases.two_scale``:
-    ``h0 @ c_left + h1 @ c_right`` and
-    ``h0 @ G_left @ h0.T + h1 @ G_right @ h1.T``. Their degree-0 moments
-    are rebuilt from integer point counts at every level, as the running
-    sum of ``sqrt(m)`` over the status-1 points, as in the density scan.
+    single trigonometric block) ``bases.piece_factors`` gives each piece's
+    triangular factor R of a Householder QR of ``[X_j | delta_j]``, the
+    piece's basis rows beside its statuses, and every model of the
+    subdivision reads the leading ``k x k`` block of R (k functions per
+    piece) and the first k entries ``y`` of its last column. The regular
+    piecewise family factors each subdivision from its points, zero-padded
+    to a common count per piece, and the trigonometric family takes one
+    tall QR a chunk of points at a time. The dyadic families evaluate the
+    basis once, at the finest level and largest degree, and each coarser
+    level is one QR of the stacked ``[R_left @ g0; R_right @ g1]`` with
+    ``g = diag(h.T, 1)`` from the two-scale matrices of ``bases.two_scale``.
+    The Gram matrix ``X'X = R'R`` is never formed.
 
-    A contrast is ``sum(delta**2) / n - sum b'c`` over the pieces, since
-    b'Gb = b'c at the solution. A subdivision whose top-degree Gram
-    blocks are all positive definite with ``eigvalsh`` condition number
-    (largest over smallest eigenvalue of the stack) at most 1e6 takes
-    the Cholesky route, once the pilot is above 1e-10 of
-    ``sum(delta**2) / n``: one batched ``np.linalg.cholesky`` of those
-    blocks and one forward solve ``y = L^-1 c`` give every model of the
-    subdivision, since the leading ``k x k`` block of ``L`` is the factor
-    of the leading Gram block, so the degree-``k`` prefix has
-    ``b'c = sum ||y[:k]||^2`` over the pieces. By interlacing, each
-    prefix's kept condition number is then at most 1e6 too. Every other
-    subdivision (an empty piece, a condition number above 1e6, a pilot
-    near 0) solves each of its models by ``_solve_blocks``, one batched
-    SVD per model. So SVDs run for the richest, the selected and the
-    gated-out candidates only: the selected model is solved again once
-    the pick is known, and its contrast is read in the closed form from
-    its own coefficients, so its coefficients, contrast, ``gram_rank``
-    and ``gram_cond`` are those a per-candidate solve gives.
-
-    A contrast is the mean of per-point squared residuals instead, the
-    fitted values spreading each piece's coefficients over its run of
-    sorted points with ``np.repeat``, in three cases: (a) for the richest
-    model, whose residuals over the points inside [0, 1] give the noise
-    pilot; (b) for an SVD-route model whose kept condition number
-    (largest over smallest kept singular value) is above 1e6, where the
-    closed form loses digits to cancellation; (c) for every model when
-    the pilot is at most 1e-10 of ``sum(delta**2) / n``, as for constant
-    statuses, where every penalty is near 0 and rounding residue would
-    decide the pick. These passes reuse the rows a regular piecewise or
-    trigonometric subdivision was summed from; a dyadic level evaluates
-    its basis only when one of its models needs it, once, at the degree
-    of its richest model. The count-exact degree-0 entries matter in case
-    (c): with refined ones instead, the all-ones samples of
-    ``tests/test_regression.py`` picked level 2 or level 4 instead of
-    level 0. The selected model's kept condition number is reported as
-    ``gram_cond``.
+    A degree-``k`` model's residual sum of squares over the points inside
+    [0, 1] is ``sum over pieces of ||R_aug[k:, d]||**2``, the tail of the
+    last column below row k: a sum of squares with no subtraction, and
+    its contrast adds the statuses outside [0, 1] and divides by n. That
+    holds while the model's blocks keep full rank. The rank rule is that
+    of ``np.linalg.lstsq`` on the block-diagonal Gram matrix with rcond
+    1e-10, applied to R: singular values at or below ``sqrt(1e-10)``
+    times the largest of any of the model's blocks count as zero, so
+    ``gram_rank`` is the rank the dense normal equations give, and
+    ``gram_cond`` is ``(s_max / s_min_kept)**2``, the kept condition number
+    of the Gram matrix. Each subdivision takes one batched singular-value
+    check of its occupied pieces' top-degree blocks; by interlacing, a
+    subdivision that passes keeps every direction of every prefix model.
+    A subdivision that fails (a piece with fewer points or distinct times
+    than functions) solves each of its models by an SVD of its ``R``
+    stack, and adds to the tail the part of ``y`` outside the kept left
+    singular vectors. The selected model is solved the same way, once the
+    pick is known, so its coefficients, ``gram_rank`` and ``gram_cond``
+    are those a per-candidate solve gives, and its contrast is the scan's.
 
     The score is contrast plus ``noise_scale * regression_penalty``,
     where ``noise_scale`` is the indicator noise variance estimated from
-    the richest model's residuals over the points inside [0, 1]: an
-    indicator regression has noise variance well below 1, and an
-    unscaled penalty of this size systematically blocks the
-    bias-reducing model upgrades. The scores are one array,
+    the richest model's residual sum over the points inside [0, 1], read
+    from the same tails: an indicator regression has noise variance well
+    below 1, and an unscaled penalty of this size systematically blocks
+    the bias-reducing model upgrades. The scores are one array,
     ``contrasts + noise_scale * (kappa0 * dim / n)`` with each penalty
     rounded as ``regression_penalty`` rounds it, and ``argmin`` takes
-    the first model in collection order with the lowest score.
+    the first model in collection order with the lowest score. When the
+    statuses inside [0, 1] are all 0 or all 1, every model holds them
+    exactly, since every family holds the constant: every contrast is
+    then exactly the statuses outside [0, 1] over n, the noise scale is
+    0, and the first model wins, where rounding residue of about 1e-31
+    would otherwise pick a finer one.
 
     The coefficients carry ``fit_least_squares``'s error bound: within
     ``64 * cond * 2**-52 * max(1, max |b|)`` of the exact least-squares

@@ -1,10 +1,12 @@
 """Dense reference implementations that the library's statistics pass is gated against.
 
-The library computes empirical coefficients and least-squares fits from
-per-piece sums over the sorted points (``bases.piece_sums``). The
-functions here build the full ``n x dim`` design of each model instead
-and use BLAS products and ``np.linalg.lstsq``, so the scan-versus-dense
-tests compare two independent computations of the same quantities.
+The library computes empirical coefficients from per-piece sums over the
+sorted points (``bases.piece_sums``) and least-squares fits from
+per-piece triangular factors (``bases.piece_factors``). The functions
+here build the full ``n x dim`` design of each model instead and use
+BLAS products, ``np.linalg.lstsq`` and one QR per piece, so the
+scan-versus-dense tests compare two independent computations of the
+same quantities.
 ``exact_least_squares`` solves the normal equations of the float design
 in exact rational arithmetic, to tell which of the two float paths is
 nearer the truth.
@@ -74,6 +76,44 @@ def dense_piece_statistics(sample, model, chunk=4096):
         gram += np.einsum("iaj,ibj->jab", design, design)
         moment += np.einsum("iaj,i->ja", design, sample.delta[rows])
     return gram / sample.n, moment / sample.n
+
+
+def dense_piece_factors(sample, model, chunk=1024):
+    """Each piece's R of a QR of its dense block ``[X_j | delta_j]``, rows signed to a non-negative diagonal.
+
+    X_j holds the columns ``a * pieces + j`` of ``design_matrix`` (the
+    degree-0..d-1 functions of piece j, ``d = dim // pieces``) at the
+    points of piece j, those whose degree-0 entry of piece j is nonzero,
+    and delta_j their statuses. Returns the ``(pieces, d + 1, d + 1)``
+    factors, each from one ``np.linalg.qr`` of its piece's rows, zero
+    rows below where a piece has fewer points than columns. The design
+    is built ``chunk`` points at a time.
+    """
+    m, d = model.pieces, model.dim // model.pieces
+    pieces, rows = [], []
+    for start in range(0, sample.n, chunk):
+        points = slice(start, start + chunk)
+        # design columns a * m + j as (point, degree a, piece j)
+        design = design_matrix(model, sample.u[points]).reshape(-1, d, m)
+        inside = design[:, 0, :].any(axis=1)
+        piece = np.abs(design[:, 0, :]).argmax(axis=1)
+        values = np.take_along_axis(design, piece[:, None, None], axis=2)[:, :, 0]
+        pieces.append(piece[inside])
+        rows.append(np.column_stack([values, sample.delta[points]])[inside])
+    piece, rows = np.concatenate(pieces), np.concatenate(rows)
+    factors = np.zeros((m, d + 1, d + 1))
+    for j in range(m):
+        block = rows[piece == j]
+        if block.size:
+            r = np.linalg.qr(block, mode="r")
+            factors[j, : r.shape[0]] = r
+    return signed_factors(factors)
+
+
+def signed_factors(factors):
+    """Triangular factors with each row's sign flipped where its diagonal entry is negative."""
+    diagonal = np.diagonal(factors, axis1=-2, axis2=-1)
+    return np.where(diagonal < 0.0, -1.0, 1.0)[..., None] * factors
 
 
 def dense_least_squares(sample, model):

@@ -82,3 +82,36 @@ def test_only_the_bases_branch_on_the_family():
         if names & {"tag", "_DYADIC_TAGS"}:
             readers[path.name] = sorted(names & {"tag", "_DYADIC_TAGS"})
     assert readers == {"bases.py": ["tag"]}
+
+
+def test_one_factorization_route():
+    # the regression scores every model from the triangular factors of
+    # bases.piece_factors, so no module may factor a Gram matrix, and one
+    # helper takes every QR
+    class Calls(ast.NodeVisitor):
+        def __init__(self):
+            self.scope, self.found = ["<module>"], set()
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_ImportFrom(self, node):
+            self.found.update((self.scope[-1], alias.name) for alias in node.names)
+
+        def visit_Call(self, node):
+            func = node.func
+            self.found.add((self.scope[-1], func.attr if isinstance(func, ast.Attribute) else None))
+            self.generic_visit(node)
+
+    factorizations = set()
+    for path in sorted(SRC.glob("*.py")):
+        calls = Calls()
+        calls.visit(ast.parse(path.read_text(encoding="utf-8")))
+        factorizations.update(
+            (path.name, scope, name)
+            for scope, name in calls.found
+            if name in {"eigvalsh", "cholesky", "qr"}
+        )
+    assert factorizations == {("bases.py", "_r_factor", "qr")}

@@ -31,9 +31,11 @@ from curstat.regression import _fit_collection
 from conftest import random_sample, tied_samples
 from dense_oracle import (
     dense_least_squares,
+    dense_piece_factors,
     dense_piece_statistics,
     dense_selection,
     exact_least_squares,
+    signed_factors,
 )
 
 
@@ -233,6 +235,22 @@ def sparse_samples():
     return samples
 
 
+def tied_piece_samples():
+    """Samples whose pieces hold many points at two or three distinct times, statuses mixed.
+
+    At 4 or 8 pieces, each piece's block has rank 2 or 3 at any degree,
+    and the coarser and finer levels are rank-deficient too.
+    """
+    rng = np.random.default_rng(3)
+    samples = []
+    for times in (2, 3):
+        for pieces in (4, 8):
+            u = (np.arange(pieces)[:, None] + rng.random((pieces, times))) / pieces
+            u = np.repeat(u.ravel(), 200)
+            samples.append(ObservationSample(u, (rng.random(u.size) < u).astype(float)))
+    return samples
+
+
 class TestCollectionScan:
     """The one-pass scan of fit_cdf_regression against dense fits."""
 
@@ -267,12 +285,10 @@ class TestCollectionScan:
 
     def test_degenerate_inputs_match_dense(self):
         # Near-exact fits make every contrast a rounding residue, and the
-        # noise pilot, hence every penalty, is near 0. The closed forms lose
-        # that residue to cancellation: on all ones at n = 1000,
-        # ||delta||^2 - 2c'b + b'Gb picked dim 8 (contrast -6.7e-16) and
-        # ||delta||^2 - b'c dim 7 (-8.9e-16), where the dense path keeps
-        # dim 1. So a near-zero pilot sends every candidate through the
-        # residual pass.
+        # noise pilot, hence every penalty, is near 0: on all ones, residue
+        # of about 1e-31 in the factors' tails picked dyadic level 1, 2 or 4,
+        # where the dense path keeps dim 1. So constant statuses inside
+        # [0, 1] score every model exactly, and the first one wins.
         for sample in sparse_samples():
             for family in (dyadic_family(), haar_family()):
                 _, _, best = dense_selection(sample, family)
@@ -281,11 +297,30 @@ class TestCollectionScan:
                 assert est.metadata["gram_rank"] == best.gram_rank
                 assert est.metadata["noise_scale"] >= 0.0
 
+    def test_tied_times_match_dense(self):
+        # Householder QR reads the rounding residue of a rank-deficient block
+        # as a direction; the rank cut must not let it explain part of the
+        # statuses
+        family = dyadic_family(5)
+        cut = 0
+        for sample in tied_piece_samples():
+            dense, noise, best = dense_selection(sample, family)
+            fits, pilot = every_fit(sample, [fit.model for fit in dense])
+            for fast, slow in zip(fits, dense):
+                assert fast.gram_rank == slow.gram_rank
+                assert abs(fast.contrast - slow.contrast) <= 1e-12
+                cut += fast.gram_rank < fast.model.dim
+            assert abs(pilot - noise) <= 1e-12
+            est = fit_cdf_regression(sample, family)
+            assert est.evaluator.model == best.model
+            assert est.metadata["gram_rank"] == best.gram_rank
+        assert cut >= 20
+
     # Higher-degree columns on half-empty pieces make the Gram matrices so
     # ill-conditioned that the scan's and the dense coefficients of some
-    # candidates differ by up to 1.6e-4 (dyadic, degree up to 9), 2.9e-10
-    # (poly degree 2) and 3.1e-11 (trig), while every contrast still agrees
-    # to 2.1e-14. The coefficient gate runs on the families whose Gram
+    # candidates differ by up to 7.6e-5 (dyadic, degree up to 9), 2.9e-10
+    # (poly degree 2) and 1.9e-11 (trig), while every contrast still agrees
+    # to 1.8e-14. The coefficient gate runs on the families whose Gram
     # blocks stay well conditioned.
     @pytest.mark.parametrize(
         "family, gate_coeffs",
@@ -316,48 +351,60 @@ class TestCollectionScan:
 
 
 class TestClosedFormContrasts:
-    """Closed-form contrasts against the residual pass on the same coefficients.
+    """Contrasts read from the factors against a residual pass over the points.
 
-    Setting the condition cut below 1 sends every candidate through the
-    residual pass, which is the contrast the closed form replaces.
+    A model whose subdivision keeps full rank gets its contrast from the
+    tail of the factors' last column, with no pass over the points; here
+    each contrast is checked against the mean squared residual of the
+    model's own coefficients.
     """
-
-    @staticmethod
-    def residual_pass(monkeypatch, fit, *args):
-        with monkeypatch.context() as patch:
-            patch.setattr(regression, "_COND_CUT", -1.0)
-            return fit(*args)
 
     def test_matches_residual_pass_at_large_n(self, monkeypatch):
         sample = generate(SimModel(3), 20000, 2)
         models = build_collection(dyadic_family(), sample.n, "regression")
-        fits, pilot = every_fit(sample, models)
-        slow, slow_pilot = self.residual_pass(monkeypatch, every_fit, sample, models)
-        assert pilot == slow_pilot
-        closed = 0
-        for fast, ref in zip(fits, slow):
-            assert fast.coeffs.tobytes() == ref.coeffs.tobytes()
-            assert abs(fast.contrast - ref.contrast) <= 1e-12
-            closed += fast.gram_cond <= regression._COND_CUT
-        assert closed > len(models) // 2  # the closed form is the common case
+        solved = []
+        solve = regression._solve_factors
+
+        def recording_solve(r, k):
+            solved.append((r.shape[0], k))
+            return solve(r, k)
+
+        monkeypatch.setattr(regression, "_solve_factors", recording_solve)
+        contrasts, pilot, fit = _fit_collection(sample, models)
+        scored = len(models) - len(solved)
+        inside = (sample.u >= 0.0) & (sample.u <= 1.0)
+        for model, contrast in zip(models, contrasts):
+            residual = sample.delta - design_matrix(model, sample.u) @ fit(model).coeffs
+            assert abs(contrast - np.mean(residual**2)) <= 1e-12
+            if model == models[-1]:
+                assert abs(pilot - np.mean(residual[inside] ** 2)) <= 1e-12
+        assert scored > len(models) // 2  # the tail is the common case
         est = fit_cdf_regression(sample)
-        ref = self.residual_pass(monkeypatch, fit_cdf_regression, sample)
-        assert est.evaluator.model == ref.evaluator.model
-        assert est.metadata["penalty"] == ref.metadata["penalty"]
+        scores = contrasts + pilot * np.array([regression_penalty(m, sample.n) for m in models])
+        assert est.evaluator.model == models[int(scores.argmin())]
+        assert est.metadata["contrast"] == contrasts[int(scores.argmin())]
 
     @pytest.mark.parametrize("status", [0.0, 1.0], ids=["zeros", "ones"])
     @pytest.mark.parametrize("outside", [False, True], ids=["inside", "outside"])
-    def test_constant_status_takes_residual_pass(self, monkeypatch, status, outside):
+    def test_constant_statuses_fit_exactly(self, status, outside):
+        # every family holds the constant, so constant statuses inside [0, 1]
+        # are fitted exactly by every model: each contrast is the statuses
+        # outside [0, 1] over n, the pilot is 0, and the first model wins
         rng = np.random.default_rng(11)
         u = rng.random(1000)
         if outside:
             u[::10] += 1.0
         sample = ObservationSample(u, np.full(u.size, status))
-        models = build_collection(dyadic_family(), sample.n, "regression")
-        fits, pilot = every_fit(sample, models)
-        assert pilot <= regression._PILOT_FLOOR * status
-        slow, _ = self.residual_pass(monkeypatch, every_fit, sample, models)
-        assert [f.contrast for f in fits] == [f.contrast for f in slow]
+        outside_rss = status * np.count_nonzero(u > 1.0)
+        for family in (dyadic_family(), haar_family(), poly_family(2), trig_family()):
+            models = build_collection(family, sample.n, "regression")
+            contrasts, pilot, fit = _fit_collection(sample, models)
+            assert contrasts.tolist() == [outside_rss / sample.n] * len(models)
+            assert pilot == 0.0
+            est = fit_cdf_regression(sample, family)
+            assert est.evaluator.model == models[0]
+            inside = u <= 1.0
+            np.testing.assert_allclose(est(u[inside]), status, rtol=0, atol=1e-12)
         est = fit_cdf_regression(sample)
         assert est.evaluator.model.dim == 1
 
@@ -373,7 +420,7 @@ class TestClosedFormContrasts:
     def test_gram_cond_matches_dense_gram(self, model_id):
         sample = generate(SimModel(model_id), 1000, 0)
         est = fit_cdf_regression(sample)
-        assert est.metadata["gram_cond"] <= regression._COND_CUT
+        assert est.metadata["gram_cond"] <= 1e6
         design = design_matrix(est.evaluator.model, sample.u)
         dense = np.linalg.cond(design.T @ design / sample.n)
         assert est.metadata["gram_cond"] == pytest.approx(dense, rel=1e-6)
@@ -401,9 +448,13 @@ class TestExactLeastSquares:
     For a candidate with Gram condition number cond(G) <= 1e8 (below the
     1e-10 rank cut, so no direction is dropped) each float path must lie
     within ``ERROR_FACTOR * cond(G) * 2**-52 * max(1, |b|_inf)`` of the
-    exact solution b, in the largest coefficient error. Above that
-    condition number neither path is gated; the test only reports which
-    one is nearer, since near the rank cut both can be off by 1e3 or more.
+    exact solution b, in the largest coefficient error. The scan solves
+    the triangular factors, whose condition number is ``sqrt(cond(G))``,
+    and must also lie within ``ERROR_FACTOR * sqrt(cond(G)) * 2**-52 *
+    max(1, |b|_inf)`` (12.2 is the worst seen; the dense normal equations
+    reach about 1500). Above that condition number neither path is gated;
+    the test only reports which one is nearer, since near the rank cut
+    both can be off by 1e3 or more.
     """
 
     ERROR_FACTOR = 64.0
@@ -427,6 +478,7 @@ class TestExactLeastSquares:
                 if cond <= self.MAX_COND:
                     scale = cond * 2.0**-52 * max(1.0, np.max(np.abs(exact)))
                     assert scan_err <= self.ERROR_FACTOR * scale, (model, cond, scan_err)
+                    assert scan_err <= self.ERROR_FACTOR * scale / np.sqrt(cond), (model, cond)
                     assert dense_err <= self.ERROR_FACTOR * scale, (model, cond, dense_err)
                     gated += 1
                     worst = max(worst, scan_err / scale, dense_err / scale)
@@ -448,44 +500,56 @@ class TestExactLeastSquares:
 
 
 class TestRefinedGramBlocks:
-    """The scan's per-piece statistics against dense products.
+    """The scan's per-piece triangular factors against dense ones.
 
-    Every Gram entry and every moment above degree 0 lies within
-    ``TOL * 2**-52`` times the largest entry of its piece's dense block
-    (10.5 is the worst seen on the refined dyadic levels). The degree-0
-    entries are count-exact: the Gram diagonal is the piece's point
-    count times m, and the moment is a per-subdivision ``np.bincount`` of
-    the constant ``sqrt(m)`` over the piece's status-1 points (for trig,
-    of the constant 1 on its one piece).
+    Each piece's factor R of ``[X_j | delta_j]`` (whose ``R'R`` is the
+    piece's Gram block) is compared with a QR of the piece's rows of the
+    dense design, both signed to a non-negative diagonal. Row i of a
+    factor is unique while the leading ``i + 1`` columns of X_j have full
+    rank, and rounding moves it in proportion to their condition number
+    ``cond_i`` and to the square root of the piece's point count, the
+    length of its inner products: every entry of row i lies within
+    ``TOL * max(1, cond_i) * sqrt(count) * 2**-52`` times the largest
+    entry of the piece's dense factor. The worst seen is 3.2, on the
+    refined dyadic levels at n = 5e4; without the count the bound would
+    need a factor 88 (trig at n = 5e4, whose one piece holds every
+    point). Rows whose leading block is singular are not unique and are
+    not compared. A piece is occupied, the rule the scan reads, exactly
+    when its factor's first entry is nonzero, and its squared first
+    entry is its point count times m.
     """
 
-    TOL = 64.0
+    TOL = 8.0
     FAMILIES = [dyadic_family(), dyadic_family(0), haar_family(), poly_family(2), trig_family()]
     FAMILY_IDS = ["dyadic", "dyadic0", "haar", "poly2", "trig"]
 
     def assert_matches_dense(self, sample, family):
-        n = sample.n
         try:
-            models = build_collection(family, n, "regression")
+            models = build_collection(family, sample.n, "regression")
         except EmptyCollectionError:
             # the trig regression cap, sqrt(n) / ln(n), leaves nothing below n = 1000
-            assert family == trig_family() and n < 1000
+            assert family == trig_family() and sample.n < 1000
             return
         x, delta = sample.sorted_inside(sample.delta)
         levels = set()
-        for group, counts, (moment,), gram, _ in bases.piece_sums(models, x, [delta], gram=True):
-            richest = max(group, key=lambda model: model.dim)
-            m, d = richest.pieces, richest.dim // richest.pieces
-            gram, moment = gram[:, :d, :d] / n, moment.T[:, :d] / n
-            dense_gram, dense_moment = dense_piece_statistics(sample, richest)
-            bound = self.TOL * 2.0**-52 * np.abs(dense_gram).max(axis=(1, 2))
-            assert np.all(np.abs(gram - dense_gram) <= bound[:, None, None])
-            assert np.all(np.abs(moment[:, 1:] - dense_moment[:, 1:]) <= bound[:, None])
+        for group, r in bases.piece_factors(models, x, delta):
+            m, d = group[0].pieces, r.shape[-1] - 1
+            if family == trig_family():
+                model = trig_model((d - 1) // 2)
+            else:
+                model = bases.BasisModel(family, pieces=m, degree=d - 1)
+            dense = dense_piece_factors(sample, model)
             piece = np.minimum((x * m).astype(int), m - 1)
-            assert counts.tolist() == np.bincount(piece, minlength=m).tolist()
-            assert gram[:, 0, 0].tobytes() == (counts * float(m) / n).tobytes()
-            status_sums = np.bincount(piece, np.sqrt(float(m)) * delta, m)
-            assert moment[:, 0].tobytes() == (status_sums / n).tobytes()
+            counts = np.bincount(piece, minlength=m)
+            scale = np.abs(dense).max(axis=(1, 2)) * np.sqrt(counts) * 2.0**-52
+            for i in range(d + 1):
+                lead = np.linalg.svd(dense[:, : min(i + 1, d), : min(i + 1, d)], compute_uv=False)
+                unique = lead[:, -1] > 0.0
+                cond = np.maximum(1.0, lead[unique, 0] / lead[unique, -1])
+                error = np.abs(signed_factors(r)[unique, i] - dense[unique, i]).max(axis=1)
+                assert np.all(error <= self.TOL * cond * scale[unique]), (m, i)
+            assert ((r[:, 0, 0] != 0.0) == (counts > 0)).all()
+            np.testing.assert_allclose(r[:, 0, 0] ** 2, counts * float(m), rtol=1e-13)
             levels.add(m)
         assert levels == {model.pieces for model in models}
 
@@ -494,7 +558,7 @@ class TestRefinedGramBlocks:
     def test_matches_dense_blocks(self, family, n):
         if family == trig_family() and n < 1000:
             pytest.skip("the trig regression collection is empty below n = 1000")
-        # the dense blocks of poly(2)'s 142 subdivisions take about 9 s per sample here
+        # the dense factors of poly(2)'s 142 subdivisions take about 7 s per sample here
         model_ids = [3] if family == poly_family(2) and n == 50_000 else range(1, 6)
         for model_id in model_ids:
             self.assert_matches_dense(generate(SimModel(model_id), n, model_id), family)
@@ -507,57 +571,52 @@ class TestRefinedGramBlocks:
 
 
 class TestSharedSums:
-    """The regression scan reads the density scan's sums and sorts once."""
+    """The regression's factors carry the density scan's sums, from one sort.
+
+    ``R'y / n`` over the leading columns of a piece's factor is the
+    piece's moment vector ``X'delta / n``, the sub-density coefficients
+    of ``projection``. The two are summed by different routes, so they
+    agree to rounding: every entry lies within
+    ``TOL * sqrt(count) * |x_a| * |delta_j| * 2**-52 / n``, with ``x_a``
+    the piece's column of the function and ``delta_j`` its statuses (2.7
+    is the worst seen, on the dyadic levels at n = 5e4).
+    """
+
+    TOL = 8.0
 
     @pytest.mark.parametrize("family", [dyadic_family(), haar_family(), poly_family(2)])
     @pytest.mark.parametrize("n", [200, 5000])
-    def test_moments_are_subdensity_coefficients(self, monkeypatch, family, n):
+    def test_moments_are_subdensity_coefficients(self, family, n):
         assert build_collection(family, n, "regression") == build_collection(family, n, "density")
-        self.assert_moments_are_subdensity_coefficients(monkeypatch, family, n)
+        self.assert_moments_are_subdensity_coefficients(family, n)
 
-    def test_trig_moments_are_subdensity_coefficients(self, monkeypatch):
+    def test_trig_moments_are_subdensity_coefficients(self):
         # the density scan run over the trig regression collection, which is
         # cut at sqrt(n) / ln(n) and empty below n = 1000
-        self.assert_moments_are_subdensity_coefficients(monkeypatch, trig_family(), 5000)
+        self.assert_moments_are_subdensity_coefficients(trig_family(), 5000)
 
-    @staticmethod
-    def assert_moments_are_subdensity_coefficients(monkeypatch, family, n):
+    @classmethod
+    def assert_moments_are_subdensity_coefficients(cls, family, n):
         sample = generate(SimModel(3), n, 1)
         models = build_collection(family, n, "regression")
-        solved, scored = {}, {}
-        solve, prefix_products = regression._solve_blocks, regression._prefix_products
-
-        def recording_solve(gram, moment):
-            # a (pieces, k) moment belongs to the model with k functions per piece
-            solved[moment.shape] = moment.T.ravel()
-            return solve(gram, moment)
-
-        def recording_products(gram, moment):
-            # the moments of a subdivision's richest model, read by its Cholesky scores
-            products = prefix_products(gram, moment)
-            scored[moment.shape] = moment.T.ravel(), products is not None
-            return products
-
-        monkeypatch.setattr(regression, "_solve_blocks", recording_solve)
-        monkeypatch.setattr(regression, "_prefix_products", recording_products)
-        every_fit(sample, models)
-        assert len(solved) == len(models)
-        # a subdivision is factored only when it holds a model other than the richest
-        factored = {model.pieces for model in models[:-1]}
-        assert {pieces for pieces, _ in scored} == factored
-        assert any(taken for _, taken in scored.values())
+        x, delta = sample.sorted_inside(sample.delta)
+        factors = {group[0].pieces: r for group, r in bases.piece_factors(models, x, delta)}
         weights = sample.delta, np.ones(n)
+        moments = {}
         for group, (sub, _) in _piece_moments(models, sample, weights):
-            top = max(model.dim for model in group) // group[0].pieces
-            if group[0].pieces in factored:
-                assert scored[group[0].pieces, top][0].tobytes() == sub[:top].ravel().tobytes()
-            for model in group:
-                k = model.dim // model.pieces
-                assert solved[model.pieces, k].tobytes() == sub[:k].ravel().tobytes()
+            pieces, top = group[0].pieces, sub.shape[0]
+            r = factors[pieces]
+            moments[pieces] = np.einsum("jba,jb->aj", r[:, :top, :top], r[:, :top, -1]) / n
+            counts = np.bincount(np.minimum((x * pieces).astype(int), pieces - 1), minlength=pieces)
+            columns = np.linalg.norm(r[:, :, :top], axis=1).T
+            statuses = np.linalg.norm(r[:, :, -1], axis=1)
+            bound = cls.TOL * np.sqrt(counts) * columns * statuses * 2.0**-52 / n
+            assert np.all(np.abs(moments[pieces] - sub) <= bound)
+        assert moments.keys() == factors.keys()
         sub_estimate, _ = select_projection_model(sample, models)
         model = sub_estimate.model
-        key = model.pieces, model.dim // model.pieces
-        assert solved[key].tobytes() == sub_estimate.coeffs.tobytes()
+        moment = moments[model.pieces][: model.dim // model.pieces].ravel()
+        np.testing.assert_allclose(sub_estimate.coeffs, moment, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize(
         "family, sample",
@@ -570,6 +629,9 @@ class TestSharedSums:
         ids=["dyadic-50000", "dyadic-1000", "haar-5000", "constant"],
     )
     def test_one_basis_evaluation_per_residual_level(self, monkeypatch, family, sample):
+        # every residual sum, the pilot's included, is read from the factors,
+        # so the basis is evaluated once per fit, at the finest level and the
+        # largest degree, and the points are sorted once
         calls, sorts = [], []
         legendre, argsort = bases.piecewise_legendre, np.argsort
 
@@ -584,24 +646,11 @@ class TestSharedSums:
         monkeypatch.setattr(bases, "piecewise_legendre", counted_legendre)
         monkeypatch.setattr(np, "argsort", counted_argsort)
         models = build_collection(family, sample.n, "regression")
-        fits, pilot = every_fit(sample, models)
+        every_fit(sample, models)
         monkeypatch.undo()
 
-        total = float(sample.delta @ sample.delta) / sample.n
-        residual = {
-            fit.model.pieces
-            for fit in fits
-            if fit.model == models[-1]
-            or fit.gram_cond > regression._COND_CUT
-            or pilot <= regression._PILOT_FLOOR * total
-        }
-
-        def top_degree(pieces):
-            return max(model.degree for model in models if model.pieces == pieces)
-
         finest = max(model.pieces for model in models)
-        assert calls[0] == (finest, max(model.degree for model in models))
-        assert sorted(calls[1:]) == sorted((pieces, top_degree(pieces)) for pieces in residual)
+        assert calls == [(finest, max(model.degree for model in models))]
         assert len(sorts) == 1
 
     @pytest.mark.parametrize("family", [poly_family(2), trig_family()], ids=["poly2", "trig"])
@@ -614,8 +663,8 @@ class TestSharedSums:
         ids=["5000", "constant"],
     )
     def test_one_basis_evaluation_per_subdivision(self, monkeypatch, family, sample):
-        # constant statuses send every candidate through the residual pass,
-        # which reuses the rows its subdivision's sums were taken from
+        # one evaluation per subdivision, for constant statuses too; the trig
+        # sample is one chunk of the tall QR
         calls = []
         legendre, trig_rows = bases.piecewise_legendre, bases.trig_rows
 
@@ -639,7 +688,7 @@ class TestSharedSums:
             assert sorted(calls) == sorted((model.pieces, model.degree) for model in models)
 
 
-def cholesky_samples():
+def scan_samples():
     """Model samples at n = 60 to 5e4, the sparse ones and constant statuses outside [0, 1]."""
     samples = [
         generate(SimModel(model_id), n, model_id)
@@ -655,12 +704,13 @@ def cholesky_samples():
 
 
 class TestCholeskyScan:
-    """Contrasts from one Cholesky factor per subdivision against per-candidate solves.
+    """Contrasts from the tails of one set of factors per subdivision against per-candidate solves.
 
-    A subdivision whose top-degree blocks are positive definite with
-    eigenvalue condition number at most ``_COND_CUT`` scores its models
-    by one factor; the others, and every subdivision when the noise
-    pilot is near 0, solve each candidate by SVD as ``fit`` does.
+    The class keeps its name from the Cholesky scan that the factors
+    replaced. A subdivision whose occupied pieces' top-degree factors keep
+    every singular value above ``sqrt(1e-10)`` times their largest scores
+    every model by the tail of the factors' last column; the others solve
+    each candidate by SVD of its factors, as ``fit`` does.
     """
 
     FAMILIES = [dyadic_family(9), dyadic_family(3), haar_family()]
@@ -668,15 +718,23 @@ class TestCholeskyScan:
 
     @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
     def test_candidate_contrasts_match_closed_form(self, family):
-        for sample in cholesky_samples():
+        # every candidate's contrast against its own SVD solve of the factors,
+        # summed afresh: the tail plus the part the rank cut leaves
+        for sample in scan_samples():
             models = build_collection(family, sample.n, "regression")
-            contrasts, _, fit = _fit_collection(sample, models)
-            closed = np.array([fit(model).contrast for model in models])
-            assert np.all(np.abs(contrasts - closed) <= 1e-12)
+            contrasts, _, _ = _fit_collection(sample, models)
+            x, delta = sample.sorted_inside(sample.delta)
+            outside_rss = float(sample.delta.sum() - delta.sum())
+            factors = {group[0].pieces: r for group, r in bases.piece_factors(models, x, delta)}
+            for model, contrast in zip(models, contrasts):
+                r, k = factors[model.pieces], model.dim // model.pieces
+                dropped = regression._solve_factors(r, k)[3]
+                solved = (np.sum(r[:, k:, -1] ** 2) + dropped + outside_rss) / sample.n
+                assert abs(contrast - solved) <= 1e-12
 
     @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
     def test_selected_model_matches_per_candidate_route(self, family):
-        for sample in cholesky_samples():
+        for sample in scan_samples():
             models = build_collection(family, sample.n, "regression")
             fits, pilot = every_fit(sample, models)
             penalties = [pilot * regression_penalty(fit.model, sample.n) for fit in fits]
@@ -695,73 +753,98 @@ class TestCholeskyScan:
             for key, value in expected.items():
                 assert np.float64(est.metadata[key]).tobytes() == np.float64(value).tobytes()
 
-    def test_solves_the_richest_and_the_selected_model(self, monkeypatch):
+    def test_solves_only_the_selected_model(self, monkeypatch):
+        # every level of this sample keeps full rank, so the scan solves no
+        # candidate, the richest included, and the fit solves the selected one
         calls = []
-        solve = regression._solve_blocks
+        solve = regression._solve_factors
 
-        def counted_solve(gram, moment):
-            calls.append(moment.shape)
-            return solve(gram, moment)
+        def counted_solve(r, k):
+            calls.append((r.shape[0], k))
+            return solve(r, k)
 
-        monkeypatch.setattr(regression, "_solve_blocks", counted_solve)
+        monkeypatch.setattr(regression, "_solve_factors", counted_solve)
         sample = generate(SimModel(3), 50_000, 2)
         est = fit_cdf_regression(sample)
         richest = build_collection(dyadic_family(), sample.n, "regression")[-1]
         selected = est.evaluator.model
         assert selected != richest
-        assert calls == [
-            (model.pieces, model.dim // model.pieces) for model in (richest, selected)
-        ]
+        assert calls == [(selected.pieces, selected.dim // selected.pieces)]
 
     def test_factors_only_levels_it_scores(self, monkeypatch):
-        # no factor before the pilot clears the floor, none for the richest model
-        calls = []
-        prefix_products = regression._prefix_products
+        # one finest factorization from the points, one stacked factorization
+        # per coarser level of the collection and one rank check per level
+        # (an SVD unless its blocks are 1 x 1); a single model's fit factors
+        # its own level only
+        factored, checks = [], []
+        r_factor, svd = bases._r_factor, np.linalg.svd
 
-        def counted_products(gram, moment):
-            calls.append(gram.shape[0])
-            return prefix_products(gram, moment)
+        def counted_factor(blocks):
+            factored.append(blocks.shape)
+            return r_factor(blocks)
 
-        monkeypatch.setattr(regression, "_prefix_products", counted_products)
-        fit_cdf_regression(ObservationSample(np.linspace(0.0, 1.0, 1000), np.ones(1000)))
-        assert calls == []
+        def counted_svd(a, *args, **kwargs):
+            if kwargs.get("compute_uv") is False:
+                checks.append(a.shape[-1])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(bases, "_r_factor", counted_factor)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
         sample = generate(SimModel(3), 50_000, 2)
-        fit_cdf_regression(sample)
         models = build_collection(dyadic_family(), sample.n, "regression")
-        assert sorted(calls) == sorted({model.pieces for model in models[:-1]})
+        fit_cdf_regression(sample)
+        levels = sorted({model.pieces for model in models}, reverse=True)
+        degree = max(model.degree for model in models)
+        stacked = [(pieces, 2 * degree + 4, degree + 2) for pieces in levels[1:]]
+        assert factored[-len(stacked) :] == stacked
+        assert all(shape[1:] != stacked[0][1:] for shape in factored[: -len(stacked)])
+        tops = [max(m.dim for m in models if m.pieces == p) // p for p in levels]
+        assert checks == [top for top in tops if top > 1] and 1 in tops
+        factored.clear()
+        checks.clear()
+        fit = fit_least_squares(sample, dyadic_model(3, 2))
+        assert [shape[-1] for shape in factored] == [4] * len(factored)
+        assert checks == [3] and fit.gram_rank == 24
 
     @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
     def test_empty_or_ill_conditioned_levels_take_svd_route(self, monkeypatch, family):
-        # the dense blocks decide which subdivisions must take the SVD route;
-        # those within a factor 10 of the cut are left unasserted
+        # the dense Gram blocks of the occupied pieces decide which
+        # subdivisions must solve each candidate (an eigenvalue ratio at or
+        # below the cut of 1e-10); those within a factor 10 of it are left
+        # unasserted
         solved = set()
-        solve = regression._solve_blocks
+        solve = regression._solve_factors
 
-        def recording_solve(gram, moment):
-            solved.add(moment.shape)
-            return solve(gram, moment)
+        def recording_solve(r, k):
+            solved.add((r.shape[0], k))
+            return solve(r, k)
 
-        monkeypatch.setattr(regression, "_solve_blocks", recording_solve)
-        routes = {"svd": 0, "cholesky": 0}
-        for sample in sparse_samples():
+        monkeypatch.setattr(regression, "_solve_factors", recording_solve)
+        routes = {"svd": 0, "tail": 0}
+        for sample in sparse_samples() + tied_piece_samples():
             models = build_collection(family, sample.n, "regression")
             solved.clear()
-            _, pilot, _ = _fit_collection(sample, models)
-            near_zero = pilot <= regression._PILOT_FLOOR * float(sample.delta.mean())
+            _fit_collection(sample, models)
             for pieces in {model.pieces for model in models}:
                 group = [model for model in models if model.pieces == pieces]
                 gram, _ = dense_piece_statistics(sample, max(group, key=lambda m: m.dim))
-                eig = np.linalg.eigvalsh(gram)
+                eig = np.linalg.eigvalsh(gram[gram[:, 0, 0] > 0.0])
+                if eig.size == 0:
+                    continue
                 lo, hi = eig[:, 0].min(), eig[:, -1].max()
-                if near_zero or lo <= 0.0 or hi > 10 * regression._COND_CUT * lo:
+                if lo <= 0.0 or hi > 10 * 1e10 * lo:
                     route = "svd"
-                elif hi < regression._COND_CUT / 10 * lo:
-                    route = "cholesky"
+                elif hi < 1e10 / 10 * lo:
+                    route = "tail"
                 else:
                     continue
                 routes[route] += 1
                 for model in group:
-                    if model != models[-1]:
-                        shape = pieces, model.dim // pieces
-                        assert (shape in solved) == (route == "svd"), (model, route)
-        assert routes["svd"] >= 10 and routes["cholesky"] >= 10, routes
+                    shape = pieces, model.dim // pieces
+                    assert (shape in solved) == (route == "svd"), (model, route)
+        if family == haar_family():
+            # a degree-0 block of an occupied piece is its point count times m,
+            # so a Haar level never drops a direction; empty pieces add none
+            assert routes["svd"] == 0 and routes["tail"] >= 10, routes
+        else:
+            assert routes["svd"] >= 10 and routes["tail"] >= 10, routes
