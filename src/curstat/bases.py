@@ -441,11 +441,8 @@ def piece_factors(models, x: np.ndarray, delta: np.ndarray):
     groups = _by_pieces(models)
     if models[0].family.tag == TRIG:
         harmonics = max(model.harmonics for model in models)
-        r = np.zeros((2 * harmonics + 2,) * 2)
-        for chunk in (slice(start, start + _QR_ROWS) for start in range(0, x.size, _QR_ROWS)):
-            rows = np.vstack([trig_rows(harmonics, x[chunk]), delta[chunk]])
-            r = _r_factor(np.concatenate([r, rows.T]))
-        yield models, r[None]
+        chunks = (np.vstack([trig_rows(harmonics, x[c]), delta[c]]) for c in _row_chunks(0, x.size))
+        yield models, _tall_factor(2 * harmonics + 2, chunks)[None]
         return
     if models[0].family.tag == POLY:
         # a regular piecewise subdivision holds one model, of the family degree
@@ -469,30 +466,63 @@ def piece_factors(models, x: np.ndarray, delta: np.ndarray):
 def _padded_factors(pieces: int, degree: int, x: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """``piece_factors`` of one piecewise Legendre subdivision, from its points.
 
-    Each piece's rows ``[values | delta]`` of ``piecewise_legendre`` are
-    zero-padded to a common count, at least ``degree + 2``, and the stack
-    is factored ``_QR_ROWS`` padded rows at a time (whole pieces, at least
-    one). Zero rows leave R unchanged up to rounding.
+    Only occupied pieces are factored; an empty piece's factor is zero.
+    They are taken in runs of consecutive pieces, each piece's rows
+    ``[values | delta]`` of ``piecewise_legendre`` zero-padded to the
+    largest count of its run. A run holds at most ``_QR_ROWS`` padded rows
+    and no count above twice another or above ``degree + 2``, whichever is
+    larger, so the rows factored are fewer than twice the points plus
+    ``degree + 2`` per piece, however the times are tied. A piece of more
+    than ``_QR_ROWS`` points is factored on its own by ``_tall_factor``.
+    Zero rows leave R unchanged up to rounding.
     """
     piece, values = piecewise_legendre(pieces, degree, x)
-    d = degree + 2
+    columns = [*values.T, delta]
+    d = len(columns)
     # the points are sorted, so each piece is one run of their piece indices
     starts = np.searchsorted(piece, np.arange(pieces + 1))
-    rows = max(int(np.diff(starts).max()), d)
-    step = max(1, _QR_ROWS // rows)
-    # point i's entry of column a sits at (piece, a, i - start of its piece)
-    # of a (pieces, d, rows) block, so one 1-D scatter fills each column and
-    # the transposed block is column-major, as LAPACK reads it
-    slot = piece * (d * rows) + np.arange(x.size) - starts[piece]
-    r = np.empty((pieces, d, d))
-    for first in range(0, pieces, step):
-        last = min(first + step, pieces)
-        points = slice(starts[first], starts[last])
-        at = slot[points] - first * (d * rows)
-        block = np.zeros((last - first) * d * rows)
-        for a, column in enumerate([*values.T, delta]):
+    counts = np.diff(starts)
+    runs = []
+    for j, count in zip(*(a.tolist() for a in (np.flatnonzero(counts), counts[counts > 0]))):
+        low, high = (min(low, count), max(high, count)) if runs else (count, count)
+        if not runs or high > max(2 * low, d) or (len(runs[-1]) + 1) * max(high, d) > _QR_ROWS:
+            runs.append([])
+            low = high = count
+        runs[-1].append(j)
+    index, place = np.arange(x.size), np.empty(pieces, dtype=int)
+    r = np.zeros((pieces, d, d))
+    for run in runs:
+        points = slice(starts[run[0]], starts[run[-1] + 1])
+        rows = max(counts[run].max(), d)
+        if rows > _QR_ROWS:
+            chunks = (np.vstack([values.T[:, c], delta[c]]) for c in _row_chunks(points.start, points.stop))
+            r[run] = _tall_factor(d, chunks)
+            continue
+        # point i's entry of column a sits at (k, a, i - start of its piece)
+        # of a (pieces, d, rows) block, its piece the k-th of the run, so one
+        # 1-D scatter fills each column and the transposed block is
+        # column-major, as LAPACK reads it
+        place[run] = np.arange(len(run)) * (d * rows) - starts[run]
+        at = place[piece[points]] + index[points]
+        block = np.zeros(len(run) * d * rows)
+        for a, column in enumerate(columns):
             block[at + a * rows] = column[points]
-        r[first:last] = _r_factor(block.reshape(last - first, d, rows).transpose(0, 2, 1))
+        r[run] = _r_factor(block.reshape(len(run), d, rows).transpose(0, 2, 1))
+    return r
+
+
+def _row_chunks(start: int, stop: int):
+    return (slice(first, min(first + _QR_ROWS, stop)) for first in range(start, stop, _QR_ROWS))
+
+
+def _tall_factor(columns: int, chunks) -> np.ndarray:
+    """The R of a QR of the rows of ``chunks``, ``(columns, rows)`` arrays.
+
+    Each chunk is factored stacked under the factor of those before it.
+    """
+    r = np.zeros((columns, columns))
+    for rows in chunks:
+        r = _r_factor(np.concatenate([r, rows.T]))
     return r
 
 

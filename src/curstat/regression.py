@@ -213,9 +213,10 @@ def fit_cdf_regression(
     piece's basis rows beside its statuses, and every model of the
     subdivision reads the leading ``k x k`` block of R (k functions per
     piece) and the first k entries ``y`` of its last column. The regular
-    piecewise family factors each subdivision from its points, zero-padded
-    to a common count per piece, and the trigonometric family takes one
-    tall QR a chunk of points at a time. The dyadic families evaluate the
+    piecewise family factors each subdivision from its points, each
+    occupied piece zero-padded to the largest count of a run of pieces
+    whose counts are within a factor two, and the trigonometric family
+    takes one tall QR a chunk of points at a time. The dyadic families evaluate the
     basis once, at the finest level and largest degree, and each coarser
     level is one QR of the stacked ``[R_left @ g0; R_right @ g1]`` with
     ``g = diag(h.T, 1)`` from the two-scale matrices of ``bases.two_scale``.

@@ -569,6 +569,38 @@ class TestRefinedGramBlocks:
         for sample in sparse_samples():
             self.assert_matches_dense(sample, family)
 
+    @pytest.mark.parametrize("times", ["rounded", "single", "clustered"])
+    def test_factored_rows_stay_near_the_points(self, monkeypatch, times):
+        # tied or clustered times must not pad every piece to the fullest
+        # one: a subdivision factors fewer than twice its points plus d + 1
+        # rows per piece, no factorization takes more than _QR_ROWS rows
+        # besides a stacked factor, and the factors still match dense ones
+        rng = np.random.default_rng(5)
+        n = 20_000
+        u = {
+            "rounded": np.round(rng.random(n), 2),
+            "single": np.full(n, 0.3),
+            "clustered": np.where(rng.random(n) < 0.9, 0.5 + 1e-3 * rng.random(n), rng.random(n)),
+        }[times]
+        sample = ObservationSample(u, (rng.random(n) < u).astype(float))
+        x, delta = sample.sorted_inside(sample.delta)
+        factored = []
+        r_factor = bases._r_factor
+
+        def counted_factor(blocks):
+            factored.append(math.prod(blocks.shape[:-1]))
+            return r_factor(blocks)
+
+        monkeypatch.setattr(bases, "_r_factor", counted_factor)
+        for pieces, degree in ((256, 9), (64, 2), (1, 0)):
+            factored.clear()
+            bases._padded_factors(pieces, degree, x, delta)
+            d = degree + 2
+            assert sum(factored) <= 2 * (n + pieces * (d + 1)), (pieces, degree)
+            assert max(factored) <= bases._QR_ROWS + d
+        monkeypatch.undo()
+        self.assert_matches_dense(sample, dyadic_family())
+
 
 class TestSharedSums:
     """The regression's factors carry the density scan's sums, from one sort.
