@@ -482,16 +482,22 @@ def _padded_factors(pieces: int, degree: int, x: np.ndarray, delta: np.ndarray) 
     # the points are sorted, so each piece is one run of their piece indices
     starts = np.searchsorted(piece, np.arange(pieces + 1))
     counts = np.diff(starts)
-    runs = []
-    for j, count in zip(*(a.tolist() for a in (np.flatnonzero(counts), counts[counts > 0]))):
-        low, high = (min(low, count), max(high, count)) if runs else (count, count)
-        if not runs or high > max(2 * low, d) or (len(runs[-1]) + 1) * max(high, d) > _QR_ROWS:
-            runs.append([])
+    occupied = np.flatnonzero(counts)
+    # runs of occupied pieces start at these places of `occupied`
+    cuts = [0] if occupied.size else []
+    for i, count in enumerate(counts[occupied].tolist()):
+        if i == cuts[-1]:
             low = high = count
-        runs[-1].append(j)
+        elif count < low:
+            low = count
+        elif count > high:
+            high = count
+        if i > cuts[-1] and (high > max(2 * low, d) or (i + 1 - cuts[-1]) * max(high, d) > _QR_ROWS):
+            cuts.append(i)
+            low = high = count
     index, place = np.arange(x.size), np.empty(pieces, dtype=int)
     r = np.zeros((pieces, d, d))
-    for run in runs:
+    for run in (occupied[first:last] for first, last in zip(cuts, [*cuts[1:], occupied.size])):
         points = slice(starts[run[0]], starts[run[-1] + 1])
         rows = max(counts[run].max(), d)
         if rows > _QR_ROWS:
