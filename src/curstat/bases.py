@@ -469,12 +469,12 @@ def _padded_factors(pieces: int, degree: int, x: np.ndarray, delta: np.ndarray) 
     Only occupied pieces are factored; an empty piece's factor is zero.
     They are taken in runs of consecutive pieces, each piece's rows
     ``[values | delta]`` of ``piecewise_legendre`` zero-padded to the
-    largest count of its run. A run holds at most ``_QR_ROWS`` padded rows
-    and no count above twice another or above ``degree + 2``, whichever is
-    larger, so the rows factored are fewer than twice the points plus
-    ``degree + 2`` per piece, however the times are tied. A piece of more
-    than ``_QR_ROWS`` points is factored on its own by ``_tall_factor``.
-    Zero rows leave R unchanged up to rounding.
+    largest count of its run, at least ``degree + 2``. A run grows while
+    its padded rows stay within ``_QR_ROWS`` and within twice its points
+    plus ``degree + 2`` per piece, so the rows factored stay within that
+    bound however the times are tied. A piece of more than ``_QR_ROWS``
+    points is factored on its own by ``_tall_factor``. Zero rows leave R
+    unchanged up to rounding.
     """
     piece, values = piecewise_legendre(pieces, degree, x)
     columns = [*values.T, delta]
@@ -487,14 +487,11 @@ def _padded_factors(pieces: int, degree: int, x: np.ndarray, delta: np.ndarray) 
     cuts = [0] if occupied.size else []
     for i, count in enumerate(counts[occupied].tolist()):
         if i == cuts[-1]:
-            low = high = count
-        elif count < low:
-            low = count
-        elif count > high:
-            high = count
-        if i > cuts[-1] and (high > max(2 * low, d) or (i + 1 - cuts[-1]) * max(high, d) > _QR_ROWS):
+            total = high = 0
+        total, high, size = total + count, max(high, count), i + 1 - cuts[-1]
+        if size > 1 and size * max(high, d) > min(2 * total + size * d, _QR_ROWS):
             cuts.append(i)
-            low = high = count
+            total = high = count
     index, place = np.arange(x.size), np.empty(pieces, dtype=int)
     r = np.zeros((pieces, d, d))
     for run in (occupied[first:last] for first, last in zip(cuts, [*cuts[1:], occupied.size])):

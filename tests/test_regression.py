@@ -572,8 +572,8 @@ class TestRefinedGramBlocks:
     @pytest.mark.parametrize("times", ["rounded", "single", "clustered"])
     def test_factored_rows_stay_near_the_points(self, monkeypatch, times):
         # tied or clustered times must not pad every piece to the fullest
-        # one: a subdivision factors fewer than twice its points plus d + 1
-        # rows per piece, no factorization takes more than _QR_ROWS rows
+        # one: a subdivision factors at most twice its points plus d + 1 rows
+        # per piece, no factorization takes more than _QR_ROWS rows
         # besides a stacked factor, and the factors still match dense ones
         rng = np.random.default_rng(5)
         n = 20_000
