@@ -407,6 +407,12 @@ def _refined(model: BasisModel, coarsest: int, x: np.ndarray, weights):
 # that bounds the memory of the padded copy and keeps it in cache (at
 # n = 5e4 the finest dyadic level took half the time of chunks of 2**16)
 _QR_ROWS = 2**13
+# a piece of more points than this is factored _QR_ROWS rows at a time,
+# which bounds the padded copy (6 MB at 12 columns); one of fewer is
+# factored whole, whose larger copies also keep glibc from returning the
+# heap between fits (poly(2) at n = 5e4 faulted 90 000 pages per fit when
+# its pieces of 8 000 to 50 000 points were factored in chunks)
+_TALL_ROWS = 2**16
 
 
 def piece_factors(models, x: np.ndarray, delta: np.ndarray):
@@ -473,8 +479,9 @@ def _padded_factors(pieces: int, degree: int, x: np.ndarray, delta: np.ndarray) 
     its padded rows stay within ``_QR_ROWS`` and within twice its points
     plus ``degree + 2`` per piece, so the rows factored stay within that
     bound however the times are tied. A piece of more than ``_QR_ROWS``
-    points is factored on its own by ``_tall_factor``. Zero rows leave R
-    unchanged up to rounding.
+    points forms a run of its own, and one of more than ``_TALL_ROWS`` is
+    factored by ``_tall_factor``. Zero rows leave R unchanged up to
+    rounding.
     """
     piece, values = piecewise_legendre(pieces, degree, x)
     columns = [*values.T, delta]
@@ -497,7 +504,7 @@ def _padded_factors(pieces: int, degree: int, x: np.ndarray, delta: np.ndarray) 
     for run in (occupied[first:last] for first, last in zip(cuts, [*cuts[1:], occupied.size])):
         points = slice(starts[run[0]], starts[run[-1] + 1])
         rows = max(counts[run].max(), d)
-        if rows > _QR_ROWS:
+        if rows > _TALL_ROWS:
             chunks = (np.vstack([values.T[:, c], delta[c]]) for c in _row_chunks(points.start, points.stop))
             r[run] = _tall_factor(d, chunks)
             continue

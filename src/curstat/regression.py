@@ -214,9 +214,9 @@ def fit_cdf_regression(
     subdivision reads the leading ``k x k`` block of R (k functions per
     piece) and the first k entries ``y`` of its last column. The regular
     piecewise family factors each subdivision from its points, each
-    occupied piece zero-padded to the largest count of a run of pieces
-    whose counts are within a factor two, and the trigonometric family
-    takes one tall QR a chunk of points at a time. The dyadic families evaluate the
+    occupied piece zero-padded to the largest count of its run of
+    neighbouring pieces, and the trigonometric family takes one tall QR a
+    chunk of points at a time. The dyadic families evaluate the
     basis once, at the finest level and largest degree, and each coarser
     level is one QR of the stacked ``[R_left @ g0; R_right @ g1]`` with
     ``g = diag(h.T, 1)`` from the two-scale matrices of ``bases.two_scale``.
