@@ -407,12 +407,6 @@ def _refined(model: BasisModel, coarsest: int, x: np.ndarray, weights):
 # that bounds the memory of the padded copy and keeps it in cache (at
 # n = 5e4 the finest dyadic level took half the time of chunks of 2**16)
 _QR_ROWS = 2**13
-# a piece of more points than this is factored _QR_ROWS rows at a time,
-# which bounds the padded copy (6 MB at 12 columns); one of fewer is
-# factored whole, whose larger copies also keep glibc from returning the
-# heap between fits (poly(2) at n = 5e4 faulted 90 000 pages per fit when
-# its pieces of 8 000 to 50 000 points were factored in chunks)
-_TALL_ROWS = 2**16
 
 
 def piece_factors(models, x: np.ndarray, delta: np.ndarray):
@@ -447,7 +441,8 @@ def piece_factors(models, x: np.ndarray, delta: np.ndarray):
     groups = _by_pieces(models)
     if models[0].family.tag == TRIG:
         harmonics = max(model.harmonics for model in models)
-        chunks = (np.vstack([trig_rows(harmonics, x[c]), delta[c]]) for c in _row_chunks(0, x.size))
+        points = (slice(first, first + _QR_ROWS) for first in range(0, x.size, _QR_ROWS))
+        chunks = (np.vstack([trig_rows(harmonics, x[c]), delta[c]]) for c in points)
         yield models, _tall_factor(2 * harmonics + 2, chunks)[None]
         return
     if models[0].family.tag == POLY:
@@ -479,8 +474,8 @@ def _padded_factors(pieces: int, degree: int, x: np.ndarray, delta: np.ndarray) 
     its padded rows stay within ``_QR_ROWS`` and within twice its points
     plus ``degree + 2`` per piece, so the rows factored stay within that
     bound however the times are tied. A piece of more than ``_QR_ROWS``
-    points forms a run of its own, and one of more than ``_TALL_ROWS`` is
-    factored by ``_tall_factor``. Zero rows leave R unchanged up to
+    points forms a run of its own and is factored by ``_tall_factor``,
+    ``_QR_ROWS`` of its rows at a time. Zero rows leave R unchanged up to
     rounding.
     """
     piece, values = piecewise_legendre(pieces, degree, x)
@@ -504,10 +499,6 @@ def _padded_factors(pieces: int, degree: int, x: np.ndarray, delta: np.ndarray) 
     for run in (occupied[first:last] for first, last in zip(cuts, [*cuts[1:], occupied.size])):
         points = slice(starts[run[0]], starts[run[-1] + 1])
         rows = max(counts[run].max(), d)
-        if rows > _TALL_ROWS:
-            chunks = (np.vstack([values.T[:, c], delta[c]]) for c in _row_chunks(points.start, points.stop))
-            r[run] = _tall_factor(d, chunks)
-            continue
         # point i's entry of column a sits at (k, a, i - start of its piece)
         # of a (pieces, d, rows) block, its piece the k-th of the run, so one
         # 1-D scatter fills each column and the transposed block is
@@ -517,12 +508,13 @@ def _padded_factors(pieces: int, degree: int, x: np.ndarray, delta: np.ndarray) 
         block = np.zeros(len(run) * d * rows)
         for a, column in enumerate(columns):
             block[at + a * rows] = column[points]
-        r[run] = _r_factor(block.reshape(len(run), d, rows).transpose(0, 2, 1))
+        block = block.reshape(len(run), d, rows)
+        if rows > _QR_ROWS:
+            chunks = (block[0, :, first : first + _QR_ROWS] for first in range(0, rows, _QR_ROWS))
+            r[run] = _tall_factor(d, chunks)
+        else:
+            r[run] = _r_factor(block.transpose(0, 2, 1))
     return r
-
-
-def _row_chunks(start: int, stop: int):
-    return (slice(first, min(first + _QR_ROWS, stop)) for first in range(start, stop, _QR_ROWS))
 
 
 def _tall_factor(columns: int, chunks) -> np.ndarray:

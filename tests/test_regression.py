@@ -573,9 +573,8 @@ class TestRefinedGramBlocks:
     def test_factored_rows_stay_near_the_points(self, monkeypatch, times):
         # tied or clustered times must not pad every piece to the fullest
         # one: a subdivision factors at most twice its points plus d + 1 rows
-        # per piece, no factorization takes more than _TALL_ROWS rows
-        # besides a stacked factor, and the factors still match dense ones;
-        # a lower _TALL_ROWS sends the large pieces through _tall_factor
+        # per piece, no factorization takes more than _QR_ROWS rows besides
+        # a stacked factor, and the factors still match dense ones
         rng = np.random.default_rng(5)
         n = 20_000
         u = {
@@ -593,15 +592,14 @@ class TestRefinedGramBlocks:
             return r_factor(blocks)
 
         monkeypatch.setattr(bases, "_r_factor", counted_factor)
-        for tall in (bases._TALL_ROWS, bases._QR_ROWS):
-            monkeypatch.setattr(bases, "_TALL_ROWS", tall)
-            for pieces, degree in ((256, 9), (64, 2), (1, 0)):
-                factored.clear()
-                bases._padded_factors(pieces, degree, x, delta)
-                d = degree + 2
-                assert sum(factored) <= 2 * (n + pieces * (d + 1)), (pieces, degree)
-                assert max(factored) <= tall + d
-            self.assert_matches_dense(sample, dyadic_family())
+        for pieces, degree in ((256, 9), (64, 2), (1, 0)):
+            factored.clear()
+            bases._padded_factors(pieces, degree, x, delta)
+            d = degree + 2
+            assert sum(factored) <= 2 * (n + pieces * (d + 1)), (pieces, degree)
+            assert max(factored) <= bases._QR_ROWS + d
+        monkeypatch.undo()
+        self.assert_matches_dense(sample, dyadic_family())
 
 
 class TestSharedSums:
