@@ -403,9 +403,9 @@ def _refined(model: BasisModel, coarsest: int, x: np.ndarray, weights):
             level[0] = running[c]
 
 
-# the factors are taken over at most about this many padded rows at a time;
-# that bounds the memory of the padded copy and keeps it in cache (at
-# n = 5e4 the finest dyadic level took half the time of chunks of 2**16)
+# the factors are taken over at most about this many padded rows at a time,
+# which keeps each factorization's copies in cache (at n = 5e4 the finest
+# dyadic level took half the time of chunks of 2**16)
 _QR_ROWS = 2**13
 
 
