@@ -319,18 +319,21 @@ def basis_rows(model: BasisModel, x: np.ndarray):
     return piece, values.T
 
 
-def piece_sums(models, x: np.ndarray, weights):
+def piece_sums(models, x: np.ndarray, weights, sizes=None):
     """Per-piece sums of a collection at each of its subdivisions.
 
     ``x`` holds the points in [0, 1] and ``weights`` rows of weights (None
     for a row of ones), in the one time order of the ``data`` module, as
-    ``ObservationSample.sorted_inside`` returns them. Yields
+    ``ObservationSample.sorted_inside`` returns them. ``x`` and the weight
+    rows may join several samples one after another: ``sizes`` gives each
+    sample's count of points, and None stands for one sample. Yields
     ``(group, sums)`` per subdivision of ``models`` (the models of one
     piece count), in the order the subdivisions first appear in
-    ``models``: per weight row, a ``(d, pieces)`` array whose row ``a``
-    holds the per-piece sums of the ``a``-th function of a piece (the
-    degree-``a`` one for piecewise families) times the weights. A model of
-    the group reads the leading ``dim // pieces`` rows.
+    ``models``: per weight row, a ``(samples, d, pieces)`` array whose
+    entry ``[s, a]`` holds sample s's per-piece sums of the ``a``-th
+    function of a piece (the degree-``a`` one for piecewise families)
+    times the weights. A model of the group reads the leading
+    ``dim // pieces`` rows of a sample.
 
     The regular piecewise and trigonometric families, whose subdivisions
     do not nest, evaluate each subdivision's richest model once and sum it
@@ -349,7 +352,14 @@ def piece_sums(models, x: np.ndarray, weights):
     those drift from ``count * sqrt(m)`` by up to ``count * 2**-53``
     relative, which the higher degrees would inherit. The dyadic
     subdivisions are all summed before the first is yielded.
+
+    Joined samples share each evaluation and each ``np.bincount``, whose
+    piece indices count on past the pieces of the samples before, and
+    every sample's sums are bitwise those it has alone: a bin sums its
+    own points in order, and the refinement multiplies each sample's own
+    ``(d, pieces)`` block.
     """
+    sizes = [x.size] if sizes is None else sizes
     groups = _by_pieces(models)
     if models[0].family.tag not in _DYADIC_TAGS:
         # one subdivision at a time: summing every subdivision first freed
@@ -358,49 +368,64 @@ def piece_sums(models, x: np.ndarray, weights):
         # quotient at n = 5e4
         for group in groups.values():
             richest = max(group, key=lambda model: model.dim)
-            (sums,) = _refined(richest, richest.pieces, x, weights)
+            (sums,) = _refined(richest, richest.pieces, x, weights, sizes)
             yield group, sums
         return
     finest = BasisModel(models[0].family, max(groups), max(model.degree for model in models))
-    levels = {sums[0].shape[1]: sums for sums in _refined(finest, min(groups), x, weights)}
+    refined = _refined(finest, min(groups), x, weights, sizes)
+    levels = {sums[0].shape[-1]: sums for sums in refined}
     for pieces, group in groups.items():
         yield group, levels[pieces]
 
 
-def _refined(model: BasisModel, coarsest: int, x: np.ndarray, weights):
+def _stacked(piece: np.ndarray, pieces: int, sizes) -> np.ndarray:
+    """Piece indices of joined samples, each sample's pieces after the last one's."""
+    if len(sizes) == 1:
+        return piece
+    return piece + np.repeat(np.arange(0, len(sizes) * pieces, pieces), sizes)
+
+
+def _refined(model: BasisModel, coarsest: int, x: np.ndarray, weights, sizes):
     """``piece_sums``' sums of ``model``'s subdivision and of each coarser one down to ``coarsest``.
 
     Yields one list of sums per subdivision, halving the piece count at
     each step, so only a dyadic model has more than one subdivision.
     """
-    pieces = model.pieces
+    pieces, samples = model.pieces, len(sizes)
     piece, rows = basis_rows(model, x)
+    piece = _stacked(piece, pieces, sizes)
+    bins = samples * pieces
     # one np.bincount per basis row and weight row; a weight row of None
     # stands for ones and takes no product
     sums = level_sums = [
-        np.array([np.bincount(piece, row if w is None else row * w, pieces) for row in rows])
+        np.ascontiguousarray(
+            np.array([np.bincount(piece, row if w is None else row * w, bins) for row in rows])
+            .reshape(len(rows), samples, pieces)
+            .swapaxes(0, 1)
+        )
         for w in weights
     ]
     if pieces > coarsest:
         h0, h1 = two_scale(model.degree)
         # the points are sorted, so each piece is one run of their piece indices
-        counts = np.diff(np.searchsorted(piece, np.arange(pieces + 1)))
+        counts = np.diff(np.searchsorted(piece, np.arange(bins + 1))).reshape(samples, pieces)
         # sums of 0/1 weights are exact integers; those of ones are the counts
         weight_counts = [
-            counts if w is None else np.bincount(piece, w, pieces).astype(int) for w in weights
+            counts if w is None else np.bincount(piece, w, bins).astype(int).reshape(samples, pieces)
+            for w in weights
         ]
     while True:
         yield level_sums
         if pieces == coarsest:
             return
         pieces //= 2
-        sums = [h0 @ s[:, 0::2] + h1 @ s[:, 1::2] for s in sums]
-        counts = counts[0::2] + counts[1::2]
-        weight_counts = [c[0::2] + c[1::2] for c in weight_counts]
+        sums = [h0 @ s[..., 0::2] + h1 @ s[..., 1::2] for s in sums]
+        counts = counts[:, 0::2] + counts[:, 1::2]
+        weight_counts = [c[:, 0::2] + c[:, 1::2] for c in weight_counts]
         running = np.append(0.0, np.full(counts.max(), np.sqrt(float(pieces))).cumsum())
         level_sums = [s.copy() for s in sums]
         for level, c in zip(level_sums, weight_counts):
-            level[0] = running[c]
+            level[:, 0] = running[c]
 
 
 # the factors are taken over at most about this many padded rows at a time,
@@ -409,50 +434,59 @@ def _refined(model: BasisModel, coarsest: int, x: np.ndarray, weights):
 _QR_ROWS = 2**13
 
 
-def piece_factors(models, x: np.ndarray, delta: np.ndarray):
+def piece_factors(models, x: np.ndarray, delta: np.ndarray, sizes=None):
     """Triangular factors of every piece's basis rows and statuses, per subdivision.
 
     ``x`` holds the points in [0, 1] and ``delta`` their statuses, in the
-    time order of ``ObservationSample.sorted_inside``. Yields
-    ``(group, r)`` per subdivision of ``models`` (the models of one piece
-    count). ``r`` has shape ``(pieces, d + 1, d + 1)``: ``r[j]`` is the
-    upper-triangular factor R of a QR factorization of piece j's block
-    ``[X_j | delta_j]``, where column ``a`` of X_j holds the ``a``-th basis
-    function of the piece (the degree-``a`` one for piecewise families)
-    at the piece's points. So ``r[j].T @ r[j]`` is the block's Gram
-    matrix, a model of the group reads the leading ``dim // pieces``
-    columns, and the last column holds ``Q' delta_j``, whose entries from
-    row k on have as sum of squares the residual sum of squares of the
-    statuses on the first k functions while those have full rank. An empty
-    piece has a zero factor. Signs are those LAPACK returns.
+    time order of ``ObservationSample.sorted_inside``; they may join
+    several samples, ``sizes`` giving each one's count of points (None
+    for one sample). Yields ``(group, r)`` per subdivision of ``models``
+    (the models of one piece count). ``r`` has shape
+    ``(samples * pieces, d + 1, d + 1)``, sample by sample: ``r[j]`` is
+    the upper-triangular factor R of a QR factorization of piece j's
+    block ``[X_j | delta_j]``, where column ``a`` of X_j holds the
+    ``a``-th basis function of the piece (the degree-``a`` one for
+    piecewise families) at the piece's points. So ``r[j].T @ r[j]`` is
+    the block's Gram matrix, a model of the group reads the leading
+    ``dim // pieces`` columns, and the last column holds ``Q' delta_j``,
+    whose entries from row k on have as sum of squares the residual sum
+    of squares of the statuses on the first k functions while those have
+    full rank. An empty piece has a zero factor. Signs are those LAPACK
+    returns.
 
     The trigonometric family has one piece, factored by one tall QR taken
     ``_QR_ROWS`` points at a time, each chunk stacked under the factor so
-    far. The regular piecewise family evaluates and factors each
-    subdivision on its own. The dyadic families evaluate the basis once,
-    at the finest subdivision and the largest degree, and every coarser
-    subdivision keeps that degree: a coarse piece's block is
+    far, sample by sample. The regular piecewise family evaluates and
+    factors each subdivision on its own. The dyadic families evaluate the
+    basis once, at the finest subdivision and the largest degree, and
+    every coarser subdivision keeps that degree: a coarse piece's block is
     ``[X_left h0.T | delta_left]`` over ``[X_right h1.T | delta_right]``
     (``two_scale``), so its factor is, in exact arithmetic, that of the
     stacked ``[R_left @ g0; R_right @ g1]``, ``g = diag(h.T, 1)`` (the
     stacked-R reduction of Demmel, Grigori, Hoemmen and Langou, 2012).
-    They are yielded finest first.
+    They are yielded finest first. Every factorization and product takes
+    each sample's matrices in the shapes they have alone, so every
+    sample's factors are bitwise those of its own call.
     """
+    sizes = [x.size] if sizes is None else sizes
     groups = _by_pieces(models)
     if models[0].family.tag == TRIG:
         harmonics = max(model.harmonics for model in models)
-        points = (slice(first, first + _QR_ROWS) for first in range(0, x.size, _QR_ROWS))
-        chunks = (np.vstack([trig_rows(harmonics, x[c]), delta[c]]) for c in points)
-        yield models, _tall_factor(2 * harmonics + 2, chunks)[None]
+        factors = []
+        for end, size in zip(np.cumsum(sizes).tolist(), sizes):
+            points = (slice(at, min(at + _QR_ROWS, end)) for at in range(end - size, end, _QR_ROWS))
+            chunks = (np.vstack([trig_rows(harmonics, x[c]), delta[c]]) for c in points)
+            factors.append(_tall_factor(2 * harmonics + 2, chunks))
+        yield models, np.array(factors)
         return
     if models[0].family.tag == POLY:
         # a regular piecewise subdivision holds one model, of the family degree
         for pieces, group in groups.items():
-            yield group, _padded_factors(pieces, group[0].degree, x, delta)
+            yield group, _padded_factors(pieces, group[0].degree, x, delta, sizes)
         return
     degree = max(model.degree for model in models)
     pieces = max(groups)
-    r = _padded_factors(pieces, degree, x, delta)
+    r = _padded_factors(pieces, degree, x, delta, sizes)
     g0, g1 = np.eye(degree + 2), np.eye(degree + 2)
     g0[:-1, :-1], g1[:-1, :-1] = (h.T for h in two_scale(degree))
     while True:
@@ -464,57 +498,115 @@ def piece_factors(models, x: np.ndarray, delta: np.ndarray):
         r = _r_factor(np.concatenate([r[0::2] @ g0, r[1::2] @ g1], axis=1))
 
 
-def _padded_factors(pieces: int, degree: int, x: np.ndarray, delta: np.ndarray) -> np.ndarray:
+def _padded_factors(
+    pieces: int, degree: int, x: np.ndarray, delta: np.ndarray, sizes=None
+) -> np.ndarray:
     """``piece_factors`` of one piecewise Legendre subdivision, from its points.
 
     Only occupied pieces are factored; an empty piece's factor is zero.
-    They are taken in runs of consecutive pieces, each piece's rows
-    ``[values | delta]`` of ``piecewise_legendre`` zero-padded to the
-    largest count of its run, at least ``degree + 2``. A run grows while
-    its padded rows stay within ``_QR_ROWS`` and within twice its points
-    plus ``degree + 2`` per piece, so the rows factored stay within that
-    bound however the times are tied. A piece of more than ``_QR_ROWS``
-    points forms a run of its own and is factored by ``_tall_factor``,
-    ``_QR_ROWS`` of its rows at a time. Zero rows leave R unchanged up to
-    rounding.
+    They are taken in runs of consecutive pieces of one sample, each
+    piece's rows ``[values | delta]`` of ``piecewise_legendre`` zero-padded
+    to the largest count of its run, at least ``degree + 2``. A run grows
+    while its padded rows stay within ``_QR_ROWS`` and within twice its
+    points plus ``degree + 2`` per piece, so the rows factored stay within
+    that bound however the times are tied. Zero rows leave R unchanged up
+    to rounding, so the runs, which set the padding, are each sample's
+    own. Consecutive runs are scattered into one block of at most
+    ``_QR_ROWS`` padded rows, and the runs of one padded row count in a
+    block are factored together. A piece of more than ``_QR_ROWS`` points
+    forms a run and a block of its own and is factored by
+    ``_tall_factor``, ``_QR_ROWS`` of its rows at a time.
     """
+    sizes = [x.size] if sizes is None else sizes
     piece, values = piecewise_legendre(pieces, degree, x)
+    owners = len(sizes) * pieces
+    piece = _stacked(piece, pieces, sizes)
     columns = [*values.T, delta]
     d = len(columns)
     # the points are sorted, so each piece is one run of their piece indices
-    starts = np.searchsorted(piece, np.arange(pieces + 1))
+    starts = np.searchsorted(piece, np.arange(owners + 1))
     counts = np.diff(starts)
     occupied = np.flatnonzero(counts)
-    # runs of occupied pieces start at these places of `occupied`
-    cuts = [0] if occupied.size else []
-    for i, count in enumerate(counts[occupied].tolist()):
-        if i == cuts[-1]:
+    r = np.zeros((owners, d, d))
+    cuts, rows = _runs(counts[occupied].tolist(), (occupied // pieces).tolist(), d)
+    index, place = np.arange(x.size), np.empty(owners, dtype=int)
+    for first, last, height in _blocks(cuts, rows):
+        # point i's entry of column a sits at (k, a, i - start of its piece)
+        # of a (members, d, height) block, its piece the k-th member, so one
+        # 1-D scatter fills each column and each transposed block is
+        # column-major, as LAPACK reads it
+        members = occupied[cuts[first] : cuts[last]]
+        place[members] = np.arange(members.size) * (d * height) - starts[members]
+        points = slice(starts[members[0]], starts[members[-1] + 1])
+        at = place[piece[points]] + index[points]
+        block = np.zeros(members.size * d * height)
+        for a, column in enumerate(columns):
+            block[at + a * height] = column[points]
+        block = block.reshape(members.size, d, height)
+        for runs in _factor_calls(rows, first, last):
+            # the runs' places among the block's members
+            local = (
+                slice(cuts[runs[0]] - cuts[first], cuts[runs[0] + 1] - cuts[first])
+                if len(runs) == 1
+                else np.concatenate([np.arange(cuts[j], cuts[j + 1]) for j in runs]) - cuts[first]
+            )
+            stack = block[local, :, : rows[runs[0]]]
+            if height > _QR_ROWS:
+                chunks = (stack[0, :, top : top + _QR_ROWS] for top in range(0, height, _QR_ROWS))
+                r[members[local]] = _tall_factor(d, chunks)
+            else:
+                r[members[local]] = _r_factor(stack.transpose(0, 2, 1))
+    return r
+
+
+def _runs(counts: list, owners: list, d: int) -> tuple[list, list]:
+    """The runs of ``_padded_factors``: ``(cuts, rows)``.
+
+    ``counts`` and ``owners`` give each occupied piece's point count and
+    sample. Run j holds the occupied pieces ``cuts[j]..cuts[j + 1] - 1``
+    and pads them to ``rows[j]`` rows. A run never spans two samples, so
+    each sample's runs are those it has alone.
+    """
+    if not counts:
+        return [0], []
+    cuts, rows = [0], []
+    for i, count in enumerate(counts):
+        if i == cuts[-1] or owners[i] != owners[i - 1]:
+            if i != cuts[-1]:
+                cuts.append(i)
+                rows.append(max(high, d))
             total = high = 0
+        before = high
         total, high, size = total + count, max(high, count), i + 1 - cuts[-1]
         if size > 1 and size * max(high, d) > min(2 * total + size * d, _QR_ROWS):
             cuts.append(i)
+            rows.append(max(before, d))
             total = high = count
-    index, place = np.arange(x.size), np.empty(pieces, dtype=int)
-    r = np.zeros((pieces, d, d))
-    for run in (occupied[first:last] for first, last in zip(cuts, [*cuts[1:], occupied.size])):
-        points = slice(starts[run[0]], starts[run[-1] + 1])
-        rows = max(counts[run].max(), d)
-        # point i's entry of column a sits at (k, a, i - start of its piece)
-        # of a (pieces, d, rows) block, its piece the k-th of the run, so one
-        # 1-D scatter fills each column and the transposed block is
-        # column-major, as LAPACK reads it
-        place[run] = np.arange(len(run)) * (d * rows) - starts[run]
-        at = place[piece[points]] + index[points]
-        block = np.zeros(len(run) * d * rows)
-        for a, column in enumerate(columns):
-            block[at + a * rows] = column[points]
-        block = block.reshape(len(run), d, rows)
-        if rows > _QR_ROWS:
-            chunks = (block[0, :, first : first + _QR_ROWS] for first in range(0, rows, _QR_ROWS))
-            r[run] = _tall_factor(d, chunks)
-        else:
-            r[run] = _r_factor(block.transpose(0, 2, 1))
-    return r
+    return [*cuts, len(counts)], [*rows, max(high, d)]
+
+
+def _blocks(cuts: list, rows: list):
+    """``(first, last, height)``: runs ``first..last-1`` padded to ``height`` rows in one block.
+
+    A block holds at most ``_QR_ROWS`` padded rows, unless its one run
+    has more.
+    """
+    first = 0
+    while first < len(rows):
+        last, height = first + 1, rows[first]
+        while last < len(rows) and (cuts[last + 1] - cuts[first]) * max(height, rows[last]) <= _QR_ROWS:
+            height = max(height, rows[last])
+            last += 1
+        yield first, last, height
+        first = last
+
+
+def _factor_calls(rows: list, first: int, last: int):
+    """The runs ``first..last-1`` grouped by their padded rows."""
+    calls: dict[int, list[int]] = {}
+    for j in range(first, last):
+        calls.setdefault(rows[j], []).append(j)
+    return calls.values()
 
 
 def _tall_factor(columns: int, chunks) -> np.ndarray:
@@ -556,8 +648,15 @@ def build_collection(family: BasisFamily, n: int, cap=CAP_DENSITY) -> list[Basis
     ``n//2 - 1`` harmonics. Models are returned in selection order
     (dimension ascending, ties by coarser subdivision first).
 
-    Raises EmptyCollectionError when nothing fits.
+    Raises EmptyCollectionError when nothing fits. The models of each
+    ``(family, n, cap)`` are built once and kept; every call returns a
+    new list of them.
     """
+    return list(_collection(family, n, cap))
+
+
+@functools.lru_cache(maxsize=256)
+def _collection(family: BasisFamily, n: int, cap) -> tuple[BasisModel, ...]:
     if n < 2:
         raise ValueError("need a sample size of at least 2")
     dim_cap = _cap_dimension(family, n, cap)
@@ -580,4 +679,4 @@ def build_collection(family: BasisFamily, n: int, cap=CAP_DENSITY) -> list[Basis
             f"collection empty for n={n} (family={family.tag}, cap={cap!r})"
         )
     models.sort(key=model_sort_key)
-    return models
+    return tuple(models)

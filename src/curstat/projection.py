@@ -98,9 +98,38 @@ def _piece_moments(models, sample: ObservationSample, weights):
     subdivision only and refines the others from it; that needs 0/1
     weights whenever the models span more than one subdivision.
     """
-    x, *weights = sample.sorted_inside(*weights)
-    for group, sums in piece_sums(models, x, weights):
-        yield group, [s / sample.n for s in sums]
+    for group, sums in _stacked_moments(models, [sample], [weights]):
+        yield group, [s[0] for s in sums]
+
+
+def _stacked_inside(samples, weights):
+    """``sorted_inside`` of each sample with its weight rows, joined sample after sample.
+
+    ``weights`` holds one list of rows per sample (None for ones).
+    Returns ``(sizes, x, rows)``: each sample's count of points in
+    [0, 1], and the joined points and rows, as ``bases.piece_sums`` and
+    ``bases.piece_factors`` take them.
+    """
+    parts = [sample.sorted_inside(*rows) for sample, rows in zip(samples, weights)]
+    sizes = [part[0].size for part in parts]
+    joined = [
+        None if column[0] is None else column[0] if len(parts) == 1 else np.concatenate(column)
+        for column in zip(*parts)
+    ]
+    return sizes, joined[0], joined[1:]
+
+
+def _stacked_moments(models, samples, weights):
+    """``_piece_moments`` of several samples in one pass.
+
+    ``weights`` holds one list of rows per sample. Yields ``(group,
+    sums)`` with a ``(samples, d, pieces)`` array per weight row, each
+    sample's sums over its own n, bitwise those of its own pass.
+    """
+    sizes, x, rows = _stacked_inside(samples, weights)
+    n = np.array([sample.n for sample in samples])[:, None, None]
+    for group, sums in piece_sums(models, x, rows, sizes):
+        yield group, [s / n for s in sums]
 
 
 def density_penalty(
@@ -158,22 +187,37 @@ def select_projection_model(
     with seed 20080317, model 2, replication 10 and n = 200, dyadic
     levels 1 and 2 at degree 0 both score -0.264, and level 2 wins. The
     bitwise degree-0 sums keep that outcome.
+
+    This is ``_select_models`` on one sample.
+    """
+    return _select_models([sample], collection, kappa)[0]
+
+
+def _select_models(samples, collection, kappa: float = 4.0) -> list:
+    """``select_projection_model`` of several samples from one pass of sums.
+
+    The per-piece sums of every sample come from one ``piece_sums``
+    pass; the scores, penalties and picks are each sample's own. Each
+    sum of squares is a dot product ``c @ c`` of the sample's own
+    coefficients, as one sample alone scores it, so every pick is the one
+    the sample gets alone.
     """
     if not collection:
         raise ValueError("empty model collection")
-    n = sample.n
-    coeffs = {}
-    for group, (sub, den) in _piece_moments(collection, sample, [sample.delta, None]):
-        pieces = group[0].pieces
-        for model in group:
-            k = model.dim // pieces
-            coeffs[model] = sub[:k].ravel(), den[:k].ravel()
-    targets = zip(*(coeffs[model] for model in collection))
+    weights = [[sample.delta, None] for sample in samples]
+    levels = {group[0].pieces: sums for group, sums in _stacked_moments(collection, samples, weights)}
+    prefixes = [(model.pieces, model.dim // model.pieces) for model in collection]
     norms, dims = np.array([penalty_factors(model) for model in collection]).T
-    estimates = []
-    for target, weight_mean in zip(targets, (float(sample.delta.mean()), 1.0)):
-        penalties = _density_penalty(norms, dims, n, kappa, weight_mean)
-        # penalty - c'c rounds as -c'c + penalty does
-        best = int((penalties - np.array([c @ c for c in target])).argmin())
-        estimates.append(ProjectionEstimate(collection[best], target[best]))
-    return tuple(estimates)
+    picks = []
+    for i, sample in enumerate(samples):
+        estimates = []
+        # the sums of the statuses give the sub-density, those of ones the density
+        for row, weight_mean in enumerate((float(sample.delta.mean()), 1.0)):
+            own = {pieces: sums[row][i] for pieces, sums in levels.items()}
+            target = [own[pieces][:k].ravel() for pieces, k in prefixes]
+            penalties = _density_penalty(norms, dims, sample.n, kappa, weight_mean)
+            # penalty - c'c rounds as -c'c + penalty does
+            best = int((penalties - np.array([c @ c for c in target])).argmin())
+            estimates.append(ProjectionEstimate(collection[best], target[best]))
+        picks.append(tuple(estimates))
+    return picks

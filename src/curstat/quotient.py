@@ -17,7 +17,12 @@ import numpy as np
 from .bases import CAP_DENSITY, BasisFamily, build_collection, dyadic_family
 from .data import ObservationSample
 from .estimates import CdfEstimate
-from .projection import ProjectionEstimate, density_penalty, select_projection_model
+from .projection import (
+    ProjectionEstimate,
+    _select_models,
+    density_penalty,
+    select_projection_model,
+)
 
 
 def _clamped_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -53,10 +58,31 @@ def fit_quotient_cdf(
     kappa: float = 4.0,
 ) -> CdfEstimate:
     """Run both adaptive density fits in one scan and combine them."""
-    if family is None:
-        family = dyadic_family()
-    collection = build_collection(family, sample.n, CAP_DENSITY)
-    sub, den = select_projection_model(sample, collection, kappa)
+    collection = _density_collection(family, sample.n)
+    return _estimate(sample, *select_projection_model(sample, collection, kappa), kappa)
+
+
+def _fit_quotient_cdfs(
+    samples, family: BasisFamily | None = None, kappa: float = 4.0
+) -> list[CdfEstimate]:
+    """``fit_quotient_cdf`` of several samples of one size, from one scan.
+
+    The samples share one collection and one ``projection._select_models``
+    pass, of which ``select_projection_model`` is the pass on one sample;
+    each one's estimate is bitwise the one it gets alone.
+    """
+    n = samples[0].n
+    if any(sample.n != n for sample in samples):
+        raise ValueError("the samples of one scan must have one size")
+    picks = _select_models(samples, _density_collection(family, n), kappa)
+    return [_estimate(sample, sub, den, kappa) for sample, (sub, den) in zip(samples, picks)]
+
+
+def _density_collection(family: BasisFamily | None, n: int):
+    return build_collection(dyadic_family() if family is None else family, n, CAP_DENSITY)
+
+
+def _estimate(sample, sub: ProjectionEstimate, den: ProjectionEstimate, kappa: float):
     estimate = quotient_cdf(sub, den)
     estimate.metadata["numerator_penalty"] = density_penalty(
         sub.model, sample.n, kappa, float(sample.delta.mean())

@@ -30,7 +30,9 @@ against are in ``tests/dense_oracle.py``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -45,7 +47,7 @@ from .bases import (
 )
 from .data import ObservationSample
 from .estimates import CdfEstimate
-from .projection import ProjectionEstimate
+from .projection import ProjectionEstimate, _stacked_inside
 
 # the rank cut of the normal equations on the Gram's singular values; a
 # triangular factor R has R'R = X'X, so its own cut is the square root
@@ -132,15 +134,33 @@ def _solve_factors(r: np.ndarray, k: int):
     which is the rule of ``np.linalg.lstsq`` with rcond ``_RANK_TOL`` on
     the block-diagonal Gram matrix ``R'R``. The kept condition number is
     ``(s_max / s_min_kept)**2`` (1 when none is kept). One batched SVD
-    per call.
+    per call; this is ``_solve_stack`` on one sample.
     """
-    u, s, vt = np.linalg.svd(r[:, :k, :k])
-    keep = s > np.sqrt(_RANK_TOL) * s.max()
-    rotated = np.einsum("kji,kj->ki", u, r[:, :k, -1])
-    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    rank = int(np.count_nonzero(keep))
-    cond = float(s.max() / s[keep].min()) ** 2 if rank else 1.0
-    return np.einsum("kji,kj->ki", vt, inverse * rotated), rank, cond, np.sum(rotated[~keep] ** 2)
+    return _solve_stack(r[None], k)[0]
+
+
+def _solve_stack(r: np.ndarray, k: int) -> list:
+    """``_solve_factors`` of each sample of a ``(samples, pieces, d + 1, d + 1)`` stack.
+
+    One batched SVD and two batched products take every sample's blocks
+    in the shapes they have alone; the cut, rank, condition number and
+    dropped sum are each sample's own, so each sample gets what it gets
+    alone, bit for bit.
+    """
+    count, pieces = r.shape[:2]
+    u, s, vt = np.linalg.svd(r[:, :, :k, :k].reshape(count * pieces, k, k))
+    rotated = np.einsum("kji,kj->ki", u, r[:, :, :k, -1].reshape(count * pieces, k))
+    inverse, kept = np.zeros_like(s), []
+    for blocks in (slice(i * pieces, (i + 1) * pieces) for i in range(count)):
+        values = s[blocks]
+        largest = values.max()
+        keep = values > np.sqrt(_RANK_TOL) * largest
+        np.divide(1.0, values, out=inverse[blocks], where=keep)
+        rank = int(np.count_nonzero(keep))
+        cond = float(largest / values[keep].min()) ** 2 if rank else 1.0
+        kept.append((blocks, rank, cond, np.sum(rotated[blocks][~keep] ** 2)))
+    coeffs = np.einsum("kji,kj->ki", vt, inverse * rotated)
+    return [(coeffs[blocks], rank, cond, dropped) for blocks, rank, cond, dropped in kept]
 
 
 def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
@@ -154,48 +174,89 @@ def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
     direction of their top-degree factors scores each model by the tail
     of the factors' last column; every other one solves each of its
     models by ``_solve_factors``, and ``fit`` solves the others it is
-    asked for.
+    asked for. This is ``_fit_collections`` on one sample.
     """
-    x, delta = sample.sorted_inside(sample.delta)
-    # every basis vanishes outside [0, 1], so the statuses there are
-    # residuals; both sums of 0/1 statuses are exact
-    outside_rss = float(sample.delta.sum() - delta.sum())
-    factors, solved, rss = {}, {}, {}
-    for group, r in piece_factors(models, x, delta):
+    return _fit_collections([sample], models)[0]
+
+
+def _fit_collections(samples, models: list[BasisModel]) -> list:
+    """``_fit_collection`` of several samples from one pass of factors.
+
+    The factors of every sample come from one ``piece_factors`` pass,
+    and each subdivision's rank check is one batched SVD of every
+    sample's occupied blocks; the cut, the tails, the solves, the
+    constant-status rule and the pilot are each sample's own, so each
+    sample gets what it gets alone, bit for bit.
+    """
+    sizes, x, (delta,) = _stacked_inside(samples, [[sample.delta] for sample in samples])
+    count = len(samples)
+    factors, rss = {}, {}
+    solved = [{} for _ in samples]
+    for group, r in piece_factors(models, x, delta, sizes):
         pieces = group[0].pieces
-        factors[pieces] = r
-        # tails[k]: the residual sum of squares of the first k functions per
-        # piece, while those keep full rank on every occupied piece
-        tails = np.cumsum((r[:, ::-1, -1] ** 2).sum(axis=0))[::-1]
+        factors[pieces] = r.reshape(count, pieces, *r.shape[1:])
+        # tails[:, k]: the residual sum of squares of the first k functions
+        # per piece, while those keep full rank on every occupied piece
+        squares = (r[:, ::-1, -1] ** 2).reshape(count, pieces, -1)
+        tails = np.add.reduce(squares, axis=1).cumsum(axis=1)[:, ::-1]
         top = max(model.dim for model in group) // pieces
-        blocks = r[r[:, 0, 0] != 0.0, :top, :top]
+        occupied = r[:, 0, 0] != 0.0
+        blocks = r[occupied, :top, :top]
         # a 1 x 1 block is its own singular value
-        s = abs(blocks[:, 0, 0]) if top == 1 else np.linalg.svd(blocks, compute_uv=False)
-        # by interlacing, no prefix of a stack that passes drops a direction
-        cut = s.size > 0 and s.min() <= np.sqrt(_RANK_TOL) * s.max()
+        s = abs(blocks[:, :1, 0]) if top == 1 else np.linalg.svd(blocks, compute_uv=False)
+        cut = _rank_cuts(s, occupied, count)
         for model in group:
             k = model.dim // pieces
-            rss[model] = tails[k]
+            rss[model] = tails[:, k]
             if cut:
-                solved[model] = _solve_factors(r, k)
-                rss[model] += solved[model][3]
-    if not delta.any() or delta.all():
-        # constant statuses inside [0, 1] lie in every model's span, since
-        # every family holds the constant: each model fits them exactly, and
-        # rounding residue must not decide the pick
-        rss = dict.fromkeys(models, 0.0)
-    contrasts = (np.array([rss[model] for model in models]) + outside_rss) / sample.n
-    noise = rss[models[-1]] / max(delta.size, 1)
+                for i, solution in zip(cut, _solve_stack(factors[pieces][cut], k)):
+                    solved[i][model] = solution
+                    rss[model][i] += solution[3]
+    rss = np.array([rss[model] for model in models]).T
+    ends = itertools.accumulate(sizes)
+    fits = []
+    for i, (sample, end, size) in enumerate(zip(samples, ends, sizes)):
+        inside = delta[end - size : end]
+        if not inside.any() or inside.all():
+            # constant statuses inside [0, 1] lie in every model's span,
+            # since every family holds the constant: each model fits them
+            # exactly, and rounding residue must not decide the pick
+            rss[i] = 0.0
+        # every basis vanishes outside [0, 1], so the statuses there are
+        # residuals; both sums of 0/1 statuses are exact
+        outside_rss = float(sample.delta.sum() - inside.sum())
+        contrasts = (rss[i] + outside_rss) / sample.n
+        noise = rss[i, -1] / max(size, 1)
+        fits.append((contrasts, noise, partial(_fit_one, models, factors, solved[i], i, contrasts)))
+    return fits
 
-    def fit(model: BasisModel) -> LeastSquaresFit:
-        if model not in solved:
-            solved[model] = _solve_factors(factors[model.pieces], model.dim // model.pieces)
-        coeffs, rank, cond, _ = solved[model]
-        contrast = float(contrasts[models.index(model)])
-        # piecewise coefficients are stored degree-major
-        return LeastSquaresFit(model, coeffs.T.ravel(), contrast, rank, cond)
 
-    return contrasts, noise, fit
+def _rank_cuts(s: np.ndarray, occupied: np.ndarray, count: int) -> list:
+    """The samples of a subdivision whose occupied blocks drop a direction.
+
+    ``s`` holds the singular values of every occupied block, one row per
+    block, and ``occupied`` marks the occupied pieces of ``count``
+    samples, sample by sample. A sample drops a direction when one of its
+    singular values is at or below ``sqrt(_RANK_TOL)`` times the largest
+    of its own. By interlacing, no prefix of a sample's blocks that pass
+    drops one.
+    """
+    if not s.size or s.min() > np.sqrt(_RANK_TOL) * s.max():
+        return []  # every sample passes when the whole stack does
+    occupied = occupied.reshape(count, -1)
+    lowest, highest = np.full(occupied.shape, np.inf), np.zeros(occupied.shape)
+    lowest[occupied], highest[occupied] = s.min(axis=1), s.max(axis=1)
+    return np.flatnonzero(lowest.min(axis=1) <= np.sqrt(_RANK_TOL) * highest.max(axis=1)).tolist()
+
+
+def _fit_one(models, factors, solved, i, contrasts, model: BasisModel) -> LeastSquaresFit:
+    """The ``LeastSquaresFit`` of one model for sample ``i`` of ``_fit_collections``."""
+    if model not in solved:
+        solved[model] = _solve_factors(factors[model.pieces][i], model.dim // model.pieces)
+    coeffs, rank, cond, _ = solved[model]
+    contrast = float(contrasts[models.index(model)])
+    # piecewise coefficients are stored degree-major
+    return LeastSquaresFit(model, coeffs.T.ravel(), contrast, rank, cond)
 
 
 def fit_cdf_regression(
@@ -267,27 +328,41 @@ def fit_cdf_regression(
     [0, 1] near the boundary. Pass ``clamp=True`` to truncate at
     evaluation time.
     """
+    return _fit_cdf_regressions([sample], family, kappa0, clamp)[0]
+
+
+def _fit_cdf_regressions(
+    samples, family: BasisFamily | None = None, kappa0: float = 4.0, clamp: bool = False
+) -> list[CdfEstimate]:
+    """``fit_cdf_regression`` of several samples of one size, from one scan.
+
+    The samples share one collection and one ``_fit_collections`` pass;
+    each one's estimate is bitwise the one it gets alone.
+    """
     if family is None:
         family = dyadic_family()
-    models = build_collection(family, sample.n, CAP_REGRESSION)
+    n = samples[0].n
+    if any(sample.n != n for sample in samples):
+        raise ValueError("the samples of one scan must have one size")
+    models = build_collection(family, n, CAP_REGRESSION)
     dims = np.array([penalty_factors(model)[1] for model in models])
-    units = _regression_penalty(dims, sample.n, kappa0)
-    contrasts, noise_scale, fit = _fit_collection(sample, models)
-    penalties = noise_scale * units
-    best = int((contrasts + penalties).argmin())
-    best_fit = fit(models[best])
-    estimate = CdfEstimate(
-        "regression",
-        best_fit,
-        {
-            "model": best_fit.model.describe(),
-            "contrast": best_fit.contrast,
-            "penalty": float(penalties[best]),
-            "noise_scale": float(noise_scale),
-            "gram_rank": best_fit.gram_rank,
-            "gram_cond": best_fit.gram_cond,
-        },
-    )
-    if clamp:
-        estimate = estimate.clamped()
-    return estimate
+    units = _regression_penalty(dims, n, kappa0)
+    estimates = []
+    for contrasts, noise_scale, fit in _fit_collections(samples, models):
+        penalties = noise_scale * units
+        best = int((contrasts + penalties).argmin())
+        best_fit = fit(models[best])
+        estimate = CdfEstimate(
+            "regression",
+            best_fit,
+            {
+                "model": best_fit.model.describe(),
+                "contrast": best_fit.contrast,
+                "penalty": float(penalties[best]),
+                "noise_scale": float(noise_scale),
+                "gram_rank": best_fit.gram_rank,
+                "gram_cond": best_fit.gram_cond,
+            },
+        )
+        estimates.append(estimate.clamped() if clamp else estimate)
+    return estimates

@@ -20,6 +20,21 @@ Replication RNG streams are derived from ``(seed, model id, n,
 replication index)``, so reports are bitwise reproducible regardless of
 how replications are scheduled across workers.
 
+``monte_carlo`` fits a ``(model, n)`` cell in chunks of replications,
+one chunk per cell when serial and at least ``n_jobs`` in a pool, each
+of at most ``_CHUNK_POINTS`` points. A chunk draws its samples, then
+fits each method once over all of them: the quotient's density scan
+and the regression's scan run once over the chunk's points joined
+sample after sample (one basis evaluation, one ``np.bincount`` per row
+with each sample's pieces after the last one's, and every product,
+factorization and rank check stacked in the shapes one sample has
+alone), while the contrasts, pilots, penalties, picks and truncated MSE
+are each sample's own. So every replication's estimate is byte for
+byte the one ``estimate_sample`` gives its sample alone, and the report
+is the same for every chunking and every ``n_jobs``. When a chunk's
+stacked fit raises, each of its samples is refitted alone, so a failure
+stays a row of its own replication.
+
 ``scipy.special`` is imported only by ``true_cdf`` for models 2 (``erf``)
 and 5 (``betainc``); no estimator needs it. ``monte_carlo`` evaluates
 ``true_cdf`` once per model before it starts a process pool, so the
@@ -38,8 +53,8 @@ from .bases import BasisFamily, dyadic_family
 from .data import ObservationSample
 from .estimates import CdfEstimate
 from .isotonic import birge_histogram, npmle_pava
-from .quotient import fit_quotient_cdf
-from .regression import fit_cdf_regression
+from .quotient import _fit_quotient_cdfs, fit_quotient_cdf
+from .regression import _fit_cdf_regressions, fit_cdf_regression
 
 MODEL_IDS = (1, 2, 3, 4, 5)
 METHODS = ("quotient", "regression", "npmle", "birge")
@@ -231,18 +246,77 @@ class MseReport:
         return "\n".join(lines) + "\n"
 
 
-def _replication_task(methods, seed, config, task):
-    """One ``(mse, error)`` pair per method, in ``methods`` order."""
-    model, n, rep = task
-    sample = generate(model, n, replication_rng(seed, model.id, n, rep))
-    row = []
+# a task stacks at most about this many points, which bounds a worker's
+# memory however many replications a cell has
+_CHUNK_POINTS = 2**13
+
+
+def _estimate_cell(method: str, samples, config: BenchConfig) -> list:
+    """Estimates of one method for samples of one size, in sample order.
+
+    The quotient and the regression fit every sample in one stacked scan
+    (``quotient._fit_quotient_cdfs``, ``regression._fit_cdf_regressions``);
+    the step estimators fit each sample by ``estimate_sample``. Every
+    estimate is bitwise the one ``estimate_sample`` gives its sample.
+    """
+    if method == "quotient":
+        return _fit_quotient_cdfs(samples, config.family, config.kappa)
+    if method == "regression":
+        return _fit_cdf_regressions(
+            samples, config.family, config.kappa0, config.clamp_regression
+        )
+    return [estimate_sample(method, sample, config) for sample in samples]
+
+
+def _scored(method, model, rep, sample, estimate, config):
+    """The ``(mse, error)`` pair of one replication; None refits its sample alone."""
+    try:
+        if estimate is None:
+            (estimate,) = _estimate_cell(method, [sample], config)
+        return truncated_mse(estimate, model, sample), None
+    except Exception as exc:  # recorded, never silently dropped
+        return float("nan"), f"rep {rep}: {exc}"
+
+
+def _chunk_task(methods, seed, config, task):
+    """One row per replication of a chunk: an ``(mse, error)`` pair per method.
+
+    ``task`` is ``(model, n, reps)``, ``reps`` a range of one cell's
+    replications. Each method fits the chunk's samples by one
+    ``_estimate_cell`` call; when that raises, each sample is refitted
+    alone, so every replication keeps its own pair and message.
+    """
+    model, n, reps = task
+    samples = [generate(model, n, replication_rng(seed, model.id, n, rep)) for rep in reps]
+    columns = []
     for method in methods:
         try:
-            estimate = estimate_sample(method, sample, config)
-            row.append((truncated_mse(estimate, model, sample), None))
-        except Exception as exc:  # recorded, never silently dropped
-            row.append((float("nan"), f"rep {rep}: {exc}"))
-    return row
+            estimates = _estimate_cell(method, samples, config)
+        except Exception:  # refitted one sample at a time below
+            estimates = [None] * len(samples)
+        columns.append(
+            [_scored(method, model, *rep, config) for rep in zip(reps, samples, estimates)]
+        )
+    return list(zip(*columns))
+
+
+def _chunks(reps: int, n: int, n_jobs: int) -> list:
+    """Split one cell's replications into ranges of nearly equal length.
+
+    A range stacks at most ``_CHUNK_POINTS // n`` samples (at least one).
+    In a pool every cell is split in at least ``n_jobs`` ranges, so the
+    workers share each cell.
+    """
+    most = max(1, _CHUNK_POINTS // n)
+    if n_jobs > 1:
+        most = min(most, -(-reps // n_jobs))
+    count = -(-reps // most)
+    edges = [reps * i // count for i in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _integral(value) -> bool:
+    return isinstance(value, (int, np.integer))
 
 
 def monte_carlo(
@@ -258,28 +332,48 @@ def monte_carlo(
 
     ``reps`` is a fixed replication count, or None for the benchmark
     schedule (``default_reps``). Each replication draws one sample that
-    all methods share. Output is a pure function of the arguments;
-    ``n_jobs > 1`` distributes replications over processes without
-    changing the result. The pool and the serial ``map`` both return rows
-    in task order, so each ``(model, n)`` cell is the next reps rows.
+    all methods share. Every n, ``reps`` and ``n_jobs`` must be an
+    integer, and every n and ``n_jobs`` at least 1. Output is a pure
+    function of the arguments; ``n_jobs > 1`` distributes the work over
+    processes without changing the result.
+
+    Each ``(model, n)`` cell is fitted in chunks of replications
+    (``_chunks``): one chunk per cell when serial, unless the cell stacks
+    more than ``_CHUNK_POINTS`` points, and at least ``n_jobs`` chunks in
+    a pool. A chunk fits each method once over all of its samples
+    (``_chunk_task``). The pool and the serial ``map`` both return rows in
+    task order, so each cell is the next reps rows.
     """
     models = [m if isinstance(m, SimModel) else SimModel(int(m)) for m in models]
     methods = tuple(methods)
+    n_list = tuple(n_list)
+    if not all(_integral(n) and n >= 1 for n in n_list):
+        raise ValueError("every n must be an integer of at least 1")
+    if reps is not None and not _integral(reps):
+        raise ValueError("reps must be an integer")
+    if not _integral(n_jobs) or n_jobs < 1:
+        raise ValueError("n_jobs must be an integer of at least 1")
     n_list = tuple(int(n) for n in n_list)
     cell_reps = {n: int(reps) if reps is not None else default_reps(n) for n in n_list}
     if any(count < 1 for count in cell_reps.values()):
         raise ValueError("need at least one replication")
+    if config is None:
+        config = BenchConfig()
 
-    tasks = [(model, n, rep) for model in models for n in n_list for rep in range(cell_reps[n])]
-    run = partial(_replication_task, methods, seed, config)
+    tasks = [
+        (model, n, chunk)
+        for model in models
+        for n in n_list
+        for chunk in _chunks(cell_reps[n], n, n_jobs)
+    ]
+    run = partial(_chunk_task, methods, seed, config)
     if n_jobs > 1:
         for model in models:  # import what true_cdf needs before the workers fork
             true_cdf(model, 0.5)
-        chunk = max(1, len(tasks) // (8 * n_jobs))
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            rows = list(pool.map(run, tasks, chunksize=chunk))
+            rows = [row for chunk in pool.map(run, tasks) for row in chunk]
     else:
-        rows = map(run, tasks)
+        rows = (row for chunk in map(run, tasks) for row in chunk)
 
     rows = iter(rows)
     cells = []

@@ -363,13 +363,13 @@ class TestClosedFormContrasts:
         sample = generate(SimModel(3), 20000, 2)
         models = build_collection(dyadic_family(), sample.n, "regression")
         solved = []
-        solve = regression._solve_factors
+        solve = regression._solve_stack
 
         def recording_solve(r, k):
-            solved.append((r.shape[0], k))
+            solved.append((r.shape[1], k))
             return solve(r, k)
 
-        monkeypatch.setattr(regression, "_solve_factors", recording_solve)
+        monkeypatch.setattr(regression, "_solve_stack", recording_solve)
         contrasts, pilot, fit = _fit_collection(sample, models)
         scored = len(models) - len(solved)
         inside = (sample.u >= 0.0) & (sample.u <= 1.0)
@@ -845,13 +845,13 @@ class TestCholeskyScan:
         # below the cut of 1e-10); those within a factor 10 of it are left
         # unasserted
         solved = set()
-        solve = regression._solve_factors
+        solve = regression._solve_stack
 
         def recording_solve(r, k):
-            solved.add((r.shape[0], k))
+            solved.add((r.shape[1], k))
             return solve(r, k)
 
-        monkeypatch.setattr(regression, "_solve_factors", recording_solve)
+        monkeypatch.setattr(regression, "_solve_stack", recording_solve)
         routes = {"svd": 0, "tail": 0}
         for sample in sparse_samples() + tied_piece_samples():
             models = build_collection(family, sample.n, "regression")

@@ -9,8 +9,10 @@ import pytest
 
 import curstat
 from curstat import (
+    MODEL_IDS,
     BenchConfig,
     CdfEstimate,
+    EmptyCollectionError,
     MseCell,
     MseReport,
     ObservationSample,
@@ -18,9 +20,14 @@ from curstat import (
     default_birge_bins,
     default_reps,
     estimate_sample,
+    build_collection,
+    dyadic_family,
     generate,
+    haar_family,
     monte_carlo,
+    poly_family,
     replication_rng,
+    select_projection_model,
     true_cdf,
     trig_family,
     truncated_mse,
@@ -169,20 +176,69 @@ class TestMonteCarlo:
             monte_carlo([1], n_list=(60, 200), reps=reps, seed=3)
 
     def test_determinism_across_parallelism(self):
-        kwargs = dict(
-            models=[1, 3], methods=("npmle", "regression"), n_list=(60, 200),
-            reps=3, seed=17,
-        )
+        import curstat.simulate as sim
+
+        kwargs = dict(models=[1, 2, 3, 4, 5], n_list=(60, 500), reps=5, seed=17)
+        # serially a cell is one chunk; the pool splits each across workers
+        assert sim._chunks(5, 500, 1) == [range(0, 5)]
+        assert sim._chunks(5, 500, 3) == [range(0, 1), range(1, 3), range(3, 5)]
         serial = monte_carlo(**kwargs, n_jobs=1)
         parallel = monte_carlo(**kwargs, n_jobs=3)
+        assert [c.method for c in serial.cells[:4]] == list(curstat.METHODS)
         assert serial.to_delimited() == parallel.to_delimited()
+
+    @pytest.mark.parametrize(
+        "reps, n, n_jobs, sizes",
+        [
+            (500, 60, 1, [125] * 4),
+            (200, 1000, 1, [8] * 25),
+            (200, 1000, 2, [8] * 25),
+            (20, 1000, 2, [6, 7, 7]),
+            (20, 500, 2, [10, 10]),
+            (1, 60, 4, [1]),
+            (3, 2**15, 1, [1, 1, 1]),
+        ],
+    )
+    def test_chunks_cover_the_cell_in_order(self, reps, n, n_jobs, sizes):
+        import curstat.simulate as sim
+
+        chunks = sim._chunks(reps, n, n_jobs)
+        assert sorted(len(chunk) for chunk in chunks) == sizes
+        assert [rep for chunk in chunks for rep in chunk] == list(range(reps))
+        assert max(sizes) * n <= max(sim._CHUNK_POINTS, n)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(n_list=(60.9,)), "every n must be an integer of at least 1"),
+            (dict(n_list=(60, "200")), "every n must be an integer of at least 1"),
+            (dict(n_list=(0,)), "every n must be an integer of at least 1"),
+            (dict(reps=2.7), "reps must be an integer"),
+            (dict(reps=2.0), "reps must be an integer"),
+            (dict(n_jobs=0), "n_jobs must be an integer of at least 1"),
+            (dict(n_jobs=-3), "n_jobs must be an integer of at least 1"),
+            (dict(n_jobs=2.0), "n_jobs must be an integer of at least 1"),
+        ],
+    )
+    def test_arguments_are_not_truncated(self, kwargs, message):
+        # these once ran silently: n = 60.9 as 60, reps = 2.7 as 2, and
+        # n_jobs below 1 as a serial run
+        arguments = dict(models=[1], methods=("birge",), n_list=(60,), reps=2, seed=1)
+        with pytest.raises(ValueError, match=message):
+            monte_carlo(**{**arguments, **kwargs})
+
+    def test_numpy_integer_arguments_accepted(self):
+        report = monte_carlo(
+            [1], ("birge",), (np.int64(60),), reps=np.int32(2), seed=1, n_jobs=np.int64(1)
+        )
+        assert report.cells[0].n == 60 and report.cells[0].reps == 2
 
     def test_perfect_oracle_scores_zero_everywhere(self, monkeypatch):
         import curstat.simulate as sim
 
-        def oracle(method, sample, config=None):
+        def oracle(method, samples, config=None):
             model = oracle.current_model
-            return CdfEstimate("oracle", lambda x: true_cdf(model, x))
+            return [CdfEstimate("oracle", lambda x: true_cdf(model, x)) for _ in samples]
 
         original = sim.generate
 
@@ -190,7 +246,7 @@ class TestMonteCarlo:
             oracle.current_model = model
             return original(model, n, rng)
 
-        monkeypatch.setattr(sim, "estimate_sample", oracle)
+        monkeypatch.setattr(sim, "_estimate_cell", oracle)
         monkeypatch.setattr(sim, "generate", tracking_generate)
         report = sim.monte_carlo([1, 4, 5], ("quotient",), (60, 200), reps=1, seed=2)
         for cell in report.cells:
@@ -199,10 +255,10 @@ class TestMonteCarlo:
     def test_failures_recorded_not_dropped(self, monkeypatch):
         import curstat.simulate as sim
 
-        def broken(method, sample, config=None):
+        def broken(method, samples, config=None):
             raise ValueError("boom")
 
-        monkeypatch.setattr(sim, "estimate_sample", broken)
+        monkeypatch.setattr(sim, "_estimate_cell", broken)
         report = sim.monte_carlo([1], ("npmle",), (60,), reps=2, seed=1)
         cell = report.cells[0]
         assert len(cell.failures) == 2
@@ -252,6 +308,147 @@ class TestMonteCarlo:
             estimate_sample("npmle", sample), SimModel(2), sample
         )
         assert report.cell(2, 60, "npmle").values[0] == pytest.approx(direct, abs=0)
+
+
+def _fingerprint(estimate, model, sample):
+    """What a fit gives, as bytes: metadata, coefficients, grid values, truncated MSE."""
+    metadata = {
+        key: np.float64(value).tobytes() if isinstance(value, float) else value
+        for key, value in estimate.metadata.items()
+    }
+    coeffs = getattr(estimate.evaluator, "coeffs", np.empty(0)).tobytes()
+    grid = np.asarray(estimate(np.linspace(-0.25, 1.25, 301)), dtype=float).tobytes()
+    mse = np.float64(truncated_mse(estimate, model, sample)).tobytes()
+    return metadata, coeffs, grid, mse
+
+
+def _special_cell():
+    """n = 200 samples with tied times, times outside [0, 1] and constant statuses inside."""
+    rng = np.random.default_rng(8)
+    u = np.round(rng.random(200), 2)
+    tied = ObservationSample(u, (rng.random(200) < u).astype(float))
+    u = 1.5 * rng.random(200)
+    outside = ObservationSample(u, (rng.random(200) < u / 1.5).astype(float))
+    u = rng.random(200)
+    u[::9] += 1.0
+    constant = ObservationSample(u, (u <= 1.0).astype(float))
+    return [tied, generate(SimModel(3), 200, 1), constant, outside]
+
+
+class TestStackedCell:
+    """A chunk of replications is fitted by one stacked scan per method, and
+    each replication must get bitwise what ``estimate_sample`` gives it alone:
+    the same metadata, coefficient bytes, grid values and truncated MSE, for
+    every chunk size."""
+
+    FAMILIES = {
+        "dyadic": dyadic_family(),
+        "haar": haar_family(),
+        "poly2": poly_family(2),
+        "trig": trig_family(),
+    }
+
+    @staticmethod
+    def candidates(samples, models, cap):
+        """Every candidate's statistics of each sample, as bytes: the density
+        scan's per-piece sums, or the regression's contrasts and pilot."""
+        from curstat.projection import _stacked_moments
+        from curstat.regression import _fit_collections
+
+        if cap == "density":
+            weights = [[sample.delta, None] for sample in samples]
+            levels = list(_stacked_moments(models, samples, weights))
+            return [
+                [[s[i].tobytes() for s in sums] for _, sums in levels]
+                for i in range(len(samples))
+            ]
+        fits = _fit_collections(samples, models)
+        return [(contrasts.tobytes(), np.float64(noise).tobytes()) for contrasts, noise, _ in fits]
+
+    @classmethod
+    def assert_stacked_matches_alone(cls, samples, model, config):
+        import curstat.simulate as sim
+
+        checked = 0
+        for method in ("quotient", "regression"):
+            cap = "density" if method == "quotient" else "regression"
+            try:
+                models = build_collection(config.family, samples[0].n, cap)
+            except EmptyCollectionError:
+                continue
+            alone = [
+                _fingerprint(estimate_sample(method, sample, config), model, sample)
+                for sample in samples
+            ]
+            statistics = [cls.candidates([sample], models, cap)[0] for sample in samples]
+            for size in (1, 3, len(samples)):
+                stacked, stacked_statistics = [], []
+                for first in range(0, len(samples), size):
+                    chunk = samples[first : first + size]
+                    stacked += sim._estimate_cell(method, chunk, config)
+                    stacked_statistics += cls.candidates(chunk, models, cap)
+                got = [_fingerprint(e, model, s) for e, s in zip(stacked, samples)]
+                assert got == alone, (method, size)
+                assert stacked_statistics == statistics, (method, size)
+                checked += 1
+        return checked
+
+    @pytest.mark.parametrize("family", list(FAMILIES), ids=list(FAMILIES))
+    @pytest.mark.parametrize("n", [60, 200, 500, 1000])
+    def test_every_replication_matches_its_own_fit(self, family, n):
+        config = BenchConfig(family=self.FAMILIES[family])
+        checked = 0
+        for model_id in MODEL_IDS:
+            model = SimModel(model_id)
+            samples = [
+                generate(model, n, replication_rng(20080317, model_id, n, rep))
+                for rep in range(4)
+            ]
+            checked += self.assert_stacked_matches_alone(samples, model, config)
+        assert checked >= len(MODEL_IDS) * (1 if family == "trig" and n < 1000 else 2) * 3
+
+    @pytest.mark.parametrize("family", list(FAMILIES), ids=list(FAMILIES))
+    def test_tied_outside_and_constant_samples_match(self, family):
+        config = BenchConfig(family=self.FAMILIES[family])
+        samples = _special_cell()
+        inside = samples[2].delta[samples[2].u <= 1.0]
+        assert inside.all() and not samples[2].delta.all()
+        assert self.assert_stacked_matches_alone(samples, SimModel(1), config) >= 3
+
+    def test_density_picks_match_their_own_scan(self):
+        from curstat.projection import _select_models
+
+        samples = _special_cell() + [generate(SimModel(2), 200, 20080317)]
+        collection = build_collection(dyadic_family(), 200, "density")
+        for sample, pair in zip(samples, _select_models(samples, collection)):
+            for got, alone in zip(pair, select_projection_model(sample, collection)):
+                assert got.model == alone.model
+                assert got.coeffs.tobytes() == alone.coeffs.tobytes()
+
+    def test_a_failing_stack_is_refitted_one_sample_at_a_time(self, monkeypatch):
+        import curstat.simulate as sim
+
+        estimate_cell = sim._estimate_cell
+
+        def failing_on_stacks(method, samples, config):
+            if len(samples) > 1:
+                raise RuntimeError("stacked fit failed")
+            if method == "regression" and samples[0].delta.sum() % 2:
+                raise ValueError("odd")
+            return estimate_cell(method, samples, config)
+
+        monkeypatch.setattr(sim, "_estimate_cell", failing_on_stacks)
+        report = sim.monte_carlo([1], ("quotient", "regression"), (60,), reps=6, seed=4)
+        monkeypatch.undo()
+        expected = sim.monte_carlo([1], ("quotient", "regression"), (60,), reps=6, seed=4)
+        assert report.cell(1, 60, "quotient") == expected.cell(1, 60, "quotient")
+        failed = report.cell(1, 60, "regression")
+        assert 0 < len(failed.failures) < 6
+        for rep, value in enumerate(failed.values):
+            message = f"rep {rep}: odd"
+            assert (message in failed.failures) == math.isnan(value)
+            if not math.isnan(value):
+                assert value == expected.cell(1, 60, "regression").values[rep]
 
 
 def run_fresh(script: str) -> None:
