@@ -4,13 +4,17 @@
 routes: a method tag, an evaluator on [0, 1] (vectorised, scalar in ->
 scalar out), and a metadata dict recording selected models, contrast
 and penalty values. ``StepCdf`` is the piecewise-constant variant used
-by the max-min and fixed-bin estimators.
+by the max-min and fixed-bin estimators. It evaluates by a binary search
+over the knots where its value changes (its value runs), built once at
+the first evaluation; the fixed-bin estimator reads its bins by index
+instead (``isotonic.birge_histogram``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +34,13 @@ class StepCdf:
     ``values[i]`` is carried on ``[knots[i], knots[i+1])``; the last
     value extends to the right. Knots must be sorted and not nan; tied
     knots resolve to the last value at the tie.
+
+    Evaluation searches only the run starts, the knots whose value bits
+    differ from the previous knot's (so 0.0 and -0.0, or two nans of
+    other payloads, start separate runs): the last run start at or left
+    of x carries the bits of the last knot at or left of x. The run
+    starts are cached at the first evaluation, so ``knots`` and
+    ``values`` must not be changed in place after it.
     """
 
     knots: np.ndarray
@@ -46,10 +57,17 @@ class StepCdf:
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
 
+    @cached_property
+    def _runs(self):
+        """Run-start knots, and their values behind a 0 for points left of them all."""
+        bits = self.values.view(np.int64)
+        starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+        return self.knots[starts], np.concatenate(([0.0], self.values[starts]))
+
     def _eval(self, x: np.ndarray) -> np.ndarray:
-        # the number of knots at or left of x indexes the values behind a 0
-        lookup = np.concatenate(([0.0], self.values))
-        return lookup[np.searchsorted(self.knots, x, side="right")]
+        # the number of run starts at or left of x indexes the lookup
+        knots, lookup = self._runs
+        return lookup[np.searchsorted(knots, x, side="right")]
 
     def __call__(self, x):
         return _vectorised(self._eval, x)

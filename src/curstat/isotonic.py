@@ -31,7 +31,8 @@ integer block sum by the block count.
 
 The fixed-bin histogram estimator averages the status indicators over a
 regular partition of [0, 1] (zero on empty bins). It is not monotone in
-general and needs the bin count chosen by the caller.
+general and needs the bin count chosen by the caller. It evaluates by
+bin index, ``floor(x * n_bins)``, with no search over its knots.
 """
 
 from __future__ import annotations
@@ -143,6 +144,8 @@ def birge_histogram(sample: ObservationSample, n_bins: int) -> StepCdf:
     Observations outside [0, 1] are ignored. The last bin is closed at 1.
     A point ``u`` falls in bin ``floor(u * n_bins)``, and the estimate
     reads the same bin at ``u``: its knots are ``_bin_edges(n_bins)``.
+    It is a ``StepCdf`` on those knots that evaluates by that bin index
+    (``_BinnedCdf``), bitwise as the search over the knots would.
     """
     if not isinstance(n_bins, (int, np.integer)):
         raise ValueError("n_bins must be an integer")
@@ -155,7 +158,27 @@ def birge_histogram(sample: ObservationSample, n_bins: int) -> StepCdf:
     counts = np.bincount(idx, minlength=n_bins)
     sums = np.bincount(idx, weights=d, minlength=n_bins)
     values = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-    return StepCdf(_bin_edges(int(n_bins)), values)
+    return _BinnedCdf(_bin_edges(int(n_bins)), values)
+
+
+class _BinnedCdf(StepCdf):
+    """``StepCdf`` on ``_bin_edges(values.size)``, evaluated by bin index.
+
+    ``floor(fl(x * bins))`` is monotone in x, and edge k is the smallest
+    float it takes to k or beyond, so clipped to [-1, bins - 1] it is one
+    less than the number of edges at or left of x. A nan reads the last
+    bin, where the search puts it.
+    """
+
+    def _eval(self, x: np.ndarray) -> np.ndarray:
+        bins = self.values.size
+        with np.errstate(over="ignore"):  # x * bins may round to inf
+            index = np.multiply(x, bins)
+        np.floor(index, out=index)
+        np.fmin(index, bins - 1.0, out=index)  # fmin takes bins - 1 over a nan
+        np.fmax(index, -1.0, out=index)
+        # bin -1, left of every edge, reads the 0 appended behind the values
+        return np.concatenate((self.values, [0.0]))[index.astype(np.intp)]
 
 
 @functools.lru_cache(maxsize=128)

@@ -332,8 +332,9 @@ def monte_carlo(
 
     ``reps`` is a fixed replication count, or None for the benchmark
     schedule (``default_reps``). Each replication draws one sample that
-    all methods share. Every n, ``reps`` and ``n_jobs`` must be an
-    integer, and every n and ``n_jobs`` at least 1. Output is a pure
+    all methods share. ``models`` and ``methods`` must be nonempty, with
+    every method in ``METHODS``. Every n, ``reps`` and ``n_jobs`` must be
+    an integer, and every n and ``n_jobs`` at least 1. Output is a pure
     function of the arguments; ``n_jobs > 1`` distributes the work over
     processes without changing the result.
 
@@ -346,6 +347,13 @@ def monte_carlo(
     """
     models = [m if isinstance(m, SimModel) else SimModel(int(m)) for m in models]
     methods = tuple(methods)
+    if not models:
+        raise ValueError("need at least one model")
+    if not methods:
+        raise ValueError("need at least one method")
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
     n_list = tuple(n_list)
     if not all(_integral(n) and n >= 1 for n in n_list):
         raise ValueError("every n must be an integer of at least 1")

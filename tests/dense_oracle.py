@@ -9,7 +9,9 @@ scan-versus-dense tests compare two independent computations of the
 same quantities.
 ``exact_least_squares`` solves the normal equations of the float design
 in exact rational arithmetic, to tell which of the two float paths is
-nearer the truth.
+nearer the truth. ``all_knots_step`` evaluates a ``StepCdf`` by a binary
+search over every knot, where the library searches only the knots at
+which the value changes, or reads a Birgé bin by its index.
 """
 
 from fractions import Fraction
@@ -173,3 +175,12 @@ def exact_least_squares(sample, model):
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
     # the integer design is X * scale, so its solution is b / scale
     return np.array([float(row[k] * scale) for row in rows])
+
+
+def all_knots_step(step, x):
+    """``step(x)`` for a float array x, by a search over every knot.
+
+    The number of knots at or left of x indexes the values behind a 0.
+    """
+    lookup = np.concatenate(([0.0], step.values))
+    return lookup[np.searchsorted(step.knots, x, side="right")]

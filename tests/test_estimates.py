@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,12 +8,28 @@ from hypothesis import strategies as st
 
 from curstat import StepCdf
 
+from dense_oracle import all_knots_step
+
 # a few fixed knots make ties likely; the floats reach everything else
 knot = st.one_of(
     st.sampled_from([-0.5, 0.0, 0.25, 1.0]),
     st.floats(-10.0, 10.0, allow_nan=False),
 )
 steps = st.lists(st.tuples(knot, st.floats(0.0, 1.0)), min_size=1, max_size=30)
+
+
+# runs of equal values, 0.0 beside -0.0 and nans of other payloads
+value = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, np.nan, -np.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+queries = st.lists(
+    st.one_of(
+        st.sampled_from([-np.inf, np.inf, np.nan, -0.0, 0.0, 0.25, -0.5, 1.0]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ),
+    max_size=40,
+)
 
 
 def sorted_steps(pairs):
@@ -61,3 +80,34 @@ class TestStepCdf:
         else:
             with pytest.raises(ValueError, match="sorted"):
                 StepCdf(knots, values)
+
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(st.lists(st.tuples(knot, value), min_size=1, max_size=40), queries)
+    @example([(0.0, 0.0), (0.0, -0.0), (0.5, -0.0), (1.0, np.nan)], [-0.0, 0.0, 0.5, np.nan])
+    def test_runs_read_the_bits_of_the_all_knots_search(self, pairs, points):
+        knots, values = sorted_steps(pairs)
+        step = StepCdf(knots, values)
+        # the knots themselves and their neighbours hit every tie and run edge
+        x = np.concatenate(
+            [points, knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)]
+        )
+        assert step(x).tobytes() == all_knots_step(step, x).tobytes()
+        for point in points:
+            expected = all_knots_step(step, np.array([point]))
+            assert np.float64(step(point)).tobytes() == expected.tobytes()
+
+    def test_evaluation_keeps_repr_fields_and_pickle(self):
+        step = StepCdf([0.0, 0.5, 0.5, 1.0], [-0.0, 0.5, 0.25, 0.25])
+        fresh = StepCdf(step.knots, step.values)
+        before = repr(step)
+        x = np.array([-1.0, 0.0, 0.5, 0.75, 1.0, np.nan])
+        first = step(x)  # builds the cached run starts
+        assert repr(step) == before == repr(fresh)
+        assert [f.name for f in dataclasses.fields(step)] == ["knots", "values"]
+        assert step == fresh and fresh == step
+        assert dataclasses.replace(step, values=step.values) == step
+        again = pickle.loads(pickle.dumps(step))
+        assert type(again) is StepCdf and repr(again) == before
+        assert again.knots.tobytes() == step.knots.tobytes()
+        assert again.values.tobytes() == step.values.tobytes()
+        assert again(x).tobytes() == first.tobytes() == fresh(x).tobytes()

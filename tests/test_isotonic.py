@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from curstat import (
     ObservationSample,
     SimModel,
+    StepCdf,
     birge_histogram,
     fit_least_squares,
     generate,
@@ -18,6 +21,14 @@ from curstat import (
 )
 
 from conftest import random_sample, tied_samples
+from dense_oracle import all_knots_step
+
+# queries beyond the knots: infinities, nan, signed zeros, huge and tiny
+# floats, and the largest ones, whose products with a bin count overflow
+SPECIAL_POINTS = np.array(
+    [-np.inf, -1e300, -5e-324, -0.0, 0.0, 1.0, np.nextafter(1.0, 2.0), 1e300, np.inf, np.nan]
+    + [np.finfo(float).max, -np.finfo(float).max]
+)
 
 
 def brute_force_maxmin(delta_sorted):
@@ -269,6 +280,30 @@ class TestStepConvention:
             step(np.array([0.0, 0.4, 0.79, 0.8, 1.0])), [0.0, 0.0, 0.0, 1.0, 1.0]
         )
 
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(tied_samples(), st.lists(st.floats(allow_nan=True), max_size=20))
+    def test_both_routes_read_the_bits_of_the_all_knots_search(self, sample, points):
+        x = np.concatenate([points, SPECIAL_POINTS, sample.u, np.nextafter(sample.u, -np.inf)])
+        for route in (npmle_pava, npmle_maxmin):
+            step = route(sample)
+            assert step(x).tobytes() == all_knots_step(step, x).tobytes()
+
+    def test_npmle_searches_only_its_run_starts(self, monkeypatch):
+        sample = generate(SimModel(3), 50000, 1)
+        step = npmle_pava(sample)
+        expected = all_knots_step(step, sample.u)
+        searched = []
+        search = np.searchsorted
+
+        def counting(a, v, *args, **kwargs):
+            searched.append(len(a))
+            return search(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counting)
+        values = step(sample.u)
+        assert searched and max(searched) <= 200
+        assert values.tobytes() == expected.tobytes()
+
 
 class TestBirgeHistogram:
     def test_two_bin_means(self):
@@ -345,6 +380,48 @@ class TestBirgeHistogram:
         idx = np.minimum(np.floor(u * bins), bins - 1)
         for ui, i in zip(u, idx):
             assert est(ui) == d[idx == i].mean()
+
+    def test_bin_index_equals_the_search_over_the_edges(self, rng):
+        for bins in range(1, 1001):
+            # every edge and the two floats on either side of it
+            edges = isotonic._bin_edges(bins)
+            near = [edges]
+            below, above = edges, edges
+            for _ in range(2):
+                below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+                near += [below, above]
+            x = np.concatenate(near + [SPECIAL_POINTS])
+            est = birge_histogram(ObservationSample([0.5], [1.0]), bins)
+            # a distinct value per bin, so a point read from a wrong bin shows
+            est = dataclasses.replace(est, values=rng.permutation(bins) + 1.0)
+            assert est(x).tobytes() == all_knots_step(est, x).tobytes()
+
+    @pytest.mark.parametrize("bins", [1, 5, 10, 37, 1000])
+    def test_still_a_step_cdf_with_the_same_fields(self, bins, rng):
+        sample = random_sample(rng, 400, p_outside=0.1)
+        est = birge_histogram(sample, bins)
+        assert isinstance(est, StepCdf)
+        assert est.knots.tobytes() == isotonic._bin_edges(bins).tobytes()
+        inside = (sample.u >= 0.0) & (sample.u <= 1.0)
+        u, d = sample.u[inside], sample.delta[inside]
+        idx = np.minimum(np.floor(u * bins), bins - 1)
+        means = [d[idx == k].mean() if (idx == k).any() else 0.0 for k in range(bins)]
+        assert est.values.tobytes() == np.array(means).tobytes()
+        x = np.concatenate([SPECIAL_POINTS, sample.u])
+        again = pickle.loads(pickle.dumps(est))
+        assert type(again) is type(est)
+        assert again(x).tobytes() == est(x).tobytes() == all_knots_step(est, x).tobytes()
+
+    def test_evaluation_runs_no_search(self, monkeypatch):
+        sample = generate(SimModel(3), 50000, 1)
+        est = birge_histogram(sample, 10)
+        expected = all_knots_step(est, sample.u)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("searchsorted called")
+
+        monkeypatch.setattr(np, "searchsorted", no_search)
+        assert est(sample.u).tobytes() == expected.tobytes()
 
     def test_matches_histogram_least_squares(self, rng):
         for _ in range(20):

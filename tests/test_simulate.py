@@ -227,6 +227,31 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=message):
             monte_carlo(**{**arguments, **kwargs})
 
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "models, methods, message",
+        [
+            ([1], ["quotient", "nmple"], "unknown method 'nmple'"),
+            ([1], [], "need at least one method"),
+            ([], ["birge"], "need at least one model"),
+        ],
+    )
+    def test_methods_and_models_checked_up_front(
+        self, monkeypatch, models, methods, message, n_jobs
+    ):
+        # these once ran: a misspelled method gave a nan cell and one failure
+        # line per replication, no method a bare StopIteration after the
+        # pool started, and no model a header-only report
+        import curstat.simulate as sim
+
+        def never(*args, **kwargs):
+            raise AssertionError("the grid started")
+
+        monkeypatch.setattr(sim, "generate", never)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", never)
+        with pytest.raises(ValueError, match=message):
+            sim.monte_carlo(models, methods, (60,), 3, 1, n_jobs=n_jobs)
+
     def test_numpy_integer_arguments_accepted(self):
         report = monte_carlo(
             [1], ("birge",), (np.int64(60),), reps=np.int32(2), seed=1, n_jobs=np.int64(1)
