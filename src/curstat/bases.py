@@ -511,11 +511,10 @@ def _padded_factors(
     points plus ``degree + 2`` per piece, so the rows factored stay within
     that bound however the times are tied. Zero rows leave R unchanged up
     to rounding, so the runs, which set the padding, are each sample's
-    own. Consecutive runs are scattered into one block of at most
-    ``_QR_ROWS`` padded rows, and the runs of one padded row count in a
-    block are factored together. A piece of more than ``_QR_ROWS`` points
-    forms a run and a block of its own and is factored by
-    ``_tall_factor``, ``_QR_ROWS`` of its rows at a time.
+    own. Each run is one factorization, of its pieces' padded rows
+    scattered into one block. A piece of more than ``_QR_ROWS`` points
+    forms a run of its own and is factored by ``_tall_factor``,
+    ``_QR_ROWS`` of its rows at a time.
     """
     sizes = [x.size] if sizes is None else sizes
     piece, values = piecewise_legendre(pieces, degree, x)
@@ -530,12 +529,12 @@ def _padded_factors(
     r = np.zeros((owners, d, d))
     cuts, rows = _runs(counts[occupied].tolist(), (occupied // pieces).tolist(), d)
     index, place = np.arange(x.size), np.empty(owners, dtype=int)
-    for first, last, height in _blocks(cuts, rows):
+    for j, height in enumerate(rows):
         # point i's entry of column a sits at (k, a, i - start of its piece)
         # of a (members, d, height) block, its piece the k-th member, so one
         # 1-D scatter fills each column and each transposed block is
         # column-major, as LAPACK reads it
-        members = occupied[cuts[first] : cuts[last]]
+        members = occupied[cuts[j] : cuts[j + 1]]
         place[members] = np.arange(members.size) * (d * height) - starts[members]
         points = slice(starts[members[0]], starts[members[-1] + 1])
         at = place[piece[points]] + index[points]
@@ -543,19 +542,11 @@ def _padded_factors(
         for a, column in enumerate(columns):
             block[at + a * height] = column[points]
         block = block.reshape(members.size, d, height)
-        for runs in _factor_calls(rows, first, last):
-            # the runs' places among the block's members
-            local = (
-                slice(cuts[runs[0]] - cuts[first], cuts[runs[0] + 1] - cuts[first])
-                if len(runs) == 1
-                else np.concatenate([np.arange(cuts[j], cuts[j + 1]) for j in runs]) - cuts[first]
-            )
-            stack = block[local, :, : rows[runs[0]]]
-            if height > _QR_ROWS:
-                chunks = (stack[0, :, top : top + _QR_ROWS] for top in range(0, height, _QR_ROWS))
-                r[members[local]] = _tall_factor(d, chunks)
-            else:
-                r[members[local]] = _r_factor(stack.transpose(0, 2, 1))
+        if height > _QR_ROWS:
+            chunks = (block[0, :, top : top + _QR_ROWS] for top in range(0, height, _QR_ROWS))
+            r[members] = _tall_factor(d, chunks)
+        else:
+            r[members] = _r_factor(block.transpose(0, 2, 1))
     return r
 
 
@@ -583,30 +574,6 @@ def _runs(counts: list, owners: list, d: int) -> tuple[list, list]:
             rows.append(max(before, d))
             total = high = count
     return [*cuts, len(counts)], [*rows, max(high, d)]
-
-
-def _blocks(cuts: list, rows: list):
-    """``(first, last, height)``: runs ``first..last-1`` padded to ``height`` rows in one block.
-
-    A block holds at most ``_QR_ROWS`` padded rows, unless its one run
-    has more.
-    """
-    first = 0
-    while first < len(rows):
-        last, height = first + 1, rows[first]
-        while last < len(rows) and (cuts[last + 1] - cuts[first]) * max(height, rows[last]) <= _QR_ROWS:
-            height = max(height, rows[last])
-            last += 1
-        yield first, last, height
-        first = last
-
-
-def _factor_calls(rows: list, first: int, last: int):
-    """The runs ``first..last-1`` grouped by their padded rows."""
-    calls: dict[int, list[int]] = {}
-    for j in range(first, last):
-        calls.setdefault(rows[j], []).append(j)
-    return calls.values()
 
 
 def _tall_factor(columns: int, chunks) -> np.ndarray:

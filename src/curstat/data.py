@@ -24,13 +24,24 @@ residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 
 class SampleFormatError(ValueError):
     """Malformed observation file; the message names the offending line."""
+
+
+def _same_bits(a, b):
+    """``==`` of dataclasses of arrays: one class, and every field's shape and bits.
+
+    So 0.0 and -0.0 differ, and objects of two classes are unequal.
+    """
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in pairs)
 
 
 @dataclass(frozen=True)
@@ -40,11 +51,14 @@ class ObservationSample:
     Any finite time is accepted, negative ones too (``read_sample`` is
     stricter): points outside [0, 1] count only toward the sample size.
     A time of -0.0 is stored as 0.0, so the two zeros are one time bit
-    for bit; the caller's array is copied only then.
+    for bit; the caller's array is copied only then. Two samples are
+    equal when their times and statuses match bit for bit.
     """
 
     u: np.ndarray
     delta: np.ndarray
+
+    __eq__ = _same_bits
 
     def __post_init__(self):
         u = np.atleast_1d(np.asarray(self.u, dtype=float))

@@ -18,6 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .data import _same_bits
+
 
 def _vectorised(fn, x):
     arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -40,11 +42,14 @@ class StepCdf:
     other payloads, start separate runs): the last run start at or left
     of x carries the bits of the last knot at or left of x. The run
     starts are cached at the first evaluation, so ``knots`` and
-    ``values`` must not be changed in place after it.
+    ``values`` must not be changed in place after it. Two step functions
+    of one class are equal when their knots and values match bit for bit.
     """
 
     knots: np.ndarray
     values: np.ndarray
+
+    __eq__ = _same_bits
 
     def __post_init__(self):
         knots = np.atleast_1d(np.asarray(self.knots, dtype=float))

@@ -333,10 +333,11 @@ def monte_carlo(
     ``reps`` is a fixed replication count, or None for the benchmark
     schedule (``default_reps``). Each replication draws one sample that
     all methods share. ``models`` and ``methods`` must be nonempty, with
-    every method in ``METHODS``. Every n, ``reps`` and ``n_jobs`` must be
-    an integer, and every n and ``n_jobs`` at least 1. Output is a pure
-    function of the arguments; ``n_jobs > 1`` distributes the work over
-    processes without changing the result.
+    every method in ``METHODS``, and no model, method or n may repeat.
+    Every n, ``reps`` and ``n_jobs`` must be an integer, and every n and
+    ``n_jobs`` at least 1. Output is a pure function of the arguments;
+    ``n_jobs > 1`` distributes the work over processes without changing
+    the result.
 
     Each ``(model, n)`` cell is fitted in chunks of replications
     (``_chunks``): one chunk per cell when serial, unless the cell stacks
@@ -362,6 +363,9 @@ def monte_carlo(
     if not _integral(n_jobs) or n_jobs < 1:
         raise ValueError("n_jobs must be an integer of at least 1")
     n_list = tuple(int(n) for n in n_list)
+    for name, items in (("model", tuple(m.id for m in models)), ("method", methods), ("n", n_list)):
+        if len(set(items)) < len(items):
+            raise ValueError(f"repeated {name} in {items}")
     cell_reps = {n: int(reps) if reps is not None else default_reps(n) for n in n_list}
     if any(count < 1 for count in cell_reps.values()):
         raise ValueError("need at least one replication")

@@ -1,9 +1,12 @@
 """The one time order of a sample, and the guard that keeps it the only one."""
 
 import ast
+import dataclasses
+import pickle
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 
 from curstat import ObservationSample, SimModel, generate
@@ -49,6 +52,28 @@ def test_time_order_on_large_samples():
     for sample in samples:
         expected = np.lexsort((-sample.delta, sample.u))
         assert sample.time_order().tobytes() == expected.tobytes()
+
+
+def test_equality_reads_the_bits():
+    # == on equal but distinct arrays once raised "the truth value of an
+    # array is ambiguous"
+    u, delta = [0.25, 0.5, 0.75], [1.0, 0.0, 1.0]
+    sample = ObservationSample(np.array(u), np.array(delta))
+    same = ObservationSample(np.array(u), np.array(delta))
+    assert sample.u is not same.u
+    assert sample == same and not sample != same
+    bit = np.array(u)
+    bit.view(np.int64)[2] ^= 1
+    assert sample != ObservationSample(bit, delta) and ObservationSample(bit, delta) != sample
+    assert sample != ObservationSample(u, [1.0, 0.0, 0.0])
+    assert sample != ObservationSample(u[:2], delta[:2])
+    # -0.0 is stored as 0.0, so the two zeros are one time
+    assert ObservationSample([-0.0, 0.5], [1, 0]) == ObservationSample([0.0, 0.5], [1, 0])
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(sample)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sample.u = bit
+    assert pickle.loads(pickle.dumps(sample)) == sample
 
 
 def test_only_the_sample_sorts():

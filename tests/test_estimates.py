@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curstat import StepCdf
+from curstat import ObservationSample, StepCdf, birge_histogram
 
 from dense_oracle import all_knots_step
 
@@ -111,3 +111,29 @@ class TestStepCdf:
         assert again.knots.tobytes() == step.knots.tobytes()
         assert again.values.tobytes() == step.values.tobytes()
         assert again(x).tobytes() == first.tobytes() == fresh(x).tobytes()
+
+    def test_equality_reads_the_bits(self):
+        # == on equal but distinct arrays once raised "the truth value of an
+        # array is ambiguous"
+        knots, values = [0.0, 0.5, 1.0], [0.0, 0.2, 0.4]
+        step = StepCdf(np.array(knots), np.array(values))
+        same = StepCdf(np.array(knots), np.array(values))
+        assert step.values is not same.values
+        assert step == same and not step != same
+        bit = np.array(values)
+        bit.view(np.int64)[2] ^= 1
+        assert step != StepCdf(knots, bit) and StepCdf(knots, bit) != step
+        assert step != StepCdf(knots, [-0.0, 0.2, 0.4])
+        assert step != StepCdf(knots[:2], values[:2])
+        # the Birgé histogram's class evaluates by index: equal fields of
+        # the two classes stay unequal, as the dataclass class check has it
+        binned = birge_histogram(ObservationSample([0.2, 0.7, 0.9], [0, 1, 1]), 2)
+        plain = StepCdf(binned.knots, binned.values)
+        assert binned != plain and plain != binned
+        assert binned == type(binned)(binned.knots.copy(), binned.values.copy())
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(step)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            step.values = bit
+        step(0.5)  # the cached run starts are not a field
+        assert pickle.loads(pickle.dumps(step)) == step == same

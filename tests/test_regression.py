@@ -25,7 +25,7 @@ from curstat import (
     SimModel,
 )
 from curstat import bases, regression, select_projection_model
-from curstat.projection import _piece_moments
+from curstat.projection import _piece_moments, _stacked_inside
 from curstat.regression import _fit_collection
 
 from conftest import random_sample, tied_samples
@@ -600,6 +600,32 @@ class TestRefinedGramBlocks:
             assert max(factored) <= bases._QR_ROWS + d
         monkeypatch.undo()
         self.assert_matches_dense(sample, dyadic_family())
+
+    def test_one_factorization_per_run(self, monkeypatch):
+        # each run of occupied pieces is factored on its own, at its own
+        # padded height, even beside a run of the same height
+        sample = generate(SimModel(3), 1000, 3)
+        rounded = ObservationSample(np.round(sample.u, 2), sample.delta)
+        samples = [sample, sample, rounded]
+        sizes, x, (delta,) = _stacked_inside(samples, [[s.delta] for s in samples])
+        pieces, degree = 16, 9
+        piece = np.minimum((x * pieces).astype(int), pieces - 1)
+        piece += np.repeat(np.arange(len(samples)) * pieces, sizes)
+        counts = np.bincount(piece, minlength=len(samples) * pieces)
+        occupied = np.flatnonzero(counts)
+        cuts, rows = bases._runs(counts[occupied].tolist(), (occupied // pieces).tolist(), degree + 2)
+        assert len(rows) == 3 and rows[0] == rows[1]
+        factored = []
+        r_factor = bases._r_factor
+
+        def counted_factor(blocks):
+            factored.append(blocks.shape)
+            return r_factor(blocks)
+
+        monkeypatch.setattr(bases, "_r_factor", counted_factor)
+        bases._padded_factors(pieces, degree, x, delta, sizes)
+        runs = [(cuts[j + 1] - cuts[j], height, degree + 2) for j, height in enumerate(rows)]
+        assert factored == runs
 
 
 class TestSharedSums:

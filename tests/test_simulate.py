@@ -229,19 +229,23 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     @pytest.mark.parametrize(
-        "models, methods, message",
+        "models, methods, message, n_list",
         [
-            ([1], ["quotient", "nmple"], "unknown method 'nmple'"),
-            ([1], [], "need at least one method"),
-            ([], ["birge"], "need at least one model"),
+            ([1], ["quotient", "nmple"], "unknown method 'nmple'", (60,)),
+            ([1], [], "need at least one method", (60,)),
+            ([], ["birge"], "need at least one model", (60,)),
+            ([1, SimModel(1)], ["birge"], "repeated model in", (60,)),
+            ([1], ["birge", "birge"], "repeated method in", (60,)),
+            ([1], ["birge"], "repeated n in", (60, np.int64(60))),
         ],
     )
     def test_methods_and_models_checked_up_front(
-        self, monkeypatch, models, methods, message, n_jobs
+        self, monkeypatch, models, methods, message, n_list, n_jobs
     ):
         # these once ran: a misspelled method gave a nan cell and one failure
         # line per replication, no method a bare StopIteration after the
-        # pool started, and no model a header-only report
+        # pool started, no model a header-only report, and a repeated model,
+        # method or n gave cells that MseReport.cell cannot tell apart
         import curstat.simulate as sim
 
         def never(*args, **kwargs):
@@ -250,7 +254,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(sim, "generate", never)
         monkeypatch.setattr(sim, "ProcessPoolExecutor", never)
         with pytest.raises(ValueError, match=message):
-            sim.monte_carlo(models, methods, (60,), 3, 1, n_jobs=n_jobs)
+            sim.monte_carlo(models, methods, n_list, 3, 1, n_jobs=n_jobs)
 
     def test_numpy_integer_arguments_accepted(self):
         report = monte_carlo(
