@@ -24,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
+from .data import _integral
+
 TRIG = "trig"
 POLY = "poly"
 DYADIC = "dyadic"
@@ -59,7 +61,7 @@ class BasisFamily:
     def __post_init__(self):
         if self.tag not in _FAMILY_TAGS:
             raise ValueError(f"unknown basis family tag {self.tag!r}")
-        if not isinstance(self.max_degree, (int, np.integer)):
+        if not _integral(self.max_degree):
             raise ValueError("max_degree must be an integer")
         if self.max_degree < 0:
             raise ValueError("max_degree must be >= 0")
@@ -319,14 +321,14 @@ def basis_rows(model: BasisModel, x: np.ndarray):
     return piece, values.T
 
 
-def piece_sums(models, x: np.ndarray, weights, sizes=None):
+def piece_sums(models, x: np.ndarray, weights, sizes):
     """Per-piece sums of a collection at each of its subdivisions.
 
     ``x`` holds the points in [0, 1] and ``weights`` rows of weights (None
     for a row of ones), in the one time order of the ``data`` module, as
     ``ObservationSample.sorted_inside`` returns them. ``x`` and the weight
     rows may join several samples one after another: ``sizes`` gives each
-    sample's count of points, and None stands for one sample. Yields
+    sample's count of points (``[x.size]`` for one sample). Yields
     ``(group, sums)`` per subdivision of ``models`` (the models of one
     piece count), in the order the subdivisions first appear in
     ``models``: per weight row, a ``(samples, d, pieces)`` array whose
@@ -359,7 +361,6 @@ def piece_sums(models, x: np.ndarray, weights, sizes=None):
     own points in order, and the refinement multiplies each sample's own
     ``(d, pieces)`` block.
     """
-    sizes = [x.size] if sizes is None else sizes
     groups = _by_pieces(models)
     if models[0].family.tag not in _DYADIC_TAGS:
         # one subdivision at a time: summing every subdivision first freed
@@ -434,14 +435,14 @@ def _refined(model: BasisModel, coarsest: int, x: np.ndarray, weights, sizes):
 _QR_ROWS = 2**13
 
 
-def piece_factors(models, x: np.ndarray, delta: np.ndarray, sizes=None):
+def piece_factors(models, x: np.ndarray, delta: np.ndarray, sizes):
     """Triangular factors of every piece's basis rows and statuses, per subdivision.
 
     ``x`` holds the points in [0, 1] and ``delta`` their statuses, in the
     time order of ``ObservationSample.sorted_inside``; they may join
-    several samples, ``sizes`` giving each one's count of points (None
-    for one sample). Yields ``(group, r)`` per subdivision of ``models``
-    (the models of one piece count). ``r`` has shape
+    several samples, ``sizes`` giving each one's count of points
+    (``[x.size]`` for one sample). Yields ``(group, r)`` per subdivision
+    of ``models`` (the models of one piece count). ``r`` has shape
     ``(samples * pieces, d + 1, d + 1)``, sample by sample: ``r[j]`` is
     the upper-triangular factor R of a QR factorization of piece j's
     block ``[X_j | delta_j]``, where column ``a`` of X_j holds the
@@ -468,7 +469,6 @@ def piece_factors(models, x: np.ndarray, delta: np.ndarray, sizes=None):
     each sample's matrices in the shapes they have alone, so every
     sample's factors are bitwise those of its own call.
     """
-    sizes = [x.size] if sizes is None else sizes
     groups = _by_pieces(models)
     if models[0].family.tag == TRIG:
         harmonics = max(model.harmonics for model in models)
@@ -498,9 +498,7 @@ def piece_factors(models, x: np.ndarray, delta: np.ndarray, sizes=None):
         r = _r_factor(np.concatenate([r[0::2] @ g0, r[1::2] @ g1], axis=1))
 
 
-def _padded_factors(
-    pieces: int, degree: int, x: np.ndarray, delta: np.ndarray, sizes=None
-) -> np.ndarray:
+def _padded_factors(pieces: int, degree: int, x: np.ndarray, delta: np.ndarray, sizes) -> np.ndarray:
     """``piece_factors`` of one piecewise Legendre subdivision, from its points.
 
     Only occupied pieces are factored; an empty piece's factor is zero.
@@ -516,7 +514,6 @@ def _padded_factors(
     forms a run of its own and is factored by ``_tall_factor``,
     ``_QR_ROWS`` of its rows at a time.
     """
-    sizes = [x.size] if sizes is None else sizes
     piece, values = piecewise_legendre(pieces, degree, x)
     owners = len(sizes) * pieces
     piece = _stacked(piece, pieces, sizes)

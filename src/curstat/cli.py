@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="draw a sample from a built-in model")
     sim.add_argument("--model", type=int, choices=MODEL_IDS, required=True)
     sim.add_argument("--n", type=_positive_int, required=True, help="sample size")
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_int_in(0), default=0)
     sim.add_argument("--method", choices=METHODS, default="regression", help="estimation method")
     _add_estimator_flags(sim)
     sim.add_argument("--grid", type=_positive_int, default=512)
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="replications per cell (default: 500 up to n=200, 200 beyond)",
     )
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=_int_in(0), default=0)
     bench.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
     _add_estimator_flags(bench)
     bench.add_argument("--bins", type=_positive_int, help="fixed histogram bin count")

@@ -44,6 +44,11 @@ def _same_bits(a, b):
     return all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in pairs)
 
 
+def _integral(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; ``True`` and ``False`` are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ObservationSample:
     """Paired examination times and status indicators, in input order.

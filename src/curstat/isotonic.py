@@ -41,7 +41,7 @@ import functools
 
 import numpy as np
 
-from .data import ObservationSample
+from .data import ObservationSample, _integral
 from .estimates import StepCdf
 
 
@@ -147,7 +147,7 @@ def birge_histogram(sample: ObservationSample, n_bins: int) -> StepCdf:
     It is a ``StepCdf`` on those knots that evaluates by that bin index
     (``_BinnedCdf``), bitwise as the search over the knots would.
     """
-    if not isinstance(n_bins, (int, np.integer)):
+    if not _integral(n_bins):
         raise ValueError("n_bins must be an integer")
     if n_bins < 1:
         raise ValueError("need at least one bin")

@@ -80,26 +80,8 @@ def empirical_coefficients(
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (sample.n,):
             raise ValueError("weights must have one entry per observation")
-    ((_, (sums,)),) = _piece_moments([model], sample, [weights])
+    ((_, (sums,)),) = _stacked_moments([model], [sample], [[weights]])
     return sums.ravel()
-
-
-def _piece_moments(models, sample: ObservationSample, weights):
-    """Per-piece sums of basis rows times each row of ``weights``, over ``sample.n``.
-
-    Yields ``(group, sums)`` per subdivision of ``models``, with one
-    array in ``sums`` per weight row: its row ``a`` holds the per-piece
-    sums of the degree-``a`` functions (for trig, of the ``a``-th
-    function, on one piece), and a model of the group reads its first
-    ``dim // pieces`` rows. A weight row of None stands for ones, which
-    are neither gathered nor multiplied. Sums run with ``np.bincount``
-    over the points in [0, 1] in the sample's time order, in
-    ``bases.piece_sums``. For the dyadic families it sums the finest
-    subdivision only and refines the others from it; that needs 0/1
-    weights whenever the models span more than one subdivision.
-    """
-    for group, sums in _stacked_moments(models, [sample], [weights]):
-        yield group, [s[0] for s in sums]
 
 
 def _stacked_inside(samples, weights):
@@ -120,11 +102,20 @@ def _stacked_inside(samples, weights):
 
 
 def _stacked_moments(models, samples, weights):
-    """``_piece_moments`` of several samples in one pass.
+    """Per-piece sums of basis rows times weight rows, each over its sample's n.
 
-    ``weights`` holds one list of rows per sample. Yields ``(group,
-    sums)`` with a ``(samples, d, pieces)`` array per weight row, each
-    sample's sums over its own n, bitwise those of its own pass.
+    ``weights`` holds one list of rows per sample, a row of None standing
+    for ones, which are neither gathered nor multiplied. Yields ``(group,
+    sums)`` per subdivision of ``models``, with one ``(samples, d,
+    pieces)`` array in ``sums`` per weight row: row ``a`` of a sample
+    holds the per-piece sums of its degree-``a`` functions (for trig, of
+    the ``a``-th function, on one piece), and a model of the group reads
+    the first ``dim // pieces`` rows. Sums run with ``np.bincount`` over
+    the points in [0, 1] in each sample's time order, in one
+    ``bases.piece_sums`` pass, and each sample's are bitwise those of its
+    own pass. For the dyadic families it sums the finest subdivision only
+    and refines the others from it; that needs 0/1 weights whenever the
+    models span more than one subdivision.
     """
     sizes, x, rows = _stacked_inside(samples, weights)
     n = np.array([sample.n for sample in samples])[:, None, None]
@@ -213,8 +204,7 @@ def _select_models(samples, collection, kappa: float = 4.0) -> list:
         estimates = []
         # the sums of the statuses give the sub-density, those of ones the density
         for row, weight_mean in enumerate((float(sample.delta.mean()), 1.0)):
-            own = {pieces: sums[row][i] for pieces, sums in levels.items()}
-            target = [own[pieces][:k].ravel() for pieces, k in prefixes]
+            target = [levels[pieces][row][i, :k].ravel() for pieces, k in prefixes]
             penalties = _density_penalty(norms, dims, sample.n, kappa, weight_mean)
             # penalty - c'c rounds as -c'c + penalty does
             best = int((penalties - np.array([c @ c for c in target])).argmin())

@@ -23,16 +23,20 @@ the two-scale matrices; the regular piecewise and trigonometric
 families factor each subdivision on its own. Every model of a
 subdivision reads a leading block of the same factors, so a contrast is
 a sum of squares of the factors' last column, and neither the contrasts
-nor the noise pilot pass over the points again. ``fit_least_squares``
-runs that scan on one model; the dense normal equations it is checked
-against are in ``tests/dense_oracle.py``.
+nor the noise pilot pass over the points again.
+
+The scan takes a batch of samples, joined one after another (a Monte
+Carlo cell stacks its replications), and scores them as one
+``(samples, models)`` array of contrasts, so each sample's pick is the
+``argmin`` along its row. ``fit_cdf_regression`` runs it on a batch of
+one sample and ``fit_least_squares`` on one sample and one model; the
+dense normal equations they are checked against are in
+``tests/dense_oracle.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -66,6 +70,9 @@ class LeastSquaresFit(ProjectionEstimate):
 def fit_least_squares(sample: ObservationSample, model: BasisModel) -> LeastSquaresFit:
     """Solve the normal equations for one model by ``fit_cdf_regression``'s scan.
 
+    The scan runs on a batch of one sample and one model; the fit is the
+    minimum-norm solve of that model's per-piece factors.
+
     The Gram matrix ``G = X'X / n`` and moment vector ``c = X'delta / n``
     always admit a solution (c lies in the range of G); when G is
     singular the minimum-norm solution is taken, with relative rank
@@ -85,8 +92,8 @@ def fit_least_squares(sample: ObservationSample, model: BasisModel) -> LeastSqua
     more. The fit's ``gram_cond`` is the kept condition number of G to
     read.
     """
-    _, _, fit = _fit_collection(sample, [model])
-    return fit(model)
+    _, _, fit = _fit_collections([sample], [model])
+    return fit(0, model)
 
 
 def regression_penalty(model: BasisModel, n: int, kappa0: float = 4.0) -> float:
@@ -121,31 +128,25 @@ def estimate_noise_variance(sample: ObservationSample, fit: LeastSquaresFit) -> 
     return float(np.mean(residuals**2))
 
 
-def _solve_factors(r: np.ndarray, k: int):
-    """Minimum-norm least squares on the first ``k`` columns of a stack of factors.
-
-    ``r`` is a ``(pieces, d + 1, d + 1)`` stack of ``bases.piece_factors``.
-    With ``R = r[:, :k, :k]`` and ``y = r[:, :k, -1]``, returns the
-    ``(pieces, k)`` minimum-norm solutions of ``R b = y``, the total rank,
-    the kept condition number of the Gram matrix and the residual sum of
-    squares the rank cut adds: the part of y outside the kept left
-    singular vectors of R. Singular values at or below
-    ``sqrt(_RANK_TOL)`` times the largest of any block count as zero,
-    which is the rule of ``np.linalg.lstsq`` with rcond ``_RANK_TOL`` on
-    the block-diagonal Gram matrix ``R'R``. The kept condition number is
-    ``(s_max / s_min_kept)**2`` (1 when none is kept). One batched SVD
-    per call; this is ``_solve_stack`` on one sample.
-    """
-    return _solve_stack(r[None], k)[0]
-
-
 def _solve_stack(r: np.ndarray, k: int) -> list:
-    """``_solve_factors`` of each sample of a ``(samples, pieces, d + 1, d + 1)`` stack.
+    """Minimum-norm least squares on the first ``k`` columns of each sample's factors.
+
+    ``r`` is a ``(samples, pieces, d + 1, d + 1)`` stack of
+    ``bases.piece_factors``. With ``R = r[i, :, :k, :k]`` and
+    ``y = r[i, :, :k, -1]``, returns per sample i the ``(pieces, k)``
+    minimum-norm solutions of ``R b = y``, the total rank, the kept
+    condition number of the Gram matrix and the residual sum of squares
+    the rank cut adds: the part of y outside the kept left singular
+    vectors of R. Singular values at or below ``sqrt(_RANK_TOL)`` times
+    the largest of any of the sample's blocks count as zero, which is the
+    rule of ``np.linalg.lstsq`` with rcond ``_RANK_TOL`` on the
+    block-diagonal Gram matrix ``R'R``. The kept condition number is
+    ``(s_max / s_min_kept)**2`` (1 when none is kept).
 
     One batched SVD and two batched products take every sample's blocks
     in the shapes they have alone; the cut, rank, condition number and
     dropped sum are each sample's own, so each sample gets what it gets
-    alone, bit for bit.
+    alone, bit for bit. One sample's solve is ``_solve_stack(r[None], k)[0]``.
     """
     count, pieces = r.shape[:2]
     u, s, vt = np.linalg.svd(r[:, :, :k, :k].reshape(count * pieces, k, k))
@@ -163,35 +164,29 @@ def _solve_stack(r: np.ndarray, k: int) -> list:
     return [(coeffs[blocks], rank, cond, dropped) for blocks, rank, cond, dropped in kept]
 
 
-def _fit_collection(sample: ObservationSample, models: list[BasisModel]):
-    """Contrast of every model from per-piece triangular factors.
+def _fit_collections(samples, models: list[BasisModel]):
+    """Contrast of every model on each sample from one pass of per-piece triangular factors.
 
-    Returns ``(contrasts, noise, fit)``: the contrasts as an array in the
-    order of ``models``, the mean squared residual of the last (richest)
-    model over the observations inside [0, 1], the noise pilot that
-    scales the penalty, and ``fit(model)``, the ``LeastSquaresFit`` of one
-    of the models. A subdivision whose occupied pieces keep every
+    Returns ``(contrasts, noise, fit)``: the contrasts as a
+    ``(samples, models)`` array, in the order of ``models``; the noise
+    pilots that scale the penalty as a ``(samples,)`` array, each the mean
+    squared residual of the last (richest) model over the sample's
+    observations inside [0, 1]; and ``fit(i, model)``, the
+    ``LeastSquaresFit`` of one of the models on sample ``i``.
+
+    The factors of every sample come from one ``piece_factors`` pass, and
+    each subdivision's rank check is one batched SVD of every sample's
+    occupied blocks. A subdivision whose occupied pieces keep every
     direction of their top-degree factors scores each model by the tail
-    of the factors' last column; every other one solves each of its
-    models by ``_solve_factors``, and ``fit`` solves the others it is
-    asked for. This is ``_fit_collections`` on one sample.
-    """
-    return _fit_collections([sample], models)[0]
-
-
-def _fit_collections(samples, models: list[BasisModel]) -> list:
-    """``_fit_collection`` of several samples from one pass of factors.
-
-    The factors of every sample come from one ``piece_factors`` pass,
-    and each subdivision's rank check is one batched SVD of every
-    sample's occupied blocks; the cut, the tails, the solves, the
-    constant-status rule and the pilot are each sample's own, so each
-    sample gets what it gets alone, bit for bit.
+    of the factors' last column; on each sample where it does not, every
+    model of the subdivision is solved by ``_solve_stack``, and ``fit``
+    solves each other model it is asked for, once. The cut, the tails,
+    the solves, the constant-status rule and the pilot are each sample's
+    own, so each sample gets what it gets alone, bit for bit.
     """
     sizes, x, (delta,) = _stacked_inside(samples, [[sample.delta] for sample in samples])
     count = len(samples)
-    factors, rss = {}, {}
-    solved = [{} for _ in samples]
+    factors, rss, solved = {}, {}, {}
     for group, r in piece_factors(models, x, delta, sizes):
         pieces = group[0].pieces
         factors[pieces] = r.reshape(count, pieces, *r.shape[1:])
@@ -210,25 +205,30 @@ def _fit_collections(samples, models: list[BasisModel]) -> list:
             rss[model] = tails[:, k]
             if cut:
                 for i, solution in zip(cut, _solve_stack(factors[pieces][cut], k)):
-                    solved[i][model] = solution
+                    solved[i, model] = solution
                     rss[model][i] += solution[3]
     rss = np.array([rss[model] for model in models]).T
-    ends = itertools.accumulate(sizes)
-    fits = []
-    for i, (sample, end, size) in enumerate(zip(samples, ends, sizes)):
-        inside = delta[end - size : end]
-        if not inside.any() or inside.all():
-            # constant statuses inside [0, 1] lie in every model's span,
-            # since every family holds the constant: each model fits them
-            # exactly, and rounding residue must not decide the pick
-            rss[i] = 0.0
-        # every basis vanishes outside [0, 1], so the statuses there are
-        # residuals; both sums of 0/1 statuses are exact
-        outside_rss = float(sample.delta.sum() - inside.sum())
-        contrasts = (rss[i] + outside_rss) / sample.n
-        noise = rss[i, -1] / max(size, 1)
-        fits.append((contrasts, noise, partial(_fit_one, models, factors, solved[i], i, contrasts)))
-    return fits
+    # each sample's count of status 1 inside [0, 1], exact as a sum of 0/1
+    ones = np.bincount(np.repeat(np.arange(count), sizes), delta, count)
+    # constant statuses inside [0, 1] lie in every model's span, since every
+    # family holds the constant: each model fits them exactly, and rounding
+    # residue must not decide the pick
+    rss[(ones == 0.0) | (ones == sizes)] = 0.0
+    # every basis vanishes outside [0, 1], so the statuses there are residuals
+    outside = np.array([sample.delta.sum() for sample in samples]) - ones
+    contrasts = (rss + outside[:, None]) / np.array([[sample.n] for sample in samples])
+    noise = rss[:, -1] / np.maximum(sizes, 1)
+
+    def fit(i: int, model: BasisModel) -> LeastSquaresFit:
+        if (i, model) not in solved:
+            r = factors[model.pieces][i, None]
+            solved[i, model] = _solve_stack(r, model.dim // model.pieces)[0]
+        coeffs, rank, cond, _ = solved[i, model]
+        contrast = float(contrasts[i, models.index(model)])
+        # piecewise coefficients are stored degree-major
+        return LeastSquaresFit(model, coeffs.T.ravel(), contrast, rank, cond)
+
+    return contrasts, noise, fit
 
 
 def _rank_cuts(s: np.ndarray, occupied: np.ndarray, count: int) -> list:
@@ -247,16 +247,6 @@ def _rank_cuts(s: np.ndarray, occupied: np.ndarray, count: int) -> list:
     lowest, highest = np.full(occupied.shape, np.inf), np.zeros(occupied.shape)
     lowest[occupied], highest[occupied] = s.min(axis=1), s.max(axis=1)
     return np.flatnonzero(lowest.min(axis=1) <= np.sqrt(_RANK_TOL) * highest.max(axis=1)).tolist()
-
-
-def _fit_one(models, factors, solved, i, contrasts, model: BasisModel) -> LeastSquaresFit:
-    """The ``LeastSquaresFit`` of one model for sample ``i`` of ``_fit_collections``."""
-    if model not in solved:
-        solved[model] = _solve_factors(factors[model.pieces][i], model.dim // model.pieces)
-    coeffs, rank, cond, _ = solved[model]
-    contrast = float(contrasts[models.index(model)])
-    # piecewise coefficients are stored degree-major
-    return LeastSquaresFit(model, coeffs.T.ravel(), contrast, rank, cond)
 
 
 def fit_cdf_regression(
@@ -336,8 +326,10 @@ def _fit_cdf_regressions(
 ) -> list[CdfEstimate]:
     """``fit_cdf_regression`` of several samples of one size, from one scan.
 
-    The samples share one collection and one ``_fit_collections`` pass;
-    each one's estimate is bitwise the one it gets alone.
+    The samples share one collection and one ``_fit_collections`` pass,
+    whose ``(samples, models)`` scores pick every sample's model by one
+    ``argmin`` along the rows; each one's estimate is bitwise the one it
+    gets alone.
     """
     if family is None:
         family = dyadic_family()
@@ -347,19 +339,19 @@ def _fit_cdf_regressions(
     models = build_collection(family, n, CAP_REGRESSION)
     dims = np.array([penalty_factors(model)[1] for model in models])
     units = _regression_penalty(dims, n, kappa0)
+    contrasts, noise, fit = _fit_collections(samples, models)
+    penalties = noise[:, None] * units
     estimates = []
-    for contrasts, noise_scale, fit in _fit_collections(samples, models):
-        penalties = noise_scale * units
-        best = int((contrasts + penalties).argmin())
-        best_fit = fit(models[best])
+    for i, best in enumerate((contrasts + penalties).argmin(axis=1).tolist()):
+        best_fit = fit(i, models[best])
         estimate = CdfEstimate(
             "regression",
             best_fit,
             {
                 "model": best_fit.model.describe(),
                 "contrast": best_fit.contrast,
-                "penalty": float(penalties[best]),
-                "noise_scale": float(noise_scale),
+                "penalty": float(penalties[i, best]),
+                "noise_scale": float(noise[i]),
                 "gram_rank": best_fit.gram_rank,
                 "gram_cond": best_fit.gram_cond,
             },

@@ -50,7 +50,7 @@ from functools import partial
 import numpy as np
 
 from .bases import BasisFamily, dyadic_family
-from .data import ObservationSample
+from .data import ObservationSample, _integral
 from .estimates import CdfEstimate
 from .isotonic import birge_histogram, npmle_pava
 from .quotient import _fit_quotient_cdfs, fit_quotient_cdf
@@ -153,7 +153,7 @@ class BenchConfig:
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if self.birge_bins is not None:
-            if not isinstance(self.birge_bins, (int, np.integer)):
+            if not _integral(self.birge_bins):
                 raise ValueError("birge_bins must be an integer")
             if self.birge_bins < 1:
                 raise ValueError("need at least one bin")
@@ -315,10 +315,6 @@ def _chunks(reps: int, n: int, n_jobs: int) -> list:
     return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _integral(value) -> bool:
-    return isinstance(value, (int, np.integer))
-
-
 def monte_carlo(
     models,
     methods=METHODS,
@@ -334,10 +330,11 @@ def monte_carlo(
     schedule (``default_reps``). Each replication draws one sample that
     all methods share. ``models`` and ``methods`` must be nonempty, with
     every method in ``METHODS``, and no model, method or n may repeat.
-    Every n, ``reps`` and ``n_jobs`` must be an integer, and every n and
-    ``n_jobs`` at least 1. Output is a pure function of the arguments;
-    ``n_jobs > 1`` distributes the work over processes without changing
-    the result.
+    Every n, ``reps``, ``n_jobs`` and ``seed`` must be an integer (a bool
+    is not one), every n and ``n_jobs`` at least 1 and ``seed`` at least
+    0; these are checked before any sample is drawn. Output is a pure
+    function of the arguments; ``n_jobs > 1`` distributes the work over
+    processes without changing the result.
 
     Each ``(model, n)`` cell is fitted in chunks of replications
     (``_chunks``): one chunk per cell when serial, unless the cell stacks
@@ -362,6 +359,8 @@ def monte_carlo(
         raise ValueError("reps must be an integer")
     if not _integral(n_jobs) or n_jobs < 1:
         raise ValueError("n_jobs must be an integer of at least 1")
+    if not _integral(seed) or seed < 0:
+        raise ValueError("seed must be an integer of at least 0")
     n_list = tuple(int(n) for n in n_list)
     for name, items in (("model", tuple(m.id for m in models)), ("method", methods), ("n", n_list)):
         if len(set(items)) < len(items):

@@ -260,7 +260,7 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             BasisModel(trig_family(), pieces=2)
 
-    @pytest.mark.parametrize("degree", [2.5, 2.0, "2", None])
+    @pytest.mark.parametrize("degree", [2.5, 2.0, "2", None, True, False])
     def test_family_degree_must_be_an_integer(self, degree):
         with pytest.raises(ValueError, match="max_degree must be an integer"):
             BasisFamily("dyadic", degree)

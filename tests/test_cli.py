@@ -168,6 +168,14 @@ class TestSimulateCommand:
             assert run(["simulate", "--model", 1, "--n", n, "--out", tmp_path / "z"]) == 1
         assert not (tmp_path / "z.sample.csv").exists()
 
+    def test_seed_must_be_non_negative(self, tmp_path, capsys):
+        # a negative seed once failed in SeedSequence, as a numerical failure
+        for seed in (-3, "x"):
+            assert run(["simulate", "--model", 1, "--n", 10, "--seed", seed,
+                        "--out", tmp_path / "s"]) == 1
+        assert "--seed: must be at least 0, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "s.sample.csv").exists()
+
     @pytest.mark.parametrize("method", ["quotient", "regression", "npmle", "birge"])
     def test_no_time_in_unit_interval_is_numerical_error(self, tmp_path, capsys, method):
         # model 4 at seed 17 and n = 2 draws the times 1.70 and 1.21
@@ -227,6 +235,14 @@ class TestBenchCommand:
         assert run(["bench", "--model", 1, "--n", 60, "--method", "quotient", "--reps", 1,
                     "--rmax", -1, "--out", tmp_path / "r"]) == 1
         assert not (tmp_path / "r.csv").exists()
+
+    def test_seed_must_be_non_negative(self, tmp_path, capsys):
+        # a negative seed once failed in SeedSequence, as a numerical failure
+        for seed in (-1, "1.5"):
+            assert run(["bench", "--model", 1, "--n", 60, "--method", "npmle", "--reps", 1,
+                        "--seed", seed, "--out", tmp_path / "s"]) == 1
+        assert "--seed: must be at least 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_penalty_constants_must_be_positive_and_finite(self, tmp_path):
         for flag in ("--kappa", "--kappa0"):

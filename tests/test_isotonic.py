@@ -321,7 +321,7 @@ class TestBirgeHistogram:
         step = birge_histogram(sample, 1)
         assert step.values[0] == pytest.approx(sample.delta.mean(), abs=0)
 
-    @pytest.mark.parametrize("bins", [3.0, 2.5, None])
+    @pytest.mark.parametrize("bins", [3.0, 2.5, None, True, False])
     def test_bin_count_must_be_an_integer(self, bins):
         sample = ObservationSample([0.1, 0.3, 0.6, 0.9], [0.0, 1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="n_bins must be an integer"):

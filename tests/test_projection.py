@@ -24,7 +24,7 @@ from curstat import (
     SimModel,
 )
 from curstat.bases import basis_rows
-from curstat.projection import _piece_moments
+from curstat.projection import _stacked_moments
 
 from conftest import random_sample
 from dense_oracle import dense_coefficients, dense_contrast
@@ -231,7 +231,7 @@ def assert_refined_sums_match(sample, family, atol):
     collection = build_collection(family, sample.n, CAP_DENSITY)
     levels = 0
     weights = sample.delta, np.ones(sample.n)
-    for group, (sub, den) in _piece_moments(collection, sample, weights):
+    for group, ((sub,), (den,)) in _stacked_moments(collection, [sample], [weights]):
         pieces, degree = group[0].pieces, sub.shape[0] - 1
         for sums, weights in ((sub, sample.delta), (den, np.ones(sample.n))):
             expected = bincount_sums(sample, family, pieces, degree, weights)
@@ -278,8 +278,8 @@ class TestTwoScaleRefinement:
         # a row of None sums the basis rows themselves, bit for bit a product with ones
         sample = generate(SimModel(4), 5000, 23)
         collection = build_collection(family, sample.n, CAP_DENSITY)
-        plain = _piece_moments(collection, sample, [sample.delta, None])
-        product = _piece_moments(collection, sample, [sample.delta, np.ones(sample.n)])
+        plain = _stacked_moments(collection, [sample], [[sample.delta, None]])
+        product = _stacked_moments(collection, [sample], [[sample.delta, np.ones(sample.n)]])
         for (group, sums), (_, expected) in zip(plain, product, strict=True):
             for got, want in zip(sums, expected, strict=True):
                 assert got.tobytes() == want.tobytes(), group[0]

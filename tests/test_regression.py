@@ -25,8 +25,8 @@ from curstat import (
     SimModel,
 )
 from curstat import bases, regression, select_projection_model
-from curstat.projection import _piece_moments, _stacked_inside
-from curstat.regression import _fit_collection
+from curstat.projection import _stacked_inside, _stacked_moments
+from curstat.regression import _fit_collections
 
 from conftest import random_sample, tied_samples
 from dense_oracle import (
@@ -41,8 +41,8 @@ from dense_oracle import (
 
 def every_fit(sample, models):
     """Every model's fit from the scan's per-model solve, and the noise pilot."""
-    _, pilot, fit = _fit_collection(sample, models)
-    return [fit(model) for model in models], pilot
+    _, (pilot,), fit = _fit_collections([sample], models)
+    return [fit(0, model) for model in models], pilot
 
 
 class TestFitLeastSquares:
@@ -370,11 +370,11 @@ class TestClosedFormContrasts:
             return solve(r, k)
 
         monkeypatch.setattr(regression, "_solve_stack", recording_solve)
-        contrasts, pilot, fit = _fit_collection(sample, models)
+        (contrasts,), (pilot,), fit = _fit_collections([sample], models)
         scored = len(models) - len(solved)
         inside = (sample.u >= 0.0) & (sample.u <= 1.0)
         for model, contrast in zip(models, contrasts):
-            residual = sample.delta - design_matrix(model, sample.u) @ fit(model).coeffs
+            residual = sample.delta - design_matrix(model, sample.u) @ fit(0, model).coeffs
             assert abs(contrast - np.mean(residual**2)) <= 1e-12
             if model == models[-1]:
                 assert abs(pilot - np.mean(residual[inside] ** 2)) <= 1e-12
@@ -398,7 +398,7 @@ class TestClosedFormContrasts:
         outside_rss = status * np.count_nonzero(u > 1.0)
         for family in (dyadic_family(), haar_family(), poly_family(2), trig_family()):
             models = build_collection(family, sample.n, "regression")
-            contrasts, pilot, fit = _fit_collection(sample, models)
+            (contrasts,), (pilot,), _ = _fit_collections([sample], models)
             assert contrasts.tolist() == [outside_rss / sample.n] * len(models)
             assert pilot == 0.0
             est = fit_cdf_regression(sample, family)
@@ -532,7 +532,7 @@ class TestRefinedGramBlocks:
             return
         x, delta = sample.sorted_inside(sample.delta)
         levels = set()
-        for group, r in bases.piece_factors(models, x, delta):
+        for group, r in bases.piece_factors(models, x, delta, [x.size]):
             m, d = group[0].pieces, r.shape[-1] - 1
             if family == trig_family():
                 model = trig_model((d - 1) // 2)
@@ -594,7 +594,7 @@ class TestRefinedGramBlocks:
         monkeypatch.setattr(bases, "_r_factor", counted_factor)
         for pieces, degree in ((256, 9), (64, 2), (1, 0)):
             factored.clear()
-            bases._padded_factors(pieces, degree, x, delta)
+            bases._padded_factors(pieces, degree, x, delta, [x.size])
             d = degree + 2
             assert sum(factored) <= 2 * (n + pieces * (d + 1)), (pieces, degree)
             assert max(factored) <= bases._QR_ROWS + d
@@ -658,10 +658,10 @@ class TestSharedSums:
         sample = generate(SimModel(3), n, 1)
         models = build_collection(family, n, "regression")
         x, delta = sample.sorted_inside(sample.delta)
-        factors = {group[0].pieces: r for group, r in bases.piece_factors(models, x, delta)}
+        factors = {g[0].pieces: r for g, r in bases.piece_factors(models, x, delta, [x.size])}
         weights = sample.delta, np.ones(n)
         moments = {}
-        for group, (sub, _) in _piece_moments(models, sample, weights):
+        for group, ((sub,), _) in _stacked_moments(models, [sample], [weights]):
             pieces, top = group[0].pieces, sub.shape[0]
             r = factors[pieces]
             moments[pieces] = np.einsum("jba,jb->aj", r[:, :top, :top], r[:, :top, -1]) / n
@@ -737,7 +737,7 @@ class TestSharedSums:
         monkeypatch.setattr(bases, "piecewise_legendre", counted_legendre)
         monkeypatch.setattr(bases, "trig_rows", counted_trig_rows)
         models = build_collection(family, sample.n, "regression")
-        _fit_collection(sample, models)
+        _fit_collections([sample], models)
         monkeypatch.undo()
 
         if family == trig_family():
@@ -780,13 +780,13 @@ class TestCholeskyScan:
         # summed afresh: the tail plus the part the rank cut leaves
         for sample in scan_samples():
             models = build_collection(family, sample.n, "regression")
-            contrasts, _, _ = _fit_collection(sample, models)
+            (contrasts,), _, _ = _fit_collections([sample], models)
             x, delta = sample.sorted_inside(sample.delta)
             outside_rss = float(sample.delta.sum() - delta.sum())
-            factors = {group[0].pieces: r for group, r in bases.piece_factors(models, x, delta)}
+            factors = {g[0].pieces: r for g, r in bases.piece_factors(models, x, delta, [x.size])}
             for model, contrast in zip(models, contrasts):
                 r, k = factors[model.pieces], model.dim // model.pieces
-                dropped = regression._solve_factors(r, k)[3]
+                dropped = regression._solve_stack(r[None], k)[0][3]
                 solved = (np.sum(r[:, k:, -1] ** 2) + dropped + outside_rss) / sample.n
                 assert abs(contrast - solved) <= 1e-12
 
@@ -815,19 +815,19 @@ class TestCholeskyScan:
         # every level of this sample keeps full rank, so the scan solves no
         # candidate, the richest included, and the fit solves the selected one
         calls = []
-        solve = regression._solve_factors
+        solve = regression._solve_stack
 
         def counted_solve(r, k):
-            calls.append((r.shape[0], k))
+            calls.append((r.shape[:2], k))
             return solve(r, k)
 
-        monkeypatch.setattr(regression, "_solve_factors", counted_solve)
+        monkeypatch.setattr(regression, "_solve_stack", counted_solve)
         sample = generate(SimModel(3), 50_000, 2)
         est = fit_cdf_regression(sample)
         richest = build_collection(dyadic_family(), sample.n, "regression")[-1]
         selected = est.evaluator.model
         assert selected != richest
-        assert calls == [(selected.pieces, selected.dim // selected.pieces)]
+        assert calls == [((1, selected.pieces), selected.dim // selected.pieces)]
 
     def test_factors_only_levels_it_scores(self, monkeypatch):
         # one finest factorization from the points, one stacked factorization
@@ -882,7 +882,7 @@ class TestCholeskyScan:
         for sample in sparse_samples() + tied_piece_samples():
             models = build_collection(family, sample.n, "regression")
             solved.clear()
-            _fit_collection(sample, models)
+            _fit_collections([sample], models)
             for pieces in {model.pieces for model in models}:
                 group = [model for model in models if model.pieces == pieces]
                 gram, _ = dense_piece_statistics(sample, max(group, key=lambda m: m.dim))

@@ -153,6 +153,9 @@ class TestDefaults:
             ("birge_bins", 0, "need at least one bin"),
             ("birge_bins", 2.5, "birge_bins must be an integer"),
             ("birge_bins", 3.0, "birge_bins must be an integer"),
+            # a bool passed the integer check, and every birge fit then failed
+            ("birge_bins", True, "birge_bins must be an integer"),
+            ("birge_bins", False, "birge_bins must be an integer"),
             ("family", "dyadic", "family must be a BasisFamily"),
         ],
     )
@@ -218,6 +221,12 @@ class TestMonteCarlo:
             (dict(n_jobs=0), "n_jobs must be an integer of at least 1"),
             (dict(n_jobs=-3), "n_jobs must be an integer of at least 1"),
             (dict(n_jobs=2.0), "n_jobs must be an integer of at least 1"),
+            (dict(n_list=(True,)), "every n must be an integer of at least 1"),
+            (dict(reps=True), "reps must be an integer"),
+            (dict(reps=False), "reps must be an integer"),
+            (dict(n_jobs=True), "n_jobs must be an integer of at least 1"),
+            (dict(seed=False), "seed must be an integer of at least 0"),
+            (dict(seed=True), "seed must be an integer of at least 0"),
         ],
     )
     def test_arguments_are_not_truncated(self, kwargs, message):
@@ -229,23 +238,27 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     @pytest.mark.parametrize(
-        "models, methods, message, n_list",
+        "models, methods, message, n_list, seed",
         [
-            ([1], ["quotient", "nmple"], "unknown method 'nmple'", (60,)),
-            ([1], [], "need at least one method", (60,)),
-            ([], ["birge"], "need at least one model", (60,)),
-            ([1, SimModel(1)], ["birge"], "repeated model in", (60,)),
-            ([1], ["birge", "birge"], "repeated method in", (60,)),
-            ([1], ["birge"], "repeated n in", (60, np.int64(60))),
+            ([1], ["quotient", "nmple"], "unknown method 'nmple'", (60,), 1),
+            ([1], [], "need at least one method", (60,), 1),
+            ([], ["birge"], "need at least one model", (60,), 1),
+            ([1, SimModel(1)], ["birge"], "repeated model in", (60,), 1),
+            ([1], ["birge", "birge"], "repeated method in", (60,), 1),
+            ([1], ["birge"], "repeated n in", (60, np.int64(60)), 1),
+            ([1], ["birge"], "seed must be an integer of at least 0", (60,), -1),
+            ([1], ["birge"], "seed must be an integer of at least 0", (60,), 1.5),
+            ([1], ["birge"], "seed must be an integer of at least 0", (60,), True),
         ],
     )
     def test_methods_and_models_checked_up_front(
-        self, monkeypatch, models, methods, message, n_list, n_jobs
+        self, monkeypatch, models, methods, message, n_list, seed, n_jobs
     ):
         # these once ran: a misspelled method gave a nan cell and one failure
         # line per replication, no method a bare StopIteration after the
-        # pool started, no model a header-only report, and a repeated model,
-        # method or n gave cells that MseReport.cell cannot tell apart
+        # pool started, no model a header-only report, a repeated model,
+        # method or n gave cells that MseReport.cell cannot tell apart, and
+        # a negative seed failed in the first replication's SeedSequence
         import curstat.simulate as sim
 
         def never(*args, **kwargs):
@@ -254,7 +267,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(sim, "generate", never)
         monkeypatch.setattr(sim, "ProcessPoolExecutor", never)
         with pytest.raises(ValueError, match=message):
-            sim.monte_carlo(models, methods, n_list, 3, 1, n_jobs=n_jobs)
+            sim.monte_carlo(models, methods, n_list, 3, seed, n_jobs=n_jobs)
 
     def test_numpy_integer_arguments_accepted(self):
         report = monte_carlo(
@@ -391,8 +404,8 @@ class TestStackedCell:
                 [[s[i].tobytes() for s in sums] for _, sums in levels]
                 for i in range(len(samples))
             ]
-        fits = _fit_collections(samples, models)
-        return [(contrasts.tobytes(), np.float64(noise).tobytes()) for contrasts, noise, _ in fits]
+        contrasts, noise, _ = _fit_collections(samples, models)
+        return [(row.tobytes(), pilot.tobytes()) for row, pilot in zip(contrasts, noise)]
 
     @classmethod
     def assert_stacked_matches_alone(cls, samples, model, config):
