@@ -134,17 +134,17 @@ def density_penalty(
     for the others. ``delta_mean`` is 1 for the examination-time density
     and the observed status frequency for the sub-density target.
     """
-    return _density_penalty(*penalty_factors(model), n, kappa, delta_mean)
-
-
-def _density_penalty(norm, dim, n: int, kappa: float, delta_mean: float):
-    """``kappa * norm * delta_mean * dim / n``, for one model's factors or arrays of them."""
-    if not 0.0 < kappa < np.inf:
-        raise ValueError("kappa must be positive and finite")
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= delta_mean <= 1.0:
         raise ValueError("delta_mean must lie in [0, 1]")
+    return _density_penalty(*penalty_factors(model), n, kappa, delta_mean)
+
+
+def _density_penalty(norm, dim, n, kappa: float, delta_mean):
+    """``kappa * norm * delta_mean * dim / n``, for scalars or arrays that broadcast."""
+    if not 0.0 < kappa < np.inf:
+        raise ValueError("kappa must be positive and finite")
     return kappa * norm * delta_mean * dim / n
 
 
@@ -168,7 +168,7 @@ def select_projection_model(
     bit. So the estimates do not depend on the input order, and they may
     differ in the last bits from dense ``design.T @ weights`` products.
 
-    The scores of each target are one array: minus each candidate's sum
+    The scores of both targets are one array: minus each candidate's sum
     of squares plus its ``density_penalty``, from one array of penalty
     factors and rounded as that function rounds it. The collection must
     be in selection order, as ``build_collection`` returns it, and
@@ -188,26 +188,33 @@ def _select_models(samples, collection, kappa: float = 4.0) -> list:
     """``select_projection_model`` of several samples from one pass of sums.
 
     The per-piece sums of every sample come from one ``piece_sums``
-    pass; the scores, penalties and picks are each sample's own. Each
-    sum of squares is a dot product ``c @ c`` of the sample's own
-    coefficients, as one sample alone scores it, so every pick is the one
-    the sample gets alone.
+    pass. Both targets of all samples are scored as one ``(2 * samples,
+    models)`` array, the sub-density rows first, and every row is picked
+    by one ``argmin``. Each sum of squares is one entry of a stacked
+    ``c[:, None, :] @ c[:, :, None]`` over a candidate's coefficient rows,
+    which runs on each row the BLAS dot product of that row's own
+    ``c @ c`` (``einsum`` and ``(c * c).sum()`` sum in other orders), and
+    each penalty goes through ``_density_penalty``'s operations in its
+    order, so every score, and so every pick, is the one the sample gets
+    alone.
     """
     if not collection:
         raise ValueError("empty model collection")
+    count = len(samples)
     weights = [[sample.delta, None] for sample in samples]
-    levels = {group[0].pieces: sums for group, sums in _stacked_moments(collection, samples, weights)}
-    prefixes = [(model.pieces, model.dim // model.pieces) for model in collection]
+    # the sums of the statuses give the sub-density rows, those of ones the
+    # density rows, and a model's degree-major coefficients are the first
+    # dim entries of its level's row
+    flat = {
+        group[0].pieces: np.concatenate(sums).reshape(2 * count, -1)
+        for group, sums in _stacked_moments(collection, samples, weights)
+    }
+    targets = [flat[model.pieces][:, : model.dim] for model in collection]
+    squares = np.array([(c[:, None, :] @ c[:, :, None]).ravel() for c in targets]).T
     norms, dims = np.array([penalty_factors(model) for model in collection]).T
-    picks = []
-    for i, sample in enumerate(samples):
-        estimates = []
-        # the sums of the statuses give the sub-density, those of ones the density
-        for row, weight_mean in enumerate((float(sample.delta.mean()), 1.0)):
-            target = [levels[pieces][row][i, :k].ravel() for pieces, k in prefixes]
-            penalties = _density_penalty(norms, dims, sample.n, kappa, weight_mean)
-            # penalty - c'c rounds as -c'c + penalty does
-            best = int((penalties - np.array([c @ c for c in target])).argmin())
-            estimates.append(ProjectionEstimate(collection[best], target[best]))
-        picks.append(tuple(estimates))
-    return picks
+    n = np.array([[sample.n] for sample in samples] * 2)
+    means = np.array([[sample.delta.mean()] for sample in samples] + [[1.0]] * count)
+    # penalty - c'c rounds as -c'c + penalty does
+    best = (_density_penalty(norms, dims, n, kappa, means) - squares).argmin(axis=1).tolist()
+    estimates = [ProjectionEstimate(collection[b], targets[b][i]) for i, b in enumerate(best)]
+    return list(zip(estimates[:count], estimates[count:]))

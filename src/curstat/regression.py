@@ -93,7 +93,7 @@ def fit_least_squares(sample: ObservationSample, model: BasisModel) -> LeastSqua
     read.
     """
     _, _, fit = _fit_collections([sample], [model])
-    return fit(0, model)
+    return fit(model, [0])[0]
 
 
 def regression_penalty(model: BasisModel, n: int, kappa0: float = 4.0) -> float:
@@ -128,40 +128,44 @@ def estimate_noise_variance(sample: ObservationSample, fit: LeastSquaresFit) -> 
     return float(np.mean(residuals**2))
 
 
-def _solve_stack(r: np.ndarray, k: int) -> list:
+def _solve_stack(r: np.ndarray, k: int):
     """Minimum-norm least squares on the first ``k`` columns of each sample's factors.
 
     ``r`` is a ``(samples, pieces, d + 1, d + 1)`` stack of
     ``bases.piece_factors``. With ``R = r[i, :, :k, :k]`` and
-    ``y = r[i, :, :k, -1]``, returns per sample i the ``(pieces, k)``
-    minimum-norm solutions of ``R b = y``, the total rank, the kept
-    condition number of the Gram matrix and the residual sum of squares
-    the rank cut adds: the part of y outside the kept left singular
-    vectors of R. Singular values at or below ``sqrt(_RANK_TOL)`` times
-    the largest of any of the sample's blocks count as zero, which is the
-    rule of ``np.linalg.lstsq`` with rcond ``_RANK_TOL`` on the
-    block-diagonal Gram matrix ``R'R``. The kept condition number is
-    ``(s_max / s_min_kept)**2`` (1 when none is kept).
+    ``y = r[i, :, :k, -1]``, returns ``(coeffs, ranks, ratios,
+    dropped)``, arrays over the samples: the ``(samples, pieces, k)``
+    minimum-norm solutions of ``R b = y``; each sample's total rank; its
+    kept ratio ``s_max / s_min_kept`` of singular values of R (1 when
+    none is kept), whose square as a Python float is the kept condition
+    number of the Gram matrix; and the residual sum of squares the rank
+    cut adds, the part of y outside the kept left singular vectors of R.
+    Singular values at or below ``sqrt(_RANK_TOL)`` times the largest of
+    any of the sample's blocks count as zero, which is the rule of
+    ``np.linalg.lstsq`` with rcond ``_RANK_TOL`` on the block-diagonal
+    Gram matrix ``R'R``.
 
     One batched SVD and two batched products take every sample's blocks
-    in the shapes they have alone; the cut, rank, condition number and
-    dropped sum are each sample's own, so each sample gets what it gets
-    alone, bit for bit. One sample's solve is ``_solve_stack(r[None], k)[0]``.
+    in the shapes they have alone, and the cut, rank and ratio are
+    elementwise over the ``(samples, pieces * k)`` singular values. Only
+    a sample that cuts a direction sums its dropped squares, by its own
+    ``np.sum`` in its own order; the others drop 0. So each sample gets
+    what it gets alone, bit for bit.
     """
     count, pieces = r.shape[:2]
     u, s, vt = np.linalg.svd(r[:, :, :k, :k].reshape(count * pieces, k, k))
     rotated = np.einsum("kji,kj->ki", u, r[:, :, :k, -1].reshape(count * pieces, k))
-    inverse, kept = np.zeros_like(s), []
-    for blocks in (slice(i * pieces, (i + 1) * pieces) for i in range(count)):
-        values = s[blocks]
-        largest = values.max()
-        keep = values > np.sqrt(_RANK_TOL) * largest
-        np.divide(1.0, values, out=inverse[blocks], where=keep)
-        rank = int(np.count_nonzero(keep))
-        cond = float(largest / values[keep].min()) ** 2 if rank else 1.0
-        kept.append((blocks, rank, cond, np.sum(rotated[blocks][~keep] ** 2)))
-    coeffs = np.einsum("kji,kj->ki", vt, inverse * rotated)
-    return [(coeffs[blocks], rank, cond, dropped) for blocks, rank, cond, dropped in kept]
+    s, rotated = s.reshape(count, -1), rotated.reshape(count, -1)
+    largest = s.max(axis=1)
+    keep = s > np.sqrt(_RANK_TOL) * largest[:, None]
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    ranks, dropped = keep.sum(axis=1), np.zeros(count)
+    # a kept ratio is at least 1, and none kept leaves 0 / inf
+    ratios = np.maximum(largest / s.min(axis=1, initial=np.inf, where=keep), 1.0)
+    for i in (ranks < keep.shape[1]).nonzero()[0]:
+        dropped[i] = np.sum(rotated[i][~keep[i]] ** 2)
+    coeffs = np.einsum("kji,kj->ki", vt, (inverse * rotated).reshape(count * pieces, k))
+    return coeffs.reshape(count, pieces, k), ranks, ratios, dropped
 
 
 def _fit_collections(samples, models: list[BasisModel]):
@@ -171,22 +175,24 @@ def _fit_collections(samples, models: list[BasisModel]):
     ``(samples, models)`` array, in the order of ``models``; the noise
     pilots that scale the penalty as a ``(samples,)`` array, each the mean
     squared residual of the last (richest) model over the sample's
-    observations inside [0, 1]; and ``fit(i, model)``, the
-    ``LeastSquaresFit`` of one of the models on sample ``i``.
+    observations inside [0, 1]; and ``fit(model, rows)``, one
+    ``LeastSquaresFit`` of one of the models per sample in ``rows``.
 
     The factors of every sample come from one ``piece_factors`` pass, and
     each subdivision's rank check is one batched SVD of every sample's
     occupied blocks. A subdivision whose occupied pieces keep every
     direction of their top-degree factors scores each model by the tail
-    of the factors' last column; on each sample where it does not, every
-    model of the subdivision is solved by ``_solve_stack``, and ``fit``
-    solves each other model it is asked for, once. The cut, the tails,
-    the solves, the constant-status rule and the pilot are each sample's
-    own, so each sample gets what it gets alone, bit for bit.
+    of the factors' last column; the samples where it does not are solved
+    for every model of the subdivision by one ``_solve_stack`` call each,
+    which adds their dropped sums to the tails. ``fit`` solves its model
+    over the factors of all its rows in one ``_solve_stack`` call, with no
+    cache. The cut, the tails, the solves, the constant-status rule and
+    the pilot are each sample's own, so each sample gets what it gets
+    alone, bit for bit.
     """
     sizes, x, (delta,) = _stacked_inside(samples, [[sample.delta] for sample in samples])
     count = len(samples)
-    factors, rss, solved = {}, {}, {}
+    factors, rss = {}, {}
     for group, r in piece_factors(models, x, delta, sizes):
         pieces = group[0].pieces
         factors[pieces] = r.reshape(count, pieces, *r.shape[1:])
@@ -204,9 +210,7 @@ def _fit_collections(samples, models: list[BasisModel]):
             k = model.dim // pieces
             rss[model] = tails[:, k]
             if cut:
-                for i, solution in zip(cut, _solve_stack(factors[pieces][cut], k)):
-                    solved[i, model] = solution
-                    rss[model][i] += solution[3]
+                rss[model][cut] += _solve_stack(factors[pieces][cut], k)[3]
     rss = np.array([rss[model] for model in models]).T
     # each sample's count of status 1 inside [0, 1], exact as a sum of 0/1
     ones = np.bincount(np.repeat(np.arange(count), sizes), delta, count)
@@ -219,14 +223,15 @@ def _fit_collections(samples, models: list[BasisModel]):
     contrasts = (rss + outside[:, None]) / np.array([[sample.n] for sample in samples])
     noise = rss[:, -1] / np.maximum(sizes, 1)
 
-    def fit(i: int, model: BasisModel) -> LeastSquaresFit:
-        if (i, model) not in solved:
-            r = factors[model.pieces][i, None]
-            solved[i, model] = _solve_stack(r, model.dim // model.pieces)[0]
-        coeffs, rank, cond, _ = solved[i, model]
-        contrast = float(contrasts[i, models.index(model)])
-        # piecewise coefficients are stored degree-major
-        return LeastSquaresFit(model, coeffs.T.ravel(), contrast, rank, cond)
+    def fit(model: BasisModel, rows) -> list[LeastSquaresFit]:
+        coeffs, ranks, ratios, _ = _solve_stack(factors[model.pieces][rows], model.dim // model.pieces)
+        column = contrasts[rows, models.index(model)].tolist()
+        # piecewise coefficients are stored degree-major; a Python float's
+        # ratio**2 is C pow, which gram_cond has always been squared by
+        return [
+            LeastSquaresFit(model, b.T.ravel(), contrast, rank, ratio**2)
+            for b, contrast, rank, ratio in zip(coeffs, column, ranks.tolist(), ratios.tolist())
+        ]
 
     return contrasts, noise, fit
 
@@ -289,9 +294,11 @@ def fit_cdf_regression(
     A subdivision that fails (a piece with fewer points or distinct times
     than functions) solves each of its models by an SVD of its ``R``
     stack, and adds to the tail the part of ``y`` outside the kept left
-    singular vectors. The selected model is solved the same way, once the
-    pick is known, so its coefficients, ``gram_rank`` and ``gram_cond``
-    are those a per-candidate solve gives, and its contrast is the scan's.
+    singular vectors. Once every pick is known, the samples are grouped by
+    their selected model and each group is solved the same way, in one
+    stacked solve per distinct model, so each selected model's
+    coefficients, ``gram_rank`` and ``gram_cond`` are those a
+    per-candidate solve gives, and its contrast is the scan's.
 
     The score is contrast plus ``noise_scale * regression_penalty``,
     where ``noise_scale`` is the indicator noise variance estimated from
@@ -328,8 +335,9 @@ def _fit_cdf_regressions(
 
     The samples share one collection and one ``_fit_collections`` pass,
     whose ``(samples, models)`` scores pick every sample's model by one
-    ``argmin`` along the rows; each one's estimate is bitwise the one it
-    gets alone.
+    ``argmin`` along the rows. The samples that pick one model are solved
+    together, by one ``fit`` call per distinct pick; each one's estimate
+    is bitwise the one it gets alone.
     """
     if family is None:
         family = dyadic_family()
@@ -341,16 +349,19 @@ def _fit_cdf_regressions(
     units = _regression_penalty(dims, n, kappa0)
     contrasts, noise, fit = _fit_collections(samples, models)
     penalties = noise[:, None] * units
+    picks, fits = (contrasts + penalties).argmin(axis=1), {}
+    for best in set(picks.tolist()):
+        rows = (picks == best).nonzero()[0]
+        fits.update(zip(rows.tolist(), fit(models[best], rows)))
     estimates = []
-    for i, best in enumerate((contrasts + penalties).argmin(axis=1).tolist()):
-        best_fit = fit(i, models[best])
+    for i, best_fit in sorted(fits.items()):
         estimate = CdfEstimate(
             "regression",
             best_fit,
             {
                 "model": best_fit.model.describe(),
                 "contrast": best_fit.contrast,
-                "penalty": float(penalties[i, best]),
+                "penalty": float(penalties[i, picks[i]]),
                 "noise_scale": float(noise[i]),
                 "gram_rank": best_fit.gram_rank,
                 "gram_cond": best_fit.gram_cond,

@@ -73,7 +73,7 @@ class SimModel:
     a = 0.0  # the MSE window [a, b] starts at 0 for every model
 
     def __post_init__(self):
-        if self.id not in MODEL_IDS:
+        if not _integral(self.id) or self.id not in MODEL_IDS:
             raise ValueError(f"unknown model id {self.id}")
 
     @property
@@ -330,11 +330,12 @@ def monte_carlo(
     schedule (``default_reps``). Each replication draws one sample that
     all methods share. ``models`` and ``methods`` must be nonempty, with
     every method in ``METHODS``, and no model, method or n may repeat.
-    Every n, ``reps``, ``n_jobs`` and ``seed`` must be an integer (a bool
-    is not one), every n and ``n_jobs`` at least 1 and ``seed`` at least
-    0; these are checked before any sample is drawn. Output is a pure
-    function of the arguments; ``n_jobs > 1`` distributes the work over
-    processes without changing the result.
+    Every model id, n, ``reps``, ``n_jobs`` and ``seed`` must be an
+    integer (a bool is not one), every model id one of ``MODEL_IDS``,
+    every n and ``n_jobs`` at least 1 and ``seed`` at least 0; these are
+    checked before any sample is drawn. Output is a pure function of the
+    arguments; ``n_jobs > 1`` distributes the work over processes without
+    changing the result.
 
     Each ``(model, n)`` cell is fitted in chunks of replications
     (``_chunks``): one chunk per cell when serial, unless the cell stacks
@@ -343,7 +344,7 @@ def monte_carlo(
     (``_chunk_task``). The pool and the serial ``map`` both return rows in
     task order, so each cell is the next reps rows.
     """
-    models = [m if isinstance(m, SimModel) else SimModel(int(m)) for m in models]
+    models = [m if isinstance(m, SimModel) else SimModel(m) for m in models]
     methods = tuple(methods)
     if not models:
         raise ValueError("need at least one model")

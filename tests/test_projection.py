@@ -126,8 +126,12 @@ class TestDensityPenalty:
             density_penalty(haar_model(0), 10, kappa)
 
     def test_delta_mean_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="delta_mean"):
             density_penalty(haar_model(0), 10, delta_mean=1.5)
+
+    def test_n_validated(self):
+        with pytest.raises(ValueError, match="n must be"):
+            density_penalty(haar_model(0), 0)
 
 
 def target_weights(sample, target):

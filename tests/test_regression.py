@@ -42,7 +42,7 @@ from dense_oracle import (
 def every_fit(sample, models):
     """Every model's fit from the scan's per-model solve, and the noise pilot."""
     _, (pilot,), fit = _fit_collections([sample], models)
-    return [fit(0, model) for model in models], pilot
+    return [fit(model, [0])[0] for model in models], pilot
 
 
 class TestFitLeastSquares:
@@ -374,7 +374,7 @@ class TestClosedFormContrasts:
         scored = len(models) - len(solved)
         inside = (sample.u >= 0.0) & (sample.u <= 1.0)
         for model, contrast in zip(models, contrasts):
-            residual = sample.delta - design_matrix(model, sample.u) @ fit(0, model).coeffs
+            residual = sample.delta - design_matrix(model, sample.u) @ fit(model, [0])[0].coeffs
             assert abs(contrast - np.mean(residual**2)) <= 1e-12
             if model == models[-1]:
                 assert abs(pilot - np.mean(residual[inside] ** 2)) <= 1e-12
@@ -786,7 +786,7 @@ class TestCholeskyScan:
             factors = {g[0].pieces: r for g, r in bases.piece_factors(models, x, delta, [x.size])}
             for model, contrast in zip(models, contrasts):
                 r, k = factors[model.pieces], model.dim // model.pieces
-                dropped = regression._solve_stack(r[None], k)[0][3]
+                dropped = regression._solve_stack(r[None], k)[3][0]
                 solved = (np.sum(r[:, k:, -1] ** 2) + dropped + outside_rss) / sample.n
                 assert abs(contrast - solved) <= 1e-12
 
@@ -828,6 +828,58 @@ class TestCholeskyScan:
         selected = est.evaluator.model
         assert selected != richest
         assert calls == [((1, selected.pieces), selected.dim // selected.pieces)]
+
+    def test_one_solve_per_distinct_pick(self, monkeypatch):
+        # every level of this chunk keeps full rank, so the scan solves no
+        # candidate, and each model that some samples pick is solved once,
+        # over the factors of exactly those samples
+        samples = [generate(SimModel(m), 1000, rep) for m in range(1, 6) for rep in range(4)]
+        stacks, calls = {}, []
+        factor, solve = regression.piece_factors, regression._solve_stack
+
+        def recorded_factors(models, x, delta, sizes):
+            for group, r in factor(models, x, delta, sizes):
+                stacks[group[0].pieces] = r.reshape(len(samples), group[0].pieces, *r.shape[1:])
+                yield group, r
+
+        def recorded_solve(r, k):
+            calls.append((r, k))
+            return solve(r, k)
+
+        monkeypatch.setattr(regression, "piece_factors", recorded_factors)
+        monkeypatch.setattr(regression, "_solve_stack", recorded_solve)
+        picks = [est.evaluator.model for est in regression._fit_cdf_regressions(samples)]
+        distinct = list(dict.fromkeys(picks))
+        assert 1 < len(distinct) < len(samples)
+        assert len(calls) == len(distinct)
+        for model in distinct:
+            rows = [i for i, pick in enumerate(picks) if pick == model]
+            stack, k = stacks[model.pieces][rows], model.dim // model.pieces
+            matching = [
+                r for r, called_k in calls if called_k == k and r.tobytes() == stack.tobytes()
+            ]
+            assert len(matching) == 1 and matching[0].shape == stack.shape
+
+    def test_stacked_solve_is_each_sample_alone(self):
+        # a stack that mixes full-rank samples with samples that cut a
+        # direction: every sample's coefficients, rank, kept ratio (whose
+        # square is gram_cond) and dropped sum are bitwise those of its own
+        # solve
+        samples = sparse_samples() + tied_piece_samples()
+        samples += [generate(SimModel(m), n, m) for m in (1, 3, 5) for n in (60, 1000)]
+        models = build_collection(dyadic_family(), 1000, "regression")
+        sizes, x, (delta,) = _stacked_inside(samples, [[s.delta] for s in samples])
+        cuts = set()
+        for group, r in bases.piece_factors(models, x, delta, sizes):
+            r = r.reshape(len(samples), group[0].pieces, *r.shape[1:])
+            for k in {model.dim // model.pieces for model in group}:
+                stacked = regression._solve_stack(r, k)
+                for i in range(len(samples)):
+                    alone = regression._solve_stack(r[i : i + 1], k)
+                    for got, own in zip(stacked, alone):
+                        assert got[i].tobytes() == own[0].tobytes()
+                    cuts.add(bool(stacked[1][i] < group[0].pieces * k))
+        assert cuts == {False, True}
 
     def test_factors_only_levels_it_scores(self, monkeypatch):
         # one finest factorization from the points, one stacked factorization

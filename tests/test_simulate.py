@@ -249,6 +249,9 @@ class TestMonteCarlo:
             ([1], ["birge"], "seed must be an integer of at least 0", (60,), -1),
             ([1], ["birge"], "seed must be an integer of at least 0", (60,), 1.5),
             ([1], ["birge"], "seed must be an integer of at least 0", (60,), True),
+            ([1.5], ["birge"], "unknown model id 1.5", (60,), 1),
+            ([True], ["birge"], "unknown model id True", (60,), 1),
+            ([1.0], ["birge"], "unknown model id 1.0", (60,), 1),
         ],
     )
     def test_methods_and_models_checked_up_front(
@@ -258,7 +261,8 @@ class TestMonteCarlo:
         # line per replication, no method a bare StopIteration after the
         # pool started, no model a header-only report, a repeated model,
         # method or n gave cells that MseReport.cell cannot tell apart, and
-        # a negative seed failed in the first replication's SeedSequence
+        # a negative seed failed in the first replication's SeedSequence, and
+        # the model ids 1.5, True and 1.0 ran model 1
         import curstat.simulate as sim
 
         def never(*args, **kwargs):

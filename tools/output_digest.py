@@ -11,7 +11,10 @@ Each line is a label and the sha256 of one group of outputs:
 - ``least-squares``: ``fit_least_squares`` of every model of each
   family's regression collection on one n = 1000 sample;
 - ``monte-carlo``: ``monte_carlo`` reports of 6 replications per cell,
-  whose chunks fit their samples as stacked scans.
+  whose chunks fit their samples as stacked scans;
+- ``monte-carlo-n60``: the ``monte_carlo`` report of 40 replications per
+  model at n = 60 on the dyadic family, whose chunks stack many samples
+  that share a pick.
 
 A refactor that must not move an output bit prints the same lines
 before and after. It reads only public names, so it runs on any
@@ -111,9 +114,15 @@ def monte_carlo() -> str:
     return digest.hexdigest()
 
 
+def many_samples() -> str:
+    report = cs.monte_carlo(cs.MODEL_IDS, ("quotient", "regression"), (60,), reps=40, seed=3)
+    return hashlib.sha256(report.to_delimited().encode()).hexdigest()
+
+
 if __name__ == "__main__":
     print("bench-serial", bench())
     print("bench-jobs2", bench("--jobs", "2"))
     print("estimates", estimates())
     print("least-squares", least_squares())
     print("monte-carlo", monte_carlo())
+    print("monte-carlo-n60", many_samples())
