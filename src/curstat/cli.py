@@ -13,6 +13,7 @@ round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -157,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replications per cell (default: 500 up to n=200, 200 beyond)",
     )
     bench.add_argument("--seed", type=_int_in(0), default=0)
-    bench.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
+    bench.add_argument("--jobs", type=_positive_int, default=1, help="workers, one per CPU at most")
     _add_estimator_flags(bench)
     bench.add_argument("--bins", type=_positive_int, help="fixed histogram bin count")
     bench.add_argument("--out", default="bench", help="output file prefix")
@@ -249,6 +250,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # before any fit, so a mistyped output path costs no run
+        if not os.path.isdir(folder := os.path.dirname(args.out or "") or "."):
+            raise FileNotFoundError(f"no such directory for --out: {folder!r}")
         return _COMMANDS[args.command](args)
     except (SampleFormatError, OSError) as exc:
         print(f"curstat: data error: {exc}", file=sys.stderr)

@@ -179,16 +179,19 @@ def _fit_collections(samples, models: list[BasisModel]):
     ``LeastSquaresFit`` of one of the models per sample in ``rows``.
 
     The factors of every sample come from one ``piece_factors`` pass, and
-    each subdivision's rank check is one batched SVD of every sample's
-    occupied blocks. A subdivision whose occupied pieces keep every
-    direction of their top-degree factors scores each model by the tail
-    of the factors' last column; the samples where it does not are solved
-    for every model of the subdivision by one ``_solve_stack`` call each,
-    which adds their dropped sums to the tails. ``fit`` solves its model
-    over the factors of all its rows in one ``_solve_stack`` call, with no
-    cache. The cut, the tails, the solves, the constant-status rule and
-    the pilot are each sample's own, so each sample gets what it gets
-    alone, bit for bit.
+    each subdivision's rank check is one comparison over the singular
+    values of every sample's occupied top-degree blocks: the smallest
+    against ``sqrt(_RANK_TOL)`` times the largest. A subdivision that
+    passes scores each model by the tail of the factors' last column; one
+    that fails solves every sample for each of its models by one
+    ``_solve_stack`` call over the whole stack, which adds the dropped
+    sums to the tails. So ``_solve_stack`` alone decides which directions
+    a sample keeps, by its own largest singular value, and a sample that
+    keeps every direction drops exactly 0.0, so its contrast stays its
+    tail. ``fit`` solves its model over the factors of all its rows in
+    one ``_solve_stack`` call, with no cache. The cut, the tails, the
+    solves, the constant-status rule and the pilot are each sample's own,
+    so each sample gets what it gets alone, bit for bit.
     """
     sizes, x, (delta,) = _stacked_inside(samples, [[sample.delta] for sample in samples])
     count = len(samples)
@@ -201,16 +204,15 @@ def _fit_collections(samples, models: list[BasisModel]):
         squares = (r[:, ::-1, -1] ** 2).reshape(count, pieces, -1)
         tails = np.add.reduce(squares, axis=1).cumsum(axis=1)[:, ::-1]
         top = max(model.dim for model in group) // pieces
-        occupied = r[:, 0, 0] != 0.0
-        blocks = r[occupied, :top, :top]
+        blocks = r[r[:, 0, 0] != 0.0, :top, :top]
         # a 1 x 1 block is its own singular value
         s = abs(blocks[:, :1, 0]) if top == 1 else np.linalg.svd(blocks, compute_uv=False)
-        cut = _rank_cuts(s, occupied, count)
+        # by interlacing, no prefix of a stack's blocks that pass drops a direction
+        cut = s.size and s.min() <= np.sqrt(_RANK_TOL) * s.max()
         for model in group:
             k = model.dim // pieces
-            rss[model] = tails[:, k]
-            if cut:
-                rss[model][cut] += _solve_stack(factors[pieces][cut], k)[3]
+            # a sample that keeps every direction drops exactly 0.0
+            rss[model] = tails[:, k] + _solve_stack(factors[pieces], k)[3] if cut else tails[:, k]
     rss = np.array([rss[model] for model in models]).T
     # each sample's count of status 1 inside [0, 1], exact as a sum of 0/1
     ones = np.bincount(np.repeat(np.arange(count), sizes), delta, count)
@@ -234,24 +236,6 @@ def _fit_collections(samples, models: list[BasisModel]):
         ]
 
     return contrasts, noise, fit
-
-
-def _rank_cuts(s: np.ndarray, occupied: np.ndarray, count: int) -> list:
-    """The samples of a subdivision whose occupied blocks drop a direction.
-
-    ``s`` holds the singular values of every occupied block, one row per
-    block, and ``occupied`` marks the occupied pieces of ``count``
-    samples, sample by sample. A sample drops a direction when one of its
-    singular values is at or below ``sqrt(_RANK_TOL)`` times the largest
-    of its own. By interlacing, no prefix of a sample's blocks that pass
-    drops one.
-    """
-    if not s.size or s.min() > np.sqrt(_RANK_TOL) * s.max():
-        return []  # every sample passes when the whole stack does
-    occupied = occupied.reshape(count, -1)
-    lowest, highest = np.full(occupied.shape, np.inf), np.zeros(occupied.shape)
-    lowest[occupied], highest[occupied] = s.min(axis=1), s.max(axis=1)
-    return np.flatnonzero(lowest.min(axis=1) <= np.sqrt(_RANK_TOL) * highest.max(axis=1)).tolist()
 
 
 def fit_cdf_regression(
@@ -294,11 +278,15 @@ def fit_cdf_regression(
     A subdivision that fails (a piece with fewer points or distinct times
     than functions) solves each of its models by an SVD of its ``R``
     stack, and adds to the tail the part of ``y`` outside the kept left
-    singular vectors. Once every pick is known, the samples are grouped by
-    their selected model and each group is solved the same way, in one
-    stacked solve per distinct model, so each selected model's
-    coefficients, ``gram_rank`` and ``gram_cond`` are those a
-    per-candidate solve gives, and its contrast is the scan's.
+    singular vectors. In a stack of samples the check covers every
+    sample's blocks at once, and a failing check solves every sample: the
+    SVD cuts each sample by its own largest singular value, so a sample
+    that keeps every direction adds exactly 0 to its tail. Once every pick
+    is known, the samples are grouped by their selected model and each
+    group is solved the same way, in one stacked solve per distinct model,
+    so each selected model's coefficients, ``gram_rank`` and
+    ``gram_cond`` are those a per-candidate solve gives, and its contrast
+    is the scan's.
 
     The score is contrast plus ``noise_scale * regression_penalty``,
     where ``noise_scale`` is the indicator noise variance estimated from

@@ -21,8 +21,8 @@ replication index)``, so reports are bitwise reproducible regardless of
 how replications are scheduled across workers.
 
 ``monte_carlo`` fits a ``(model, n)`` cell in chunks of replications,
-one chunk per cell when serial and at least ``n_jobs`` in a pool, each
-of at most ``_CHUNK_POINTS`` points. A chunk draws its samples, then
+one chunk per cell when serial and at least one per worker in a pool,
+each of at most ``_CHUNK_POINTS`` points. A chunk draws its samples, then
 fits each method once over all of them: the quotient's density scan
 and the regression's scan run once over the chunk's points joined
 sample after sample (one basis evaluation, one ``np.bincount`` per row
@@ -43,6 +43,7 @@ workers inherit the loaded module instead of each importing it.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -335,7 +336,9 @@ def monte_carlo(
     every n and ``n_jobs`` at least 1 and ``seed`` at least 0; these are
     checked before any sample is drawn. Output is a pure function of the
     arguments; ``n_jobs > 1`` distributes the work over processes without
-    changing the result.
+    changing the result. A pool starts all of its workers at once, so an
+    ``n_jobs`` above ``os.cpu_count()`` is lowered to it, for the chunking
+    and the pool alike.
 
     Each ``(model, n)`` cell is fitted in chunks of replications
     (``_chunks``): one chunk per cell when serial, unless the cell stacks
@@ -360,6 +363,8 @@ def monte_carlo(
         raise ValueError("reps must be an integer")
     if not _integral(n_jobs) or n_jobs < 1:
         raise ValueError("n_jobs must be an integer of at least 1")
+    # a pool starts all its workers at once, so never more than the CPUs
+    n_jobs = min(n_jobs, os.cpu_count() or 1)
     if not _integral(seed) or seed < 0:
         raise ValueError("seed must be an integer of at least 0")
     n_list = tuple(int(n) for n in n_list)

@@ -310,6 +310,32 @@ class TestBenchCommand:
         assert (tmp_path / "s.csv").read_bytes() == first
 
 
+class TestOutDirectory:
+    def test_missing_directory_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # a mistyped --out directory is a data error found before anything is
+        # drawn, fitted or written
+        import curstat.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran before --out was checked")
+
+        for name in ("monte_carlo", "estimate_sample", "generate"):
+            monkeypatch.setattr(cli, name, never)
+        data = tmp_path / "obs.csv"
+        write_lines(data, ["0.2,1", "0.5,0", "0.8,1"])
+        missing = tmp_path / "missing"
+        commands = [
+            ["bench", "--model", 1, "--n", 60, "--reps", 2, "--method", "birge",
+             "--out", missing / "bench"],
+            ["estimate", data, "--out", missing / "e.csv"],
+            ["simulate", "--model", 1, "--n", 60, "--out", missing / "s"],
+        ]
+        for args in commands:
+            assert run(args) == 2
+            assert repr(str(missing)) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [data]
+
+
 class TestSampleFiles:
     def test_write_read_round_trip(self, tmp_path):
         sample = ObservationSample([0.123456789012345, 1.75], [1.0, 0.0])

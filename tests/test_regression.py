@@ -881,6 +881,33 @@ class TestCholeskyScan:
                     cuts.add(bool(stacked[1][i] < group[0].pieces * k))
         assert cuts == {False, True}
 
+    def test_failing_stack_scores_each_sample_alone(self, monkeypatch):
+        # a subdivision whose stacked blocks fail the rank check solves every
+        # sample of the stack; a sample that keeps every direction drops 0.0
+        # there, so each sample's contrasts and pilot are bitwise its own call's
+        samples = sparse_samples() + tied_piece_samples()
+        samples += [generate(SimModel(m), n, m) for m in (1, 3, 5) for n in (60, 1000)]
+        models = build_collection(dyadic_family(), 1000, "regression")
+        solved = []
+        solve = regression._solve_stack
+
+        def recorded_solve(r, k):
+            solved.append((r.shape[1] * k, solve(r, k)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(regression, "_solve_stack", recorded_solve)
+        contrasts, noise, _ = _fit_collections(samples, models)
+        monkeypatch.undo()
+        for i, sample in enumerate(samples):
+            (own,), (pilot,), _ = _fit_collections([sample], models)
+            assert contrasts[i].tobytes() == own.tobytes(), i
+            assert noise[i].tobytes() == pilot.tobytes(), i
+        assert solved and all(len(ranks) == len(samples) for _, (_, ranks, _, _) in solved)
+        assert any(
+            ((ranks == full) & (dropped == 0.0)).any() and (ranks < full).any()
+            for full, (_, ranks, _, dropped) in solved
+        )
+
     def test_factors_only_levels_it_scores(self, monkeypatch):
         # one finest factorization from the points, one stacked factorization
         # per coarser level of the collection and one rank check per level

@@ -279,6 +279,40 @@ class TestMonteCarlo:
         )
         assert report.cells[0].n == 60 and report.cells[0].reps == 2
 
+    def test_jobs_capped_at_the_cpu_count(self, monkeypatch):
+        # a stand-in pool records its size and chunks and maps in this
+        # process, so a huge n_jobs starts no process at all
+        import curstat.simulate as sim
+
+        opened = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                self.workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                opened.append((self.workers, [chunk for _, _, chunk in tasks]))
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        kwargs = dict(models=[1, 3], methods=("regression", "birge"), n_list=(60, 500), reps=5)
+        serial = monte_carlo(**kwargs).to_delimited()
+        assert monte_carlo(**kwargs, n_jobs=10_000).to_delimited() == serial
+        chunks = [c for _ in (1, 3) for n in (60, 500) for c in sim._chunks(5, n, 3)]
+        assert opened == [(3, chunks)]
+        # a host that cannot count its CPUs runs serially
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert monte_carlo(**kwargs, n_jobs=4).to_delimited() == serial
+        assert len(opened) == 1
+
     def test_perfect_oracle_scores_zero_everywhere(self, monkeypatch):
         import curstat.simulate as sim
 
@@ -470,6 +504,14 @@ class TestStackedCell:
             for got, alone in zip(pair, select_projection_model(sample, collection)):
                 assert got.model == alone.model
                 assert got.coeffs.tobytes() == alone.coeffs.tobytes()
+
+    @pytest.mark.parametrize("method", ["quotient", "regression"])
+    def test_samples_of_one_size_only(self, method):
+        import curstat.simulate as sim
+
+        samples = [generate(SimModel(1), n, replication_rng(5, 1, n, 0)) for n in (60, 61)]
+        with pytest.raises(ValueError, match="must have one size"):
+            sim._estimate_cell(method, samples, BenchConfig())
 
     def test_a_failing_stack_is_refitted_one_sample_at_a_time(self, monkeypatch):
         import curstat.simulate as sim
