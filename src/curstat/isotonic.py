@@ -25,6 +25,18 @@ a low run needs one round per step, so after ``MAX_POOLING_ROUNDS``
 rounds the classic stack loop finishes the job over the remaining
 blocks.
 
+A Monte Carlo chunk pools all of its samples in one set of rounds over
+their sorted statuses joined sample after sample. The boundary rule
+keeps every block inside its sample: sample i's integer statuses are
+offset by ``2 * i``, so a run of equal values never crosses a sample,
+and every block mean of sample i lies in [2i, 2i + 1], below every mean
+of sample i + 1. Within a sample the offset adds ``2 * i * c1 * c2`` to
+both sides of each cross-product, so every pooling decision is the one
+the sample makes alone, and the stack loop may finish over all of the
+chunk's blocks. Each pooled sum is its sample's own modulo twice its
+count. ``npmle_pava`` runs the same pooling (``_pool_blocks``) on one
+sample's statuses, which need no offset.
+
 Both routes produce bitwise-identical values: the isotonic solution is
 unique, and every output value is a single IEEE division of the exact
 integer block sum by the block count.
@@ -38,6 +50,7 @@ bin index, ``floor(x * n_bins)``, with no search over its knots.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -86,11 +99,37 @@ def npmle_pava(sample: ObservationSample) -> StepCdf:
     exact.
     """
     order = sample.time_order()
-    sums, counts = _status_runs(sample.delta[order])
+    sums, counts = _pool_blocks(sample.delta[order])
+    return StepCdf(sample.u[order], np.repeat(sums / counts, counts))
+
+
+def _npmle_pavas(samples) -> list[StepCdf]:
+    """``npmle_pava`` of several samples from one set of pooling rounds.
+
+    The samples' sorted statuses are joined one after another, each
+    sample's offset by twice its index (the boundary rule of the module
+    docstring), and pooled by ``_pool_blocks`` as ``npmle_pava`` pools
+    one sample's, so no block pools across a sample and each sample's
+    values are bitwise those it gets alone. The int64 cross-products are
+    at most ``2 * len(samples) * points**2`` for the joined point count,
+    so they are exact for any stack ``simulate`` builds.
+    """
+    orders = [sample.time_order() for sample in samples]
+    status = np.concatenate([s.delta[o] + 2.0 * i for i, (s, o) in enumerate(zip(samples, orders))])
+    sums, counts = _pool_blocks(status)
+    sums %= 2 * counts  # each block's own statuses sum to at most its count
+    values = np.repeat(sums / counts, counts)
+    stops = itertools.accumulate(o.size for o in orders)
+    return [StepCdf(s.u[o], values[e - o.size : e]) for s, o, e in zip(samples, orders, stops)]
+
+
+def _pool_blocks(status: np.ndarray):
+    """Pooled integer (sums, counts) of sorted statuses: rounds, then the stack finish."""
+    sums, counts = _status_runs(status)
     sums, counts, rounds = _pool_rounds(sums, counts, MAX_POOLING_ROUNDS)
     if rounds == MAX_POOLING_ROUNDS:
         sums, counts = _pool_stack(sums, counts)
-    return StepCdf(sample.u[order], np.repeat(sums / counts, counts))
+    return sums, counts
 
 
 def _status_runs(delta: np.ndarray):

@@ -12,6 +12,8 @@ wherever it already lies in [0, 1].
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .bases import CAP_DENSITY, BasisFamily, build_collection, dyadic_family
@@ -25,31 +27,51 @@ from .projection import (
 )
 
 
-def _clamped_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    out = np.empty_like(num)
-    nonzero = den != 0.0
-    out[nonzero] = num[nonzero] / den[nonzero]
-    # Where the density estimate vanishes exactly, a positive numerator
-    # maps to 1; a negative or vanishing one maps to 0.
-    out[~nonzero] = num[~nonzero] > 0.0
-    return np.clip(out, 0.0, 1.0)
+@dataclass(frozen=True, eq=False)
+class ClampedRatio:
+    """Evaluator of the clamped ratio of two projection estimates.
+
+    Its value at x is ``combine`` of its ``parts``, the numerator and the
+    denominator, at x; ``projection._evaluate_each`` evaluates many such
+    evaluators at once by this pair.
+    """
+
+    numerator: ProjectionEstimate
+    denominator: ProjectionEstimate
+
+    def parts(self) -> tuple:
+        return self.numerator, self.denominator
+
+    @staticmethod
+    def combine(values) -> np.ndarray:
+        num, den = values
+        out = np.empty_like(num)
+        nonzero = den != 0.0
+        out[nonzero] = num[nonzero] / den[nonzero]
+        # Where the density estimate vanishes exactly, a positive numerator
+        # maps to 1; a negative or vanishing one maps to 0.
+        out[~nonzero] = num[~nonzero] > 0.0
+        return np.clip(out, 0.0, 1.0)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.combine([part(x) for part in self.parts()])
 
 
 def quotient_cdf(
     numerator: ProjectionEstimate, denominator: ProjectionEstimate
 ) -> CdfEstimate:
-    """Clamped ratio of a sub-density estimate to a density estimate."""
+    """Clamped ratio of a sub-density estimate to a density estimate.
 
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        return _clamped_ratio(numerator(x), denominator(x))
-
+    The estimate's evaluator is a ``ClampedRatio``, which exposes the
+    two estimates as ``numerator`` and ``denominator``.
+    """
     metadata = {
         "numerator_model": numerator.model.describe(),
         "denominator_model": denominator.model.describe(),
         "numerator_contrast": -numerator.norm_sq,
         "denominator_contrast": -denominator.norm_sq,
     }
-    return CdfEstimate("quotient", evaluate, metadata)
+    return CdfEstimate("quotient", ClampedRatio(numerator, denominator), metadata)
 
 
 def fit_quotient_cdf(

@@ -22,18 +22,27 @@ how replications are scheduled across workers.
 
 ``monte_carlo`` fits a ``(model, n)`` cell in chunks of replications,
 one chunk per cell when serial and at least one per worker in a pool,
-each of at most ``_CHUNK_POINTS`` points. A chunk draws its samples, then
-fits each method once over all of them: the quotient's density scan
-and the regression's scan run once over the chunk's points joined
-sample after sample (one basis evaluation, one ``np.bincount`` per row
-with each sample's pieces after the last one's, and every product,
-factorization and rank check stacked in the shapes one sample has
-alone), while the contrasts, pilots, penalties, picks and truncated MSE
-are each sample's own. So every replication's estimate is byte for
-byte the one ``estimate_sample`` gives its sample alone, and the report
-is the same for every chunking and every ``n_jobs``. When a chunk's
-stacked fit raises, each of its samples is refitted alone, so a failure
-stays a row of its own replication.
+each of at most ``_CHUNK_POINTS`` points. A chunk draws its samples and
+takes each sample's MSE window [a, b] and ``true_cdf`` on it once, for
+every method. Then it fits and scores each method once over all of
+them. The quotient's density scan and the regression's scan run once
+over the chunk's points joined sample after sample (one basis
+evaluation, one ``np.bincount`` per row with each sample's pieces after
+the last one's, and every product, factorization and rank check stacked
+in the shapes one sample has alone), while the contrasts, pilots,
+penalties and picks are each sample's own. The NPMLE pools the chunk's
+joined statuses in one set of rounds that never cross a sample
+(``isotonic._npmle_pavas``). The scoring evaluates the projection
+estimates, the regression's fits and both halves of each quotient, by
+one design matrix per distinct selected model over the joined windows,
+each sample multiplying its own row slice by its own coefficients, and
+sums each sample's squared errors by its own ``np.sum``. So every
+replication's estimate and MSE are byte for byte those that
+``estimate_sample`` and ``truncated_mse`` give its sample alone, and
+the report is the same for every chunking and every ``n_jobs``. When a
+chunk's stacked fit or scoring raises, each of its samples is scored
+alone, and refitted alone if the fit raised, so a failure stays a row of
+its own replication.
 
 ``scipy.special`` is imported only by ``true_cdf`` for models 2 (``erf``)
 and 5 (``betainc``); no estimator needs it. ``monte_carlo`` evaluates
@@ -53,7 +62,8 @@ import numpy as np
 from .bases import BasisFamily, dyadic_family
 from .data import ObservationSample, _integral
 from .estimates import CdfEstimate
-from .isotonic import birge_histogram, npmle_pava
+from .isotonic import _npmle_pavas, birge_histogram, npmle_pava
+from .projection import _evaluate_each
 from .quotient import _fit_quotient_cdfs, fit_quotient_cdf
 from .regression import _fit_cdf_regressions, fit_cdf_regression
 
@@ -121,12 +131,40 @@ def replication_rng(seed: int, model_id: int, n: int, rep: int) -> np.random.Gen
 
 
 def truncated_mse(estimate, model: SimModel, sample: ObservationSample) -> float:
-    """Truncated MSE over the sample points falling in [a, b]."""
+    """Truncated MSE over the sample points falling in [a, b].
+
+    ``estimate`` is any callable on float arrays: a ``CdfEstimate``, a
+    ``StepCdf``, a ``ProjectionEstimate`` or a plain function. This is
+    ``_truncated_mses`` on one sample.
+    """
+    return _truncated_mses([estimate], model, [_window(model, sample)])[0]
+
+
+def _window(model: SimModel, sample: ObservationSample):
+    """The sample's points in [a, b], in input order, and ``true_cdf`` at them."""
     points = sample.u[(sample.u >= model.a) & (sample.u <= model.b)]
-    if points.size == 0:
+    return points, true_cdf(model, points)
+
+
+def _truncated_mses(estimates, model: SimModel, windows) -> list[float]:
+    """``truncated_mse`` of each estimate over its own sample's ``_window``.
+
+    Raises when any window is empty. Each MSE squares its own errors in
+    place and sums them by ``np.add.reduce``, the reduction ``np.sum``
+    runs, and each estimate's values are bitwise those of
+    ``estimate(points)`` (``projection._evaluate_each``), so every MSE is
+    the one its sample gets alone.
+    """
+    points = [x for x, _ in windows]
+    if not all(x.size for x in points):
         raise ValueError(f"no evaluation points in [{model.a}, {model.b}]")
-    errors = true_cdf(model, points) - np.asarray(estimate(points), dtype=float)
-    return float((model.b - model.a) / points.size * np.sum(errors**2))
+    width = model.b - model.a
+    mses = []
+    for (x, truth), values in zip(windows, _evaluate_each(estimates, points)):
+        errors = truth - values
+        np.square(errors, out=errors)
+        mses.append(float(width / x.size * np.add.reduce(errors)))
+    return mses
 
 
 def default_birge_bins(n: int) -> int:
@@ -256,9 +294,11 @@ def _estimate_cell(method: str, samples, config: BenchConfig) -> list:
     """Estimates of one method for samples of one size, in sample order.
 
     The quotient and the regression fit every sample in one stacked scan
-    (``quotient._fit_quotient_cdfs``, ``regression._fit_cdf_regressions``);
-    the step estimators fit each sample by ``estimate_sample``. Every
-    estimate is bitwise the one ``estimate_sample`` gives its sample.
+    (``quotient._fit_quotient_cdfs``, ``regression._fit_cdf_regressions``),
+    and the NPMLE pools every sample in one set of rounds
+    (``isotonic._npmle_pavas``); the Birgé histogram fits each sample by
+    ``estimate_sample``. Every estimate is bitwise the one
+    ``estimate_sample`` gives its sample.
     """
     if method == "quotient":
         return _fit_quotient_cdfs(samples, config.family, config.kappa)
@@ -266,6 +306,9 @@ def _estimate_cell(method: str, samples, config: BenchConfig) -> list:
         return _fit_cdf_regressions(
             samples, config.family, config.kappa0, config.clamp_regression
         )
+    if method == "npmle":
+        fits = _npmle_pavas(samples)
+        return [CdfEstimate("npmle", f, {"knots": s.n}) for s, f in zip(samples, fits)]
     return [estimate_sample(method, sample, config) for sample in samples]
 
 
@@ -279,25 +322,37 @@ def _scored(method, model, rep, sample, estimate, config):
         return float("nan"), f"rep {rep}: {exc}"
 
 
+def _scored_column(method, model, reps, samples, windows, config) -> list:
+    """The ``(mse, error)`` pairs of one method over a chunk, in sample order.
+
+    The chunk is fitted by one ``_estimate_cell`` call and scored by one
+    ``_truncated_mses`` call over the shared windows. When either raises,
+    each sample is scored alone by ``_scored``, refitted alone if its
+    stacked fit failed, so every replication keeps its own pair and
+    message.
+    """
+    estimates = [None] * len(samples)
+    try:
+        estimates = _estimate_cell(method, samples, config)
+        return [(mse, None) for mse in _truncated_mses(estimates, model, windows)]
+    except Exception:  # scored one sample at a time below
+        return [_scored(method, model, *rep, config) for rep in zip(reps, samples, estimates)]
+
+
 def _chunk_task(methods, seed, config, task):
     """One row per replication of a chunk: an ``(mse, error)`` pair per method.
 
     ``task`` is ``(model, n, reps)``, ``reps`` a range of one cell's
-    replications. Each method fits the chunk's samples by one
-    ``_estimate_cell`` call; when that raises, each sample is refitted
-    alone, so every replication keeps its own pair and message.
+    replications. Each sample's MSE window [a, b] and ``true_cdf`` on it
+    are computed once and shared by every method; each method fits and
+    scores the chunk's samples together (``_scored_column``).
     """
     model, n, reps = task
     samples = [generate(model, n, replication_rng(seed, model.id, n, rep)) for rep in reps]
-    columns = []
-    for method in methods:
-        try:
-            estimates = _estimate_cell(method, samples, config)
-        except Exception:  # refitted one sample at a time below
-            estimates = [None] * len(samples)
-        columns.append(
-            [_scored(method, model, *rep, config) for rep in zip(reps, samples, estimates)]
-        )
+    windows = [_window(model, sample) for sample in samples]
+    columns = [
+        _scored_column(method, model, reps, samples, windows, config) for method in methods
+    ]
     return list(zip(*columns))
 
 
@@ -343,9 +398,10 @@ def monte_carlo(
     Each ``(model, n)`` cell is fitted in chunks of replications
     (``_chunks``): one chunk per cell when serial, unless the cell stacks
     more than ``_CHUNK_POINTS`` points, and at least ``n_jobs`` chunks in
-    a pool. A chunk fits each method once over all of its samples
-    (``_chunk_task``). The pool and the serial ``map`` both return rows in
-    task order, so each cell is the next reps rows.
+    a pool. A chunk computes each sample's MSE window once, then fits and
+    scores each method once over all of its samples (``_chunk_task``).
+    The pool and the serial ``map`` both return rows in task order, so
+    each cell is the next reps rows.
     """
     models = [m if isinstance(m, SimModel) else SimModel(m) for m in models]
     methods = tuple(methods)

@@ -267,6 +267,52 @@ class TestPoolingRounds:
         np.testing.assert_array_equal(values, point_loop_pava(delta))
 
 
+class TestStackedPava:
+    """One set of pooling rounds over a stack of samples gives each sample
+    bitwise its own ``npmle_pava``: no run or block crosses a sample."""
+
+    @staticmethod
+    def stack():
+        return [
+            # equal statuses on both sides of each boundary: merged runs, or
+            # a status-1 block pooled with the next sample's zeros, would move
+            # the values of both neighbours
+            sample_with_sorted_delta([1, 0, 1, 1]),
+            sample_with_sorted_delta([1, 1, 0, 0]),
+            sample_with_sorted_delta([0, 1, 0]),
+            # needs the stack finish, which then runs over every sample's blocks
+            sample_with_sorted_delta(staircase(80)),
+            ObservationSample([0.5, 0.5, 0.5, 0.2, 0.2, 1.5], [1.0, 0.0, 1.0, 0.0, 1.0, 1.0]),
+            generate(SimModel(2), 200, 3),
+            sample_with_sorted_delta([1]),
+            sample_with_sorted_delta([0]),
+            sample_with_sorted_delta([1, 1]),
+        ]
+
+    def test_each_sample_pools_alone(self, monkeypatch):
+        samples = self.stack()
+        alone = [npmle_pava(sample) for sample in samples]
+        finishes = []
+        pool_stack = isotonic._pool_stack
+
+        def counted_stack(sums, counts):
+            finishes.append(sums.size)
+            return pool_stack(sums, counts)
+
+        monkeypatch.setattr(isotonic, "_pool_stack", counted_stack)
+        stacked = isotonic._npmle_pavas(samples)
+        assert len(finishes) == 1 and finishes[0] > 80 - isotonic.MAX_POOLING_ROUNDS + 2
+        # npmle_pava pools each sample with no offset; max-min is an independent route
+        assert stacked == alone == [npmle_maxmin(sample) for sample in samples]
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.lists(tied_samples(max_size=12), min_size=1, max_size=6))
+    def test_tied_and_outside_stacks_pool_alone(self, samples):
+        stacked = isotonic._npmle_pavas(samples)
+        assert stacked == [npmle_pava(sample) for sample in samples]
+        assert stacked == [npmle_maxmin(sample) for sample in samples]
+
+
 class TestStepConvention:
     def test_zero_before_first_knot_and_right_continuity(self):
         step = npmle_pava(ObservationSample([0.4, 0.8], [1.0, 1.0]))

@@ -9,6 +9,7 @@ import pytest
 
 import curstat
 from curstat import (
+    METHODS,
     MODEL_IDS,
     BenchConfig,
     CdfEstimate,
@@ -125,6 +126,25 @@ class TestTruncatedMse:
         oracle = CdfEstimate("oracle", lambda x: true_cdf(model, x))
         with pytest.raises(ValueError, match="no evaluation points"):
             truncated_mse(oracle, model, sample)
+
+    @pytest.mark.parametrize("model_id", [1, 5])
+    def test_any_callable_scores_by_the_direct_formula(self, model_id):
+        model = SimModel(model_id)
+        sample = generate(model, 300, 12)
+        collection = build_collection(dyadic_family(), sample.n, "density")
+        sub, den = select_projection_model(sample, collection)
+        bare = [
+            curstat.npmle_pava(sample),
+            curstat.birge_histogram(sample, 7),
+            lambda x: true_cdf(model, x) * 0.9,
+            sub,
+            den,
+            curstat.fit_quotient_cdf(sample).evaluator,
+            curstat.fit_cdf_regression(sample).evaluator,
+        ]
+        for estimate in bare:
+            mse = np.float64(truncated_mse(estimate, model, sample)).tobytes()
+            assert mse == _direct_mse(estimate, model, sample)
 
 
 class TestDefaults:
@@ -402,6 +422,13 @@ def _fingerprint(estimate, model, sample):
     return metadata, coeffs, grid, mse
 
 
+def _direct_mse(estimate, model, sample):
+    """The truncated MSE bytes of an estimate called on the sample's points in [a, b]."""
+    points = sample.u[(sample.u >= model.a) & (sample.u <= model.b)]
+    errors = true_cdf(model, points) - np.asarray(estimate(points), dtype=float)
+    return np.float64((model.b - model.a) / points.size * np.sum(errors**2)).tobytes()
+
+
 def _special_cell():
     """n = 200 samples with tied times, times outside [0, 1] and constant statuses inside."""
     rng = np.random.default_rng(8)
@@ -486,6 +513,92 @@ class TestStackedCell:
             ]
             checked += self.assert_stacked_matches_alone(samples, model, config)
         assert checked >= len(MODEL_IDS) * (1 if family == "trig" and n < 1000 else 2) * 3
+
+    @staticmethod
+    def assert_rows_match_alone(monkeypatch, samples, model, config):
+        """Every ``_chunk_task`` row, for chunks of 1, 3 and all samples, holds
+        each method's ``truncated_mse(estimate_sample(...))`` bytes, or the
+        message of the error that raises, for its sample alone."""
+        import curstat.simulate as sim
+
+        alone = []
+        for rep, sample in enumerate(samples):
+            row = []
+            for method in METHODS:
+                try:
+                    estimate = estimate_sample(method, sample, config)
+                    mse = np.float64(truncated_mse(estimate, model, sample)).tobytes()
+                except Exception as exc:
+                    row.append((np.float64(np.nan).tobytes(), f"rep {rep}: {exc}"))
+                    continue
+                assert mse == _direct_mse(estimate, model, sample), method
+                row.append((mse, None))
+            alone.append(row)
+        # replication rep draws samples[rep]
+        monkeypatch.setattr(sim, "replication_rng", lambda seed, model_id, n, rep: rep)
+        monkeypatch.setattr(sim, "generate", lambda model, n, rep: samples[rep])
+        for size in (1, 3, len(samples)):
+            rows = []
+            for first in range(0, len(samples), size):
+                reps = range(first, min(first + size, len(samples)))
+                rows += sim._chunk_task(METHODS, 0, config, (model, samples[0].n, reps))
+            got = [[(np.float64(v).tobytes(), err) for v, err in row] for row in rows]
+            assert got == alone, size
+        monkeypatch.undo()
+        return sum(err is None for row in alone for _, err in row)
+
+    @pytest.mark.parametrize("family", list(FAMILIES), ids=list(FAMILIES))
+    @pytest.mark.parametrize("n", [60, 1000])
+    def test_chunk_rows_match_each_sample_scored_alone(self, family, n, monkeypatch):
+        config = BenchConfig(family=self.FAMILIES[family])
+        scored = 0
+        for model_id in MODEL_IDS:
+            model = SimModel(model_id)
+            samples = [
+                generate(model, n, replication_rng(20080317, model_id, n, rep))
+                for rep in range(4)
+            ]
+            scored += self.assert_rows_match_alone(monkeypatch, samples, model, config)
+        # only the trig regression collection is empty, below n = 1000
+        assert scored == len(MODEL_IDS) * 4 * (3 if family == "trig" and n < 1000 else 4)
+
+    @pytest.mark.parametrize("family", list(FAMILIES), ids=list(FAMILIES))
+    def test_tied_outside_and_constant_rows_match(self, family, monkeypatch):
+        config = BenchConfig(family=self.FAMILIES[family])
+        for model_id in (1, 5):
+            self.assert_rows_match_alone(monkeypatch, _special_cell(), SimModel(model_id), config)
+
+    def test_clamped_regression_rows_match(self, monkeypatch):
+        config = BenchConfig(clamp_regression=True)
+        samples = _special_cell() + [generate(SimModel(4), 200, rep) for rep in range(3)]
+        for model_id in (3, 4):
+            self.assert_rows_match_alone(monkeypatch, samples, SimModel(model_id), config)
+
+    def test_an_empty_window_stays_its_own_row(self, monkeypatch):
+        import curstat.simulate as sim
+
+        kwargs = dict(models=[5], methods=METHODS, n_list=(60,), reps=5, seed=6)
+        expected = sim.monte_carlo(**kwargs)
+        original = sim.generate
+        drawn = []
+
+        def generate_late(model, n, rng):
+            sample = original(model, n, rng)
+            drawn.append(sample)
+            if len(drawn) == 3:  # replication 2 examines only after 0.5
+                return ObservationSample(0.75 + 0.25 * sample.u, sample.delta)
+            return sample
+
+        monkeypatch.setattr(sim, "generate", generate_late)
+        report = sim.monte_carlo(**kwargs)
+        assert len(drawn) == 5  # one chunk
+        for method in METHODS:
+            cell, before = report.cell(5, 60, method), expected.cell(5, 60, method)
+            assert cell.failures == ("rep 2: no evaluation points in [0.0, 0.5]",)
+            assert math.isnan(cell.values[2])
+            for rep in (0, 1, 3, 4):
+                got, alone = np.float64([cell.values[rep], before.values[rep]])
+                assert got.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("family", list(FAMILIES), ids=list(FAMILIES))
     def test_tied_outside_and_constant_samples_match(self, family):

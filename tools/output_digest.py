@@ -10,11 +10,13 @@ Each line is a label and the sha256 of one group of outputs:
   coefficients and values on a grid over [-0.1, 1.1];
 - ``least-squares``: ``fit_least_squares`` of every model of each
   family's regression collection on one n = 1000 sample;
-- ``monte-carlo``: ``monte_carlo`` reports of 6 replications per cell,
-  whose chunks fit their samples as stacked scans;
-- ``monte-carlo-n60``: the ``monte_carlo`` report of 40 replications per
-  model at n = 60 on the dyadic family, whose chunks stack many samples
-  that share a pick.
+- ``monte-carlo``: ``monte_carlo`` reports of all four methods, 6
+  replications per cell, whose chunks fit and score their samples
+  together: the CSV and every replication's MSE bytes and failure
+  messages;
+- ``monte-carlo-n60``: the same of the ``monte_carlo`` report of all
+  four methods, 40 replications per model at n = 60 on the dyadic
+  family, whose chunks stack many samples that share a pick.
 
 A refactor that must not move an output bit prints the same lines
 before and after. It reads only public names, so it runs on any
@@ -103,20 +105,29 @@ def least_squares() -> str:
     return digest.hexdigest()
 
 
+def report_digest(report, digest) -> None:
+    """Feed a report's CSV and each replication's MSE bytes and failures to ``digest``."""
+    digest.update(report.to_delimited().encode())
+    for cell in report.cells:
+        digest.update(np.asarray(cell.values, dtype=float).tobytes())
+        digest.update(repr(cell.failures).encode())
+
+
 def monte_carlo() -> str:
     digest = hashlib.sha256()
     for family in FAMILIES:
         config = cs.BenchConfig(family=family)
         report = cs.monte_carlo(
-            cs.MODEL_IDS, ("quotient", "regression"), (200, 1000), reps=6, seed=3, config=config
+            cs.MODEL_IDS, cs.METHODS, (200, 1000), reps=6, seed=3, config=config
         )
-        digest.update(report.to_delimited().encode())
+        report_digest(report, digest)
     return digest.hexdigest()
 
 
 def many_samples() -> str:
-    report = cs.monte_carlo(cs.MODEL_IDS, ("quotient", "regression"), (60,), reps=40, seed=3)
-    return hashlib.sha256(report.to_delimited().encode()).hexdigest()
+    digest = hashlib.sha256()
+    report_digest(cs.monte_carlo(cs.MODEL_IDS, cs.METHODS, (60,), reps=40, seed=3), digest)
+    return digest.hexdigest()
 
 
 if __name__ == "__main__":
