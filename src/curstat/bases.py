@@ -321,27 +321,27 @@ def basis_rows(model: BasisModel, x: np.ndarray):
     return piece, values.T
 
 
-def piece_sums(models, x: np.ndarray, weights, sizes):
+def piece_sums(models, points, weights):
     """Per-piece sums of a collection at each of its subdivisions.
 
-    ``x`` holds the points in [0, 1] and ``weights`` rows of weights (None
-    for a row of ones), in the one time order of the ``data`` module, as
-    ``ObservationSample.sorted_inside`` returns them. ``x`` and the weight
-    rows may join several samples one after another: ``sizes`` gives each
-    sample's count of points (``[x.size]`` for one sample). Yields
-    ``(group, sums)`` per subdivision of ``models`` (the models of one
-    piece count), in the order the subdivisions first appear in
-    ``models``: per weight row, a ``(samples, d, pieces)`` array whose
-    entry ``[s, a]`` holds sample s's per-piece sums of the ``a``-th
-    function of a piece (the degree-``a`` one for piecewise families)
-    times the weights. A model of the group reads the leading
-    ``dim // pieces`` rows of a sample.
+    ``points`` is a ``data._SortedStack``: its ``x`` holds the points in
+    [0, 1] of one or more samples, joined one after another in the one
+    time order of the ``data`` module, and its ``sizes`` each sample's
+    count of them. ``weights`` holds rows of weights at those points
+    (None for a row of ones). Yields ``(group, sums)`` per subdivision of
+    ``models`` (the models of one piece count), in the order the
+    subdivisions first appear in ``models``: per weight row, a
+    ``(samples, d, pieces)`` array whose entry ``[s, a]`` holds sample
+    s's per-piece sums of the ``a``-th function of a piece (the
+    degree-``a`` one for piecewise families) times the weights. A model
+    of the group reads the leading ``dim // pieces`` rows of a sample.
 
     The regular piecewise and trigonometric families, whose subdivisions
     do not nest, evaluate each subdivision's richest model once and sum it
     with one ``np.bincount`` per basis row, one subdivision at a time. The
     dyadic families evaluate and sum the basis once, at the finest
-    subdivision and the largest degree. Each coarser subdivision follows
+    subdivision and the largest degree, an evaluation the stack keeps for
+    ``piece_factors`` (``_legendre``). Each coarser subdivision follows
     from the next finer one by the two-scale matrices,
     ``h0 @ left + h1 @ right``, except its degree-0 sums, which are
     rebuilt from integer point counts: a degree-0 sum is ``sqrt(m)`` added
@@ -369,32 +369,44 @@ def piece_sums(models, x: np.ndarray, weights, sizes):
         # quotient at n = 5e4
         for group in groups.values():
             richest = max(group, key=lambda model: model.dim)
-            (sums,) = _refined(richest, richest.pieces, x, weights, sizes)
+            pieces = richest.pieces
+            piece, rows = basis_rows(richest, points.x)
+            piece = points.offset(piece, pieces)
+            (sums,) = _refined(pieces, pieces, piece, rows, weights, len(points.sizes))
             yield group, sums
         return
-    finest = BasisModel(models[0].family, max(groups), max(model.degree for model in models))
-    refined = _refined(finest, min(groups), x, weights, sizes)
+    pieces = max(groups)
+    piece, values = _legendre(points, pieces, max(model.degree for model in models), keep=True)
+    refined = _refined(pieces, min(groups), piece, values.T, weights, len(points.sizes))
     levels = {sums[0].shape[-1]: sums for sums in refined}
     for pieces, group in groups.items():
         yield group, levels[pieces]
 
 
-def _stacked(piece: np.ndarray, pieces: int, sizes) -> np.ndarray:
-    """Piece indices of joined samples, each sample's pieces after the last one's."""
-    if len(sizes) == 1:
-        return piece
-    return piece + np.repeat(np.arange(0, len(sizes) * pieces, pieces), sizes)
+def _legendre(points, pieces: int, degree: int, keep: bool = False):
+    """``piecewise_legendre`` at a stack's points, with piece indices ``offset`` per sample.
 
-
-def _refined(model: BasisModel, coarsest: int, x: np.ndarray, weights, sizes):
-    """``piece_sums``' sums of ``model``'s subdivision and of each coarser one down to ``coarsest``.
-
-    Yields one list of sums per subdivision, halving the piece count at
-    each step, so only a dyadic model has more than one subdivision.
+    With ``keep`` the evaluation is the one the stack keeps
+    (``_SortedStack.kept``): the density scan and the regression scan of a
+    dyadic collection, whose finest subdivision and largest degree are
+    one, share it.
     """
-    pieces, samples = model.pieces, len(sizes)
-    piece, rows = basis_rows(model, x)
-    piece = _stacked(piece, pieces, sizes)
+
+    def evaluate():
+        piece, values = piecewise_legendre(pieces, degree, points.x)
+        return points.offset(piece, pieces), values
+
+    return points.kept((pieces, degree), evaluate) if keep else evaluate()
+
+
+def _refined(pieces: int, coarsest: int, piece, rows, weights, samples: int):
+    """``piece_sums``' sums of a subdivision and of each coarser one down to ``coarsest``.
+
+    ``piece`` holds the points' piece indices, ``offset`` over
+    ``samples`` samples, and ``rows`` the subdivision's basis rows at
+    them. Yields one list of sums per subdivision, halving the piece
+    count at each step, so only a dyadic subdivision has more than one.
+    """
     bins = samples * pieces
     # one np.bincount per basis row and weight row; a weight row of None
     # stands for ones and takes no product
@@ -407,7 +419,7 @@ def _refined(model: BasisModel, coarsest: int, x: np.ndarray, weights, sizes):
         for w in weights
     ]
     if pieces > coarsest:
-        h0, h1 = two_scale(model.degree)
+        h0, h1 = two_scale(len(rows) - 1)
         # the points are sorted, so each piece is one run of their piece indices
         counts = np.diff(np.searchsorted(piece, np.arange(bins + 1))).reshape(samples, pieces)
         # sums of 0/1 weights are exact integers; those of ones are the counts
@@ -435,13 +447,13 @@ def _refined(model: BasisModel, coarsest: int, x: np.ndarray, weights, sizes):
 _QR_ROWS = 2**13
 
 
-def piece_factors(models, x: np.ndarray, delta: np.ndarray, sizes):
+def piece_factors(models, points):
     """Triangular factors of every piece's basis rows and statuses, per subdivision.
 
-    ``x`` holds the points in [0, 1] and ``delta`` their statuses, in the
-    time order of ``ObservationSample.sorted_inside``; they may join
-    several samples, ``sizes`` giving each one's count of points
-    (``[x.size]`` for one sample). Yields ``(group, r)`` per subdivision
+    ``points`` is a ``data._SortedStack``, as ``piece_sums`` takes it: its
+    ``x`` and ``delta`` hold the points in [0, 1] and their statuses,
+    joined sample after sample in time order, and its ``sizes`` each
+    sample's count of them. Yields ``(group, r)`` per subdivision
     of ``models`` (the models of one piece count). ``r`` has shape
     ``(samples * pieces, d + 1, d + 1)``, sample by sample: ``r[j]`` is
     the upper-triangular factor R of a QR factorization of piece j's
@@ -459,8 +471,9 @@ def piece_factors(models, x: np.ndarray, delta: np.ndarray, sizes):
     ``_QR_ROWS`` points at a time, each chunk stacked under the factor so
     far, sample by sample. The regular piecewise family evaluates and
     factors each subdivision on its own. The dyadic families evaluate the
-    basis once, at the finest subdivision and the largest degree, and
-    every coarser subdivision keeps that degree: a coarse piece's block is
+    basis once, at the finest subdivision and the largest degree (the
+    evaluation the stack keeps, ``_legendre``), and every coarser
+    subdivision keeps that degree: a coarse piece's block is
     ``[X_left h0.T | delta_left]`` over ``[X_right h1.T | delta_right]``
     (``two_scale``), so its factor is, in exact arithmetic, that of the
     stacked ``[R_left @ g0; R_right @ g1]``, ``g = diag(h.T, 1)`` (the
@@ -472,21 +485,21 @@ def piece_factors(models, x: np.ndarray, delta: np.ndarray, sizes):
     groups = _by_pieces(models)
     if models[0].family.tag == TRIG:
         harmonics = max(model.harmonics for model in models)
-        factors = []
-        for end, size in zip(np.cumsum(sizes).tolist(), sizes):
-            points = (slice(at, min(at + _QR_ROWS, end)) for at in range(end - size, end, _QR_ROWS))
-            chunks = (np.vstack([trig_rows(harmonics, x[c]), delta[c]]) for c in points)
+        x, delta, factors = points.x, points.delta, []
+        for end, size in zip(np.cumsum(points.sizes).tolist(), points.sizes):
+            spans = (slice(at, min(at + _QR_ROWS, end)) for at in range(end - size, end, _QR_ROWS))
+            chunks = (np.vstack([trig_rows(harmonics, x[c]), delta[c]]) for c in spans)
             factors.append(_tall_factor(2 * harmonics + 2, chunks))
         yield models, np.array(factors)
         return
     if models[0].family.tag == POLY:
         # a regular piecewise subdivision holds one model, of the family degree
         for pieces, group in groups.items():
-            yield group, _padded_factors(pieces, group[0].degree, x, delta, sizes)
+            yield group, _padded_factors(pieces, group[0].degree, points)
         return
     degree = max(model.degree for model in models)
     pieces = max(groups)
-    r = _padded_factors(pieces, degree, x, delta, sizes)
+    r = _padded_factors(pieces, degree, points, keep=True)
     g0, g1 = np.eye(degree + 2), np.eye(degree + 2)
     g0[:-1, :-1], g1[:-1, :-1] = (h.T for h in two_scale(degree))
     while True:
@@ -498,8 +511,8 @@ def piece_factors(models, x: np.ndarray, delta: np.ndarray, sizes):
         r = _r_factor(np.concatenate([r[0::2] @ g0, r[1::2] @ g1], axis=1))
 
 
-def _padded_factors(pieces: int, degree: int, x: np.ndarray, delta: np.ndarray, sizes) -> np.ndarray:
-    """``piece_factors`` of one piecewise Legendre subdivision, from its points.
+def _padded_factors(pieces: int, degree: int, points, keep: bool = False) -> np.ndarray:
+    """``piece_factors`` of one piecewise Legendre subdivision, from a stack's points.
 
     Only occupied pieces are factored; an empty piece's factor is zero.
     They are taken in runs of consecutive pieces of one sample, each
@@ -512,12 +525,12 @@ def _padded_factors(pieces: int, degree: int, x: np.ndarray, delta: np.ndarray, 
     own. Each run is one factorization, of its pieces' padded rows
     scattered into one block. A piece of more than ``_QR_ROWS`` points
     forms a run of its own and is factored by ``_tall_factor``,
-    ``_QR_ROWS`` of its rows at a time.
+    ``_QR_ROWS`` of its rows at a time. ``keep`` reads the basis values
+    the stack keeps (``_legendre``).
     """
-    piece, values = piecewise_legendre(pieces, degree, x)
-    owners = len(sizes) * pieces
-    piece = _stacked(piece, pieces, sizes)
-    columns = [*values.T, delta]
+    piece, values = _legendre(points, pieces, degree, keep)
+    owners = len(points.sizes) * pieces
+    columns = [*values.T, points.delta]
     d = len(columns)
     # the points are sorted, so each piece is one run of their piece indices
     starts = np.searchsorted(piece, np.arange(owners + 1))
@@ -525,7 +538,7 @@ def _padded_factors(pieces: int, degree: int, x: np.ndarray, delta: np.ndarray, 
     occupied = np.flatnonzero(counts)
     r = np.zeros((owners, d, d))
     cuts, rows = _runs(counts[occupied].tolist(), (occupied // pieces).tolist(), d)
-    index, place = np.arange(x.size), np.empty(owners, dtype=int)
+    index, place = np.arange(piece.size), np.empty(owners, dtype=int)
     for j, height in enumerate(rows):
         # point i's entry of column a sits at (k, a, i - start of its piece)
         # of a (members, d, height) block, its piece the k-th member, so one
@@ -533,11 +546,11 @@ def _padded_factors(pieces: int, degree: int, x: np.ndarray, delta: np.ndarray, 
         # column-major, as LAPACK reads it
         members = occupied[cuts[j] : cuts[j + 1]]
         place[members] = np.arange(members.size) * (d * height) - starts[members]
-        points = slice(starts[members[0]], starts[members[-1] + 1])
-        at = place[piece[points]] + index[points]
+        span = slice(starts[members[0]], starts[members[-1] + 1])
+        at = place[piece[span]] + index[span]
         block = np.zeros(members.size * d * height)
         for a, column in enumerate(columns):
-            block[at + a * height] = column[points]
+            block[at + a * height] = column[span]
         block = block.reshape(members.size, d, height)
         if height > _QR_ROWS:
             chunks = (block[0, :, top : top + _QR_ROWS] for top in range(0, height, _QR_ROWS))

@@ -115,13 +115,73 @@ class ObservationSample:
 
         Returns ``(x, *rows)``, where a row of None stays None. On sorted
         times [0, 1] is one contiguous run, and on sorted points each
-        piece of a subdivision is one too.
+        piece of a subdivision is one too. This is ``_SortedStack`` of
+        the one sample.
         """
-        order = self.time_order()
-        u = self.u[order]
-        lo, hi = np.searchsorted(u, 0.0), np.searchsorted(u, 1.0, "right")
-        window = order[lo:hi]
-        return (u[lo:hi], *(None if row is None else row[window] for row in rows))
+        stack = _SortedStack([self])
+        return (stack.x, *stack.inside([rows]))
+
+
+class _SortedStack:
+    """Samples joined one after another in time order, sorted once for every estimator.
+
+    A Monte Carlo chunk builds one and hands it to each method, and a
+    single-sample fit builds one of its sample. Per sample, ``orders``
+    holds its ``time_order``, ``times`` its times in that order and
+    ``windows`` the input positions of its points in [0, 1] in that
+    order, whose count is in ``sizes``. ``x`` and ``delta`` join those
+    points' times and statuses, sample after sample. One sample's arrays
+    are those of its own ``sorted_inside``, bit for bit.
+
+    ``kept`` holds one value computed from the stack, such as a basis
+    evaluation that two scans share, and drops it before computing
+    another: the stack never holds two.
+    """
+
+    def __init__(self, samples):
+        self.samples = list(samples)
+        self.orders = [sample.time_order() for sample in self.samples]
+        self.times = [sample.u[order] for sample, order in zip(self.samples, self.orders)]
+        # on sorted times [0, 1] is one contiguous run
+        runs = [
+            slice(np.searchsorted(u, 0.0), np.searchsorted(u, 1.0, "right")) for u in self.times
+        ]
+        self.windows = [order[run] for order, run in zip(self.orders, runs)]
+        self.sizes = [window.size for window in self.windows]
+        self.x = _joined([u[run] for u, run in zip(self.times, runs)])
+        (self.delta,) = self.inside([[sample.delta] for sample in self.samples])
+        self._kept = None
+
+    def inside(self, rows):
+        """Rows of each sample cut to its ``windows`` and joined, a row of None staying None.
+
+        ``rows`` holds one list of rows per sample; returns one joined row
+        per position in those lists.
+        """
+        return [
+            None if column[0] is None else _joined([r[w] for r, w in zip(column, self.windows)])
+            for column in zip(*rows)
+        ]
+
+    def offset(self, index: np.ndarray, width: int) -> np.ndarray:
+        """Indices into ``width`` bins per sample, each sample's bins after the last one's.
+
+        ``index`` holds one index in ``[0, width)`` per joined point.
+        """
+        if len(self.sizes) == 1:
+            return index
+        return index + np.repeat(np.arange(0, len(self.sizes) * width, width), self.sizes)
+
+    def kept(self, key, evaluate):
+        """``evaluate()``, computed once while ``key`` is the key kept."""
+        if self._kept is None or self._kept[0] != key:
+            self._kept = None  # dropped before the next value is computed
+            self._kept = key, evaluate()
+        return self._kept[1]
+
+
+def _joined(parts: list) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _split_fields(line: str) -> list[str]:

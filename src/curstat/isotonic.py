@@ -35,7 +35,8 @@ both sides of each cross-product, so every pooling decision is the one
 the sample makes alone, and the stack loop may finish over all of the
 chunk's blocks. Each pooled sum is its sample's own modulo twice its
 count. ``npmle_pava`` runs the same pooling (``_pool_blocks``) on one
-sample's statuses, which need no offset.
+sample's statuses, which need no offset. The chunk's samples come
+sorted, once for every method, in a ``data._SortedStack``.
 
 Both routes produce bitwise-identical values: the isotonic solution is
 unique, and every output value is a single IEEE division of the exact
@@ -44,7 +45,11 @@ integer block sum by the block count.
 The fixed-bin histogram estimator averages the status indicators over a
 regular partition of [0, 1] (zero on empty bins). It is not monotone in
 general and needs the bin count chosen by the caller. It evaluates by
-bin index, ``floor(x * n_bins)``, with no search over its knots.
+bin index, ``floor(x * n_bins)``, with no search over its knots. A
+Monte Carlo chunk bins all of its samples by one pair of
+``np.bincount`` calls over the stack's joined points in [0, 1]
+(``_birge_histograms``); counts and sums of 0/1 statuses are exact in
+any order, so each sample's values are those it gets alone.
 """
 
 from __future__ import annotations
@@ -103,24 +108,26 @@ def npmle_pava(sample: ObservationSample) -> StepCdf:
     return StepCdf(sample.u[order], np.repeat(sums / counts, counts))
 
 
-def _npmle_pavas(samples) -> list[StepCdf]:
-    """``npmle_pava`` of several samples from one set of pooling rounds.
+def _npmle_pavas(stack) -> list[StepCdf]:
+    """``npmle_pava`` of each sample of a ``data._SortedStack`` from one set of pooling rounds.
 
-    The samples' sorted statuses are joined one after another, each
-    sample's offset by twice its index (the boundary rule of the module
-    docstring), and pooled by ``_pool_blocks`` as ``npmle_pava`` pools
-    one sample's, so no block pools across a sample and each sample's
-    values are bitwise those it gets alone. The int64 cross-products are
-    at most ``2 * len(samples) * points**2`` for the joined point count,
-    so they are exact for any stack ``simulate`` builds.
+    The samples' statuses in their ``time_order`` are joined one after
+    another, each sample's offset by twice its index (the boundary rule
+    of the module docstring), and pooled by ``_pool_blocks`` as
+    ``npmle_pava`` pools one sample's, so no block pools across a sample
+    and each sample's values are bitwise those it gets alone. The int64
+    cross-products are at most ``2 * samples * points**2`` for the joined
+    point count: at most 2**43 for the stacks of at most 2**14 points
+    that ``simulate`` builds, and ``2 * n**2`` for one sample of n
+    points, exact for n below 2**31.
     """
-    orders = [sample.time_order() for sample in samples]
+    samples, orders = stack.samples, stack.orders
     status = np.concatenate([s.delta[o] + 2.0 * i for i, (s, o) in enumerate(zip(samples, orders))])
     sums, counts = _pool_blocks(status)
     sums %= 2 * counts  # each block's own statuses sum to at most its count
     values = np.repeat(sums / counts, counts)
     stops = itertools.accumulate(o.size for o in orders)
-    return [StepCdf(s.u[o], values[e - o.size : e]) for s, o, e in zip(samples, orders, stops)]
+    return [StepCdf(u, values[e - u.size : e]) for u, e in zip(stack.times, stops)]
 
 
 def _pool_blocks(status: np.ndarray):
@@ -194,10 +201,30 @@ def birge_histogram(sample: ObservationSample, n_bins: int) -> StepCdf:
     u = sample.u[inside]
     d = sample.delta[inside]
     idx = np.minimum((u * n_bins).astype(int), n_bins - 1)
-    counts = np.bincount(idx, minlength=n_bins)
-    sums = np.bincount(idx, weights=d, minlength=n_bins)
-    values = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-    return _BinnedCdf(_bin_edges(int(n_bins)), values)
+    return _BinnedCdf(_bin_edges(int(n_bins)), _bin_means(idx, d, n_bins))
+
+
+def _birge_histograms(stack, n_bins: int) -> list[StepCdf]:
+    """``birge_histogram`` of each sample of a ``data._SortedStack``, from one pair of bincounts.
+
+    The stack's joined points in [0, 1] fall in ``n_bins`` bins per
+    sample, each sample's after the last one's, and one ``np.bincount``
+    counts them while another sums their statuses. Counts and sums of 0/1
+    statuses are exact integers in any order of their points, so each
+    sample's values are bitwise those it gets alone.
+    """
+    count = len(stack.sizes)
+    idx = stack.offset(np.minimum((stack.x * n_bins).astype(int), n_bins - 1), n_bins)
+    values = _bin_means(idx, stack.delta, count * n_bins).reshape(count, n_bins)
+    edges = _bin_edges(int(n_bins))
+    return [_BinnedCdf(edges, row) for row in values]
+
+
+def _bin_means(idx: np.ndarray, statuses: np.ndarray, bins: int) -> np.ndarray:
+    """Mean status of each of ``bins`` bins from the points' bin indices, 0 in an empty bin."""
+    counts = np.bincount(idx, minlength=bins)
+    sums = np.bincount(idx, weights=statuses, minlength=bins)
+    return np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
 
 
 class _BinnedCdf(StepCdf):

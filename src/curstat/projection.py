@@ -13,8 +13,8 @@ unknown integral of the sub-density.
 
 ``select_projection_model`` takes every candidate's coefficients from
 per-piece sums over the points in [0, 1] in the one time order that the
-``data`` module states and ``ObservationSample.sorted_inside`` gives,
-and ``empirical_coefficients`` takes one model's from the same helper.
+``data`` module states and its ``_SortedStack`` gives, and
+``empirical_coefficients`` takes one model's from the same helper.
 The sums come from ``bases.piece_sums``. For the dyadic families the
 basis is evaluated once, at the finest subdivision of the collection;
 each coarser subdivision's sums follow from the next finer one's by the
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BasisModel, design_matrix, penalty_factors, piece_sums
-from .data import ObservationSample
+from .data import ObservationSample, _SortedStack
 from .estimates import _vectorised
 
 
@@ -130,32 +130,17 @@ def empirical_coefficients(
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (sample.n,):
             raise ValueError("weights must have one entry per observation")
-    ((_, (sums,)),) = _stacked_moments([model], [sample], [[weights]])
+    stack = _SortedStack([sample])
+    ((_, (sums,)),) = _stacked_moments([model], stack, stack.inside([[weights]]))
     return sums.ravel()
 
 
-def _stacked_inside(samples, weights):
-    """``sorted_inside`` of each sample with its weight rows, joined sample after sample.
-
-    ``weights`` holds one list of rows per sample (None for ones).
-    Returns ``(sizes, x, rows)``: each sample's count of points in
-    [0, 1], and the joined points and rows, as ``bases.piece_sums`` and
-    ``bases.piece_factors`` take them.
-    """
-    parts = [sample.sorted_inside(*rows) for sample, rows in zip(samples, weights)]
-    sizes = [part[0].size for part in parts]
-    joined = [
-        None if column[0] is None else column[0] if len(parts) == 1 else np.concatenate(column)
-        for column in zip(*parts)
-    ]
-    return sizes, joined[0], joined[1:]
-
-
-def _stacked_moments(models, samples, weights):
+def _stacked_moments(models, stack, weights):
     """Per-piece sums of basis rows times weight rows, each over its sample's n.
 
-    ``weights`` holds one list of rows per sample, a row of None standing
-    for ones, which are neither gathered nor multiplied. Yields ``(group,
+    ``stack`` is a ``data._SortedStack`` and ``weights`` a list of rows at
+    its joined points, a row of None standing for ones, which are not
+    multiplied. Yields ``(group,
     sums)`` per subdivision of ``models``, with one ``(samples, d,
     pieces)`` array in ``sums`` per weight row: row ``a`` of a sample
     holds the per-piece sums of its degree-``a`` functions (for trig, of
@@ -167,9 +152,8 @@ def _stacked_moments(models, samples, weights):
     and refines the others from it; that needs 0/1 weights whenever the
     models span more than one subdivision.
     """
-    sizes, x, rows = _stacked_inside(samples, weights)
-    n = np.array([sample.n for sample in samples])[:, None, None]
-    for group, sums in piece_sums(models, x, rows, sizes):
+    n = np.array([sample.n for sample in stack.samples])[:, None, None]
+    for group, sums in piece_sums(models, stack, weights):
         yield group, [s / n for s in sums]
 
 
@@ -229,16 +213,16 @@ def select_projection_model(
     levels 1 and 2 at degree 0 both score -0.264, and level 2 wins. The
     bitwise degree-0 sums keep that outcome.
 
-    This is ``_select_models`` on one sample.
+    This is ``_select_models`` on a stack of the one sample.
     """
-    return _select_models([sample], collection, kappa)[0]
+    return _select_models(_SortedStack([sample]), collection, kappa)[0]
 
 
-def _select_models(samples, collection, kappa: float = 4.0) -> list:
-    """``select_projection_model`` of several samples from one pass of sums.
+def _select_models(stack, collection, kappa: float = 4.0) -> list:
+    """``select_projection_model`` of each sample of a ``data._SortedStack``, from one pass of sums.
 
     The per-piece sums of every sample come from one ``piece_sums``
-    pass. Both targets of all samples are scored as one ``(2 * samples,
+    pass over the stack. Both targets of all samples are scored as one ``(2 * samples,
     models)`` array, the sub-density rows first, and every row is picked
     by one ``argmin``. Each sum of squares is one entry of a stacked
     ``c[:, None, :] @ c[:, :, None]`` over a candidate's coefficient rows,
@@ -250,14 +234,14 @@ def _select_models(samples, collection, kappa: float = 4.0) -> list:
     """
     if not collection:
         raise ValueError("empty model collection")
+    samples = stack.samples
     count = len(samples)
-    weights = [[sample.delta, None] for sample in samples]
     # the sums of the statuses give the sub-density rows, those of ones the
     # density rows, and a model's degree-major coefficients are the first
     # dim entries of its level's row
     flat = {
         group[0].pieces: np.concatenate(sums).reshape(2 * count, -1)
-        for group, sums in _stacked_moments(collection, samples, weights)
+        for group, sums in _stacked_moments(collection, stack, [stack.delta, None])
     }
     targets = [flat[model.pieces][:, : model.dim] for model in collection]
     squares = np.array([(c[:, None, :] @ c[:, :, None]).ravel() for c in targets]).T

@@ -85,18 +85,17 @@ def fit_quotient_cdf(
 
 
 def _fit_quotient_cdfs(
-    samples, family: BasisFamily | None = None, kappa: float = 4.0
+    stack, family: BasisFamily | None = None, kappa: float = 4.0
 ) -> list[CdfEstimate]:
-    """``fit_quotient_cdf`` of several samples of one size, from one scan.
+    """``fit_quotient_cdf`` of each sample of a ``data._SortedStack``, from one scan.
 
-    The samples share one collection and one ``projection._select_models``
-    pass, of which ``select_projection_model`` is the pass on one sample;
-    each one's estimate is bitwise the one it gets alone.
+    The samples must have one size. They share one collection and one
+    ``projection._select_models`` pass, of which
+    ``select_projection_model`` is the pass on one sample; each one's
+    estimate is bitwise the one it gets alone.
     """
-    n = samples[0].n
-    if any(sample.n != n for sample in samples):
-        raise ValueError("the samples of one scan must have one size")
-    picks = _select_models(samples, _density_collection(family, n), kappa)
+    samples = stack.samples
+    picks = _select_models(stack, _density_collection(family, samples[0].n), kappa)
     return [_estimate(sample, sub, den, kappa) for sample, (sub, den) in zip(samples, picks)]
 
 

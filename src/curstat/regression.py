@@ -25,8 +25,10 @@ subdivision reads a leading block of the same factors, so a contrast is
 a sum of squares of the factors' last column, and neither the contrasts
 nor the noise pilot pass over the points again.
 
-The scan takes a batch of samples, joined one after another (a Monte
-Carlo cell stacks its replications), and scores them as one
+The scan takes a batch of samples, sorted once and joined one after
+another in a ``data._SortedStack`` (a Monte Carlo chunk stacks its
+replications, and shares the stack with the other methods), and scores
+them as one
 ``(samples, models)`` array of contrasts, so each sample's pick is the
 ``argmin`` along its row. ``fit_cdf_regression`` runs it on a batch of
 one sample and ``fit_least_squares`` on one sample and one model; the
@@ -49,9 +51,9 @@ from .bases import (
     penalty_factors,
     piece_factors,
 )
-from .data import ObservationSample
+from .data import ObservationSample, _SortedStack
 from .estimates import CdfEstimate
-from .projection import ProjectionEstimate, _stacked_inside
+from .projection import ProjectionEstimate
 
 # the rank cut of the normal equations on the Gram's singular values; a
 # triangular factor R has R'R = X'X, so its own cut is the square root
@@ -92,7 +94,7 @@ def fit_least_squares(sample: ObservationSample, model: BasisModel) -> LeastSqua
     more. The fit's ``gram_cond`` is the kept condition number of G to
     read.
     """
-    _, _, fit = _fit_collections([sample], [model])
+    _, _, fit = _fit_collections(_SortedStack([sample]), [model])
     return fit(model, [0])[0]
 
 
@@ -168,7 +170,7 @@ def _solve_stack(r: np.ndarray, k: int):
     return coeffs.reshape(count, pieces, k), ranks, ratios, dropped
 
 
-def _fit_collections(samples, models: list[BasisModel]):
+def _fit_collections(stack, models: list[BasisModel]):
     """Contrast of every model on each sample from one pass of per-piece triangular factors.
 
     Returns ``(contrasts, noise, fit)``: the contrasts as a
@@ -178,7 +180,8 @@ def _fit_collections(samples, models: list[BasisModel]):
     observations inside [0, 1]; and ``fit(model, rows)``, one
     ``LeastSquaresFit`` of one of the models per sample in ``rows``.
 
-    The factors of every sample come from one ``piece_factors`` pass, and
+    ``stack`` is a ``data._SortedStack``. The factors of every sample
+    come from one ``piece_factors`` pass over it, and
     each subdivision's rank check is one comparison over the singular
     values of every sample's occupied top-degree blocks: the smallest
     against ``sqrt(_RANK_TOL)`` times the largest. A subdivision that
@@ -193,10 +196,10 @@ def _fit_collections(samples, models: list[BasisModel]):
     solves, the constant-status rule and the pilot are each sample's own,
     so each sample gets what it gets alone, bit for bit.
     """
-    sizes, x, (delta,) = _stacked_inside(samples, [[sample.delta] for sample in samples])
+    samples, sizes, delta = stack.samples, stack.sizes, stack.delta
     count = len(samples)
     factors, rss = {}, {}
-    for group, r in piece_factors(models, x, delta, sizes):
+    for group, r in piece_factors(models, stack):
         pieces = group[0].pieces
         factors[pieces] = r.reshape(count, pieces, *r.shape[1:])
         # tails[:, k]: the residual sum of squares of the first k functions
@@ -313,15 +316,16 @@ def fit_cdf_regression(
     [0, 1] near the boundary. Pass ``clamp=True`` to truncate at
     evaluation time.
     """
-    return _fit_cdf_regressions([sample], family, kappa0, clamp)[0]
+    return _fit_cdf_regressions(_SortedStack([sample]), family, kappa0, clamp)[0]
 
 
 def _fit_cdf_regressions(
-    samples, family: BasisFamily | None = None, kappa0: float = 4.0, clamp: bool = False
+    stack, family: BasisFamily | None = None, kappa0: float = 4.0, clamp: bool = False
 ) -> list[CdfEstimate]:
-    """``fit_cdf_regression`` of several samples of one size, from one scan.
+    """``fit_cdf_regression`` of each sample of a ``data._SortedStack``, from one scan.
 
-    The samples share one collection and one ``_fit_collections`` pass,
+    The samples must have one size. They share one collection and one
+    ``_fit_collections`` pass,
     whose ``(samples, models)`` scores pick every sample's model by one
     ``argmin`` along the rows. The samples that pick one model are solved
     together, by one ``fit`` call per distinct pick; each one's estimate
@@ -329,13 +333,11 @@ def _fit_cdf_regressions(
     """
     if family is None:
         family = dyadic_family()
-    n = samples[0].n
-    if any(sample.n != n for sample in samples):
-        raise ValueError("the samples of one scan must have one size")
+    n = stack.samples[0].n
     models = build_collection(family, n, CAP_REGRESSION)
     dims = np.array([penalty_factors(model)[1] for model in models])
     units = _regression_penalty(dims, n, kappa0)
-    contrasts, noise, fit = _fit_collections(samples, models)
+    contrasts, noise, fit = _fit_collections(stack, models)
     penalties = noise[:, None] * units
     picks, fits = (contrasts + penalties).argmin(axis=1), {}
     for best in set(picks.tolist()):

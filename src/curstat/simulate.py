@@ -22,21 +22,27 @@ how replications are scheduled across workers.
 
 ``monte_carlo`` fits a ``(model, n)`` cell in chunks of replications,
 one chunk per cell when serial and at least one per worker in a pool,
-each of at most ``_CHUNK_POINTS`` points. A chunk draws its samples and
-takes each sample's MSE window [a, b] and ``true_cdf`` on it once, for
-every method. Then it fits and scores each method once over all of
-them. The quotient's density scan and the regression's scan run once
-over the chunk's points joined sample after sample (one basis
-evaluation, one ``np.bincount`` per row with each sample's pieces after
-the last one's, and every product, factorization and rank check stacked
-in the shapes one sample has alone), while the contrasts, pilots,
-penalties and picks are each sample's own. The NPMLE pools the chunk's
-joined statuses in one set of rounds that never cross a sample
-(``isotonic._npmle_pavas``). The scoring evaluates the projection
-estimates, the regression's fits and both halves of each quotient, by
-one design matrix per distinct selected model over the joined windows,
-each sample multiplying its own row slice by its own coefficients, and
-sums each sample's squared errors by its own ``np.sum``. So every
+each of at most ``_CHUNK_POINTS`` (2**14) points. A chunk pays each
+cost that its methods share once. It draws each sample together with
+``true_cdf`` at its times, which drew the statuses and gives the truth
+on the sample's MSE window [a, b]. It sorts each sample once, into one
+``data._SortedStack`` of the points in [0, 1] joined sample after
+sample, which every method reads. Then it fits and scores each method
+once over all of the samples. The quotient's density scan and the
+regression's scan run once over the stack (one ``np.bincount`` per row
+with each sample's pieces after the last one's, and every product,
+factorization and rank check stacked in the shapes one sample has
+alone), and for the dyadic families they share the stack's one
+evaluation of the finest basis, while the contrasts, pilots, penalties
+and picks are each sample's own. The NPMLE pools the chunk's joined
+statuses in one set of rounds that never cross a sample
+(``isotonic._npmle_pavas``), and the Birgé histogram bins every sample
+by one pair of ``np.bincount`` calls (``isotonic._birge_histograms``).
+The scoring evaluates the projection estimates, the regression's fits
+and both halves of each quotient, by one design matrix per distinct
+selected model over the joined windows, each sample multiplying its own
+row slice by its own coefficients, and sums each sample's squared errors
+by its own ``np.sum``. So every
 replication's estimate and MSE are byte for byte those that
 ``estimate_sample`` and ``truncated_mse`` give its sample alone, and
 the report is the same for every chunking and every ``n_jobs``. When a
@@ -60,9 +66,9 @@ from functools import partial
 import numpy as np
 
 from .bases import BasisFamily, dyadic_family
-from .data import ObservationSample, _integral
+from .data import ObservationSample, _integral, _SortedStack
 from .estimates import CdfEstimate
-from .isotonic import _npmle_pavas, birge_histogram, npmle_pava
+from .isotonic import _birge_histograms, _npmle_pavas, birge_histogram, npmle_pava
 from .projection import _evaluate_each
 from .quotient import _fit_quotient_cdfs, fit_quotient_cdf
 from .regression import _fit_cdf_regressions, fit_cdf_regression
@@ -112,6 +118,11 @@ def true_cdf(model: SimModel, u):
 
 def generate(model: SimModel, n: int, rng) -> ObservationSample:
     """Draw a current-status sample of size n; deterministic given the rng."""
+    return _draw(model, n, rng)[0]
+
+
+def _draw(model: SimModel, n: int, rng):
+    """``generate``'s sample and ``true_cdf`` at each of its times, which drew its statuses."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(rng)
@@ -121,8 +132,8 @@ def generate(model: SimModel, n: int, rng) -> ObservationSample:
         u = rng.standard_exponential(n)
     else:
         u = rng.beta(4.0, 6.0, n)
-    delta = (rng.random(n) < true_cdf(model, u)).astype(float)
-    return ObservationSample(u, delta)
+    truth = true_cdf(model, u)
+    return ObservationSample(u, (rng.random(n) < truth).astype(float)), truth
 
 
 def replication_rng(seed: int, model_id: int, n: int, rep: int) -> np.random.Generator:
@@ -140,10 +151,16 @@ def truncated_mse(estimate, model: SimModel, sample: ObservationSample) -> float
     return _truncated_mses([estimate], model, [_window(model, sample)])[0]
 
 
-def _window(model: SimModel, sample: ObservationSample):
-    """The sample's points in [a, b], in input order, and ``true_cdf`` at them."""
-    points = sample.u[(sample.u >= model.a) & (sample.u <= model.b)]
-    return points, true_cdf(model, points)
+def _window(model: SimModel, sample: ObservationSample, truth=None):
+    """The sample's points in [a, b], in input order, and ``true_cdf`` at them.
+
+    ``truth``, when given, is ``true_cdf`` at every time of the sample
+    (``_draw``), and the window reads it at its points: ``true_cdf`` is
+    elementwise, so these are the values it computes on the points alone.
+    """
+    inside = (sample.u >= model.a) & (sample.u <= model.b)
+    points = sample.u[inside]
+    return points, true_cdf(model, points) if truth is None else truth[inside]
 
 
 def _truncated_mses(estimates, model: SimModel, windows) -> list[float]:
@@ -287,81 +304,92 @@ class MseReport:
 
 # a task stacks at most about this many points, which bounds a worker's
 # memory however many replications a cell has
-_CHUNK_POINTS = 2**13
+_CHUNK_POINTS = 2**14
 
 
-def _estimate_cell(method: str, samples, config: BenchConfig) -> list:
-    """Estimates of one method for samples of one size, in sample order.
+def _estimate_cell(method: str, stack, config: BenchConfig) -> list:
+    """Estimates of one method for the samples of a ``data._SortedStack``, in sample order.
 
-    The quotient and the regression fit every sample in one stacked scan
-    (``quotient._fit_quotient_cdfs``, ``regression._fit_cdf_regressions``),
-    and the NPMLE pools every sample in one set of rounds
-    (``isotonic._npmle_pavas``); the Birgé histogram fits each sample by
-    ``estimate_sample``. Every estimate is bitwise the one
-    ``estimate_sample`` gives its sample.
+    The samples must have one size. The quotient and the regression fit
+    every sample in one stacked scan (``quotient._fit_quotient_cdfs``,
+    ``regression._fit_cdf_regressions``), the NPMLE pools every sample in
+    one set of rounds (``isotonic._npmle_pavas``) and the Birgé histogram
+    bins every sample by one pair of ``np.bincount`` calls
+    (``isotonic._birge_histograms``). All of them read the stack's one
+    sort, and the two scans its one evaluation of the finest dyadic basis.
+    Every estimate is bitwise the one ``estimate_sample`` gives its sample.
     """
+    n = stack.samples[0].n
+    if any(sample.n != n for sample in stack.samples):
+        raise ValueError("the samples of one scan must have one size")
     if method == "quotient":
-        return _fit_quotient_cdfs(samples, config.family, config.kappa)
+        return _fit_quotient_cdfs(stack, config.family, config.kappa)
     if method == "regression":
-        return _fit_cdf_regressions(
-            samples, config.family, config.kappa0, config.clamp_regression
-        )
+        return _fit_cdf_regressions(stack, config.family, config.kappa0, config.clamp_regression)
     if method == "npmle":
-        fits = _npmle_pavas(samples)
-        return [CdfEstimate("npmle", f, {"knots": s.n}) for s, f in zip(samples, fits)]
-    return [estimate_sample(method, sample, config) for sample in samples]
+        return [CdfEstimate("npmle", f, {"knots": n}) for f in _npmle_pavas(stack)]
+    if method == "birge":
+        bins = config.birge_bins or default_birge_bins(n)
+        return [CdfEstimate("birge", f, {"bins": bins}) for f in _birge_histograms(stack, bins)]
+    raise ValueError(f"unknown method {method!r}")
 
 
 def _scored(method, model, rep, sample, estimate, config):
     """The ``(mse, error)`` pair of one replication; None refits its sample alone."""
     try:
         if estimate is None:
-            (estimate,) = _estimate_cell(method, [sample], config)
+            (estimate,) = _estimate_cell(method, _SortedStack([sample]), config)
         return truncated_mse(estimate, model, sample), None
     except Exception as exc:  # recorded, never silently dropped
         return float("nan"), f"rep {rep}: {exc}"
 
 
-def _scored_column(method, model, reps, samples, windows, config) -> list:
+def _scored_column(method, model, reps, stack, windows, config) -> list:
     """The ``(mse, error)`` pairs of one method over a chunk, in sample order.
 
-    The chunk is fitted by one ``_estimate_cell`` call and scored by one
-    ``_truncated_mses`` call over the shared windows. When either raises,
-    each sample is scored alone by ``_scored``, refitted alone if its
-    stacked fit failed, so every replication keeps its own pair and
-    message.
+    The chunk is fitted by one ``_estimate_cell`` call over its stack and
+    scored by one ``_truncated_mses`` call over the shared windows. When
+    either raises, each sample is scored alone by ``_scored``, refitted
+    alone if its stacked fit failed, so every replication keeps its own
+    pair and message.
     """
-    estimates = [None] * len(samples)
+    estimates = [None] * len(stack.samples)
     try:
-        estimates = _estimate_cell(method, samples, config)
+        estimates = _estimate_cell(method, stack, config)
         return [(mse, None) for mse in _truncated_mses(estimates, model, windows)]
     except Exception:  # scored one sample at a time below
-        return [_scored(method, model, *rep, config) for rep in zip(reps, samples, estimates)]
+        return [_scored(method, model, *rep, config) for rep in zip(reps, stack.samples, estimates)]
 
 
 def _chunk_task(methods, seed, config, task):
     """One row per replication of a chunk: an ``(mse, error)`` pair per method.
 
     ``task`` is ``(model, n, reps)``, ``reps`` a range of one cell's
-    replications. Each sample's MSE window [a, b] and ``true_cdf`` on it
-    are computed once and shared by every method; each method fits and
-    scores the chunk's samples together (``_scored_column``).
+    replications. Each shared cost is paid once for every method: each
+    sample is drawn with ``true_cdf`` at its times (``_draw``), from which
+    its MSE window [a, b] reads the truth, and the samples are sorted
+    once into one ``data._SortedStack``, whose finest dyadic basis
+    evaluation the quotient's and the regression's scans share. Each
+    method then fits and scores the chunk's samples together
+    (``_scored_column``).
     """
     model, n, reps = task
-    samples = [generate(model, n, replication_rng(seed, model.id, n, rep)) for rep in reps]
-    windows = [_window(model, sample) for sample in samples]
-    columns = [
-        _scored_column(method, model, reps, samples, windows, config) for method in methods
-    ]
+    drawn = [_draw(model, n, replication_rng(seed, model.id, n, rep)) for rep in reps]
+    windows = [_window(model, sample, truth) for sample, truth in drawn]
+    stack = _SortedStack(sample for sample, _ in drawn)
+    columns = [_scored_column(method, model, reps, stack, windows, config) for method in methods]
     return list(zip(*columns))
 
 
 def _chunks(reps: int, n: int, n_jobs: int) -> list:
     """Split one cell's replications into ranges of nearly equal length.
 
-    A range stacks at most ``_CHUNK_POINTS // n`` samples (at least one).
-    In a pool every cell is split in at least ``n_jobs`` ranges, so the
-    workers share each cell.
+    A range stacks at most ``_CHUNK_POINTS // n`` samples (at least one),
+    16 at n = 1000. In a pool every cell is split in at least ``n_jobs``
+    ranges, so the workers share each cell: 20 replications of n = 1000
+    on two workers make two ranges of 10. Fewer, larger ranges pay each
+    chunk's fixed costs (the collections, the scans' per-subdivision
+    steps, the pooling rounds) fewer times.
     """
     most = max(1, _CHUNK_POINTS // n)
     if n_jobs > 1:
@@ -369,6 +397,18 @@ def _chunks(reps: int, n: int, n_jobs: int) -> list:
     count = -(-reps // most)
     edges = [reps * i // count for i in range(count + 1)]
     return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one.
+
+    ``os.cpu_count()`` counts the machine's CPUs, which a cpuset or an
+    affinity mask can narrow; without ``os.sched_getaffinity`` it is
+    that count, or 1 when unknown.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def monte_carlo(
@@ -392,14 +432,15 @@ def monte_carlo(
     checked before any sample is drawn. Output is a pure function of the
     arguments; ``n_jobs > 1`` distributes the work over processes without
     changing the result. A pool starts all of its workers at once, so an
-    ``n_jobs`` above ``os.cpu_count()`` is lowered to it, for the chunking
-    and the pool alike.
+    ``n_jobs`` above the CPUs this process may run on (``_usable_cpus``)
+    is lowered to them, for the chunking and the pool alike.
 
     Each ``(model, n)`` cell is fitted in chunks of replications
     (``_chunks``): one chunk per cell when serial, unless the cell stacks
     more than ``_CHUNK_POINTS`` points, and at least ``n_jobs`` chunks in
-    a pool. A chunk computes each sample's MSE window once, then fits and
-    scores each method once over all of its samples (``_chunk_task``).
+    a pool. A chunk draws each sample with its true distribution function
+    and sorts it once, then fits and scores each method once over all of
+    its samples (``_chunk_task``).
     The pool and the serial ``map`` both return rows in task order, so
     each cell is the next reps rows.
     """
@@ -420,7 +461,7 @@ def monte_carlo(
     if not _integral(n_jobs) or n_jobs < 1:
         raise ValueError("n_jobs must be an integer of at least 1")
     # a pool starts all its workers at once, so never more than the CPUs
-    n_jobs = min(n_jobs, os.cpu_count() or 1)
+    n_jobs = min(n_jobs, _usable_cpus())
     if not _integral(seed) or seed < 0:
         raise ValueError("seed must be an integer of at least 0")
     n_list = tuple(int(n) for n in n_list)

@@ -19,6 +19,7 @@ from curstat import (
     npmle_maxmin,
     npmle_pava,
 )
+from curstat.data import _SortedStack
 
 from conftest import random_sample, tied_samples
 from dense_oracle import all_knots_step
@@ -300,7 +301,7 @@ class TestStackedPava:
             return pool_stack(sums, counts)
 
         monkeypatch.setattr(isotonic, "_pool_stack", counted_stack)
-        stacked = isotonic._npmle_pavas(samples)
+        stacked = isotonic._npmle_pavas(_SortedStack(samples))
         assert len(finishes) == 1 and finishes[0] > 80 - isotonic.MAX_POOLING_ROUNDS + 2
         # npmle_pava pools each sample with no offset; max-min is an independent route
         assert stacked == alone == [npmle_maxmin(sample) for sample in samples]
@@ -308,7 +309,7 @@ class TestStackedPava:
     @settings(max_examples=100, deadline=None, database=None)
     @given(st.lists(tied_samples(max_size=12), min_size=1, max_size=6))
     def test_tied_and_outside_stacks_pool_alone(self, samples):
-        stacked = isotonic._npmle_pavas(samples)
+        stacked = isotonic._npmle_pavas(_SortedStack(samples))
         assert stacked == [npmle_pava(sample) for sample in samples]
         assert stacked == [npmle_maxmin(sample) for sample in samples]
 

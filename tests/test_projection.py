@@ -24,6 +24,7 @@ from curstat import (
     SimModel,
 )
 from curstat.bases import basis_rows
+from curstat.data import _SortedStack
 from curstat.projection import _stacked_moments
 
 from conftest import random_sample
@@ -234,8 +235,9 @@ def assert_refined_sums_match(sample, family, atol):
     """Every subdivision's sums against its own bincount; degree-0 rows bitwise."""
     collection = build_collection(family, sample.n, CAP_DENSITY)
     levels = 0
-    weights = sample.delta, np.ones(sample.n)
-    for group, ((sub,), (den,)) in _stacked_moments(collection, [sample], [weights]):
+    stack = _SortedStack([sample])
+    weights = [stack.delta, np.ones(stack.x.size)]
+    for group, ((sub,), (den,)) in _stacked_moments(collection, stack, weights):
         pieces, degree = group[0].pieces, sub.shape[0] - 1
         for sums, weights in ((sub, sample.delta), (den, np.ones(sample.n))):
             expected = bincount_sums(sample, family, pieces, degree, weights)
@@ -282,8 +284,9 @@ class TestTwoScaleRefinement:
         # a row of None sums the basis rows themselves, bit for bit a product with ones
         sample = generate(SimModel(4), 5000, 23)
         collection = build_collection(family, sample.n, CAP_DENSITY)
-        plain = _stacked_moments(collection, [sample], [[sample.delta, None]])
-        product = _stacked_moments(collection, [sample], [[sample.delta, np.ones(sample.n)]])
+        stack = _SortedStack([sample])
+        plain = _stacked_moments(collection, stack, [stack.delta, None])
+        product = _stacked_moments(collection, stack, [stack.delta, np.ones(stack.x.size)])
         for (group, sums), (_, expected) in zip(plain, product, strict=True):
             for got, want in zip(sums, expected, strict=True):
                 assert got.tobytes() == want.tobytes(), group[0]

@@ -25,7 +25,8 @@ from curstat import (
     SimModel,
 )
 from curstat import bases, regression, select_projection_model
-from curstat.projection import _stacked_inside, _stacked_moments
+from curstat.data import _SortedStack
+from curstat.projection import _stacked_moments
 from curstat.regression import _fit_collections
 
 from conftest import random_sample, tied_samples
@@ -41,7 +42,7 @@ from dense_oracle import (
 
 def every_fit(sample, models):
     """Every model's fit from the scan's per-model solve, and the noise pilot."""
-    _, (pilot,), fit = _fit_collections([sample], models)
+    _, (pilot,), fit = _fit_collections(_SortedStack([sample]), models)
     return [fit(model, [0])[0] for model in models], pilot
 
 
@@ -370,7 +371,7 @@ class TestClosedFormContrasts:
             return solve(r, k)
 
         monkeypatch.setattr(regression, "_solve_stack", recording_solve)
-        (contrasts,), (pilot,), fit = _fit_collections([sample], models)
+        (contrasts,), (pilot,), fit = _fit_collections(_SortedStack([sample]), models)
         scored = len(models) - len(solved)
         inside = (sample.u >= 0.0) & (sample.u <= 1.0)
         for model, contrast in zip(models, contrasts):
@@ -398,7 +399,7 @@ class TestClosedFormContrasts:
         outside_rss = status * np.count_nonzero(u > 1.0)
         for family in (dyadic_family(), haar_family(), poly_family(2), trig_family()):
             models = build_collection(family, sample.n, "regression")
-            (contrasts,), (pilot,), _ = _fit_collections([sample], models)
+            (contrasts,), (pilot,), _ = _fit_collections(_SortedStack([sample]), models)
             assert contrasts.tolist() == [outside_rss / sample.n] * len(models)
             assert pilot == 0.0
             est = fit_cdf_regression(sample, family)
@@ -530,9 +531,10 @@ class TestRefinedGramBlocks:
             # the trig regression cap, sqrt(n) / ln(n), leaves nothing below n = 1000
             assert family == trig_family() and sample.n < 1000
             return
-        x, delta = sample.sorted_inside(sample.delta)
+        stack = _SortedStack([sample])
+        x = stack.x
         levels = set()
-        for group, r in bases.piece_factors(models, x, delta, [x.size]):
+        for group, r in bases.piece_factors(models, stack):
             m, d = group[0].pieces, r.shape[-1] - 1
             if family == trig_family():
                 model = trig_model((d - 1) // 2)
@@ -583,7 +585,7 @@ class TestRefinedGramBlocks:
             "clustered": np.where(rng.random(n) < 0.9, 0.5 + 1e-3 * rng.random(n), rng.random(n)),
         }[times]
         sample = ObservationSample(u, (rng.random(n) < u).astype(float))
-        x, delta = sample.sorted_inside(sample.delta)
+        stack = _SortedStack([sample])
         factored = []
         r_factor = bases._r_factor
 
@@ -594,7 +596,7 @@ class TestRefinedGramBlocks:
         monkeypatch.setattr(bases, "_r_factor", counted_factor)
         for pieces, degree in ((256, 9), (64, 2), (1, 0)):
             factored.clear()
-            bases._padded_factors(pieces, degree, x, delta, [x.size])
+            bases._padded_factors(pieces, degree, stack)
             d = degree + 2
             assert sum(factored) <= 2 * (n + pieces * (d + 1)), (pieces, degree)
             assert max(factored) <= bases._QR_ROWS + d
@@ -607,7 +609,8 @@ class TestRefinedGramBlocks:
         sample = generate(SimModel(3), 1000, 3)
         rounded = ObservationSample(np.round(sample.u, 2), sample.delta)
         samples = [sample, sample, rounded]
-        sizes, x, (delta,) = _stacked_inside(samples, [[s.delta] for s in samples])
+        stack = _SortedStack(samples)
+        sizes, x = stack.sizes, stack.x
         pieces, degree = 16, 9
         piece = np.minimum((x * pieces).astype(int), pieces - 1)
         piece += np.repeat(np.arange(len(samples)) * pieces, sizes)
@@ -623,7 +626,7 @@ class TestRefinedGramBlocks:
             return r_factor(blocks)
 
         monkeypatch.setattr(bases, "_r_factor", counted_factor)
-        bases._padded_factors(pieces, degree, x, delta, sizes)
+        bases._padded_factors(pieces, degree, stack)
         runs = [(cuts[j + 1] - cuts[j], height, degree + 2) for j, height in enumerate(rows)]
         assert factored == runs
 
@@ -657,11 +660,11 @@ class TestSharedSums:
     def assert_moments_are_subdensity_coefficients(cls, family, n):
         sample = generate(SimModel(3), n, 1)
         models = build_collection(family, n, "regression")
-        x, delta = sample.sorted_inside(sample.delta)
-        factors = {g[0].pieces: r for g, r in bases.piece_factors(models, x, delta, [x.size])}
-        weights = sample.delta, np.ones(n)
+        stack = _SortedStack([sample])
+        x = stack.x
+        factors = {g[0].pieces: r for g, r in bases.piece_factors(models, stack)}
         moments = {}
-        for group, ((sub,), _) in _stacked_moments(models, [sample], [weights]):
+        for group, ((sub,), _) in _stacked_moments(models, stack, [stack.delta, np.ones(x.size)]):
             pieces, top = group[0].pieces, sub.shape[0]
             r = factors[pieces]
             moments[pieces] = np.einsum("jba,jb->aj", r[:, :top, :top], r[:, :top, -1]) / n
@@ -737,7 +740,7 @@ class TestSharedSums:
         monkeypatch.setattr(bases, "piecewise_legendre", counted_legendre)
         monkeypatch.setattr(bases, "trig_rows", counted_trig_rows)
         models = build_collection(family, sample.n, "regression")
-        _fit_collections([sample], models)
+        _fit_collections(_SortedStack([sample]), models)
         monkeypatch.undo()
 
         if family == trig_family():
@@ -780,10 +783,10 @@ class TestCholeskyScan:
         # summed afresh: the tail plus the part the rank cut leaves
         for sample in scan_samples():
             models = build_collection(family, sample.n, "regression")
-            (contrasts,), _, _ = _fit_collections([sample], models)
-            x, delta = sample.sorted_inside(sample.delta)
-            outside_rss = float(sample.delta.sum() - delta.sum())
-            factors = {g[0].pieces: r for g, r in bases.piece_factors(models, x, delta, [x.size])}
+            (contrasts,), _, _ = _fit_collections(_SortedStack([sample]), models)
+            stack = _SortedStack([sample])
+            outside_rss = float(sample.delta.sum() - stack.delta.sum())
+            factors = {g[0].pieces: r for g, r in bases.piece_factors(models, stack)}
             for model, contrast in zip(models, contrasts):
                 r, k = factors[model.pieces], model.dim // model.pieces
                 dropped = regression._solve_stack(r[None], k)[3][0]
@@ -837,8 +840,8 @@ class TestCholeskyScan:
         stacks, calls = {}, []
         factor, solve = regression.piece_factors, regression._solve_stack
 
-        def recorded_factors(models, x, delta, sizes):
-            for group, r in factor(models, x, delta, sizes):
+        def recorded_factors(models, points):
+            for group, r in factor(models, points):
                 stacks[group[0].pieces] = r.reshape(len(samples), group[0].pieces, *r.shape[1:])
                 yield group, r
 
@@ -848,7 +851,8 @@ class TestCholeskyScan:
 
         monkeypatch.setattr(regression, "piece_factors", recorded_factors)
         monkeypatch.setattr(regression, "_solve_stack", recorded_solve)
-        picks = [est.evaluator.model for est in regression._fit_cdf_regressions(samples)]
+        fits = regression._fit_cdf_regressions(_SortedStack(samples))
+        picks = [est.evaluator.model for est in fits]
         distinct = list(dict.fromkeys(picks))
         assert 1 < len(distinct) < len(samples)
         assert len(calls) == len(distinct)
@@ -868,9 +872,8 @@ class TestCholeskyScan:
         samples = sparse_samples() + tied_piece_samples()
         samples += [generate(SimModel(m), n, m) for m in (1, 3, 5) for n in (60, 1000)]
         models = build_collection(dyadic_family(), 1000, "regression")
-        sizes, x, (delta,) = _stacked_inside(samples, [[s.delta] for s in samples])
         cuts = set()
-        for group, r in bases.piece_factors(models, x, delta, sizes):
+        for group, r in bases.piece_factors(models, _SortedStack(samples)):
             r = r.reshape(len(samples), group[0].pieces, *r.shape[1:])
             for k in {model.dim // model.pieces for model in group}:
                 stacked = regression._solve_stack(r, k)
@@ -896,10 +899,10 @@ class TestCholeskyScan:
             return solved[-1][1]
 
         monkeypatch.setattr(regression, "_solve_stack", recorded_solve)
-        contrasts, noise, _ = _fit_collections(samples, models)
+        contrasts, noise, _ = _fit_collections(_SortedStack(samples), models)
         monkeypatch.undo()
         for i, sample in enumerate(samples):
-            (own,), (pilot,), _ = _fit_collections([sample], models)
+            (own,), (pilot,), _ = _fit_collections(_SortedStack([sample]), models)
             assert contrasts[i].tobytes() == own.tobytes(), i
             assert noise[i].tobytes() == pilot.tobytes(), i
         assert solved and all(len(ranks) == len(samples) for _, (_, ranks, _, _) in solved)
@@ -961,7 +964,7 @@ class TestCholeskyScan:
         for sample in sparse_samples() + tied_piece_samples():
             models = build_collection(family, sample.n, "regression")
             solved.clear()
-            _fit_collections([sample], models)
+            _fit_collections(_SortedStack([sample]), models)
             for pieces in {model.pieces for model in models}:
                 group = [model for model in models if model.pieces == pieces]
                 gram, _ = dense_piece_statistics(sample, max(group, key=lambda m: m.dim))

@@ -33,6 +33,7 @@ from curstat import (
     trig_family,
     truncated_mse,
 )
+from curstat.data import _SortedStack
 
 
 class TestTrueCdf:
@@ -91,6 +92,21 @@ class TestGenerate:
         a = generate(SimModel(1), 20, replication_rng(0, 1, 20, 0))
         b = generate(SimModel(1), 20, replication_rng(0, 1, 20, 1))
         assert not np.array_equal(a.u, b.u)
+
+    @pytest.mark.parametrize("model_id", MODEL_IDS)
+    def test_the_draw_keeps_the_truth_of_every_time(self, model_id):
+        # a Monte Carlo chunk reads each window's truth from the draw, and a
+        # window of the truth is bitwise true_cdf on the window's points
+        import curstat.simulate as sim
+
+        model = SimModel(model_id)
+        for n in (60, 1000, 5000):
+            rng = replication_rng(20080317, model_id, n, 0)
+            sample, truth = sim._draw(model, n, rng)
+            assert sample == generate(model, n, replication_rng(20080317, model_id, n, 0))
+            assert truth.tobytes() == true_cdf(model, sample.u).tobytes()
+            for got, own in zip(sim._window(model, sample, truth), sim._window(model, sample)):
+                assert got.tobytes() == own.tobytes()
 
 
 class TestTruncatedMse:
@@ -213,13 +229,16 @@ class TestMonteCarlo:
     @pytest.mark.parametrize(
         "reps, n, n_jobs, sizes",
         [
-            (500, 60, 1, [125] * 4),
-            (200, 1000, 1, [8] * 25),
-            (200, 1000, 2, [8] * 25),
-            (20, 1000, 2, [6, 7, 7]),
+            (500, 60, 1, [250] * 2),
+            (200, 1000, 1, [15] * 8 + [16] * 5),
+            (200, 1000, 2, [15] * 8 + [16] * 5),
+            # the mc-pool benchmark's cells on two workers, then serially
+            (20, 1000, 2, [10, 10]),
             (20, 500, 2, [10, 10]),
             (1, 60, 4, [1]),
             (3, 2**15, 1, [1, 1, 1]),
+            (20, 1000, 1, [10, 10]),
+            (20, 500, 1, [20]),
         ],
     )
     def test_chunks_cover_the_cell_in_order(self, reps, n, n_jobs, sizes):
@@ -288,7 +307,7 @@ class TestMonteCarlo:
         def never(*args, **kwargs):
             raise AssertionError("the grid started")
 
-        monkeypatch.setattr(sim, "generate", never)
+        monkeypatch.setattr(sim, "_draw", never)
         monkeypatch.setattr(sim, "ProcessPoolExecutor", never)
         with pytest.raises(ValueError, match=message):
             sim.monte_carlo(models, methods, n_list, 3, seed, n_jobs=n_jobs)
@@ -322,32 +341,43 @@ class TestMonteCarlo:
                 return map(fn, tasks)
 
         monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        # the affinity mask caps the pool, not the machine's CPU count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         kwargs = dict(models=[1, 3], methods=("regression", "birge"), n_list=(60, 500), reps=5)
         serial = monte_carlo(**kwargs).to_delimited()
         assert monte_carlo(**kwargs, n_jobs=10_000).to_delimited() == serial
         chunks = [c for _ in (1, 3) for n in (60, 500) for c in sim._chunks(5, n, 3)]
         assert opened == [(3, chunks)]
-        # a host that cannot count its CPUs runs serially
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        # a process pinned to one CPU runs serially
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
         assert monte_carlo(**kwargs, n_jobs=4).to_delimited() == serial
         assert len(opened) == 1
+        # without affinity masks the CPU count caps the pool, and a host
+        # that cannot count its CPUs runs serially
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert monte_carlo(**kwargs, n_jobs=10_000).to_delimited() == serial
+        assert opened == [(3, chunks)] * 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert monte_carlo(**kwargs, n_jobs=4).to_delimited() == serial
+        assert len(opened) == 2
 
     def test_perfect_oracle_scores_zero_everywhere(self, monkeypatch):
         import curstat.simulate as sim
 
-        def oracle(method, samples, config=None):
+        def oracle(method, stack, config=None):
             model = oracle.current_model
-            return [CdfEstimate("oracle", lambda x: true_cdf(model, x)) for _ in samples]
+            return [CdfEstimate("oracle", lambda x: true_cdf(model, x)) for _ in stack.samples]
 
-        original = sim.generate
+        original = sim._draw
 
-        def tracking_generate(model, n, rng):
+        def tracking_draw(model, n, rng):
             oracle.current_model = model
             return original(model, n, rng)
 
         monkeypatch.setattr(sim, "_estimate_cell", oracle)
-        monkeypatch.setattr(sim, "generate", tracking_generate)
+        monkeypatch.setattr(sim, "_draw", tracking_draw)
         report = sim.monte_carlo([1, 4, 5], ("quotient",), (60, 200), reps=1, seed=2)
         for cell in report.cells:
             assert cell.mean == 0.0
@@ -355,7 +385,7 @@ class TestMonteCarlo:
     def test_failures_recorded_not_dropped(self, monkeypatch):
         import curstat.simulate as sim
 
-        def broken(method, samples, config=None):
+        def broken(method, stack, config=None):
             raise ValueError("boom")
 
         monkeypatch.setattr(sim, "_estimate_cell", broken)
@@ -462,14 +492,14 @@ class TestStackedCell:
         from curstat.projection import _stacked_moments
         from curstat.regression import _fit_collections
 
+        stack = _SortedStack(samples)
         if cap == "density":
-            weights = [[sample.delta, None] for sample in samples]
-            levels = list(_stacked_moments(models, samples, weights))
+            levels = list(_stacked_moments(models, stack, [stack.delta, None]))
             return [
                 [[s[i].tobytes() for s in sums] for _, sums in levels]
                 for i in range(len(samples))
             ]
-        contrasts, noise, _ = _fit_collections(samples, models)
+        contrasts, noise, _ = _fit_collections(stack, models)
         return [(row.tobytes(), pilot.tobytes()) for row, pilot in zip(contrasts, noise)]
 
     @classmethod
@@ -492,7 +522,7 @@ class TestStackedCell:
                 stacked, stacked_statistics = [], []
                 for first in range(0, len(samples), size):
                     chunk = samples[first : first + size]
-                    stacked += sim._estimate_cell(method, chunk, config)
+                    stacked += sim._estimate_cell(method, _SortedStack(chunk), config)
                     stacked_statistics += cls.candidates(chunk, models, cap)
                 got = [_fingerprint(e, model, s) for e, s in zip(stacked, samples)]
                 assert got == alone, (method, size)
@@ -534,9 +564,11 @@ class TestStackedCell:
                 assert mse == _direct_mse(estimate, model, sample), method
                 row.append((mse, None))
             alone.append(row)
-        # replication rep draws samples[rep]
+        # replication rep draws samples[rep], and the chunk reads each
+        # window's truth from true_cdf at all of its sample's times
+        truths = [true_cdf(model, sample.u) for sample in samples]
         monkeypatch.setattr(sim, "replication_rng", lambda seed, model_id, n, rep: rep)
-        monkeypatch.setattr(sim, "generate", lambda model, n, rep: samples[rep])
+        monkeypatch.setattr(sim, "_draw", lambda model, n, rep: (samples[rep], truths[rep]))
         for size in (1, 3, len(samples)):
             rows = []
             for first in range(0, len(samples), size):
@@ -579,17 +611,18 @@ class TestStackedCell:
 
         kwargs = dict(models=[5], methods=METHODS, n_list=(60,), reps=5, seed=6)
         expected = sim.monte_carlo(**kwargs)
-        original = sim.generate
+        original = sim._draw
         drawn = []
 
-        def generate_late(model, n, rng):
-            sample = original(model, n, rng)
+        def draw_late(model, n, rng):
+            sample, truth = original(model, n, rng)
             drawn.append(sample)
             if len(drawn) == 3:  # replication 2 examines only after 0.5
-                return ObservationSample(0.75 + 0.25 * sample.u, sample.delta)
-            return sample
+                sample = ObservationSample(0.75 + 0.25 * sample.u, sample.delta)
+                return sample, true_cdf(model, sample.u)
+            return sample, truth
 
-        monkeypatch.setattr(sim, "generate", generate_late)
+        monkeypatch.setattr(sim, "_draw", draw_late)
         report = sim.monte_carlo(**kwargs)
         assert len(drawn) == 5  # one chunk
         for method in METHODS:
@@ -613,30 +646,30 @@ class TestStackedCell:
 
         samples = _special_cell() + [generate(SimModel(2), 200, 20080317)]
         collection = build_collection(dyadic_family(), 200, "density")
-        for sample, pair in zip(samples, _select_models(samples, collection)):
+        for sample, pair in zip(samples, _select_models(_SortedStack(samples), collection)):
             for got, alone in zip(pair, select_projection_model(sample, collection)):
                 assert got.model == alone.model
                 assert got.coeffs.tobytes() == alone.coeffs.tobytes()
 
-    @pytest.mark.parametrize("method", ["quotient", "regression"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_samples_of_one_size_only(self, method):
         import curstat.simulate as sim
 
         samples = [generate(SimModel(1), n, replication_rng(5, 1, n, 0)) for n in (60, 61)]
         with pytest.raises(ValueError, match="must have one size"):
-            sim._estimate_cell(method, samples, BenchConfig())
+            sim._estimate_cell(method, _SortedStack(samples), BenchConfig())
 
     def test_a_failing_stack_is_refitted_one_sample_at_a_time(self, monkeypatch):
         import curstat.simulate as sim
 
         estimate_cell = sim._estimate_cell
 
-        def failing_on_stacks(method, samples, config):
-            if len(samples) > 1:
+        def failing_on_stacks(method, stack, config):
+            if len(stack.samples) > 1:
                 raise RuntimeError("stacked fit failed")
-            if method == "regression" and samples[0].delta.sum() % 2:
+            if method == "regression" and stack.samples[0].delta.sum() % 2:
                 raise ValueError("odd")
-            return estimate_cell(method, samples, config)
+            return estimate_cell(method, stack, config)
 
         monkeypatch.setattr(sim, "_estimate_cell", failing_on_stacks)
         report = sim.monte_carlo([1], ("quotient", "regression"), (60,), reps=6, seed=4)
@@ -650,6 +683,119 @@ class TestStackedCell:
             assert (message in failed.failures) == math.isnan(value)
             if not math.isnan(value):
                 assert value == expected.cell(1, 60, "regression").values[rep]
+
+
+class TestSharedChunk:
+    """A chunk pays each shared cost once for all four methods: one sort per
+    sample, one evaluation of the finest dyadic basis and one ``true_cdf``
+    per sample; its stacked Birgé histograms are each sample's own; and on
+    the benchmark grids no chunk falls back to scoring one sample at a time."""
+
+    @staticmethod
+    def count_fallbacks(monkeypatch):
+        import curstat.simulate as sim
+
+        fallbacks, scored = [], sim._scored
+
+        def counted(method, model, rep, *args):
+            fallbacks.append((method, model.id, rep))
+            return scored(method, model, rep, *args)
+
+        monkeypatch.setattr(sim, "_scored", counted)
+        return fallbacks
+
+    @pytest.mark.parametrize("seed", [1, 20080317])
+    def test_the_pool_grid_never_falls_back(self, monkeypatch, seed):
+        # the grid of the mc-pool benchmark, serially; a stacked fit or
+        # scoring that raises would be rescored sample by sample, bitwise
+        # correct but unseen by the tests that compare rows
+        fallbacks = self.count_fallbacks(monkeypatch)
+        report = monte_carlo(MODEL_IDS, METHODS, (500, 1000), reps=20, seed=seed, n_jobs=1)
+        assert fallbacks == []
+        assert not any(cell.failures for cell in report.cells)
+
+    def test_the_bench_grid_never_falls_back(self, monkeypatch, tmp_path, capsys):
+        from curstat.cli import main
+
+        fallbacks = self.count_fallbacks(monkeypatch)
+        out = tmp_path / "bench"
+        assert main(["bench", "--reps", "20", "--seed", "11", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert fallbacks == []
+        assert "# failure" not in (tmp_path / "bench.csv").read_text()
+
+    def test_one_sort_one_finest_basis_and_one_truth_per_chunk(self, monkeypatch):
+        import curstat.simulate as sim
+        from curstat import bases
+
+        model, n, reps = SimModel(5), 1000, range(10)
+        samples = [generate(model, n, replication_rng(1, model.id, n, rep)) for rep in reps]
+        collection = build_collection(dyadic_family(), n, "density")
+        assert collection == build_collection(dyadic_family(), n, "regression")
+        finest = max(m.pieces for m in collection), max(m.degree for m in collection)
+        time_order, legendre = ObservationSample.time_order, bases.piecewise_legendre
+        truth = sim.true_cdf
+        ordered, evaluated, truths = [], [], []
+
+        def counted_order(sample):
+            ordered.append(sample)
+            return time_order(sample)
+
+        def counted_legendre(pieces, degree, x):
+            evaluated.append((pieces, degree))
+            return legendre(pieces, degree, x)
+
+        def counted_truth(model, u):
+            truths.append(np.size(u))
+            return truth(model, u)
+
+        monkeypatch.setattr(ObservationSample, "time_order", counted_order)
+        monkeypatch.setattr(bases, "piecewise_legendre", counted_legendre)
+        monkeypatch.setattr(sim, "true_cdf", counted_truth)
+        fallbacks = self.count_fallbacks(monkeypatch)
+        rows = sim._chunk_task(METHODS, 1, BenchConfig(), (model, n, reps))
+        monkeypatch.undo()
+        assert fallbacks == [] and all(err is None for row in rows for _, err in row)
+        assert ordered == samples
+        assert evaluated.count(finest) == 1
+        # generate's own true_cdf call, at every time, is the only one
+        assert truths == [n] * len(samples)
+
+    @staticmethod
+    def birge_samples():
+        """n = 60 samples with times at exactly 0.0 and 1.0, on bin edges,
+        outside [0, 1], empty bins, and no point inside at all."""
+        rng = np.random.default_rng(12)
+        edges = np.concatenate([np.arange(11) / 10, np.arange(6) / 5, [0.0, 1.0, 1.0]])
+        times = [
+            generate(SimModel(4), 60, 4).u,  # outside [0, 1]
+            np.concatenate([[0.0] * 3, [1.0] * 3, 0.3 * rng.random(54)]),
+            np.concatenate([edges, [-0.5, 1.5], rng.random(60 - edges.size - 2)]),
+            1.5 + rng.random(60),
+            generate(SimModel(1), 60, 1).u,
+        ]
+        return [ObservationSample(u, (rng.random(60) < 0.5).astype(float)) for u in times]
+
+    @pytest.mark.parametrize("bins", [1, 5, 10])
+    def test_stacked_birge_is_each_histogram_alone(self, bins):
+        import curstat.simulate as sim
+
+        samples = self.birge_samples()
+        config = BenchConfig(birge_bins=bins)
+        alone = [estimate_sample("birge", sample, config) for sample in samples]
+        assert all(type(est.evaluator).__name__ == "_BinnedCdf" for est in alone)
+        # empty bins: sample 1 has no point in (0.3, 1), sample 3 none in [0, 1]
+        assert not ((samples[1].u > 0.3) & (samples[1].u < 1.0)).any()
+        assert not (samples[3].u <= 1.0).any()
+        for size in (1, 3, len(samples)):
+            got = []
+            for first in range(0, len(samples), size):
+                stack = _SortedStack(samples[first : first + size])
+                got += sim._estimate_cell("birge", stack, config)
+            for est, own in zip(got, alone, strict=True):
+                assert est.method == own.method and est.metadata == own.metadata
+                # one class, and knots and values bit for bit
+                assert est.evaluator == own.evaluator, size
 
 
 def run_fresh(script: str) -> None:

@@ -16,7 +16,10 @@ Each line is a label and the sha256 of one group of outputs:
   messages;
 - ``monte-carlo-n60``: the same of the ``monte_carlo`` report of all
   four methods, 40 replications per model at n = 60 on the dyadic
-  family, whose chunks stack many samples that share a pick.
+  family, whose chunks stack many samples that share a pick;
+- ``monte-carlo-pool``: the same of the grid of the ``mc-pool``
+  benchmark, models 1-5 at n = 500 and 1000, 20 replications, seed 1,
+  on two worker processes, whose chunk boundaries follow the chunk size.
 
 A refactor that must not move an output bit prints the same lines
 before and after. It reads only public names, so it runs on any
@@ -130,6 +133,12 @@ def many_samples() -> str:
     return digest.hexdigest()
 
 
+def pool_grid() -> str:
+    digest = hashlib.sha256()
+    report_digest(cs.monte_carlo(cs.MODEL_IDS, cs.METHODS, (500, 1000), 20, 1, n_jobs=2), digest)
+    return digest.hexdigest()
+
+
 if __name__ == "__main__":
     print("bench-serial", bench())
     print("bench-jobs2", bench("--jobs", "2"))
@@ -137,3 +146,4 @@ if __name__ == "__main__":
     print("least-squares", least_squares())
     print("monte-carlo", monte_carlo())
     print("monte-carlo-n60", many_samples())
+    print("monte-carlo-pool", pool_grid())
