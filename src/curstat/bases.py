@@ -107,6 +107,9 @@ class BasisModel:
     harmonics: int = 0
 
     def __post_init__(self):
+        for name in ("pieces", "degree", "harmonics"):
+            if not _integral(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
         tag = self.family.tag
         if tag == TRIG:
             if self.harmonics < 0:
@@ -138,7 +141,7 @@ class BasisModel:
         """Resolution level p with pieces = 2**p (dyadic families only)."""
         if self.family.tag not in _DYADIC_TAGS:
             raise ValueError("level is defined for dyadic families only")
-        return self.pieces.bit_length() - 1
+        return int(self.pieces).bit_length() - 1
 
     def describe(self) -> str:
         tag = self.family.tag
@@ -225,11 +228,9 @@ def design_matrix(model: BasisModel, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros((x.size, model.dim))
     inside = (x >= 0.0) & (x <= 1.0)
-    if not inside.any():
-        return out
     piece, rows = basis_rows(model, x[inside])
     # column a * pieces + j of a row is entry (a, j) of its (dim // pieces, pieces) view
-    out.reshape(x.size, -1, model.pieces)[inside, :, piece] = rows.T
+    out.reshape(x.size, len(rows), model.pieces)[inside, :, piece] = rows.T
     return out
 
 
@@ -625,16 +626,18 @@ def build_collection(family: BasisFamily, n: int, cap=CAP_DENSITY) -> list[Basis
     ``n//2 - 1`` harmonics. Models are returned in selection order
     (dimension ascending, ties by coarser subdivision first).
 
-    Raises EmptyCollectionError when nothing fits. The models of each
+    Raises ValueError unless n is an integer of at least 2 (a bool is not
+    one), and EmptyCollectionError when nothing fits. The models of each
     ``(family, n, cap)`` are built once and kept; every call returns a
     new list of them.
     """
     return list(_collection(family, n, cap))
 
 
-@functools.lru_cache(maxsize=256)
+# typed, so that a float n never reads the models kept for its integer
+@functools.lru_cache(maxsize=256, typed=True)
 def _collection(family: BasisFamily, n: int, cap) -> tuple[BasisModel, ...]:
-    if n < 2:
+    if not _integral(n) or n < 2:
         raise ValueError("need a sample size of at least 2")
     dim_cap = _cap_dimension(family, n, cap)
 

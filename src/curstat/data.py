@@ -18,7 +18,9 @@ status and the input position, exact for n < 2**31. Every basis
 function takes one value at a tied time, so the order within a tie group
 cannot move a per-piece sum of 0/1 weights; it gives the NPMLE one value
 per tie group, and fixes the order in which the regression sums its
-residuals.
+residuals. Estimators read that order, and each sample's points in
+[0, 1], from a ``_SortedStack``, one sample's alone or a Monte Carlo
+chunk's, by one code path for any count of samples.
 """
 
 from __future__ import annotations
@@ -110,28 +112,18 @@ class ObservationSample:
             order = order[np.argsort(key)]
         return order
 
-    def sorted_inside(self, *rows: np.ndarray):
-        """The times in [0, 1] in ``time_order``, and ``rows`` cut and ordered alike.
-
-        Returns ``(x, *rows)``, where a row of None stays None. On sorted
-        times [0, 1] is one contiguous run, and on sorted points each
-        piece of a subdivision is one too. This is ``_SortedStack`` of
-        the one sample.
-        """
-        stack = _SortedStack([self])
-        return (stack.x, *stack.inside([rows]))
-
 
 class _SortedStack:
     """Samples joined one after another in time order, sorted once for every estimator.
 
     A Monte Carlo chunk builds one and hands it to each method, and a
-    single-sample fit builds one of its sample. Per sample, ``orders``
-    holds its ``time_order``, ``times`` its times in that order and
-    ``windows`` the input positions of its points in [0, 1] in that
-    order, whose count is in ``sizes``. ``x`` and ``delta`` join those
-    points' times and statuses, sample after sample. One sample's arrays
-    are those of its own ``sorted_inside``, bit for bit.
+    single-sample fit, or a failing chunk run again sample by sample,
+    builds one of its sample. Per sample, ``orders`` holds its
+    ``time_order``, ``times`` its times in that order and ``windows`` the
+    input positions of its points in [0, 1] in that order, whose count is
+    in ``sizes``. ``x`` and ``delta`` join those points' times and
+    statuses, sample after sample, so a sample's slice of them is bitwise
+    what a stack of that sample alone holds.
 
     ``kept`` holds one value computed from the stack, such as a basis
     evaluation that two scans share, and drops it before computing
@@ -148,28 +140,19 @@ class _SortedStack:
         ]
         self.windows = [order[run] for order, run in zip(self.orders, runs)]
         self.sizes = [window.size for window in self.windows]
-        self.x = _joined([u[run] for u, run in zip(self.times, runs)])
-        (self.delta,) = self.inside([[sample.delta] for sample in self.samples])
+        self.x = np.concatenate([u[run] for u, run in zip(self.times, runs)])
+        self.delta = self.inside([sample.delta for sample in self.samples])
         self._kept = None
 
-    def inside(self, rows):
-        """Rows of each sample cut to its ``windows`` and joined, a row of None staying None.
-
-        ``rows`` holds one list of rows per sample; returns one joined row
-        per position in those lists.
-        """
-        return [
-            None if column[0] is None else _joined([r[w] for r, w in zip(column, self.windows)])
-            for column in zip(*rows)
-        ]
+    def inside(self, rows) -> np.ndarray:
+        """One row per sample, each cut to its sample's ``windows``, joined in sample order."""
+        return np.concatenate([row[w] for row, w in zip(rows, self.windows)])
 
     def offset(self, index: np.ndarray, width: int) -> np.ndarray:
         """Indices into ``width`` bins per sample, each sample's bins after the last one's.
 
         ``index`` holds one index in ``[0, width)`` per joined point.
         """
-        if len(self.sizes) == 1:
-            return index
         return index + np.repeat(np.arange(0, len(self.sizes) * width, width), self.sizes)
 
     def kept(self, key, evaluate):
@@ -178,10 +161,6 @@ class _SortedStack:
             self._kept = None  # dropped before the next value is computed
             self._kept = key, evaluate()
         return self._kept[1]
-
-
-def _joined(parts: list) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _split_fields(line: str) -> list[str]:

@@ -83,12 +83,12 @@ def _evaluate_each(estimates, points) -> list[np.ndarray]:
     estimate itself) has ``parts`` and ``combine``, a ``ProjectionEstimate``
     or the quotient's ``ClampedRatio``, takes ``combine`` of its parts'
     values. The parts of one model share one ``design_matrix`` over their
-    points joined in order, each set of points once, and each part
-    multiplies its own contiguous row slice by its coefficients. The
-    basis values are elementwise and the slice has the shape of the
-    part's own design matrix, so every value is the one its own call
-    computes. Any other estimate, such as a step function or a clamped
-    regression, is called on its points.
+    points joined in order, each set of points once (one estimate's
+    points too, as a copy), and each part multiplies its own contiguous
+    row slice by its coefficients. The basis values are elementwise and
+    the slice has the shape of the part's own design matrix, so every
+    value is the one its own call computes. Any other estimate, such as a
+    step function or a clamped regression, is called on its points.
     """
     evaluators = [getattr(estimate, "evaluator", estimate) for estimate in estimates]
     parts = [ev.parts() if hasattr(ev, "parts") else () for ev in evaluators]
@@ -99,7 +99,7 @@ def _evaluate_each(estimates, points) -> list[np.ndarray]:
     values = [[None] * len(row) for row in parts]
     for model, members in groups.items():
         xs = [points[j] for j in members]
-        design = design_matrix(model, xs[0] if len(xs) == 1 else np.concatenate(xs))
+        design = design_matrix(model, np.concatenate(xs))
         stop = 0
         for (j, ks), x in zip(members.items(), xs):
             start, stop = stop, stop + x.size
@@ -126,12 +126,13 @@ def empirical_coefficients(
     from them in the last bits when it derives them from a finer
     subdivision.
     """
+    stack = _SortedStack([sample])
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (sample.n,):
             raise ValueError("weights must have one entry per observation")
-    stack = _SortedStack([sample])
-    ((_, (sums,)),) = _stacked_moments([model], stack, stack.inside([[weights]]))
+        weights = stack.inside([weights])
+    ((_, (sums,)),) = _stacked_moments([model], stack, [weights])
     return sums.ravel()
 
 

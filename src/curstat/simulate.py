@@ -46,9 +46,9 @@ by its own ``np.sum``. So every
 replication's estimate and MSE are byte for byte those that
 ``estimate_sample`` and ``truncated_mse`` give its sample alone, and
 the report is the same for every chunking and every ``n_jobs``. When a
-chunk's stacked fit or scoring raises, each of its samples is scored
-alone, and refitted alone if the fit raised, so a failure stays a row of
-its own replication.
+chunk's stacked fit or scoring raises, the chunk is run again as chunks
+of one, each sample fitted and scored alone by the same path, so a
+failure stays a row of its own replication.
 
 ``scipy.special`` is imported only by ``true_cdf`` for models 2 (``erf``)
 and 5 (``betainc``); no estimator needs it. ``monte_carlo`` evaluates
@@ -123,8 +123,8 @@ def generate(model: SimModel, n: int, rng) -> ObservationSample:
 
 def _draw(model: SimModel, n: int, rng):
     """``generate``'s sample and ``true_cdf`` at each of its times, which drew its statuses."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not _integral(n) or n < 1:
+        raise ValueError("n must be an integer of at least 1")
     rng = np.random.default_rng(rng)
     if model.id in (1, 2, 3):
         u = rng.random(n)
@@ -334,31 +334,27 @@ def _estimate_cell(method: str, stack, config: BenchConfig) -> list:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _scored(method, model, rep, sample, estimate, config):
-    """The ``(mse, error)`` pair of one replication; None refits its sample alone."""
-    try:
-        if estimate is None:
-            (estimate,) = _estimate_cell(method, _SortedStack([sample]), config)
-        return truncated_mse(estimate, model, sample), None
-    except Exception as exc:  # recorded, never silently dropped
-        return float("nan"), f"rep {rep}: {exc}"
-
-
 def _scored_column(method, model, reps, stack, windows, config) -> list:
     """The ``(mse, error)`` pairs of one method over a chunk, in sample order.
 
     The chunk is fitted by one ``_estimate_cell`` call over its stack and
-    scored by one ``_truncated_mses`` call over the shared windows. When
-    either raises, each sample is scored alone by ``_scored``, refitted
-    alone if its stacked fit failed, so every replication keeps its own
-    pair and message.
+    scored by one ``_truncated_mses`` call over its windows. When either
+    raises, each sample is run again through this function as a chunk of
+    one, its own stack and window, and a chunk of one that raises records
+    ``rep {rep}: {exc}``. So every replication keeps its own pair and
+    message.
     """
-    estimates = [None] * len(stack.samples)
     try:
         estimates = _estimate_cell(method, stack, config)
         return [(mse, None) for mse in _truncated_mses(estimates, model, windows)]
-    except Exception:  # scored one sample at a time below
-        return [_scored(method, model, *rep, config) for rep in zip(reps, stack.samples, estimates)]
+    except Exception as exc:  # run again sample by sample, or recorded for one sample
+        if len(reps) == 1:
+            return [(float("nan"), f"rep {reps[0]}: {exc}")]
+    return [
+        pair
+        for rep, sample, window in zip(reps, stack.samples, windows)
+        for pair in _scored_column(method, model, [rep], _SortedStack([sample]), [window], config)
+    ]
 
 
 def _chunk_task(methods, seed, config, task):

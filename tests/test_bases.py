@@ -49,6 +49,15 @@ class TestEvaluation:
             assert np.all(design_matrix(model, [1.01])[0] == 0.0)
             assert np.any(design_matrix(model, [1.0])[0] != 0.0)
 
+    @pytest.mark.parametrize(
+        "model", [trig_model(2), poly_model(3, 2), dyadic_model(1, 3), haar_model(2)]
+    )
+    def test_no_point_inside_gives_zero_rows(self, model):
+        # the scatter of design_matrix takes an empty set of inside points
+        assert design_matrix(model, []).shape == (0, model.dim)
+        outside = design_matrix(model, [-1.0, 1.5, 2.0])
+        assert outside.shape == (3, model.dim) and not outside.any()
+
     def test_design_matrix_rows_match_pointwise(self, rng):
         xs = rng.random(40)
         for model in (trig_model(3), dyadic_model(2, 2), haar_model(3)):
@@ -128,6 +137,15 @@ class TestCollections:
         assert max(m.dim for m in trig) <= math.sqrt(1000) / math.log(1000)
         dyad = build_collection(dyadic_family(9), 1000, "regression")
         assert max(m.dim for m in dyad) <= 1000 / math.log(1000) ** 2
+
+    @pytest.mark.parametrize("n", [61.5, 60.0, True, "60", 1, np.float64(60.0)])
+    def test_sample_size_must_be_an_integer_of_at_least_2(self, n):
+        build_collection(dyadic_family(), 60)  # a kept integer n is never read for 60.0
+        with pytest.raises(ValueError, match="need a sample size of at least 2"):
+            build_collection(dyadic_family(), n)
+        assert build_collection(dyadic_family(), np.int64(60)) == build_collection(
+            dyadic_family(), 60
+        )
 
     def test_unknown_cap_rule_raises(self):
         for cap in ("classic", "sqrt", 1):
@@ -265,6 +283,25 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="max_degree must be an integer"):
             BasisFamily("dyadic", degree)
         assert BasisFamily("dyadic", np.int64(2)).max_degree == 2
+
+    @pytest.mark.parametrize(
+        "name, fields",
+        [
+            ("harmonics", dict(family=trig_family(), harmonics=1.5)),
+            ("harmonics", dict(family=trig_family(), harmonics=2.0)),
+            ("pieces", dict(family=poly_family(2), pieces=3.0, degree=2)),
+            ("degree", dict(family=poly_family(2), pieces=3, degree=2.0)),
+            ("pieces", dict(family=dyadic_family(), pieces=True)),
+            ("pieces", dict(family=dyadic_family(), pieces="2")),
+            ("degree", dict(family=haar_family(), pieces=2, degree=False)),
+        ],
+    )
+    def test_model_indices_must_be_integers(self, name, fields):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            BasisModel(**fields)
+        assert BasisModel(poly_family(2), pieces=np.int64(3), degree=np.int32(2)).dim == 9
+        assert trig_model(np.int64(2)).dim == 5
+        assert haar_model(np.int64(2)).describe() == "haar(level=2, dim=4)"
 
     def test_corrected_dim(self):
         assert corrected_dim(haar_model(2)) == pytest.approx(4.0)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from curstat import ObservationSample, SimModel, generate
+from curstat.data import _SortedStack
 
 from conftest import tied_samples
 
@@ -25,7 +26,8 @@ def test_time_order_and_window(sample):
     # ascending time, status 1 first at a tied time, input order after that
     order = sample.time_order()
     assert np.array_equal(order, np.lexsort((-sample.delta, sample.u)))
-    x, delta, index = sample.sorted_inside(sample.delta, np.arange(sample.n))
+    stack = _SortedStack([sample])
+    x, delta, index = stack.x, stack.delta, stack.windows[0]
     inside = order[(sample.u[order] >= 0.0) & (sample.u[order] <= 1.0)]
     assert index.tolist() == inside.tolist()
     assert x.tobytes() == sample.u[inside].tobytes()

@@ -226,7 +226,8 @@ class TestCoefficientNesting:
 def bincount_sums(sample, family, pieces, degree, weights):
     """Per-piece sums at one subdivision, one ``np.bincount`` per basis row, over n."""
     model = BasisModel(family, pieces=pieces, degree=degree)
-    x, w = sample.sorted_inside(weights)
+    stack = _SortedStack([sample])
+    x, w = stack.x, stack.inside([weights])
     piece, columns = basis_rows(model, x)
     return np.array([np.bincount(piece, row * w, pieces) for row in columns]) / sample.n
 

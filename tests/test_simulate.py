@@ -88,6 +88,12 @@ class TestGenerate:
         sample = generate(SimModel(5), 5000, 33)
         assert sample.u.min() >= 0.0 and sample.u.max() <= 1.0
 
+    @pytest.mark.parametrize("n", [True, 5.0, 60.5, 0, "5"])
+    def test_sample_size_must_be_an_integer_of_at_least_1(self, n):
+        with pytest.raises(ValueError, match="n must be an integer of at least 1"):
+            generate(SimModel(1), n, 1)
+        assert generate(SimModel(1), np.int64(5), 1) == generate(SimModel(1), 5, 1)
+
     def test_replication_streams_differ(self):
         a = generate(SimModel(1), 20, replication_rng(0, 1, 20, 0))
         b = generate(SimModel(1), 20, replication_rng(0, 1, 20, 1))
@@ -695,13 +701,19 @@ class TestSharedChunk:
     def count_fallbacks(monkeypatch):
         import curstat.simulate as sim
 
-        fallbacks, scored = [], sim._scored
+        fallbacks, running, scored_column = [], [], sim._scored_column
 
-        def counted(method, model, rep, *args):
-            fallbacks.append((method, model.id, rep))
-            return scored(method, model, rep, *args)
+        def counted(method, model, reps, *args):
+            # a call inside another is a chunk run again sample by sample
+            if running:
+                fallbacks.append((method, model.id, *reps))
+            running.append(method)
+            try:
+                return scored_column(method, model, reps, *args)
+            finally:
+                running.pop()
 
-        monkeypatch.setattr(sim, "_scored", counted)
+        monkeypatch.setattr(sim, "_scored_column", counted)
         return fallbacks
 
     @pytest.mark.parametrize("seed", [1, 20080317])

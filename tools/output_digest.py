@@ -19,7 +19,12 @@ Each line is a label and the sha256 of one group of outputs:
   family, whose chunks stack many samples that share a pick;
 - ``monte-carlo-pool``: the same of the grid of the ``mc-pool``
   benchmark, models 1-5 at n = 500 and 1000, 20 replications, seed 1,
-  on two worker processes, whose chunk boundaries follow the chunk size.
+  on two worker processes, whose chunk boundaries follow the chunk size;
+- ``monte-carlo-failures``: the same of the ``monte_carlo`` reports of
+  all four methods on models 1 and 5 at n = 1, 2, 3 and 5, 6
+  replications, seed 3, serially and on two worker processes: the
+  chunks whose fits fail (at n = 1) or whose windows are empty (model 5
+  at n = 1 and 2) are run again sample by sample.
 
 A refactor that must not move an output bit prints the same lines
 before and after. It reads only public names, so it runs on any
@@ -139,6 +144,14 @@ def pool_grid() -> str:
     return digest.hexdigest()
 
 
+def failure_grid() -> str:
+    digest = hashlib.sha256()
+    for n_jobs in (1, 2):
+        grid = cs.monte_carlo([1, 5], cs.METHODS, (1, 2, 3, 5), reps=6, seed=3, n_jobs=n_jobs)
+        report_digest(grid, digest)
+    return digest.hexdigest()
+
+
 if __name__ == "__main__":
     print("bench-serial", bench())
     print("bench-jobs2", bench("--jobs", "2"))
@@ -147,3 +160,4 @@ if __name__ == "__main__":
     print("monte-carlo", monte_carlo())
     print("monte-carlo-n60", many_samples())
     print("monte-carlo-pool", pool_grid())
+    print("monte-carlo-failures", failure_grid())
