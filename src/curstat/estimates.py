@@ -8,6 +8,11 @@ by the max-min and fixed-bin estimators. It evaluates by a binary search
 over the knots where its value changes (its value runs), built once at
 the first evaluation; the fixed-bin estimator reads its bins by index
 instead (``isotonic.birge_histogram``).
+
+Every other evaluator is built from projection estimates: it has
+``parts``, each with a ``model`` and ``coeffs``, and a ``combine`` rule
+for their values. ``_evaluate_each`` is the one rule that evaluates
+them, for a direct call (``_evaluated``) as for a Monte Carlo chunk.
 """
 
 from __future__ import annotations
@@ -18,11 +23,12 @@ from functools import cached_property
 
 import numpy as np
 
+from .bases import design_matrix
 from .data import _same_bits
 
 
 def _vectorised(fn, x):
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.ravel(np.asarray(x, dtype=float))
     values = fn(arr)
     if np.ndim(x) == 0:
         return float(values[0])
@@ -89,9 +95,60 @@ class CdfEstimate:
     def __call__(self, x):
         return _vectorised(self.evaluator, x)
 
-    def clamped(self) -> "CdfEstimate":
-        """Same estimate with values truncated to [0, 1] at evaluation."""
-        inner = self.evaluator
-        meta = dict(self.metadata)
-        meta["clamped"] = True
-        return CdfEstimate(self.method, lambda x: np.clip(inner(x), 0.0, 1.0), meta)
+
+def _evaluate_each(estimates, points) -> list[np.ndarray]:
+    """Each estimate at its own 1-d float points.
+
+    An estimate whose evaluator (``estimate.evaluator``, else the
+    estimate itself) has ``parts`` and ``combine``, such as a
+    ``projection.ProjectionEstimate``, the quotient's ``ClampedRatio`` or
+    a clamped regression's ``_Clipped``, takes ``combine`` of its parts'
+    values, ``design_matrix(part.model, x) @ part.coeffs``. The parts of
+    one model share one ``design_matrix`` over their points joined in
+    order, each set of points once (one estimate's points too, as a
+    copy), and each part multiplies its own contiguous row slice by its
+    coefficients. The basis values are elementwise and the slice has the
+    shape of the part's own design matrix, so every value is the one the
+    estimate gets evaluated alone. Any other estimate, a step function, a
+    Birgé histogram or a plain callable, is called on its points.
+    """
+    evaluators = [getattr(estimate, "evaluator", estimate) for estimate in estimates]
+    parts = [ev.parts() if hasattr(ev, "parts") else () for ev in evaluators]
+    groups: dict = {}
+    for j, row in enumerate(parts):
+        for k, part in enumerate(row):
+            groups.setdefault(part.model, {}).setdefault(j, []).append(k)
+    values = [[None] * len(row) for row in parts]
+    for model, members in groups.items():
+        xs = [points[j] for j in members]
+        design = design_matrix(model, np.concatenate(xs))
+        stop = 0
+        for (j, ks), x in zip(members.items(), xs):
+            start, stop = stop, stop + x.size
+            for k in ks:
+                values[j][k] = design[start:stop] @ parts[j][k].coeffs
+        del design  # freed before the next model's matrix is built
+    return [
+        ev.combine(v) if v else np.asarray(estimate(x), dtype=float)
+        for estimate, ev, v, x in zip(estimates, evaluators, values, points)
+    ]
+
+
+def _evaluated(evaluator, x):
+    """The ``__call__`` of every evaluator with ``parts``: ``_evaluate_each`` of it alone."""
+    return _vectorised(lambda points: _evaluate_each([evaluator], [points])[0], x)
+
+
+@dataclass(frozen=True, eq=False)
+class _Clipped:
+    """Evaluator of another one's values truncated to [0, 1]; it has the other's parts."""
+
+    inner: object
+
+    def parts(self) -> tuple:
+        return self.inner.parts()
+
+    def combine(self, values) -> np.ndarray:
+        return np.clip(self.inner.combine(values), 0.0, 1.0)
+
+    __call__ = _evaluated

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BasisModel, design_matrix, penalty_factors, piece_sums
+from .bases import BasisModel, penalty_factors, piece_sums
 from .data import ObservationSample, _SortedStack
-from .estimates import _vectorised
+from .estimates import _evaluated
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,9 @@ class ProjectionEstimate:
 
     ``parts`` and ``combine`` state how the estimate is evaluated, as
     ``combine`` of each part's ``design_matrix(part.model, x) @
-    part.coeffs``: here the one part is the estimate itself. A subclass
-    that evaluates otherwise must override them too, since
-    ``_evaluate_each`` reads only them.
+    part.coeffs``: here the one part is the estimate itself. A call goes
+    through ``estimates._evaluate_each``, as every evaluator with parts
+    does, so a subclass inherits this evaluation with its parts.
     """
 
     model: BasisModel
@@ -62,11 +62,7 @@ class ProjectionEstimate:
         """Squared L2 norm; equals the coefficient sum of squares."""
         return float(self.coeffs @ self.coeffs)
 
-    def _eval(self, x: np.ndarray) -> np.ndarray:
-        return design_matrix(self.model, x) @ self.coeffs
-
-    def __call__(self, x):
-        return _vectorised(self._eval, x)
+    __call__ = _evaluated
 
     def parts(self) -> tuple:
         return (self,)
@@ -74,42 +70,6 @@ class ProjectionEstimate:
     @staticmethod
     def combine(values) -> np.ndarray:
         return values[0]
-
-
-def _evaluate_each(estimates, points) -> list[np.ndarray]:
-    """Each estimate at its own 1-d float points, bitwise as ``estimate(x)``.
-
-    An estimate whose evaluator (``estimate.evaluator``, else the
-    estimate itself) has ``parts`` and ``combine``, a ``ProjectionEstimate``
-    or the quotient's ``ClampedRatio``, takes ``combine`` of its parts'
-    values. The parts of one model share one ``design_matrix`` over their
-    points joined in order, each set of points once (one estimate's
-    points too, as a copy), and each part multiplies its own contiguous
-    row slice by its coefficients. The basis values are elementwise and
-    the slice has the shape of the part's own design matrix, so every
-    value is the one its own call computes. Any other estimate, such as a
-    step function or a clamped regression, is called on its points.
-    """
-    evaluators = [getattr(estimate, "evaluator", estimate) for estimate in estimates]
-    parts = [ev.parts() if hasattr(ev, "parts") else () for ev in evaluators]
-    groups: dict = {}
-    for j, row in enumerate(parts):
-        for k, part in enumerate(row):
-            groups.setdefault(part.model, {}).setdefault(j, []).append(k)
-    values = [[None] * len(row) for row in parts]
-    for model, members in groups.items():
-        xs = [points[j] for j in members]
-        design = design_matrix(model, np.concatenate(xs))
-        stop = 0
-        for (j, ks), x in zip(members.items(), xs):
-            start, stop = stop, stop + x.size
-            for k in ks:
-                values[j][k] = design[start:stop] @ parts[j][k].coeffs
-        del design  # freed before the next model's matrix is built
-    return [
-        ev.combine(v) if v else np.asarray(estimate(x), dtype=float)
-        for estimate, ev, v, x in zip(estimates, evaluators, values, points)
-    ]
 
 
 def empirical_coefficients(

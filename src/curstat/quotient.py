@@ -18,7 +18,7 @@ import numpy as np
 
 from .bases import CAP_DENSITY, BasisFamily, build_collection, dyadic_family
 from .data import ObservationSample
-from .estimates import CdfEstimate
+from .estimates import CdfEstimate, _evaluated
 from .projection import (
     ProjectionEstimate,
     _select_models,
@@ -32,8 +32,9 @@ class ClampedRatio:
     """Evaluator of the clamped ratio of two projection estimates.
 
     Its value at x is ``combine`` of its ``parts``, the numerator and the
-    denominator, at x; ``projection._evaluate_each`` evaluates many such
-    evaluators at once by this pair.
+    denominator, at x. A call goes through ``estimates._evaluate_each``,
+    which evaluates many such evaluators at once by this pair, with one
+    design matrix for both parts when they share a model.
     """
 
     numerator: ProjectionEstimate
@@ -53,8 +54,7 @@ class ClampedRatio:
         out[~nonzero] = num[~nonzero] > 0.0
         return np.clip(out, 0.0, 1.0)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.combine([part(x) for part in self.parts()])
+    __call__ = _evaluated
 
 
 def quotient_cdf(
@@ -63,7 +63,8 @@ def quotient_cdf(
     """Clamped ratio of a sub-density estimate to a density estimate.
 
     The estimate's evaluator is a ``ClampedRatio``, which exposes the
-    two estimates as ``numerator`` and ``denominator``.
+    two estimates as ``numerator`` and ``denominator`` and is evaluated
+    by ``estimates._evaluate_each``, the rule of every estimate with parts.
     """
     metadata = {
         "numerator_model": numerator.model.describe(),

@@ -52,7 +52,7 @@ from .bases import (
     piece_factors,
 )
 from .data import ObservationSample, _SortedStack
-from .estimates import CdfEstimate
+from .estimates import CdfEstimate, _Clipped
 from .projection import ProjectionEstimate
 
 # the rank cut of the normal equations on the Gram's singular values; a
@@ -314,7 +314,8 @@ def fit_cdf_regression(
 
     The estimate is the raw projection by default; values may leave
     [0, 1] near the boundary. Pass ``clamp=True`` to truncate at
-    evaluation time.
+    evaluation time: the evaluator then clips the fit's values to [0, 1],
+    and ``metadata["clamped"]`` is True.
     """
     return _fit_cdf_regressions(_SortedStack([sample]), family, kappa0, clamp)[0]
 
@@ -345,17 +346,16 @@ def _fit_cdf_regressions(
         fits.update(zip(rows.tolist(), fit(models[best], rows)))
     estimates = []
     for i, best_fit in sorted(fits.items()):
-        estimate = CdfEstimate(
-            "regression",
-            best_fit,
-            {
-                "model": best_fit.model.describe(),
-                "contrast": best_fit.contrast,
-                "penalty": float(penalties[i, picks[i]]),
-                "noise_scale": float(noise[i]),
-                "gram_rank": best_fit.gram_rank,
-                "gram_cond": best_fit.gram_cond,
-            },
-        )
-        estimates.append(estimate.clamped() if clamp else estimate)
+        metadata = {
+            "model": best_fit.model.describe(),
+            "contrast": best_fit.contrast,
+            "penalty": float(penalties[i, picks[i]]),
+            "noise_scale": float(noise[i]),
+            "gram_rank": best_fit.gram_rank,
+            "gram_cond": best_fit.gram_cond,
+        }
+        if clamp:
+            metadata["clamped"] = True
+        evaluator = _Clipped(best_fit) if clamp else best_fit
+        estimates.append(CdfEstimate("regression", evaluator, metadata))
     return estimates

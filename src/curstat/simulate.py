@@ -38,11 +38,12 @@ and picks are each sample's own. The NPMLE pools the chunk's joined
 statuses in one set of rounds that never cross a sample
 (``isotonic._npmle_pavas``), and the Birgé histogram bins every sample
 by one pair of ``np.bincount`` calls (``isotonic._birge_histograms``).
-The scoring evaluates the projection estimates, the regression's fits
-and both halves of each quotient, by one design matrix per distinct
-selected model over the joined windows, each sample multiplying its own
-row slice by its own coefficients, and sums each sample's squared errors
-by its own ``np.sum``. So every
+The scoring evaluates every projection-based estimate, the regression's
+fits, raw or clamped, and both halves of each quotient, by the one rule
+that also evaluates a direct call, ``estimates._evaluate_each``: one
+design matrix per distinct selected model over the joined windows, each
+sample multiplying its own row slice by its own coefficients. It sums
+each sample's squared errors by its own ``np.sum``. So every
 replication's estimate and MSE are byte for byte those that
 ``estimate_sample`` and ``truncated_mse`` give its sample alone, and
 the report is the same for every chunking and every ``n_jobs``. When a
@@ -67,9 +68,8 @@ import numpy as np
 
 from .bases import BasisFamily, dyadic_family
 from .data import ObservationSample, _integral, _SortedStack
-from .estimates import CdfEstimate
+from .estimates import CdfEstimate, _evaluate_each
 from .isotonic import _birge_histograms, _npmle_pavas, birge_histogram, npmle_pava
-from .projection import _evaluate_each
 from .quotient import _fit_quotient_cdfs, fit_quotient_cdf
 from .regression import _fit_cdf_regressions, fit_cdf_regression
 
@@ -146,7 +146,8 @@ def truncated_mse(estimate, model: SimModel, sample: ObservationSample) -> float
 
     ``estimate`` is any callable on float arrays: a ``CdfEstimate``, a
     ``StepCdf``, a ``ProjectionEstimate`` or a plain function. This is
-    ``_truncated_mses`` on one sample.
+    ``_truncated_mses`` on one sample, so an estimate with parts is
+    evaluated by the rule that its own call runs.
     """
     return _truncated_mses([estimate], model, [_window(model, sample)])[0]
 
@@ -168,9 +169,9 @@ def _truncated_mses(estimates, model: SimModel, windows) -> list[float]:
 
     Raises when any window is empty. Each MSE squares its own errors in
     place and sums them by ``np.add.reduce``, the reduction ``np.sum``
-    runs, and each estimate's values are bitwise those of
-    ``estimate(points)`` (``projection._evaluate_each``), so every MSE is
-    the one its sample gets alone.
+    runs, and each estimate's values come from
+    ``estimates._evaluate_each``, the rule that ``estimate(points)`` runs
+    on the one estimate, so every MSE is the one its sample gets alone.
     """
     points = [x for x, _ in windows]
     if not all(x.size for x in points):

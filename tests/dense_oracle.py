@@ -12,6 +12,9 @@ in exact rational arithmetic, to tell which of the two float paths is
 nearer the truth. ``all_knots_step`` evaluates a ``StepCdf`` by a binary
 search over every knot, where the library searches only the knots at
 which the value changes, or reads a Birgé bin by its index.
+``dense_values`` evaluates any estimate part by part, each from its own
+dense design, where the library joins the points of every part of one
+model into one design matrix and applies each evaluator's ``combine``.
 """
 
 from fractions import Fraction
@@ -20,11 +23,15 @@ import numpy as np
 
 from curstat import (
     LeastSquaresFit,
+    ProjectionEstimate,
+    StepCdf,
     build_collection,
     density_penalty,
     design_matrix,
     regression_penalty,
 )
+from curstat.estimates import _Clipped
+from curstat.quotient import ClampedRatio
 from curstat.regression import estimate_noise_variance
 
 RANK_TOL = 1e-10
@@ -184,3 +191,30 @@ def all_knots_step(step, x):
     """
     lookup = np.concatenate(([0.0], step.values))
     return lookup[np.searchsorted(step.knots, x, side="right")]
+
+
+def dense_values(evaluator, x):
+    """An estimate's values at the 1-d float points x, each part from its own design.
+
+    A ``CdfEstimate`` is read through its evaluator. A projection
+    estimate is ``design_matrix(model, x) @ coeffs``. A quotient's ratio
+    divides its numerator's values by its denominator's where those are
+    nonzero, takes 1 where a zero denominator meets a positive numerator
+    and 0 at the other zeros, then clips to [0, 1]; a clamped evaluator
+    clips its inner one's values. A step function is read by
+    ``all_knots_step``, and anything else is called.
+    """
+    evaluator = getattr(evaluator, "evaluator", evaluator)
+    if isinstance(evaluator, ProjectionEstimate):
+        return design_matrix(evaluator.model, x) @ evaluator.coeffs
+    if isinstance(evaluator, ClampedRatio):
+        num = dense_values(evaluator.numerator, x)
+        den = dense_values(evaluator.denominator, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(den != 0.0, num / den, np.where(num > 0.0, 1.0, 0.0))
+        return np.clip(ratio, 0.0, 1.0)
+    if isinstance(evaluator, _Clipped):
+        return np.clip(dense_values(evaluator.inner, x), 0.0, 1.0)
+    if isinstance(evaluator, StepCdf):
+        return all_knots_step(evaluator, x)
+    return np.asarray(evaluator(x), dtype=float)

@@ -111,34 +111,53 @@ def test_only_the_bases_branch_on_the_family():
     assert readers == {"bases.py": ["tag"]}
 
 
+class Calls(ast.NodeVisitor):
+    """The ``(function, name)`` pairs of a module's calls and imported names.
+
+    A call is named by its attribute or, for a bare name, by that name.
+    """
+
+    def __init__(self):
+        self.scope, self.found = ["<module>"], set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_ImportFrom(self, node):
+        self.found.update((self.scope[-1], alias.name) for alias in node.names)
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        self.found.add((self.scope[-1], name))
+        self.generic_visit(node)
+
+
+def calls_named(names) -> set:
+    """Every ``(file, function, name)`` in ``src/curstat`` that calls or imports one of ``names``."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        calls = Calls()
+        calls.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found.update((path.name, scope, name) for scope, name in calls.found if name in names)
+    return found
+
+
 def test_one_factorization_route():
     # the regression scores every model from the triangular factors of
     # bases.piece_factors, so no module may factor a Gram matrix, and one
     # helper takes every QR
-    class Calls(ast.NodeVisitor):
-        def __init__(self):
-            self.scope, self.found = ["<module>"], set()
+    assert calls_named({"eigvalsh", "cholesky", "qr"}) == {("bases.py", "_r_factor", "qr")}
 
-        def visit_FunctionDef(self, node):
-            self.scope.append(node.name)
-            self.generic_visit(node)
-            self.scope.pop()
 
-        def visit_ImportFrom(self, node):
-            self.found.update((self.scope[-1], alias.name) for alias in node.names)
-
-        def visit_Call(self, node):
-            func = node.func
-            self.found.add((self.scope[-1], func.attr if isinstance(func, ast.Attribute) else None))
-            self.generic_visit(node)
-
-    factorizations = set()
-    for path in sorted(SRC.glob("*.py")):
-        calls = Calls()
-        calls.visit(ast.parse(path.read_text(encoding="utf-8")))
-        factorizations.update(
-            (path.name, scope, name)
-            for scope, name in calls.found
-            if name in {"eigvalsh", "cholesky", "qr"}
-        )
-    assert factorizations == {("bases.py", "_r_factor", "qr")}
+def test_one_evaluation_rule():
+    # every estimate with parts is evaluated by estimates._evaluate_each, a
+    # direct call as a Monte Carlo chunk, so no other function builds a
+    # design matrix; the package re-exports it for users
+    assert calls_named({"design_matrix"}) == {
+        ("__init__.py", "<module>", "design_matrix"),
+        ("estimates.py", "<module>", "design_matrix"),
+        ("estimates.py", "_evaluate_each", "design_matrix"),
+    }

@@ -6,9 +6,29 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curstat import ObservationSample, StepCdf, birge_histogram
+from curstat import (
+    METHODS,
+    BasisModel,
+    BenchConfig,
+    CdfEstimate,
+    LeastSquaresFit,
+    ObservationSample,
+    ProjectionEstimate,
+    SimModel,
+    StepCdf,
+    birge_histogram,
+    dyadic_family,
+    estimate_sample,
+    generate,
+    haar_family,
+    poly_family,
+    trig_family,
+)
+from curstat.estimates import _Clipped, _evaluate_each
+from curstat.quotient import ClampedRatio
 
-from dense_oracle import all_knots_step
+from conftest import TIMES
+from dense_oracle import all_knots_step, dense_values
 
 # a few fixed knots make ties likely; the floats reach everything else
 knot = st.one_of(
@@ -137,3 +157,86 @@ class TestStepCdf:
             step.values = bit
         step(0.5)  # the cached run starts are not a field
         assert pickle.loads(pickle.dumps(step)) == step == same
+
+
+# few models, so that drawn evaluators often share one
+MODELS = (
+    BasisModel(dyadic_family(), 1, 0),
+    BasisModel(dyadic_family(), 4, 2),
+    BasisModel(haar_family(), 8, 0),
+    BasisModel(poly_family(2), 3, 2),
+    BasisModel(trig_family(), harmonics=3),
+)
+
+
+@st.composite
+def projections(draw):
+    """A projection estimate on one of ``MODELS``; a zero scale makes a zero denominator."""
+    model = draw(st.sampled_from(MODELS))
+    scale = draw(st.sampled_from([0.0, 1.0, -2.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return ProjectionEstimate(model, scale * rng.normal(size=model.dim))
+
+
+least_squares = projections().map(
+    lambda fit: LeastSquaresFit(fit.model, fit.coeffs, 0.5, fit.model.dim, 1.0)
+)
+ratios = st.builds(ClampedRatio, projections(), projections())
+evaluators = st.one_of(
+    projections(),
+    least_squares,
+    ratios,
+    st.one_of(projections(), least_squares, ratios).map(_Clipped),
+    steps.map(lambda pairs: StepCdf(*sorted_steps(pairs))),
+)
+# a CdfEstimate is evaluated through its evaluator
+estimates = st.tuples(evaluators, st.booleans()).map(
+    lambda drawn: CdfEstimate("drawn", drawn[0]) if drawn[1] else drawn[0]
+)
+# tied points, points outside [0, 1] and empty arrays
+point_sets = st.lists(TIMES, max_size=12).map(lambda times: np.array(times, dtype=float))
+
+
+class TestEvaluationRule:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(estimates, point_sets), max_size=8))
+    def test_each_value_is_the_dense_one(self, drawn):
+        # a step function among them is called in its place in the list
+        values = _evaluate_each([e for e, _ in drawn], [x for _, x in drawn])
+        assert len(values) == len(drawn)
+        for (estimate, x), value in zip(drawn, values):
+            assert value.shape == x.shape
+            assert value.tobytes() == dense_values(estimate, x).tobytes()
+            assert np.asarray(estimate(x)).tobytes() == value.tobytes()
+
+
+def each_method(sample):
+    """Every method's ``estimate_sample`` result, and the clamped regression's."""
+    fits = [estimate_sample(method, sample) for method in METHODS]
+    return fits + [estimate_sample("regression", sample, BenchConfig(clamp_regression=True))]
+
+
+class TestEstimateCalls:
+    SAMPLE = generate(SimModel(3), 200, 4)
+
+    def test_the_input_shape_is_kept(self):
+        # design_matrix takes 1-d points, so a call ravels an array of any shape
+        x = np.linspace(-0.2, 1.2, 6).reshape(2, 3)
+        for estimate in each_method(self.SAMPLE):
+            values = estimate(x)
+            assert values.shape == (2, 3)
+            assert values.tobytes() == estimate(x.ravel()).tobytes()
+            for point in (0.4, np.float64(0.4), np.array(0.4)):
+                value = estimate(point)
+                assert type(value) is float
+                assert np.float64(value).tobytes() == estimate(np.array([0.4])).tobytes()
+
+    def test_pickle_round_trip(self):
+        # a clamp must be a module-level evaluator, since pickle refuses a local function
+        grid = np.linspace(-0.25, 1.25, 301)
+        for estimate in each_method(self.SAMPLE):
+            again = pickle.loads(pickle.dumps(estimate))
+            assert again.method == estimate.method
+            assert repr(again.metadata) == repr(estimate.metadata)
+            assert type(again.evaluator) is type(estimate.evaluator)
+            assert again(grid).tobytes() == estimate(grid).tobytes()

@@ -35,6 +35,8 @@ from curstat import (
 )
 from curstat.data import _SortedStack
 
+from dense_oracle import dense_values
+
 
 class TestTrueCdf:
     def test_quadratic_model(self):
@@ -459,9 +461,13 @@ def _fingerprint(estimate, model, sample):
 
 
 def _direct_mse(estimate, model, sample):
-    """The truncated MSE bytes of an estimate called on the sample's points in [a, b]."""
+    """The truncated MSE bytes of an estimate on the sample's points in [a, b].
+
+    The estimate is evaluated by ``dense_values``, part by part from
+    dense designs, not by the library's evaluation rule.
+    """
     points = sample.u[(sample.u >= model.a) & (sample.u <= model.b)]
-    errors = true_cdf(model, points) - np.asarray(estimate(points), dtype=float)
+    errors = true_cdf(model, points) - dense_values(estimate, points)
     return np.float64((model.b - model.a) / points.size * np.sum(errors**2)).tobytes()
 
 

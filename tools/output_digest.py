@@ -24,7 +24,12 @@ Each line is a label and the sha256 of one group of outputs:
   all four methods on models 1 and 5 at n = 1, 2, 3 and 5, 6
   replications, seed 3, serially and on two worker processes: the
   chunks whose fits fail (at n = 1) or whose windows are empty (model 5
-  at n = 1 and 2) are run again sample by sample.
+  at n = 1 and 2) are run again sample by sample;
+- ``monte-carlo-clamped``: the same of the ``monte_carlo`` reports of the
+  regression with ``clamp_regression=True`` on the five families, at
+  n = 200 and 1000, 6 replications, seed 3, followed by the clamped
+  regression fits by ``estimate_sample`` of the ``estimates`` samples
+  on each family.
 
 A refactor that must not move an output bit prints the same lines
 before and after. It reads only public names, so it runs on any
@@ -59,8 +64,9 @@ GRID = np.linspace(-0.1, 1.1, 241)
 def fingerprint(fit, digest) -> None:
     """Feed one fit's metadata, coefficients and grid values to ``digest``.
 
-    ``fit`` is a ``CdfEstimate`` or a ``LeastSquaresFit``; a quotient's
-    evaluator has no coefficients, and its metadata names its models.
+    ``fit`` is a ``CdfEstimate`` or a ``LeastSquaresFit``; the evaluator
+    of a quotient or a clamped regression has no coefficients, and its
+    metadata names its models.
     """
     expansion = getattr(fit, "evaluator", fit)
     digest.update(repr(sorted(getattr(fit, "metadata", {}).items())).encode())
@@ -152,6 +158,22 @@ def failure_grid() -> str:
     return digest.hexdigest()
 
 
+def clamped_grid() -> str:
+    digest = hashlib.sha256()
+    for family in FAMILIES:
+        config = cs.BenchConfig(family=family, clamp_regression=True)
+        report = cs.monte_carlo(
+            cs.MODEL_IDS, ("regression",), (200, 1000), reps=6, seed=3, config=config
+        )
+        report_digest(report, digest)
+        for sample in samples():
+            try:
+                fingerprint(cs.estimate_sample("regression", sample, config), digest)
+            except cs.EmptyCollectionError as exc:
+                digest.update(str(exc).encode())
+    return digest.hexdigest()
+
+
 if __name__ == "__main__":
     print("bench-serial", bench())
     print("bench-jobs2", bench("--jobs", "2"))
@@ -161,3 +183,4 @@ if __name__ == "__main__":
     print("monte-carlo-n60", many_samples())
     print("monte-carlo-pool", pool_grid())
     print("monte-carlo-failures", failure_grid())
+    print("monte-carlo-clamped", clamped_grid())
