@@ -5,7 +5,13 @@ An observation is a pair ``(u, delta)``: an examination time and the
 that time. Sample files are plain text, one observation per line as
 ``u,delta`` (whitespace-delimited also accepted), with an optional
 header line before the first observation that does not start like a
-number; blank lines and ``#`` comment lines may come anywhere.
+number; blank lines and ``#`` comment lines may come anywhere. A field
+parses as ``float()`` parses it, except that a digit-group underscore
+(``0_5``) is refused. A *plain* file, an optional header and then only
+``time,status`` rows of digits, ``.``, ``e``, ``E``, ``+`` and ``-``, as
+``write_sample`` writes it, is read as arrays by ``np.loadtxt``; any
+other file is read line by line, by the loop that writes every error
+message, and both ways return the same bits.
 
 Every estimator that sorts reads a sample in the one time order that
 ``ObservationSample.time_order`` decides: ascending time, status 1
@@ -25,6 +31,8 @@ chunk's, by one code path for any count of samples.
 
 from __future__ import annotations
 
+import codecs
+import io
 import math
 from dataclasses import dataclass, fields
 
@@ -163,10 +171,30 @@ class _SortedStack:
         return self._kept[1]
 
 
+_PLAIN_BYTES = b"0123456789.eE+-,\n"
+
+
 def _split_fields(line: str) -> list[str]:
     if "," in line:
         return [f.strip() for f in line.split(",")]
     return line.split()
+
+
+def _is_header(line: str) -> bool:
+    """Whether ``line`` is a header, when it is the first line that is neither blank nor a comment.
+
+    It is when it does not start like a number (with a digit, a sign or a
+    ``.``) and is not two fields that parse, so a malformed first
+    observation is reported, not taken for a header.
+    """
+    line = line.strip()
+    if line[:1] in "#+-.0123456789":  # the empty line too
+        return False
+    try:
+        _, _ = map(float, _split_fields(line))  # not two fields is a ValueError too
+    except ValueError:
+        return True
+    return "_" in line
 
 
 def read_sample(path) -> ObservationSample:
@@ -176,10 +204,56 @@ def read_sample(path) -> ObservationSample:
     other line may be a header, such as ``u,delta``: it is skipped when
     it does not parse as an observation and does not start like a number
     (with a digit, a sign or a ``.``), so a malformed first observation
-    is reported, not taken for a header. The file is read as UTF-8,
-    after a byte order mark if it starts with one; a byte that is not
+    is reported, not taken for a header. A field parses as Python's
+    ``float()`` parses it, except that a digit-group underscore
+    (``0_5``) is refused. The file is read as UTF-8, after a byte order
+    mark if it starts with one, with any line ending; a byte that is not
     UTF-8 is a SampleFormatError naming its line.
+
+    A *plain* file, the layout ``write_sample`` writes, is read as
+    arrays: after an optional header line, every line is a ``time,status``
+    row of the bytes ``0-9 . e E + -`` alone, with exactly one comma
+    between two nonempty fields. ``np.loadtxt`` converts it in blocks of
+    lines, by CPython's own string-to-double parser, the one ``float()``
+    uses, and its columns are checked as arrays. Any other file, or a
+    plain one that fails a check, is read line by line by the loop that
+    writes every error message, so the two ways return the same bits and
+    raise the same errors.
     """
+    return _read_plain(path) or _read_lines(path)
+
+
+def _read_plain(path) -> ObservationSample | None:
+    """A plain file's sample (see ``read_sample``), or None for any other file."""
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    if b"\r" in data:  # universal newlines, as the loop's text mode reads them
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    header = data[: data.find(b"\n") + 1 or len(data)]
+    # a first line that is not ASCII is no header here, so it fails the byte check
+    header = header if header.isascii() and _is_header(header.decode()) else b""
+    # whole-file counts send most other files to the loop before any
+    # conversion: no rows, not one comma a row, or a byte outside the rows
+    text = np.frombuffer(data, np.uint8)[len(header) :]
+    rows = np.count_nonzero(text == ord("\n")) + (not data.endswith(b"\n"))
+    if rows == 0 or np.count_nonzero(text == ord(",")) != rows:
+        return None
+    if data.translate(None, _PLAIN_BYTES) != header.translate(None, _PLAIN_BYTES):
+        return None
+    # a field that does not parse, rows of unequal width and rows of three
+    # fields (which do not unpack) are ValueErrors
+    try:
+        table = np.loadtxt(io.BytesIO(data), delimiter=",", skiprows=1 if header else 0, ndmin=2)
+        u, delta = (column.copy() for column in table.T)
+    except ValueError:
+        return None
+    # times finite and at least 0 (NaN fails both comparisons), statuses 0 or 1
+    if ((0 <= u) & (u < np.inf)).all() and ((delta == 0) | (delta == 1)).all():
+        return ObservationSample(u, delta)
+
+
+def _read_lines(path) -> ObservationSample:
+    """``read_sample`` of any file, line by line; it writes every error message."""
     u_vals: list[float] = []
     d_vals: list[float] = []
     first = True
@@ -189,23 +263,20 @@ def read_sample(path) -> ObservationSample:
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
+                if first:
+                    first = False
+                    if _is_header(line):
+                        continue
                 fields = _split_fields(line)
-                # the first line is the header when it fails to parse and
-                # does not start like a number
-                header = first and line[0] not in "+-.0123456789"
-                first = False
                 if len(fields) != 2:
-                    if header:
-                        continue  # tolerate a free-form header
                     raise SampleFormatError(
                         f"line {lineno}: expected two fields, got {len(fields)}"
                     )
                 try:
-                    u = float(fields[0])
-                    d = float(fields[1])
+                    if "_" in line:  # float() reads the digit group "0_5" as 5.0
+                        raise ValueError(line)
+                    u, d = float(fields[0]), float(fields[1])
                 except ValueError:
-                    if header:
-                        continue  # header row such as "u,delta"
                     raise SampleFormatError(
                         f"line {lineno}: could not parse {line!r}"
                     ) from None
@@ -241,6 +312,13 @@ def read_sample(path) -> ObservationSample:
 
 
 def write_sample(sample: ObservationSample, path) -> None:
+    """Write ``sample`` as a plain ``u,delta`` file, each time in 17 significant digits.
+
+    ``read_sample`` refuses times below 0, so such a sample is a
+    ValueError before the file is opened.
+    """
+    if (sample.u < 0).any():
+        raise ValueError("read_sample refuses examination times below 0; this sample has some")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("u,delta\n")
         for u, d in zip(sample.u, sample.delta):

@@ -3,18 +3,24 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import curstat
 from curstat import (
     ObservationSample,
     SampleFormatError,
+    SimModel,
+    generate,
     npmle_maxmin,
     read_sample,
     write_sample,
 )
+from curstat import data
 from curstat.cli import build_parser, main
 
 
@@ -24,6 +30,54 @@ def run(args):
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n")
+
+
+# plain rows that parse, and odd lines: plain bytes that do not parse or
+# fail a check, and what only the loop reads (underscores, words, spaces,
+# extra or empty fields, a form feed, non-ASCII digits and spaces, comments)
+# or refuses (a byte that is not UTF-8, written as the surrogate "\udce9")
+TIMES = st.one_of(
+    st.sampled_from(["0", "1", "0.5", ".25", "+0.75", "1e-3", "2.5E+1", "-0", "1.", "7"]),
+    st.floats(0.0, 2.0).map(lambda u: f"{u:.17g}"),
+    st.floats(0.0, 2.0).map(repr),
+)
+PLAIN_ROWS = st.builds("{},{}".format, TIMES, st.sampled_from(["0", "1"]))
+ODD_FIELDS = st.one_of(
+    st.text("0123456789.eE+-", max_size=4),
+    st.sampled_from([".", "e", "+", "2", "-0.5", "nan", "inf", "1e400", "0_5", "0_1", "\u0661"]),
+    st.just("0." + "1" * 40),
+)
+ODD_ROWS = st.one_of(
+    st.builds("{},{}".format, ODD_FIELDS, st.sampled_from(["0", "1"])),
+    st.builds("{},{}".format, TIMES, ODD_FIELDS),
+    st.builds("{}{}{}".format, TIMES, st.sampled_from([" ", "\t", " , ", ",,", ";"]), TIMES),
+    st.builds("{}\x0c{}".format, PLAIN_ROWS, PLAIN_ROWS),
+    st.sampled_from(["", " ", "\t", " \t ", "# a comment", "0.5,1 # x", "0.5", ","]),
+    st.sampled_from(["\u30000.5,1", "\udce9,1"]),
+)
+HEADERS = st.sampled_from(
+    ["", "u,delta", "u,delta", "time status", "u,delta,x", "e5,1", "Infinity,1", "# c", " u , d"]
+    + ["\u00fc,\u03b4", "\udce9,d"]
+)
+
+
+@st.composite
+def sample_files(draw):
+    """The bytes of an observation file: plain rows, now and then an odd line."""
+    header = draw(HEADERS)
+    lines = draw(st.lists(PLAIN_ROWS, max_size=12))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(ODD_ROWS))
+    if header:
+        lines.insert(0, header)
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    if draw(st.booleans()):
+        ends = st.just(draw(ends))  # one line end for the whole file
+    text = "".join(line + draw(ends) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line end
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + text).encode("utf-8", "surrogateescape")
 
 
 def read_document(path):
@@ -369,7 +423,7 @@ class TestSampleFiles:
         with pytest.raises(Exception, match="line 2"):
             read_sample(path)
 
-    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "Infinity"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "Infinity", "1e400"])
     def test_non_finite_time_rejected(self, tmp_path, text):
         path = tmp_path / "sample.csv"
         path.write_text(f"u,delta\n0.5,1\n{text},0\n")
@@ -387,6 +441,8 @@ class TestSampleFiles:
             # a malformed first observation is not a header
             ("0.5,,1\n0.25,1\n0.75,0\n", "line 1: expected two fields, got 3"),
             ("0.5;1\n0.25,1\n0.75,0\n", "line 1: expected two fields, got 1"),
+            # a form feed splits no line
+            ("u,delta\n0.5,1\x0c0.25,0\n", "line 2: expected two fields, got 3"),
         ],
     )
     def test_bad_rows_name_the_line(self, tmp_path, text, message):
@@ -432,6 +488,59 @@ class TestSampleFiles:
             with pytest.raises(SampleFormatError, match=error):
                 read_sample(path)
         assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("row", ["0_5,1", "0.5,0_1"])
+    def test_underscores_do_not_parse(self, tmp_path, row):
+        # float() reads "0_5" as 5.0 and "0_1" as 1.0
+        path = tmp_path / "sample.csv"
+        path.write_text(f"u,delta\n0.25,0\n{row}\n")
+        with pytest.raises(SampleFormatError, match=f"^line 3: could not parse '{row}'$"):
+            read_sample(path)
+
+    def test_write_sample_refuses_what_read_sample_refuses(self, tmp_path):
+        path = tmp_path / "sample.csv"
+        with pytest.raises(ValueError, match="read_sample refuses examination times below 0"):
+            write_sample(ObservationSample([0.5, -0.25], [1.0, 0.0]), path)
+        assert not path.exists()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(sample_files())
+    @example(b"u,delta\n.,1\n")  # one byte, no digit
+    def test_plain_files_read_as_the_loop_reads_them(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("files") / "sample.csv"
+        path.write_bytes(text)
+        outcomes = []
+        for reader in (data._read_lines, read_sample):
+            try:
+                sample = reader(path)
+                outcomes.append((sample.u.tobytes(), sample.delta.tobytes()))
+            except Exception as exc:  # compared, type and message, below
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[1] == outcomes[0]
+
+    def test_plain_files_never_reach_the_loop(self, tmp_path, monkeypatch):
+        loop = mock.Mock(wraps=data._read_lines)
+        monkeypatch.setattr(data, "_read_lines", loop)
+        sample = generate(SimModel(4), 5000, 3)  # times above 1 too
+        written = tmp_path / "written.csv"
+        write_sample(sample, written)
+        text = written.read_bytes()
+        copies = {
+            "crlf.csv": text.replace(b"\n", b"\r\n"),
+            "headless.csv": text.partition(b"\n")[2],
+            "unended.csv": text.rstrip(b"\n"),
+        }
+        for name, copy in copies.items():
+            (tmp_path / name).write_bytes(copy)
+        for path in [written, *(tmp_path / name for name in copies)]:
+            back = read_sample(path)
+            assert back == sample
+            # two contiguous arrays that own their values, not views of one table
+            assert all(a.flags.c_contiguous and a.base is None for a in (back.u, back.delta))
+        assert loop.call_count == 0
+        (tmp_path / "comment.csv").write_bytes(b"# a comment\n" + text)
+        assert read_sample(tmp_path / "comment.csv") == sample
+        assert loop.call_count == 1
 
 
 def test_module_entry_point_runs():

@@ -29,7 +29,12 @@ Each line is a label and the sha256 of one group of outputs:
   regression with ``clamp_regression=True`` on the five families, at
   n = 200 and 1000, 6 replications, seed 3, followed by the clamped
   regression fits by ``estimate_sample`` of the ``estimates`` samples
-  on each family.
+  on each family;
+- ``read-sample``: the times' and statuses' bytes that ``read_sample``
+  returns for the ``write_sample`` files of the ``estimates`` samples
+  and of its n = 5e4 sample, and for copies of each file with comment
+  lines, with whitespace-delimited rows, with CRLF line ends and with a
+  byte order mark, followed by the messages raised by malformed files.
 
 A refactor that must not move an output bit prints the same lines
 before and after. It reads only public names, so it runs on any
@@ -174,6 +179,46 @@ def clamped_grid() -> str:
     return digest.hexdigest()
 
 
+BAD_FILES = (
+    "u,delta\n0.5,1 # x\n",
+    "u,delta\n0.5,,1\n",
+    "u,delta\n0.5 1,0\n",
+    "u,delta\n0.5,1\n0.25,2\n",
+    "u,delta\n\n# only comments\n",
+    "0.5,,1\n0.25,1\n0.75,0\n",
+    "0.5;1\n0.25,1\n0.75,0\n",
+    "u,delta\n0.5,1\x0c0.25,0\n",
+)
+
+
+def read_samples() -> str:
+    digest = hashlib.sha256()
+    large = cs.generate(cs.SimModel(5), 50_000, cs.replication_rng(7, 5, 50_000, 0))
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "sample.csv"
+        for sample in [*samples(), large]:
+            cs.write_sample(sample, path)
+            text = path.read_bytes()
+            copies = (
+                text,
+                b"# a comment\n" + text.replace(b"\n", b"\n# a comment\n", 3),
+                text.replace(b",", b" "),
+                text.replace(b"\n", b"\r\n"),
+                b"\xef\xbb\xbf" + text,
+            )
+            for copy in copies:
+                path.write_bytes(copy)
+                back = cs.read_sample(path)
+                digest.update(back.u.tobytes() + back.delta.tobytes())
+        for text in BAD_FILES:
+            path.write_text(text)
+            try:
+                cs.read_sample(path)
+            except cs.SampleFormatError as exc:
+                digest.update(str(exc).encode())
+    return digest.hexdigest()
+
+
 if __name__ == "__main__":
     print("bench-serial", bench())
     print("bench-jobs2", bench("--jobs", "2"))
@@ -184,3 +229,4 @@ if __name__ == "__main__":
     print("monte-carlo-pool", pool_grid())
     print("monte-carlo-failures", failure_grid())
     print("monte-carlo-clamped", clamped_grid())
+    print("read-sample", read_samples())
