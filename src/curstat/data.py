@@ -59,15 +59,22 @@ def _integral(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _unsigned_zeros(a: np.ndarray) -> np.ndarray:
+    """``a``, or a new array of it in which -0.0 is 0.0 when it holds a -0.0."""
+    zero = a == 0.0
+    return a + 0.0 if zero.any() and np.signbit(a[zero]).any() else a
+
+
 @dataclass(frozen=True)
 class ObservationSample:
     """Paired examination times and status indicators, in input order.
 
     Any finite time is accepted, negative ones too (``read_sample`` is
     stricter): points outside [0, 1] count only toward the sample size.
-    A time of -0.0 is stored as 0.0, so the two zeros are one time bit
-    for bit; the caller's array is copied only then. Two samples are
-    equal when their times and statuses match bit for bit.
+    A time or a status of -0.0 is stored as 0.0, so the two zeros are
+    one value bit for bit, as a file writes and reads them; the caller's
+    array is copied only then. Two samples are equal when their times
+    and statuses match bit for bit.
     """
 
     u: np.ndarray
@@ -86,13 +93,10 @@ class ObservationSample:
             raise ValueError("empty sample")
         if not np.isfinite(u).all():
             raise ValueError("examination times must be finite")
-        zero = u == 0.0
-        if zero.any() and np.signbit(u[zero]).any():
-            u = u + 0.0  # a new array in which -0.0 + 0.0 is 0.0
         if not ((delta == 0.0) | (delta == 1.0)).all():
             raise ValueError("status indicators must be 0 or 1")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "u", _unsigned_zeros(u))
+        object.__setattr__(self, "delta", _unsigned_zeros(delta))
 
     @property
     def n(self) -> int:
@@ -197,6 +201,28 @@ def _is_header(line: str) -> bool:
     return "_" in line
 
 
+def _parse_row(line: str, lineno: int) -> tuple[float, float]:
+    """The time and status of one stripped observation line; SampleFormatError names it."""
+    fields = _split_fields(line)
+    if len(fields) != 2:
+        raise SampleFormatError(f"line {lineno}: expected two fields, got {len(fields)}")
+    try:
+        if "_" in line:  # float() reads the digit group "0_5" as 5.0
+            raise ValueError(line)
+        u, d = float(fields[0]), float(fields[1])
+    except ValueError:
+        raise SampleFormatError(f"line {lineno}: could not parse {line!r}") from None
+    if not math.isfinite(u):
+        raise SampleFormatError(
+            f"line {lineno}: examination time must be finite, got {fields[0]!r}"
+        )
+    if u < 0:
+        raise SampleFormatError(f"line {lineno}: examination time must be >= 0, got {u!r}")
+    if d not in (0.0, 1.0):
+        raise SampleFormatError(f"line {lineno}: status must be 0 or 1, got {fields[1]!r}")
+    return u, d
+
+
 def read_sample(path) -> ObservationSample:
     """Parse an observation file; SampleFormatError on bad rows or on times below 0.
 
@@ -248,8 +274,12 @@ def _read_plain(path) -> ObservationSample | None:
     except ValueError:
         return None
     # times finite and at least 0 (NaN fails both comparisons), statuses 0 or 1
-    if ((0 <= u) & (u < np.inf)).all() and ((delta == 0) | (delta == 1)).all():
+    valid = (0 <= u) & (u < np.inf) & ((delta == 0) | (delta == 1))
+    if valid.all():
         return ObservationSample(u, delta)
+    # every line after the header is one row: the first invalid one raises
+    lineno = int(np.argmin(valid)) + 1 + bool(header)
+    _parse_row(data.split(b"\n", lineno)[lineno - 1].decode(), lineno)
 
 
 def _read_lines(path) -> ObservationSample:
@@ -267,31 +297,7 @@ def _read_lines(path) -> ObservationSample:
                     first = False
                     if _is_header(line):
                         continue
-                fields = _split_fields(line)
-                if len(fields) != 2:
-                    raise SampleFormatError(
-                        f"line {lineno}: expected two fields, got {len(fields)}"
-                    )
-                try:
-                    if "_" in line:  # float() reads the digit group "0_5" as 5.0
-                        raise ValueError(line)
-                    u, d = float(fields[0]), float(fields[1])
-                except ValueError:
-                    raise SampleFormatError(
-                        f"line {lineno}: could not parse {line!r}"
-                    ) from None
-                if not math.isfinite(u):
-                    raise SampleFormatError(
-                        f"line {lineno}: examination time must be finite, got {fields[0]!r}"
-                    )
-                if u < 0:
-                    raise SampleFormatError(
-                        f"line {lineno}: examination time must be >= 0, got {u!r}"
-                    )
-                if d not in (0.0, 1.0):
-                    raise SampleFormatError(
-                        f"line {lineno}: status must be 0 or 1, got {fields[1]!r}"
-                    )
+                u, d = _parse_row(line, lineno)
                 u_vals.append(u)
                 d_vals.append(d)
     except UnicodeDecodeError:

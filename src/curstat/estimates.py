@@ -6,8 +6,11 @@ scalar out), and a metadata dict recording selected models, contrast
 and penalty values. ``StepCdf`` is the piecewise-constant variant used
 by the max-min and fixed-bin estimators. It evaluates by a binary search
 over the knots where its value changes (its value runs), built once at
-the first evaluation; the fixed-bin estimator reads its bins by index
-instead (``isotonic.birge_histogram``).
+the first evaluation. On ``_BUCKET_MIN_POINTS`` points or more it first
+reads each point's run count from a bucket index built once at the first
+such call, keeps a count only where a check proves it is the search's,
+and searches the other points. The fixed-bin estimator reads its bins by
+index instead (``isotonic.birge_histogram``).
 
 Every other evaluator is built from projection estimates: it has
 ``parts``, each with a ``model`` and ``coeffs``, and a ``combine`` rule
@@ -25,6 +28,11 @@ import numpy as np
 
 from .bases import design_matrix
 from .data import _same_bits
+
+# a step function finds the runs of this many points or more by its bucket index
+_BUCKET_MIN_POINTS = 4096
+_BUCKETS_PER_RUN = 64
+_BUCKETS_MAX = 2**16
 
 
 def _vectorised(fn, x):
@@ -50,6 +58,16 @@ class StepCdf:
     starts are cached at the first evaluation, so ``knots`` and
     ``values`` must not be changed in place after it. Two step functions
     of one class are equal when their knots and values match bit for bit.
+
+    An input of ``_BUCKET_MIN_POINTS`` points or more, where a table beats
+    the search, first reads each point's run count ``r`` from a bucket
+    index (``_buckets``), built at the first such call and cached beside
+    the run starts. ``r`` is kept only when
+    ``bounds[r] <= x < bounds[r + 1]``, with ``bounds`` the run starts
+    between -inf and +inf: on sorted run starts only the search's count
+    meets that. Every other point (a nan, an infinity, one in a bucket
+    that holds a run start or moved across an edge by rounding) is
+    searched, so no bit differs from the search.
     """
 
     knots: np.ndarray
@@ -75,10 +93,46 @@ class StepCdf:
         starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
         return self.knots[starts], np.concatenate(([0.0], self.values[starts]))
 
+    @cached_property
+    def _buckets(self):
+        """``(origin, scale, guess, bounds)`` of the bucket index, or None.
+
+        ``[first, last]`` run start is split into ``_BUCKETS_PER_RUN``
+        equal buckets per run start, at most ``_BUCKETS_MAX``. Bucket
+        ``j`` holds the x whose ``fl(fl(x - origin) * scale)``, clipped to
+        ``[0, guess.size - 1]``, truncates to ``j``. That map is monotone
+        in x, so ``guess[j]``, the number of run starts in the buckets
+        left of ``j``, is the search's count for every x of the bucket
+        left of its first run start. None when the run starts span no
+        finite, positive width that a float scale maps (one run, or an
+        infinite knot): then every point is searched.
+        """
+        knots, _ = self._runs
+        origin, span = float(knots[0]), float(knots[-1]) - float(knots[0])
+        buckets = min(_BUCKETS_PER_RUN * knots.size, _BUCKETS_MAX)
+        if not 0.0 < span < math.inf or not math.isfinite(scale := buckets / span):
+            return None
+        # the run starts lie in [0, span], so the product stays below buckets + 1
+        owners = ((knots - origin) * scale).astype(np.intp)
+        guess = np.searchsorted(owners, np.arange(buckets + 2))
+        return origin, scale, guess, np.concatenate(([-np.inf], knots, [np.inf]))
+
     def _eval(self, x: np.ndarray) -> np.ndarray:
         # the number of run starts at or left of x indexes the lookup
         knots, lookup = self._runs
-        return lookup[np.searchsorted(knots, x, side="right")]
+        table = self._buckets if x.size >= _BUCKET_MIN_POINTS else None
+        if table is None:
+            return lookup[np.searchsorted(knots, x, side="right")]
+        origin, scale, guess, bounds = table
+        with np.errstate(over="ignore"):  # a far x may round to inf
+            at = np.multiply(np.subtract(x, origin), scale)
+        np.fmax(at, 0.0, out=at)  # fmax takes 0 over a nan, which the check sends on
+        np.fmin(at, guess.size - 1.0, out=at)
+        count = guess[at.astype(np.intp)]
+        # the one count with bounds[count] <= x < bounds[count + 1] is the search's
+        missed = np.flatnonzero(~((bounds[count] <= x) & (x < bounds[1:][count])))
+        count[missed] = np.searchsorted(knots, x[missed], side="right")
+        return lookup[count]
 
     def __call__(self, x):
         return _vectorised(self._eval, x)

@@ -537,6 +537,26 @@ class TestSampleFiles:
             assert back == sample
             # two contiguous arrays that own their values, not views of one table
             assert all(a.flags.c_contiguous and a.base is None for a in (back.u, back.delta))
+        # a plain file whose only fault is a value raises the loop's message itself
+        lines = text.split(b"\n")
+        bad = {
+            "status.csv": (
+                b"\n".join([*lines[:99], b"0.5,2", *lines[100:]]),
+                "^line 100: status must be 0 or 1, got '2'$",
+            ),
+            "time.csv": (  # headless
+                b"\n".join([*lines[1:99], b"-0.5,1", *lines[100:]]),
+                "^line 99: examination time must be >= 0, got -0.5$",
+            ),
+            "finite.csv": (
+                b"\r\n".join([*lines[:3], b"1e999,0", *lines[3:]]),
+                "^line 4: examination time must be finite, got '1e999'$",
+            ),
+        }
+        for name, (copy, message) in bad.items():
+            (tmp_path / name).write_bytes(copy)
+            with pytest.raises(SampleFormatError, match=message):
+                read_sample(tmp_path / name)
         assert loop.call_count == 0
         (tmp_path / "comment.csv").write_bytes(b"# a comment\n" + text)
         assert read_sample(tmp_path / "comment.csv") == sample

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from curstat import ObservationSample, SimModel, generate
+from curstat import ObservationSample, SimModel, generate, read_sample, write_sample
 from curstat.data import _SortedStack
 
 from conftest import tied_samples
@@ -76,6 +76,21 @@ def test_equality_reads_the_bits():
     with pytest.raises(dataclasses.FrozenInstanceError):
         sample.u = bit
     assert pickle.loads(pickle.dumps(sample)) == sample
+
+
+def test_signed_zero_status_round_trips(tmp_path):
+    # a file writes -0.0 as 0, so the sample stores it as 0.0
+    path = tmp_path / "sample.csv"
+    delta = np.array([-0.0, 1.0])
+    sample = ObservationSample([0.5, 0.7], delta)
+    write_sample(sample, path)
+    assert read_sample(path) == sample == ObservationSample([0.5, 0.7], [0.0, 1.0])
+    assert not np.signbit(sample.delta).any()
+    # the caller's array is left as it was, and copied only when it holds a -0.0
+    assert np.signbit(delta[0]) and sample.delta is not delta
+    u, unsigned = np.array([0.5, 0.7]), np.array([0.0, 1.0])
+    kept = ObservationSample(u, unsigned)
+    assert kept.u is u and kept.delta is unsigned
 
 
 def test_only_the_sample_sorts():

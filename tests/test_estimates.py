@@ -21,10 +21,11 @@ from curstat import (
     estimate_sample,
     generate,
     haar_family,
+    npmle_pava,
     poly_family,
     trig_family,
 )
-from curstat.estimates import _Clipped, _evaluate_each
+from curstat.estimates import _BUCKET_MIN_POINTS, _BUCKETS_MAX, _Clipped, _evaluate_each
 from curstat.quotient import ClampedRatio
 
 from conftest import TIMES
@@ -56,6 +57,46 @@ def sorted_steps(pairs):
     """Sort by knot only, so tied knots keep their values in drawn order."""
     knots, values = zip(*sorted(pairs, key=lambda pair: pair[0]))
     return np.array(knots), np.array(values)
+
+
+# knots that strain a bucket index: both zeros, subnormals, spans of the
+# float range, infinities, and ties of all of these
+unit_knot = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 0.5, 1.0]), st.floats(-1.0, 1.0)
+)
+finite_knot = st.one_of(
+    unit_knot,
+    st.sampled_from([1e-300, 1e10, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+any_knot = st.one_of(finite_knot, st.sampled_from([-np.inf, np.inf]))
+
+
+@st.composite
+def large_queries(draw):
+    """A step function of up to 60 knots (or of one repeated knot) and points for it.
+
+    The points hold nan, both infinities, every knot and its two
+    neighbours, then random fill up to at least ``_BUCKET_MIN_POINTS``:
+    points between the finite knots, and knots moved by a few ulps.
+    """
+    knot = draw(st.sampled_from([unit_knot, unit_knot, finite_knot, any_knot]))
+    pairs = draw(st.lists(st.tuples(knot, value), min_size=1, max_size=60))
+    if draw(st.integers(0, 7)) == 0:  # all knots equal
+        pairs = [(pairs[0][0], v) for _, v in pairs]
+    knots, values = sorted_steps(pairs)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    finite = knots[np.isfinite(knots)]
+    lo, hi = (finite.min(), finite.max()) if finite.size else (-1.0, 1.0)
+    r = rng.random(_BUCKET_MIN_POINTS)
+    between = lo * (1.0 - r) + hi * r  # stays finite where hi - lo does not
+    moved = rng.choice(knots, 512).view(np.int64) + rng.integers(-3, 4, 512)
+    with np.errstate(over="ignore"):  # the largest float's neighbour is inf
+        neighbours = [np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)]
+    x = np.concatenate(
+        [[np.nan, np.inf, -np.inf, -0.0, 0.0], knots, *neighbours, between, moved.view(float)]
+    )
+    return knots, values, rng.permutation(x)
 
 
 class TestStepCdf:
@@ -122,6 +163,9 @@ class TestStepCdf:
         before = repr(step)
         x = np.array([-1.0, 0.0, 0.5, 0.75, 1.0, np.nan])
         first = step(x)  # builds the cached run starts
+        large = np.resize(x, _BUCKET_MIN_POINTS)
+        first_large = step(large)  # and the bucket index
+        assert step._buckets is not None
         assert repr(step) == before == repr(fresh)
         assert [f.name for f in dataclasses.fields(step)] == ["knots", "values"]
         assert step == fresh and fresh == step
@@ -131,6 +175,35 @@ class TestStepCdf:
         assert again.knots.tobytes() == step.knots.tobytes()
         assert again.values.tobytes() == step.values.tobytes()
         assert again(x).tobytes() == first.tobytes() == fresh(x).tobytes()
+        assert again(large).tobytes() == first_large.tobytes() == fresh(large).tobytes()
+        assert first_large.tobytes() == np.resize(first, large.size).tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(large_queries())
+    @example((np.array([0.5]), np.array([1.0]), np.full(_BUCKET_MIN_POINTS, 0.5)))
+    def test_large_inputs_read_the_bits_of_the_all_knots_search(self, drawn):
+        # at the size rule and above, the bucket index, its check and its
+        # fallback search give the search's bits
+        knots, values, x = drawn
+        assert x.size >= _BUCKET_MIN_POINTS
+        step = StepCdf(knots, values)
+        assert step(x).tobytes() == all_knots_step(step, x).tobytes()
+        # below it, the search alone gives them too
+        assert step(x[:100]).tobytes() == all_knots_step(step, x[:100]).tobytes()
+
+    def test_npmle_of_rounded_times_reads_the_search(self):
+        sample = generate(SimModel(3), 20_000, 5)
+        step = npmle_pava(ObservationSample(np.round(sample.u, 2), sample.delta))
+        x = np.concatenate([sample.u, np.round(sample.u, 2), np.linspace(-0.1, 1.1, 4097)])
+        assert step._runs[0].size > 20
+        assert step(x).tobytes() == all_knots_step(step, x).tobytes()
+        assert step._buckets is not None
+
+    def test_bucket_table_is_capped(self):
+        step = StepCdf(np.arange(1e6), np.arange(1e6))
+        x = np.random.default_rng(3).uniform(-1.0, 1e6, _BUCKET_MIN_POINTS)
+        assert step(x).tobytes() == all_knots_step(step, x).tobytes()
+        assert step._buckets[2].size <= _BUCKETS_MAX + 2
 
     def test_equality_reads_the_bits(self):
         # == on equal but distinct arrays once raised "the truth value of an

@@ -34,7 +34,15 @@ Each line is a label and the sha256 of one group of outputs:
   returns for the ``write_sample`` files of the ``estimates`` samples
   and of its n = 5e4 sample, and for copies of each file with comment
   lines, with whitespace-delimited rows, with CRLF line ends and with a
-  byte order mark, followed by the messages raised by malformed files.
+  byte order mark, followed by the messages raised by malformed files;
+- ``step-functions``: the values of the ``npmle_pava`` and
+  ``birge_histogram`` fits of the ``estimates`` samples and of three
+  n = 5e4 samples (model 3, model 4 with times outside [0, 1], and
+  model 3 with 0.01-rounded times), each on its sample's points in the
+  MSE window and on 10 000 points drawn from its knots, their
+  neighbours, points outside [0, 1], nan and both infinities, followed
+  by its ``truncated_mse`` bytes. The fits of the n = 5e4 samples are
+  evaluated on 4 096 points or more, as fit-large scores them.
 
 A refactor that must not move an output bit prints the same lines
 before and after. It reads only public names, so it runs on any
@@ -89,12 +97,17 @@ def bench(*flags) -> str:
         return hashlib.sha256((out.parent / "bench.csv").read_bytes()).hexdigest()
 
 
-def samples():
+def model_samples():
     for model_id in cs.MODEL_IDS:
+        model = cs.SimModel(model_id)
         for n in (60, 200, 1000, 5000):
-            sample = cs.generate(cs.SimModel(model_id), n, cs.replication_rng(7, model_id, n, 0))
-            yield sample
-            yield cs.ObservationSample(np.round(sample.u, 2), sample.delta)
+            sample = cs.generate(model, n, cs.replication_rng(7, model_id, n, 0))
+            yield model, sample
+            yield model, cs.ObservationSample(np.round(sample.u, 2), sample.delta)
+
+
+def samples():
+    return (sample for _, sample in model_samples())
 
 
 def estimates() -> str:
@@ -219,6 +232,36 @@ def read_samples() -> str:
     return digest.hexdigest()
 
 
+SPECIAL_POINTS = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, -0.5, 1.5, -1e300, 1e300])
+
+
+def step_functions() -> str:
+    digest = hashlib.sha256()
+    large = [
+        (cs.SimModel(m), cs.generate(cs.SimModel(m), 50_000, cs.replication_rng(7, m, 50_000, 0)))
+        for m in (3, 4)
+    ]
+    model, sample = large[0]
+    large.append((model, cs.ObservationSample(np.round(sample.u, 2), sample.delta)))
+    rng = np.random.default_rng(7)
+    for model, sample in [*model_samples(), *large]:
+        window = sample.u[(sample.u >= model.a) & (sample.u <= model.b)]
+        fits = (
+            cs.npmle_pava(sample),
+            cs.birge_histogram(sample, cs.default_birge_bins(sample.n)),
+        )
+        for fit in fits:
+            knots = fit.knots
+            drawn = np.concatenate(
+                [knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf), SPECIAL_POINTS]
+            )
+            x = np.concatenate([SPECIAL_POINTS, rng.choice(drawn, 10_000 - SPECIAL_POINTS.size)])
+            for points in (window, x):
+                digest.update(np.asarray(fit(points), dtype=float).tobytes())
+            digest.update(np.float64(cs.truncated_mse(fit, model, sample)).tobytes())
+    return digest.hexdigest()
+
+
 if __name__ == "__main__":
     print("bench-serial", bench())
     print("bench-jobs2", bench("--jobs", "2"))
@@ -230,3 +273,4 @@ if __name__ == "__main__":
     print("monte-carlo-failures", failure_grid())
     print("monte-carlo-clamped", clamped_grid())
     print("read-sample", read_samples())
+    print("step-functions", step_functions())
