@@ -325,7 +325,6 @@ def write_sample(sample: ObservationSample, path) -> None:
     """
     if (sample.u < 0).any():
         raise ValueError("read_sample refuses examination times below 0; this sample has some")
+    rows = zip(sample.u.tolist(), sample.delta.astype(int).tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("u,delta\n")
-        for u, d in zip(sample.u, sample.delta):
-            fh.write(f"{u:.17g},{int(d)}\n")
+        fh.write("u,delta\n" + "".join([f"{u:.17g},{d}\n" for u, d in rows]))

@@ -45,11 +45,14 @@ integer block sum by the block count.
 The fixed-bin histogram estimator averages the status indicators over a
 regular partition of [0, 1] (zero on empty bins). It is not monotone in
 general and needs the bin count chosen by the caller. It evaluates by
-bin index, ``floor(x * n_bins)``, with no search over its knots. A
-Monte Carlo chunk bins all of its samples by one pair of
-``np.bincount`` calls over the stack's joined points in [0, 1]
-(``_birge_histograms``); counts and sums of 0/1 statuses are exact in
-any order, so each sample's values are those it gets alone.
+bin index, ``floor(x * n_bins)``, with no search over its knots. It
+counts its points by one integer ``np.bincount`` of the key
+``2 * bin + status``, so a bin's count and its count of status 1 come
+from one pass (``_bin_keys``, ``_bin_means``). A Monte Carlo chunk bins
+all of its samples by one such ``np.bincount`` over the stack's joined
+points in [0, 1], each sample's keys after the last one's
+(``_birge_histograms``); counts are exact in any order, so each
+sample's values are those it gets alone.
 """
 
 from __future__ import annotations
@@ -197,34 +200,54 @@ def birge_histogram(sample: ObservationSample, n_bins: int) -> StepCdf:
         raise ValueError("n_bins must be an integer")
     if n_bins < 1:
         raise ValueError("need at least one bin")
-    inside = (sample.u >= 0.0) & (sample.u <= 1.0)
-    u = sample.u[inside]
-    d = sample.delta[inside]
-    idx = np.minimum((u * n_bins).astype(int), n_bins - 1)
-    return _BinnedCdf(_bin_edges(int(n_bins)), _bin_means(idx, d, n_bins))
+    u, d = sample.u, sample.delta
+    inside = (u >= 0.0) & (u <= 1.0)
+    if np.count_nonzero(inside) < u.size:
+        u, d = u[inside], d[inside]
+    return _BinnedCdf(_bin_edges(int(n_bins)), _bin_means(_bin_keys(u, d, n_bins), n_bins))
 
 
 def _birge_histograms(stack, n_bins: int) -> list[StepCdf]:
-    """``birge_histogram`` of each sample of a ``data._SortedStack``, from one pair of bincounts.
+    """``birge_histogram`` of each sample of a ``data._SortedStack``, from one bincount.
 
-    The stack's joined points in [0, 1] fall in ``n_bins`` bins per
-    sample, each sample's after the last one's, and one ``np.bincount``
-    counts them while another sums their statuses. Counts and sums of 0/1
-    statuses are exact integers in any order of their points, so each
-    sample's values are bitwise those it gets alone.
+    The stack's joined points in [0, 1] take ``2 * n_bins`` keys per
+    sample (``_bin_keys``), each sample's after the last one's, and one
+    integer ``np.bincount`` counts them. Counts of points by bin and
+    status are exact in any order of their points, so each sample's
+    values are bitwise those it gets alone.
     """
     count = len(stack.sizes)
-    idx = stack.offset(np.minimum((stack.x * n_bins).astype(int), n_bins - 1), n_bins)
-    values = _bin_means(idx, stack.delta, count * n_bins).reshape(count, n_bins)
+    keys = stack.offset(_bin_keys(stack.x, stack.delta, n_bins), 2 * n_bins)
+    values = _bin_means(keys, count * n_bins).reshape(count, n_bins)
     edges = _bin_edges(int(n_bins))
     return [_BinnedCdf(edges, row) for row in values]
 
 
-def _bin_means(idx: np.ndarray, statuses: np.ndarray, bins: int) -> np.ndarray:
-    """Mean status of each of ``bins`` bins from the points' bin indices, 0 in an empty bin."""
-    counts = np.bincount(idx, minlength=bins)
-    sums = np.bincount(idx, weights=statuses, minlength=bins)
-    return np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+def _bin_keys(x: np.ndarray, statuses: np.ndarray, n_bins: int) -> np.ndarray:
+    """The integer key ``2 * bin + status`` of each point in [0, 1], built in place on one array.
+
+    A point's bin is ``min(int(x * n_bins), n_bins - 1)``, the last bin
+    closed at 1: the float product is cast straight into the keys,
+    truncated as ``astype(int)`` truncates it.
+    """
+    keys = np.empty(x.size, dtype=np.intp)
+    np.multiply(x, n_bins, out=keys, casting="unsafe")
+    np.minimum(keys, n_bins - 1, out=keys)
+    keys *= 2
+    np.add(keys, statuses, out=keys, casting="unsafe")  # exact: a status is 0 or 1
+    return keys
+
+
+def _bin_means(keys: np.ndarray, bins: int) -> np.ndarray:
+    """Mean status of each of ``bins`` bins from the points' ``_bin_keys``, 0 in an empty bin.
+
+    One integer ``np.bincount`` counts each bin's status-0 points in its
+    even slot and its status-1 points in its odd slot. Each mean is one
+    division of two exact integers, and an empty bin's 0 / 1 is +0.0.
+    """
+    counts = np.bincount(keys, minlength=2 * bins)
+    ones = counts[1::2]
+    return ones / np.maximum(counts[::2] + ones, 1)
 
 
 class _BinnedCdf(StepCdf):
@@ -233,8 +256,17 @@ class _BinnedCdf(StepCdf):
     ``floor(fl(x * bins))`` is monotone in x, and edge k is the smallest
     float it takes to k or beyond, so clipped to [-1, bins - 1] it is one
     less than the number of edges at or left of x. A nan reads the last
-    bin, where the search puts it.
+    bin, where the search puts it. Knots that are the cached, read-only
+    edges themselves were checked when they were built, so only the
+    values are converted.
     """
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim == 1 and values.size and self.knots is _bin_edges(values.size):
+            object.__setattr__(self, "values", values)
+        else:
+            super().__post_init__()
 
     def _eval(self, x: np.ndarray) -> np.ndarray:
         bins = self.values.size
@@ -243,8 +275,10 @@ class _BinnedCdf(StepCdf):
         np.floor(index, out=index)
         np.fmin(index, bins - 1.0, out=index)  # fmin takes bins - 1 over a nan
         np.fmax(index, -1.0, out=index)
-        # bin -1, left of every edge, reads the 0 appended behind the values
-        return np.concatenate((self.values, [0.0]))[index.astype(np.intp)]
+        # bin -1, left of every edge, wraps to the 0 appended behind the values;
+        # the values are gathered into the float index, with no new array
+        lookup = np.concatenate((self.values, [0.0]))
+        return lookup.take(index.astype(np.intp), out=index, mode="wrap")
 
 
 @functools.lru_cache(maxsize=128)

@@ -37,7 +37,8 @@ evaluation of the finest basis, while the contrasts, pilots, penalties
 and picks are each sample's own. The NPMLE pools the chunk's joined
 statuses in one set of rounds that never cross a sample
 (``isotonic._npmle_pavas``), and the Birgé histogram bins every sample
-by one pair of ``np.bincount`` calls (``isotonic._birge_histograms``).
+by one integer ``np.bincount`` of bin and status keys
+(``isotonic._birge_histograms``).
 The scoring evaluates every projection-based estimate, the regression's
 fits, raw or clamped, and both halves of each quotient, by the one rule
 that also evaluates a direct call, ``estimates._evaluate_each``: one
@@ -147,7 +148,10 @@ def truncated_mse(estimate, model: SimModel, sample: ObservationSample) -> float
     ``estimate`` is any callable on float arrays: a ``CdfEstimate``, a
     ``StepCdf``, a ``ProjectionEstimate`` or a plain function. This is
     ``_truncated_mses`` on one sample, so an estimate with parts is
-    evaluated by the rule that its own call runs.
+    evaluated by the rule that its own call runs. When every time lies
+    in [a, b], the points it receives are a read-only view of
+    ``sample.u``, not a copy: an estimate that writes into them raises
+    ``ValueError`` and leaves the sample unchanged.
     """
     return _truncated_mses([estimate], model, [_window(model, sample)])[0]
 
@@ -158,10 +162,18 @@ def _window(model: SimModel, sample: ObservationSample, truth=None):
     ``truth``, when given, is ``true_cdf`` at every time of the sample
     (``_draw``), and the window reads it at its points: ``true_cdf`` is
     elementwise, so these are the values it computes on the points alone.
+    When every time lies in [a, b], the points are a read-only view of
+    ``sample.u`` and the truth is ``truth`` itself; otherwise both are
+    gathered.
     """
     inside = (sample.u >= model.a) & (sample.u <= model.b)
-    points = sample.u[inside]
-    return points, true_cdf(model, points) if truth is None else truth[inside]
+    if np.count_nonzero(inside) == sample.n:
+        points = sample.u.view()
+        points.flags.writeable = False
+    else:
+        points = sample.u[inside]
+        truth = None if truth is None else truth[inside]
+    return points, true_cdf(model, points) if truth is None else truth
 
 
 def _truncated_mses(estimates, model: SimModel, windows) -> list[float]:
@@ -315,8 +327,8 @@ def _estimate_cell(method: str, stack, config: BenchConfig) -> list:
     every sample in one stacked scan (``quotient._fit_quotient_cdfs``,
     ``regression._fit_cdf_regressions``), the NPMLE pools every sample in
     one set of rounds (``isotonic._npmle_pavas``) and the Birgé histogram
-    bins every sample by one pair of ``np.bincount`` calls
-    (``isotonic._birge_histograms``). All of them read the stack's one
+    bins every sample by one integer ``np.bincount`` of bin and status
+    keys (``isotonic._birge_histograms``). All of them read the stack's one
     sort, and the two scans its one evaluation of the finest dyadic basis.
     Every estimate is bitwise the one ``estimate_sample`` gives its sample.
     """

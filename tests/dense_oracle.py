@@ -12,6 +12,10 @@ in exact rational arithmetic, to tell which of the two float paths is
 nearer the truth. ``all_knots_step`` evaluates a ``StepCdf`` by a binary
 search over every knot, where the library searches only the knots at
 which the value changes, or reads a Birgé bin by its index.
+``two_bincount_birge`` fits a Birgé histogram by one ``np.bincount``
+counting each bin's points and one summing their statuses, on edges
+found by bisection (``bisected_bin_edges``), where the library counts
+bin and status keys in one integer ``np.bincount``.
 ``dense_values`` evaluates any estimate part by part, each from its own
 dense design, where the library joins the points of every part of one
 model into one design matrix and applies each evaluator's ``combine``.
@@ -191,6 +195,33 @@ def all_knots_step(step, x):
     """
     lookup = np.concatenate(([0.0], step.values))
     return lookup[np.searchsorted(step.knots, x, side="right")]
+
+
+def bisected_bin_edges(n_bins):
+    """Edge k of ``n_bins`` bins: the smallest float u with ``floor(u * n_bins) >= k``.
+
+    Found by bisection over the bit patterns of the floats in [0, 1],
+    which order them as their values do.
+    """
+    k = np.arange(n_bins)
+    lo = np.zeros(n_bins, dtype=np.int64)
+    hi = np.full(n_bins, np.float64(1.0).view(np.int64))  # floor(n_bins) >= k
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        above = np.floor(mid.view(np.float64) * n_bins) >= k
+        hi, lo = np.where(above, mid, hi), np.where(above, lo, mid + 1)
+    return hi.view(np.float64)
+
+
+def two_bincount_birge(sample, n_bins):
+    """``birge_histogram`` by a count and a status sum per bin, as two ``np.bincount`` calls."""
+    inside = (sample.u >= 0.0) & (sample.u <= 1.0)
+    u, d = sample.u[inside], sample.delta[inside]
+    idx = np.minimum((u * n_bins).astype(int), n_bins - 1)
+    counts = np.bincount(idx, minlength=n_bins)
+    sums = np.bincount(idx, weights=d, minlength=n_bins)
+    values = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+    return StepCdf(bisected_bin_edges(n_bins), values)
 
 
 def dense_values(evaluator, x):

@@ -78,6 +78,19 @@ def test_equality_reads_the_bits():
     assert pickle.loads(pickle.dumps(sample)) == sample
 
 
+def test_write_sample_writes_the_bytes_of_one_row_at_a_time(tmp_path):
+    # tiny, huge and integral times, a subnormal and 0, with both statuses
+    times = [0.0, 5e-324, 1e-300, 1.0, 2.0, 3e17, 1e300, np.finfo(float).max, 0.1, 2.0 / 3.0]
+    special = ObservationSample(times, [i % 2 for i in range(len(times))])
+    drawn = generate(SimModel(4), 1000, 3)
+    for sample in (special, drawn):
+        path = tmp_path / "sample.csv"
+        write_sample(sample, path)
+        rows = ["u,delta\n"] + [f"{u:.17g},{int(d)}\n" for u, d in zip(sample.u, sample.delta)]
+        assert path.read_bytes() == "".join(rows).encode("utf-8")
+        assert read_sample(path) == sample
+
+
 def test_signed_zero_status_round_trips(tmp_path):
     # a file writes -0.0 as 0, so the sample stores it as 0.0
     path = tmp_path / "sample.csv"

@@ -22,7 +22,7 @@ from curstat import (
 from curstat.data import _SortedStack
 
 from conftest import random_sample, tied_samples
-from dense_oracle import all_knots_step
+from dense_oracle import all_knots_step, two_bincount_birge
 
 # queries beyond the knots: infinities, nan, signed zeros, huge and tiny
 # floats, and the largest ones, whose products with a bin count overflow
@@ -469,6 +469,30 @@ class TestBirgeHistogram:
 
         monkeypatch.setattr(np, "searchsorted", no_search)
         assert est(sample.u).tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_fits_equal_the_two_bincount_oracle(self, data):
+        bins = data.draw(st.integers(1, 64))
+        # 0, 1, every k / bins and their float neighbours, and times outside [0, 1]
+        k = np.arange(bins + 1) / bins
+        near = np.concatenate([k, np.nextafter(k, -np.inf), np.nextafter(k, np.inf)])
+        times = st.one_of(st.sampled_from([*near.tolist(), -0.5, 1.5]), st.floats(-0.5, 1.5))
+        statuses = data.draw(st.sampled_from(["0", "1", "mixed"]))
+        status = st.integers(0, 1) if statuses == "mixed" else st.just(int(statuses))
+        pairs = st.lists(st.tuples(times, status), min_size=1, max_size=40)
+        samples = [
+            ObservationSample([u for u, _ in p], [d for _, d in p])
+            for p in data.draw(st.lists(pairs, min_size=1, max_size=4))
+        ]
+        alone = [birge_histogram(sample, bins) for sample in samples]
+        for est, sample in zip(alone, samples):
+            oracle = two_bincount_birge(sample, bins)
+            assert est.knots.tobytes() == oracle.knots.tobytes()
+            assert est.values.tobytes() == oracle.values.tobytes()
+        # one integer bincount over the stack gives each sample its own fit
+        stacked = isotonic._birge_histograms(_SortedStack(samples), bins)
+        assert stacked == alone
 
     def test_matches_histogram_least_squares(self, rng):
         for _ in range(20):

@@ -170,6 +170,58 @@ class TestTruncatedMse:
             mse = np.float64(truncated_mse(estimate, model, sample)).tobytes()
             assert mse == _direct_mse(estimate, model, sample)
 
+    @pytest.mark.parametrize("model_id", [1, 3])
+    def test_a_window_over_the_whole_sample_is_the_sample_read_only(self, model_id):
+        import curstat.simulate as sim
+
+        model = SimModel(model_id)
+        sample, truth = sim._draw(model, 400, replication_rng(5, model_id, 400, 0))
+        points, window_truth = sim._window(model, sample, truth)
+        assert window_truth is truth
+        assert not points.flags.writeable and np.shares_memory(points, sample.u)
+        assert points.tobytes() == sample.u.tobytes()
+        gathered = sample.u[(sample.u >= model.a) & (sample.u <= model.b)]
+        assert gathered.flags.writeable and gathered.tobytes() == sample.u.tobytes()
+        estimates = [
+            curstat.npmle_pava(sample),
+            curstat.birge_histogram(sample, 10),
+            estimate_sample("quotient", sample),
+            estimate_sample("regression", sample),
+            lambda x: true_cdf(model, x) * 0.9,
+        ]
+        expected = sim._truncated_mses(
+            estimates, model, [(gathered, true_cdf(model, gathered))] * len(estimates)
+        )
+        for estimate, mse in zip(estimates, expected):
+            got = truncated_mse(estimate, model, sample)
+            assert np.float64(got).tobytes() == np.float64(mse).tobytes()
+
+    def test_an_estimate_that_writes_into_its_points_raises(self):
+        model = SimModel(1)
+        sample = generate(model, 50, 3)
+        before = sample.u.tobytes()
+
+        def overwrites(x):
+            x[:] = 0.5
+            return x
+
+        with pytest.raises(ValueError, match="read-only"):
+            truncated_mse(overwrites, model, sample)
+        assert sample.u.tobytes() == before
+
+    def test_a_window_with_points_outside_is_gathered(self):
+        import curstat.simulate as sim
+
+        model = SimModel(4)
+        sample, truth = sim._draw(model, 200, replication_rng(5, 4, 200, 0))
+        inside = sample.u <= 1.0
+        assert not inside.all()  # exponential times, some above b = 1
+        for given in (None, truth):
+            points, window_truth = sim._window(model, sample, given)
+            assert points.flags.writeable and not np.shares_memory(points, sample.u)
+            assert points.tobytes() == sample.u[inside].tobytes()
+            assert window_truth.tobytes() == truth[inside].tobytes()
+
 
 class TestDefaults:
     def test_benchmark_schedules(self):

@@ -42,11 +42,19 @@ Each line is a label and the sha256 of one group of outputs:
   MSE window and on 10 000 points drawn from its knots, their
   neighbours, points outside [0, 1], nan and both infinities, followed
   by its ``truncated_mse`` bytes. The fits of the n = 5e4 samples are
-  evaluated on 4 096 points or more, as fit-large scores them.
+  evaluated on 4 096 points or more, as fit-large scores them. Then one
+  sample whose tied times sit on the bin edges k / 5 and k / 10 and on
+  their float neighbours, 0.0 and 1.0 among them, with a few times
+  outside [0, 1]: the knots and values of its ``birge_histogram`` fits
+  with 5 and 10 bins, their values on those times and their
+  ``truncated_mse`` bytes, and the knots and values of every row of the
+  same fits stacked with a model-4 sample (``isotonic._birge_histograms``
+  on a ``data._SortedStack``, as a Monte Carlo chunk fits them).
 
 A refactor that must not move an output bit prints the same lines
-before and after. It reads only public names, so it runs on any
-version of the package. Run from anywhere as
+before and after. It reads public names, and the two private ones
+above, so it runs on any version of the package that stacks Birgé
+fits. Run from anywhere as
 ``python tools/output_digest.py``; it takes a few seconds.
 """
 
@@ -63,6 +71,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import curstat as cs  # noqa: E402
 from curstat.cli import main  # noqa: E402
+from curstat.data import _SortedStack  # noqa: E402
+from curstat.isotonic import _birge_histograms  # noqa: E402
 
 FAMILIES = (
     cs.dyadic_family(),
@@ -259,6 +269,18 @@ def step_functions() -> str:
             for points in (window, x):
                 digest.update(np.asarray(fit(points), dtype=float).tobytes())
             digest.update(np.float64(cs.truncated_mse(fit, model, sample)).tobytes())
+    edges = np.concatenate([np.arange(6) / 5, np.arange(11) / 10])
+    near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    times = np.concatenate([np.repeat(near, 2), [-0.25, -1e-300, 1.5, 3.0]])
+    statuses = np.random.default_rng(11).random(times.size) < 0.5
+    edge_sample = cs.ObservationSample(times, statuses.astype(float))
+    other = cs.generate(cs.SimModel(4), 200, cs.replication_rng(7, 4, 200, 0))
+    for bins in (5, 10):
+        fit = cs.birge_histogram(edge_sample, bins)
+        digest.update(fit.knots.tobytes() + fit.values.tobytes() + fit(times).tobytes())
+        digest.update(np.float64(cs.truncated_mse(fit, cs.SimModel(1), edge_sample)).tobytes())
+        for row in _birge_histograms(_SortedStack([edge_sample, other, edge_sample]), bins):
+            digest.update(row.knots.tobytes() + row.values.tobytes())
     return digest.hexdigest()
 
 
